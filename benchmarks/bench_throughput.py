@@ -16,8 +16,8 @@ the numbers stay comparable across commits:
   path and the tracing-on overhead ratio;
 * one sharded cell (16 disks / 4 shards) with telemetry off and with
   per-shard trace segments merged into one canonical trace, guarding
-  the shard tracing-overhead ratio (the sharded pair additionally
-  crosses the SoA->object backend switch, so it has its own cap);
+  the shard tracing-overhead ratio (the merge parses every segment
+  line to validate it, so the sharded pair has its own cap);
 * one fault-injected redundancy cell (read x 8 disks, ``block4-2``,
   accelerated hazard) exercising the degraded-read reconstruct fan-in
   and rebuild fan-out paths end to end, guarding the per-request cost

@@ -26,17 +26,23 @@ RESULTS_PATH = Path(__file__).resolve().parent / "results" / "throughput.json"
 DEFAULT_THRESHOLD = 0.20
 
 #: Allowed wall-clock ratio of a traced run over the same run with
-#: telemetry off.  JSON-serializing every event to a file measures
-#: around 4x on the reference cell; beyond 5x something pathological
-#: has leaked into the emission path.
-MAX_TRACING_OVERHEAD = 5.0
+#: telemetry off.  Tracing costs one JSON encode per event (one hoisted
+#: C encoder, DESIGN.md Sec. 8.4); the ratio measured 1.9-2.8x on the
+#: reference cell (median about 2.4x), and the cap sits at about 1.5x
+#: the median, 1.24x the worst run.  It catches gross per-event work in
+#: the emission path only: a per-call ``json.dumps`` measures 2.4-3.5x,
+#: which can pass.
+MAX_TRACING_OVERHEAD = 3.5
 
-#: Same guard for one *sharded* cell (16 disks / 4 shards).  Tracing a
-#: sharded cell additionally forces every shard kernel off the SoA fast
-#: path onto object dispatch and k-way-merges the segments, so the
-#: measured ratio sits near 10x; beyond 14x the emission-time remapping
-#: or the streaming merge has grown pathological work.
-MAX_SHARD_TRACING_OVERHEAD = 14.0
+#: Same guard for one *sharded* cell (16 disks / 4 shards).  On top of
+#: the per-event encode, the k-way merge parses every segment line in
+#: full to validate it, then splices its bytes: the cost is JSON encode
+#: and decode, not the kernel backend.  The ratio measured 4.1-5.9x
+#: (median about 5.4x); the cap sits at about 1.4x the median, 1.27x the
+#: worst run.  It catches gross work in the emit or merge path only: a
+#: merge that decodes and re-encodes every event measures 6.8-10.2x,
+#: which can pass.
+MAX_SHARD_TRACING_OVERHEAD = 7.5
 
 #: Hard floor on the batched (SoA) kernel rate: 3x the object-path
 #: kernel's committed 1.07M events/sec.  Unlike the relative threshold

@@ -13,6 +13,9 @@ import csv
 import io
 import json
 import os
+from json import JSONDecodeError, JSONDecoder
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
@@ -23,22 +26,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.sampler import TimeSeries
 
-__all__ = ["JsonlTraceWriter", "event_to_json", "read_trace",
-           "write_timeseries", "timeseries_to_csv_text", "write_metrics_json"]
+__all__ = ["JsonlTraceWriter", "event_to_json", "parse_record", "read_trace", "record_body",
+           "splice_body", "write_timeseries", "timeseries_to_csv_text", "write_metrics_json"]
 
 PathLike = Union[str, Path]
 
 
-def event_to_json(event: TraceEvent) -> str:
-    """One event as a canonical single-line JSON record.
+#: The C encoder ``json.dumps(..., separators=(",", ":"), allow_nan=True)``
+#: rebuilds per call, built once, sorting keys: same bytes for flat payloads
+#: (the events.py contract); nested dicts would get sorted keys, no cycle check.
+_encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", True, False, True)
+_type_fields: dict[str, str] = {}  # ',"type":"<type>"', encoded once per type
+_raw_decode = JSONDecoder().raw_decode
 
-    ``seq``/``t``/``type`` lead, payload fields follow sorted — compact
-    separators, no whitespace variance, deterministic bytes.
-    """
-    record = {"seq": event.seq, "t": event.time, "type": event.type}
-    for key in sorted(event.data):
-        record[key] = event.data[key]
-    return json.dumps(record, separators=(",", ":"), allow_nan=True)
+
+def record_body(time: float, type_: str, data: dict) -> str:
+    """A canonical trace record after its ``{"seq":<seq>`` head: ``t``,
+    ``type``, then the flat payload sorted, compact — with the head,
+    exactly ``json.dumps`` of the record for scalar payload values."""
+    # finite float: float.__repr__; NaN/Infinity, ints, subclasses: the encoder
+    t_text = (float.__repr__(time) if type(time) is float and isfinite(time)
+              else "".join(_encode(time, 0)))
+    type_field = _type_fields.get(type_)
+    if type_field is None:
+        type_field = _type_fields[type_] = ',"type":' + "".join(_encode(type_, 0))
+    head = f',"t":{t_text}{type_field}'
+    return head + "," + "".join(_encode(data, 0))[1:] if data else head + "}"
+
+
+def event_to_json(event: TraceEvent) -> str:
+    """One event as a canonical single-line JSON record: ``seq`` first,
+    then :func:`record_body` — deterministic bytes, no whitespace."""
+    return f'{{"seq":{event.seq}{record_body(event.time, event.type, event.data)}'
+
+
+def splice_body(line: str, record: dict, path: PathLike, lineno: int) -> str:
+    """The :func:`record_body` of a stripped :func:`event_to_json` line parsed
+    as ``record``, minus its ``,"shard":N`` tag (which, in a flat payload, no
+    string can contain); other lines raise a ValueError naming ``path:lineno``."""
+    t_at = line.find(',"t":')
+    if not (t_at > 7 and line.startswith('{"seq":') and line[7:t_at].isdigit()):
+        raise ValueError(f"{path}:{lineno}: trace record lacks the "
+                         f"canonical '{{\"seq\":<int>,\"t\":' prefix")
+    body = line[t_at:]
+    cut = body.find(',"shard":') if "shard" in record else -1
+    return body if cut < 0 else body[:cut] + body[_raw_decode(body, cut + 9)[1]:]
 
 
 class JsonlTraceWriter:
@@ -73,8 +106,7 @@ class JsonlTraceWriter:
         """The subscriber interface: serialize and buffer one event."""
         if self._file is None:
             raise ValueError(f"trace writer for {self.path} is closed")
-        self._file.write(event_to_json(event))
-        self._file.write("\n")
+        self._file.write(event_to_json(event) + "\n")
         self.events_written += 1
 
     def close(self) -> None:
@@ -110,29 +142,26 @@ class JsonlTraceWriter:
             self.close()
 
 
-def read_trace(path: PathLike) -> list[dict]:
-    """Load a JSONL trace back into a list of dict records.
+def parse_record(line: str, path: PathLike, lineno: int) -> dict:
+    """``json.loads`` of one stripped trace line: exactly one JSON object
+    with a ``type`` field, else a ValueError naming ``path:lineno``."""
+    try:
+        record, end = _raw_decode(line)
+        if end != len(line):
+            raise JSONDecodeError("Extra data", line, end)
+    except JSONDecodeError as exc:
+        raise ValueError(f"{path}:{lineno}: not a JSON trace record: {exc}") from exc
+    if not isinstance(record, dict) or "type" not in record:
+        raise ValueError(f"{path}:{lineno}: trace record missing 'type' field")
+    return record
 
-    Raises :class:`ValueError` naming the offending line on corrupt
-    input, so CLI consumers get an actionable message instead of a raw
-    ``JSONDecodeError``.
-    """
-    records: list[dict] = []
+
+def read_trace(path: PathLike) -> list[dict]:
+    """Load a JSONL trace back into a list of dict records (blank lines
+    skipped, every other line checked by :func:`parse_record`)."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not a JSON trace record: {exc}") from exc
-            if not isinstance(record, dict) or "type" not in record:
-                raise ValueError(
-                    f"{path}:{lineno}: trace record missing 'type' field")
-            records.append(record)
-    return records
+        return [parse_record(line, path, lineno)
+                for lineno, line in enumerate(map(str.strip, fh), start=1) if line]
 
 
 # ----------------------------------------------------------------------

@@ -36,12 +36,13 @@ the single-run shape every downstream consumer expects:
 from __future__ import annotations
 
 import heapq
-import json
 import os
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from repro.obs.export import parse_record, record_body, splice_body
 from repro.util.validation import require
 
 __all__ = [
@@ -70,44 +71,22 @@ def shard_segment_path(trace_path: PathLike, shard_index: int) -> Path:
     return p.with_name(f"{p.stem}.shard{shard_index:04d}{p.suffix}")
 
 
-def _record_line(seq: int, time_s: float, type_: str,
-                 payload: Mapping[str, object]) -> str:
-    """Canonical single-line record: seq/t/type lead, payload sorted.
-
-    Mirrors :func:`repro.obs.export.event_to_json` byte-for-byte so a
-    merged trace is indistinguishable from a directly-written one.
-    """
-    record: dict[str, object] = {"seq": seq, "t": time_s, "type": type_}
-    for key in sorted(payload):
-        record[key] = payload[key]
-    return json.dumps(record, separators=(",", ":"), allow_nan=True)
-
-
-def _segment_records(path: Path, fallback_shard: int,
-                     ) -> Iterator[tuple[tuple[float, int, int], dict]]:
-    """Yield ``((t, shard, seq), record)`` for one segment, in file order.
+def _segment_lines(path: Path, fallback_shard: int,
+                   ) -> Iterator[tuple[tuple[float, int, int], str]]:
+    """Yield ``((t, shard, seq), body)`` for one segment, in file order.
 
     Within a segment, records are already sorted by ``(t, seq)`` — the
     bus assigns ``seq`` in kernel dispatch order — and the shard tag is
     constant, so each segment is a sorted run for the k-way merge.
+    Each line is parsed in full, keyed from the parsed record, and spliced.
     """
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not a JSON trace record: {exc}") from exc
-            if not isinstance(record, dict) or "type" not in record:
-                raise ValueError(
-                    f"{path}:{lineno}: trace record missing 'type' field")
-            key = (float(record["t"]),
-                   int(record.get("shard", fallback_shard)),
-                   int(record.get("seq", 0)))
-            yield key, record
+            record = parse_record(line, path, lineno)
+            yield ((float(record["t"]), int(record.get("shard", fallback_shard)),
+                    record["seq"]), splice_body(line, record, path, lineno))
 
 
 def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
@@ -123,38 +102,30 @@ def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
     per-shard ones that were never emitted) written before/after the
     data records, sharing the global ``seq`` space.
 
-    Streaming end to end (constant memory in the trace length) and
-    atomic: the merged trace appears at ``out_path`` only when complete.
-    Returns the number of *data* records merged (lead/tail excluded).
+    Segments must be :class:`~repro.obs.export.JsonlTraceWriter` output:
+    each record's bytes after its ``seq`` are copied, not re-encoded,
+    and a line without the canonical ``{"seq":<int>,"t":`` prefix is
+    rejected.  Streaming end to end (constant memory in the trace
+    length) and atomic: the merged trace appears at ``out_path`` only
+    when complete.  Returns the number of *data* records merged.
     """
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
-    runs = [_segment_records(Path(p), i) for i, p in enumerate(segments)]
-    seq = 0
-    merged = 0
+    head = [record_body(t, type_, payload) for type_, t, payload in lead]
+    foot = [record_body(t, type_, payload) for type_, t, payload in tail]
+    runs = [_segment_lines(Path(p), i) for i, p in enumerate(segments)]
+    data = (body for _key, body in heapq.merge(*runs, key=itemgetter(0)))
+    seq = -1
     try:
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:  # repro: allow[IO001] streams to a .tmp sibling; published whole via os.replace below
-            for type_, time_s, payload in lead:
-                fh.write(_record_line(seq, time_s, type_, payload))
-                fh.write("\n")
-                seq += 1
-            for _key, record in heapq.merge(*runs, key=itemgetter(0)):
-                payload = {k: v for k, v in record.items()
-                           if k not in ("seq", "t", "type", "shard")}
-                fh.write(_record_line(seq, record["t"], record["type"], payload))
-                fh.write("\n")
-                seq += 1
-                merged += 1
-            for type_, time_s, payload in tail:
-                fh.write(_record_line(seq, time_s, type_, payload))
-                fh.write("\n")
-                seq += 1
+            for seq, body in enumerate(chain(head, data, foot)):
+                fh.write(f'{{"seq":{seq}{body}\n')
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, out)
-    return merged
+    return seq + 1 - len(head) - len(foot)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.runner import make_policy, run_simulation
 from repro.obs import events as ev
@@ -29,6 +32,53 @@ class TestEventToJson:
         a = event_to_json(TraceEvent(0, 0.0, "x", {"b": 1, "a": 2}))
         b = event_to_json(TraceEvent(0, 0.0, "x", {"a": 2, "b": 1}))
         assert a == b
+
+
+def _reference_event_to_json(event):
+    """The ``json.dumps`` encoding ``event_to_json`` must reproduce."""
+    record = {"seq": event.seq, "t": event.time, "type": event.type}
+    for key in sorted(event.data):
+        record[key] = event.data[key]
+    return json.dumps(record, separators=(",", ":"), allow_nan=True)
+
+
+_EXTREME_FLOATS = st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300,
+    -1e300, 1.7976931348623157e308, 0.1])
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | _EXTREME_FLOATS
+_TIMES = (_FLOATS | st.integers(min_value=-2**70, max_value=2**70)
+          | _FLOATS.map(np.float64))
+_TEXT = st.text()
+_VALUES = (st.none() | st.booleans()
+           | st.integers(min_value=-2**100, max_value=2**100)
+           | _FLOATS | _FLOATS.map(np.float64) | _TEXT
+           | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\n\t", "caf\u00e9",
+                              "\U0001f600", ',"shard":1']))
+# payload field names are anything but the seq/t/type header
+_PAYLOADS = st.dictionaries(
+    _TEXT.filter(lambda k: k not in ("seq", "t", "type")), _VALUES,
+    max_size=6)
+
+
+class TestEventToJsonMatchesJsonDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(seq=st.integers(min_value=0, max_value=2**64), time=_TIMES,
+           type_=_TEXT, data=_PAYLOADS)
+    def test_same_bytes_as_reference(self, seq, time, type_, data):
+        event = TraceEvent(seq, time, type_, data)
+        assert event_to_json(event) == _reference_event_to_json(event)
+
+    @pytest.mark.parametrize("time", [
+        float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 3,
+        np.float64(0.1), np.float64("nan")])
+    def test_unusual_times(self, time):
+        event = TraceEvent(0, time, "x", {"v": np.float64(2.5), "n": None})
+        assert event_to_json(event) == _reference_event_to_json(event)
+
+    def test_empty_payload(self):
+        event = TraceEvent(3, 1.25, ev.ENGINE_STOP, {})
+        assert event_to_json(event) == '{"seq":3,"t":1.25,"type":"engine.stop"}'
+        assert event_to_json(event) == _reference_event_to_json(event)
 
 
 class TestJsonlTraceWriter:

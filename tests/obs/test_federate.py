@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from repro.obs.export import read_trace
+from repro.obs.events import TraceEvent
+from repro.obs.export import event_to_json, read_trace
 from repro.obs.federate import (
     federate_registries,
     merge_trace_files,
@@ -131,6 +132,65 @@ class TestMergeTraceFiles:
         # the identical byte stream
         assert out_a.read_bytes() == out_b.read_bytes()
         assert merge_trace_files([a0, a1], tmp_path / "c.jsonl") == 5
+
+
+class TestMergeSplicesSegmentBytes:
+    """The merge copies each record's bytes after its ``seq``; it must
+    still validate every line and cut exactly the shard tag."""
+
+    @staticmethod
+    def _writer_segment(path, events):
+        path.write_text("".join(event_to_json(TraceEvent(*e)) + "\n"
+                                for e in events), encoding="utf-8")
+        return path
+
+    def test_trailing_garbage_rejected_without_output(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"seq":0,"t":1.0,"type":"x","shard":0} trailing\n',
+                       encoding="utf-8")
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ValueError, match="bad.jsonl:1: not a JSON trace record"):
+            merge_trace_files([bad], out)
+        assert not out.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_shard_text_inside_a_string_survives(self, tmp_path):
+        reason = 'disk ,"shard":3 said \\"no\\"'
+        seg = self._writer_segment(tmp_path / "s0.jsonl", [
+            (0, 1.0, "request.fail", {"disk": 0, "reason": reason, "shard": 12,
+                                      "zone": ',"shard":'})])
+        out = tmp_path / "merged.jsonl"
+        merge_trace_files([seg], out)
+        expected = event_to_json(TraceEvent(
+            0, 1.0, "request.fail",
+            {"disk": 0, "reason": reason, "zone": ',"shard":'}))
+        assert out.read_text(encoding="utf-8") == expected + "\n"
+
+    @pytest.mark.parametrize("line", [
+        '{"t":1.0,"seq":0,"type":"x"}',
+        '{"seq": 0, "t": 1.0, "type": "x"}',
+        '{"seq":"0","t":1.0,"type":"x"}',
+        '{"seq":0,"type":"x","t":1.0}',
+    ])
+    def test_non_canonical_prefix_rejected(self, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f'{{"seq":0,"t":0.5,"type":"x"}}\n{line}\n',
+                       encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.jsonl:2: .*canonical"):
+            merge_trace_files([bad], tmp_path / "merged.jsonl")
+
+    def test_untagged_segment_keyed_by_file_index(self, tmp_path):
+        # no shard tags: the file index breaks the t=1.0 tie
+        s0 = self._writer_segment(tmp_path / "s0.jsonl", [
+            (0, 1.0, "request.submit", {"disk": 9})])
+        s1 = self._writer_segment(tmp_path / "s1.jsonl", [
+            (0, 0.5, "request.submit", {"disk": 4}),
+            (1, 1.0, "request.submit", {"disk": 5})])
+        out = tmp_path / "merged.jsonl"
+        assert merge_trace_files([s1, s0], out) == 3
+        assert [r["disk"] for r in read_trace(out)] == [4, 5, 9]
+        merge_trace_files([s0, s1], out)
+        assert [r["disk"] for r in read_trace(out)] == [4, 9, 5]
 
 
 class TestFederateRegistries:

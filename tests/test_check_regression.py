@@ -76,11 +76,13 @@ class TestCompare:
 
 class TestTracingOverhead:
     def test_ratio_within_limit_passes(self):
-        current = {"cell_obs_off_s": 0.4, "cell_traced_s": 1.6}  # 4x < 5x
+        limit = check_regression.MAX_TRACING_OVERHEAD
+        current = {"cell_obs_off_s": 0.4, "cell_traced_s": 0.4 * 0.9 * limit}
         assert check_regression.tracing_overhead(current) == []
 
     def test_ratio_beyond_limit_fails(self):
-        current = {"cell_obs_off_s": 0.4, "cell_traced_s": 2.4}  # 6x
+        limit = check_regression.MAX_TRACING_OVERHEAD
+        current = {"cell_obs_off_s": 0.4, "cell_traced_s": 0.4 * 1.2 * limit}
         problems = check_regression.tracing_overhead(current)
         assert len(problems) == 1
         assert "tracing overhead" in problems[0]
@@ -103,18 +105,20 @@ class TestTracingOverhead:
             check_regression.tracing_overhead({}, max_shard_ratio=1.0)
 
     def test_shard_ratio_within_limit_passes(self):
-        current = {"shard_obs_off_s": 1.5, "shard_traced_s": 15.0}  # 10x < 14x
+        limit = check_regression.MAX_SHARD_TRACING_OVERHEAD
+        current = {"shard_obs_off_s": 1.5, "shard_traced_s": 1.5 * 0.9 * limit}
         assert check_regression.tracing_overhead(current) == []
 
     def test_shard_ratio_beyond_limit_fails(self):
-        current = {"shard_obs_off_s": 1.0, "shard_traced_s": 20.0}  # 20x
+        limit = check_regression.MAX_SHARD_TRACING_OVERHEAD
+        current = {"shard_obs_off_s": 1.0, "shard_traced_s": 1.2 * limit}
         problems = check_regression.tracing_overhead(current)
         assert len(problems) == 1
         assert "shard tracing overhead" in problems[0]
 
     def test_both_pairs_checked_independently(self):
-        current = {"cell_obs_off_s": 0.4, "cell_traced_s": 2.4,      # 6x > 5x
-                   "shard_obs_off_s": 1.0, "shard_traced_s": 20.0}   # 20x > 14x
+        current = {"cell_obs_off_s": 0.4, "cell_traced_s": 2.4,      # 6x > 3.5x
+                   "shard_obs_off_s": 1.0, "shard_traced_s": 20.0}   # 20x > 7.5x
         problems = check_regression.tracing_overhead(current)
         assert len(problems) == 2
 
