@@ -3,12 +3,9 @@
 The measurements, fixed-scale regardless of ``REPRO_BENCH_SCALE`` so
 the numbers stay comparable across commits:
 
-* batched kernel events/sec — a 1024-disk :class:`~repro.disk.state.ArrayState`
-  advanced by a :class:`~repro.sim.soa.BatchTicker`, counting per-disk
-  lane updates per wall-clock second, best of three;
 * object kernel events/sec — a self-rescheduling tick drained through
   :meth:`~repro.sim.engine.Simulator.run_until_drained`, best of three
-  (the pre-SoA dispatch path, kept as its own regression metric);
+  (it times the event heap alone, not a simulation);
 * the 8-cell Fig. 7-style sweep (read, maid x 6..12 disks) through
   :func:`~repro.experiments.parallel.run_cells`, serial and ``jobs=4``;
 * one sweep cell (read x 8 disks) with telemetry off and with full
@@ -26,8 +23,7 @@ the numbers stay comparable across commits:
 The committed reference numbers live in ``BENCH_throughput.json`` at the
 repo root; each run writes its fresh measurement to
 ``benchmarks/results/throughput.json`` and ``check_regression.py``
-compares the two (>20% events/sec drop fails, and the batched rate has
-an absolute floor of 3x the object path's committed 1.07M).
+compares the two (>20% drop fails).
 """
 
 from __future__ import annotations
@@ -37,30 +33,18 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 from conftest import RESULTS_DIR, record_table
-from check_regression import (BASELINE_PATH, compare, kernel_floor,
-                              stream_floor, tracing_overhead)
-from repro.disk.parameters import cheetah_two_speed
-from repro.disk.state import ArrayState
+from check_regression import (BASELINE_PATH, compare, stream_floor,
+                              tracing_overhead)
 from repro.experiments.parallel import RunSpec, run_cells
 from repro.obs import ObsConfig
 from repro.sim.engine import Simulator
-from repro.sim.soa import BatchTicker
 from repro.workload.synthetic import SyntheticWorkloadConfig
 
 #: Event count for the kernel microbenchmark (large enough that the
 #: per-run Simulator setup is noise).
 KERNEL_EVENTS = 300_000
 KERNEL_REPEATS = 3
-
-#: Scale of the batched-kernel microbenchmark: a MAID-scale array
-#: (the regime the SoA layout exists for — per-tick Python overhead
-#: amortizes across lanes), enough ticks that per-run setup is noise
-#: (1024 * 2_500 = 2.56M lane updates per repeat).
-BATCH_DISKS = 1024
-BATCH_TICKS = 2_500
 
 #: The 8-cell sweep: two trace-driven policies across four array sizes,
 #: one shared workload (exercises the cache + executor end to end).
@@ -87,34 +71,6 @@ MERGE_SHARDS = 16
 REBUILD_DISKS = 8
 REBUILD_FAULTS_SPEC = "seed=3,accel=200000"
 REBUILD_SCHEME = "block4-2"
-
-
-def measure_batch_events_per_sec(n_disks: int = BATCH_DISKS,
-                                 n_ticks: int = BATCH_TICKS,
-                                 repeats: int = KERNEL_REPEATS) -> float:
-    """Best-of-N per-disk lane updates/sec for the batched SoA kernel.
-
-    Drives a fluid-approximation :meth:`ArrayState.batch_step` through a
-    :class:`BatchTicker` with a fixed per-disk arrival field — the
-    whole-array analogue of one service event per disk per tick, so the
-    rate is directly comparable to the object kernel's events/sec.
-    """
-    params = cheetah_two_speed()
-    rng = np.random.default_rng(7)
-    arrivals = rng.random(n_disks) * 2.0
-    best = 0.0
-    for _ in range(repeats):
-        sim = Simulator()
-        state = ArrayState(n_disks, params)
-        ticker = BatchTicker(sim, n_disks,
-                             lambda dt: state.batch_step(dt, arrivals),
-                             interval_s=1.0, max_ticks=n_ticks)
-        ticker.start()
-        start = perf_counter()
-        sim.run_until_drained()
-        rate = ticker.lane_updates / (perf_counter() - start)
-        best = max(best, rate)
-    return best
 
 
 def measure_kernel_events_per_sec(n_events: int = KERNEL_EVENTS,
@@ -191,7 +147,7 @@ def measure_rebuild_cell_s(repeats: int = 2) -> float:
 
 def measure_stream_requests_per_sec(repeats: int = 2) -> float:
     """Best-of-N requests/sec through the streamed sharded path, end to
-    end: chunked generation, filtered per-shard dispatch, SoA kernels,
+    end: chunked generation, filtered per-shard dispatch, one kernel per shard,
     open-ledger capture, and the fixed-order merge — all serial."""
     from repro.experiments.shard import run_sharded
 
@@ -258,7 +214,6 @@ def _write_results(results: dict) -> Path:
 
 
 def test_throughput(benchmark):
-    batch_events_per_sec = measure_batch_events_per_sec()
     object_events_per_sec = measure_kernel_events_per_sec()
     serial_s = measure_sweep_s(jobs=1)
     jobs4_s = measure_sweep_s(jobs=4)
@@ -271,11 +226,10 @@ def test_throughput(benchmark):
     shard_merge_s = measure_shard_merge_s()
     shard_obs_off_s = measure_shard_cell_s(traced=False)
     shard_traced_s = measure_shard_cell_s(traced=True)
-    benchmark.pedantic(lambda: batch_events_per_sec, rounds=1, iterations=1)
+    benchmark.pedantic(lambda: object_events_per_sec, rounds=1, iterations=1)
 
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
     current = {
-        "kernel_events_per_sec": round(batch_events_per_sec),
         "kernel_events_per_sec_object": round(object_events_per_sec),
         "sweep8_serial_s": round(serial_s, 3),
         "sweep8_jobs4_s": round(jobs4_s, 3),
@@ -292,9 +246,6 @@ def test_throughput(benchmark):
     seed = baseline.get("seed", {})
     lines = [
         f"{'measurement':<28}{'current':>12}{'committed':>12}{'seed':>12}",
-        f"{'batch kernel events/sec':<28}{batch_events_per_sec:>12,.0f}"
-        f"{baseline['kernel_events_per_sec']:>12,.0f}"
-        f"{seed.get('kernel_events_per_sec', float('nan')):>12,.0f}",
         f"{'object kernel events/sec':<28}{object_events_per_sec:>12,.0f}"
         f"{baseline.get('kernel_events_per_sec_object', float('nan')):>12,.0f}"
         f"{seed.get('kernel_events_per_sec_object', float('nan')):>12,.0f}",
@@ -329,11 +280,8 @@ def test_throughput(benchmark):
     record_table("Throughput: event kernel and 8-cell sweep", "\n".join(lines))
 
     regressions = (compare(current, baseline) + tracing_overhead(current)
-                   + kernel_floor(current) + stream_floor(current))
+                   + stream_floor(current))
     assert not regressions, "; ".join(regressions)
-    # Acceptance (SoA kernel): the batched rate beats the object path's
-    # committed rate by >= 3x on the same host, same run.
-    assert batch_events_per_sec >= 3.0 * baseline["kernel_events_per_sec_object"]
     # Acceptance: the sweep beats the pre-optimization (seed) serial
     # wall-clock by >= 1.5x — on multi-core via the process pool, on a
     # single core via the kernel/hot-path work alone.  (The margin was

@@ -37,18 +37,12 @@ MAX_TRACING_OVERHEAD = 3.5
 #: Same guard for one *sharded* cell (16 disks / 4 shards).  On top of
 #: the per-event encode, the k-way merge parses every segment line in
 #: full to validate it, then splices its bytes: the cost is JSON encode
-#: and decode, not the kernel backend.  The ratio measured 4.1-5.9x
+#: and decode.  The ratio measured 4.1-5.9x
 #: (median about 5.4x); the cap sits at about 1.4x the median, 1.27x the
 #: worst run.  It catches gross work in the emit or merge path only: a
 #: merge that decodes and re-encodes every event measures 6.8-10.2x,
 #: which can pass.
 MAX_SHARD_TRACING_OVERHEAD = 7.5
-
-#: Hard floor on the batched (SoA) kernel rate: 3x the object-path
-#: kernel's committed 1.07M events/sec.  Unlike the relative threshold
-#: below, this is an absolute gate — the vectorized kernel must never
-#: drift back toward per-object dispatch speed.
-FLOOR_KERNEL_EVENTS_PER_SEC = 3_220_000
 
 #: Hard floor on the streamed sharded dispatch rate (requests/sec end to
 #: end: chunked generation + filtered dispatch + per-shard kernels +
@@ -67,12 +61,9 @@ MAX_SHARD_MERGE_S = 0.25
 #: metric name -> True if higher is better.  ``cell_obs_off_s`` is the
 #: obs-disabled guard: the telemetry hooks must not slow the default
 #: (no-subscriber) path beyond the ordinary threshold.
-#: ``kernel_events_per_sec`` is the batched SoA kernel (per-disk lane
-#: updates drained through :class:`~repro.sim.soa.BatchTicker`);
-#: ``kernel_events_per_sec_object`` is the object-dispatch kernel
+#: ``kernel_events_per_sec_object`` is the event-heap microbenchmark
 #: (self-rescheduling tick through the event heap).
 _METRICS = {
-    "kernel_events_per_sec": True,
     "kernel_events_per_sec_object": True,
     "sweep8_serial_s": False,
     "sweep8_jobs4_s": False,
@@ -148,24 +139,6 @@ def tracing_overhead(current: dict, *,
     return problems
 
 
-def kernel_floor(current: dict, *,
-                 floor: float = FLOOR_KERNEL_EVENTS_PER_SEC) -> list[str]:
-    """Absolute floor on the batched kernel rate (3x the object path).
-
-    Returns an empty list when the metric is absent (old result files)
-    — the relative :func:`compare` gate still applies to those.
-    """
-    if not floor > 0.0:
-        raise ValueError(f"floor must be > 0, got {floor!r}")
-    if "kernel_events_per_sec" not in current:
-        return []
-    rate = float(current["kernel_events_per_sec"])
-    if rate < floor:
-        return [f"kernel floor: {rate:g} events/sec below the "
-                f"{floor:g} absolute floor (3x object path)"]
-    return []
-
-
 def stream_floor(current: dict, *,
                  floor: float = FLOOR_STREAM_REQUESTS_PER_SEC,
                  merge_ceiling: float = MAX_SHARD_MERGE_S) -> list[str]:
@@ -204,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     current = json.loads(results_path.read_text(encoding="utf-8"))
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
     problems = (compare(current, baseline) + tracing_overhead(current)
-                + kernel_floor(current) + stream_floor(current))
+                + stream_floor(current))
     if problems:
         for line in problems:
             print(f"REGRESSION {line}")

@@ -60,7 +60,6 @@ def main(jobs: int = 1) -> int:
         "total_energy_j": result.total_energy_j,
         "array_afr_percent": result.array_afr_percent,
         "events_executed": result.events_executed,
-        "kernel_backend": result.kernel_backend,
         "wall_clock_s": round(wall_s, 1),
         "requests_per_sec": round(result.n_requests / wall_s),
         "peak_rss_mib": round(peak_rss_mib(), 1),

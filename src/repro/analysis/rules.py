@@ -361,71 +361,6 @@ class NoFloatEquality(Rule):
 
 
 # ----------------------------------------------------------------------
-# NUM002 — no per-element Python loops over SoA buffers in hot modules
-# ----------------------------------------------------------------------
-#: The struct-of-arrays buffer attributes of repro.disk.state.ArrayState.
-_SOA_BUFFER_NAMES = frozenset({
-    "energy_time_s", "energy_j", "temp_c", "thermal_integral_c_s",
-    "thermal_elapsed_s", "mb_served", "requests_served",
-    "internal_jobs_served", "speed_transitions", "queue_depth",
-    "speed_code", "phase_code", "start_time_s", "backlog_mb",
-})
-
-
-@register
-class NoScalarLoopsOverSoA(Rule):
-    """SoA buffers exist to be operated on whole; a Python ``for`` over
-    one silently re-introduces the per-element interpreter cost the
-    layout was built to remove.
-
-    The heuristic flags loops/comprehensions whose *iterated expression*
-    mentions an :class:`~repro.disk.state.ArrayState` buffer attribute
-    (directly, or via ``enumerate``/``zip``/``range(len(...))``), and
-    any iterated ``.tolist()`` call (the buffer-to-Python-list escape
-    hatch).  Deliberate scalar reductions — e.g. summing in the object
-    backend's exact order for bit-identity — are pragma sites.
-    """
-
-    code = "NUM002"
-    name = "no-scalar-loops-over-soa"
-    description = ("per-element Python loop over a struct-of-arrays buffer "
-                   "in a hot module: use a vectorized NumPy expression, or "
-                   "pragma-justify (e.g. bit-identity reduction order)")
-    scope = ("repro.sim", "repro.disk")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            iters: list[ast.expr] = []
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for expr in iters:
-                found = self._offender(module, expr)
-                if found is not None:
-                    yield found
-                    break   # one finding per loop
-
-    def _offender(self, module: ModuleInfo, expr: ast.expr) -> Finding | None:
-        for sub in ast.walk(expr):
-            if (isinstance(sub, ast.Attribute)
-                    and sub.attr in _SOA_BUFFER_NAMES):
-                return self.finding(module, expr,
-                                    f"Python loop over SoA buffer "
-                                    f"`.{sub.attr}`: vectorize with a NumPy "
-                                    f"expression or pragma-justify")
-            if (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "tolist"):
-                return self.finding(module, expr,
-                                    "`.tolist()` feeding a Python loop: "
-                                    "vectorize, or pragma-justify a "
-                                    "deliberate scalar reduction")
-        return None
-
-
-# ----------------------------------------------------------------------
 # ARCH001 — cross-module import layering
 # ----------------------------------------------------------------------
 #: Allowed intra-``repro`` dependencies per subpackage.  Root modules

@@ -16,15 +16,8 @@ from repro.disk.parameters import (
     cheetah_two_speed,
 )
 from repro.disk.thermal import ThermalModel, steady_temperature_from_rpm
-from repro.disk.energy import DiskPowerState, EnergyMeter, N_POWER_STATES, STATE_INDEX
+from repro.disk.energy import DiskPowerState, EnergyMeter, STATE_INDEX
 from repro.disk.stats import DiskStats
-from repro.disk.state import (
-    ArraySnapshot,
-    ArrayState,
-    SoADiskStats,
-    SoAEnergyMeter,
-    SoAThermalModel,
-)
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
 from repro.disk.drive import Job, TwoSpeedDrive, DrivePhase, QueueDiscipline
 from repro.disk.array import DiskArray
@@ -39,16 +32,10 @@ __all__ = [
     "steady_temperature_from_rpm",
     "DiskPowerState",
     "EnergyMeter",
-    "N_POWER_STATES",
     "STATE_INDEX",
     "DiskStats",
     "OpenDiskLedger",
     "ClosedDiskLedger",
-    "ArraySnapshot",
-    "ArrayState",
-    "SoADiskStats",
-    "SoAEnergyMeter",
-    "SoAThermalModel",
     "Job",
     "TwoSpeedDrive",
     "DrivePhase",

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.disk.drive import Job, QueueDiscipline, TwoSpeedDrive
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
-from repro.disk.state import ArrayState
 from repro.obs import events as ev
 from repro.sim.engine import Simulator
 from repro.util.validation import require
@@ -45,36 +44,20 @@ class DiskArray:
         lays data out.
     initial_speed:
         Spindle speed every drive boots with.
-    kernel_backend:
-        ``"object"`` (default) keeps each drive's ledgers in per-drive
-        Python objects; ``"soa"`` allocates one shared
-        :class:`~repro.disk.state.ArrayState` and makes every drive a
-        thin view over its slot, enabling vectorized whole-array reads
-        (PRESS scoring, sampler snapshots).  Results are bit-identical
-        either way; the runner picks the backend (see
-        :func:`repro.experiments.runner.run_simulation`).
     """
 
     def __init__(self, sim: Simulator, params: TwoSpeedDiskParams, n_disks: int,
                  fileset: FileSet, *, initial_speed: DiskSpeed = DiskSpeed.HIGH,
-                 queue_discipline: QueueDiscipline = QueueDiscipline.FCFS,
-                 kernel_backend: str = "object") -> None:
+                 queue_discipline: QueueDiscipline = QueueDiscipline.FCFS) -> None:
         require(n_disks >= 1, f"n_disks must be >= 1, got {n_disks}")
-        require(kernel_backend in ("object", "soa"),
-                f"kernel_backend must be 'object' or 'soa', got {kernel_backend!r}")
         self.sim = sim
         self._trace = sim.trace
         self.params = params
         self.fileset = fileset
-        self.kernel_backend = kernel_backend
-        #: Shared struct-of-arrays buffers ("soa" backend) or ``None``.
-        self.state: Optional[ArrayState] = (
-            ArrayState(n_disks, params) if kernel_backend == "soa" else None)
         self.drives = [
             TwoSpeedDrive(sim, params, i, initial_speed=initial_speed,
                           queue_discipline=queue_discipline,
-                          on_idle=self._forward_idle, on_busy=self._forward_busy,
-                          state=self.state)
+                          on_idle=self._forward_idle, on_busy=self._forward_busy)
             for i in range(n_disks)
         ]
         self._placement = np.full(len(fileset), -1, dtype=np.int64)

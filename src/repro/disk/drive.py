@@ -38,12 +38,6 @@ from typing import Callable, Optional
 from repro.disk.energy import STATE_INDEX, DiskPowerState, EnergyMeter
 from repro.disk.ledger import OpenDiskLedger
 from repro.disk.parameters import AMBIENT_TEMPERATURE_C, DiskSpeed, TwoSpeedDiskParams
-from repro.disk.state import (
-    ArrayState,
-    SoADiskStats,
-    SoAEnergyMeter,
-    SoAThermalModel,
-)
 from repro.disk.stats import DiskStats
 from repro.disk.thermal import ThermalModel
 from repro.obs import events as ev
@@ -65,11 +59,6 @@ class DrivePhase(enum.Enum):
     #: The drive has failed and is out of service (fault injection);
     #: it draws no power, serves nothing, and drops submitted work.
     FAILED = "failed"
-
-
-#: Dense code per phase, published into ``ArrayState.phase_code`` on
-#: sync.  Definition order matches ``repro.disk.state.PHASE_NAMES``.
-_PHASE_CODE: dict[DrivePhase, int] = {p: i for i, p in enumerate(DrivePhase)}
 
 
 class QueueDiscipline(enum.Enum):
@@ -155,14 +144,6 @@ class TwoSpeedDrive:
     on_idle / on_busy:
         Optional hooks fired when the queue drains (arm an idleness
         timer) and when the drive leaves idle for work (cancel it).
-    state:
-        Optional shared :class:`~repro.disk.state.ArrayState`.  When
-        given, the drive publishes its ledgers and its live
-        speed/phase/queue-depth into the array's slot ``disk_id`` on
-        every :meth:`finalize` (struct-of-arrays backend).  The hot
-        path is the unmodified object-ledger arithmetic — the sync is
-        a lossless write-back — so results are bit-identical to the
-        object backend.
     """
 
     #: Event priority for job completions — fire before same-time timers.
@@ -174,8 +155,7 @@ class TwoSpeedDrive:
                  initial_speed: DiskSpeed = DiskSpeed.HIGH,
                  queue_discipline: QueueDiscipline = QueueDiscipline.FCFS,
                  on_idle: Optional[Callable[[int], None]] = None,
-                 on_busy: Optional[Callable[[int], None]] = None,
-                 state: Optional[ArrayState] = None) -> None:
+                 on_busy: Optional[Callable[[int], None]] = None) -> None:
         self._sim = sim
         # Cached trace-bus reference: None on the default path, so every
         # emission site is a single attribute load + is-None branch.
@@ -202,24 +182,12 @@ class TwoSpeedDrive:
         # (a cold start would understate every policy's temperature AFR
         # on short traces).
         initial_c = params.mode(initial_speed).steady_temp_c
-        self._soa = state
-        if state is None:
-            self.stats = DiskStats(disk_id)
-            self.energy = EnergyMeter(params)
-            self.thermal = ThermalModel(initial_c=initial_c)
-            self._soa_syncs: tuple[Callable[[], None], ...] = ()
-        else:
-            stats = SoADiskStats(state, disk_id)
-            energy = SoAEnergyMeter(params, state, disk_id)
-            thermal = SoAThermalModel(state, disk_id, initial_c=initial_c)
-            self.stats, self.energy, self.thermal = stats, energy, thermal
-            self._soa_syncs = (energy.sync, thermal.sync, stats.sync)
-            state.start_time_s[disk_id] = sim.now
+        self.stats = DiskStats(disk_id)
+        self.energy = EnergyMeter(params)
+        self.thermal = ThermalModel(initial_c=initial_c)
         self._last_account_s = sim.now
         self._start_time_s = sim.now
         self._refresh_speed_cache()
-        if state is not None:
-            self._sync_soa()
 
     def _refresh_speed_cache(self) -> None:
         """Re-derive the per-speed constants the service loop reads per job.
@@ -356,10 +324,6 @@ class TwoSpeedDrive:
         :meth:`finalize` would have done there.  The returned ledger is
         picklable and :meth:`~repro.disk.ledger.OpenDiskLedger.close`
         performs that step with bit-identical arithmetic.
-
-        Valid on both kernel backends: the SoA ledgers keep the object
-        hot-path accumulators current, so the capture reads the same
-        values either way.
         """
         energy, thermal, stats = self.energy, self.thermal, self.stats
         if self._phase is DrivePhase.FAILED:
@@ -394,25 +358,9 @@ class TwoSpeedDrive:
         """Flush accounting up to the current simulation time.
 
         Call once at the end of a run before reading energy, utilization,
-        or temperature; safe to call repeatedly.  On the SoA backend this
-        also publishes the ledgers and the live operating point into the
-        shared :class:`~repro.disk.state.ArrayState` slot, so vectorized
-        whole-array reads are exact after an array-wide finalize.
+        or temperature; safe to call repeatedly.
         """
         self._account()
-        if self._soa is not None:
-            self._sync_soa()
-
-    def _sync_soa(self) -> None:
-        """Write-back the ledgers and speed/phase/queue into the slot."""
-        for sync in self._soa_syncs:
-            sync()
-        soa = self._soa
-        assert soa is not None
-        i = self.disk_id
-        soa.speed_code[i] = int(self._speed)
-        soa.phase_code[i] = _PHASE_CODE[self._phase]
-        soa.queue_depth[i] = len(self._queue)
 
     # ------------------------------------------------------------------
     # work submission

@@ -17,7 +17,7 @@ from repro.util.validation import require_non_negative
 
 _INF = math.inf
 
-__all__ = ["DiskPowerState", "EnergyMeter", "STATE_INDEX", "N_POWER_STATES"]
+__all__ = ["DiskPowerState", "EnergyMeter", "STATE_INDEX"]
 
 
 class DiskPowerState(enum.Enum):
@@ -41,12 +41,9 @@ class DiskPowerState(enum.Enum):
         return DiskPowerState.IDLE_HIGH if speed is DiskSpeed.HIGH else DiskPowerState.IDLE_LOW
 
 
-#: Dense column index of each power state in struct-of-arrays ledgers
-#: (definition order; see :class:`repro.disk.state.ArrayState`).
+#: Dense index of each power state (definition order), as carried by
+#: :class:`repro.disk.ledger.OpenDiskLedger`.
 STATE_INDEX: dict[DiskPowerState, int] = {s: i for i, s in enumerate(DiskPowerState)}
-
-#: Number of power-distinguishable states (column count of SoA ledgers).
-N_POWER_STATES = len(DiskPowerState)
 
 
 class EnergyMeter:

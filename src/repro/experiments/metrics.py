@@ -142,11 +142,6 @@ class SimulationResult:
     #: Kernel profiling summary; ``None`` unless profiling was enabled
     #: (wall timings inside, so excluded from equality like wall_clock_s).
     profile: ProfileSummary | None = field(default=None, compare=False)
-    #: Which per-disk state layout produced this cell: ``"soa"``
-    #: (struct-of-arrays buffers) or ``"object"`` (per-drive ledgers).
-    #: Excluded from equality — backends are bit-identical by contract,
-    #: and the cross-backend suite compares results across it.
-    kernel_backend: str = field(default="object", compare=False)
     #: Frozen metrics-registry snapshot (``MetricsRegistry.as_dict()``
     #: shapes); ``None`` unless sampling was enabled.  For a merged
     #: sharded cell this is the *federated* registry, equal to the
@@ -187,7 +182,6 @@ class SimulationResult:
             "events": self.events_executed,
             "wall_s": round(self.wall_clock_s, 2),
             "events_per_s": round(self.events_per_sec),
-            "backend": self.kernel_backend,
         }
         if self.faults is not None:
             row.update(self.faults.summary_row())

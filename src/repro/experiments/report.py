@@ -132,14 +132,13 @@ def _runtime_section(fig7: Figure7Results) -> str:
     # (sampled timeseries and/or a metrics registry snapshot).
     telemetry = any(r.timeseries is not None or r.metrics is not None
                     for r in all_results)
-    header = ["policy", "disks", "backend", "events", "wall s", "events/s"]
+    header = ["policy", "disks", "events", "wall s", "events/s"]
     if telemetry:
         header += ["samples", "metrics"]
     rows = []
     for policy, runs in fig7.results.items():
         for n, result in zip(fig7.disk_counts, runs):
-            row = [policy, str(n), result.kernel_backend,
-                   str(result.events_executed),
+            row = [policy, str(n), str(result.events_executed),
                    f"{result.wall_clock_s:.2f}",
                    f"{result.events_per_sec:.3g}"]
             if telemetry:

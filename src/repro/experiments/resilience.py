@@ -74,7 +74,10 @@ _log = get_logger("sweep")
 _POLL_INTERVAL_S = 0.05
 
 #: On-disk checkpoint format version (bumped on incompatible layouts).
-CHECKPOINT_VERSION = 1
+#: Version 2 dropped a field from the pickled result classes; slotted
+#: dataclasses unpickle fields by position, so a version-1 file would
+#: load with every later field shifted by one.
+CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------

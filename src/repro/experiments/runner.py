@@ -64,8 +64,7 @@ from repro.workload.cache import cached_generate
 from repro.workload.synthetic import SyntheticWorkloadConfig
 from repro.workload.trace import Trace
 
-__all__ = ["ExperimentConfig", "make_policy", "resolve_kernel_backend",
-           "run_simulation"]
+__all__ = ["ExperimentConfig", "make_policy", "run_simulation"]
 
 
 @lru_cache(maxsize=1)
@@ -145,29 +144,6 @@ class ExperimentConfig:
         return cached_generate(self.workload)
 
 
-def resolve_kernel_backend(requested: str, *, faults_on: bool,
-                           tracing_on: bool) -> str:
-    """Pick the concrete kernel backend for one run.
-
-    ``"auto"`` (the default) selects the struct-of-arrays backend unless
-    fault injection or per-event tracing is enabled — those paths lean
-    on per-drive object identity (cancellation of in-flight events,
-    per-event emission) and stay on the battle-tested object dispatch.
-    An explicit ``"soa"`` request likewise falls back to ``"object"``
-    when faults are on; the resolved (actual) backend is recorded in
-    :attr:`SimulationResult.kernel_backend` either way.  Results are
-    bit-identical across backends, so the fallback is a safety valve,
-    not a semantic switch.
-    """
-    require(requested in ("auto", "soa", "object"),
-            f"kernel_backend must be 'auto', 'soa' or 'object', got {requested!r}")
-    if requested == "object":
-        return "object"
-    if faults_on or tracing_on:
-        return "object"
-    return "soa"
-
-
 def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
                    n_disks: int, disk_params: TwoSpeedDiskParams | None = None,
                    press: PRESSModel | None = None,
@@ -175,7 +151,6 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
                    queue_discipline: QueueDiscipline = QueueDiscipline.FCFS,
                    faults: FaultConfig | None = None,
                    obs: ObsConfig | None = None,
-                   kernel_backend: str = "auto",
                    redundancy: GroupScheme | None = None) -> SimulationResult:
     """Run one policy over one trace on an ``n_disks`` array.
 
@@ -191,13 +166,6 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
     tracing to JSONL, periodic per-disk sampling, and kernel profiling.
     ``None`` (and the all-off ``ObsConfig()``) attach nothing, keeping
     the hot path and the results bit-identical to an untraced run.
-
-    ``kernel_backend`` selects the per-disk state layout: ``"soa"``
-    (struct-of-arrays buffers, vectorized whole-array reads),
-    ``"object"`` (per-drive Python ledgers), or ``"auto"`` (SoA unless
-    faults/tracing force the object path — see
-    :func:`resolve_kernel_backend`).  Results are bit-identical across
-    backends; the resolved choice is recorded in the result.
 
     ``redundancy`` attaches a :class:`~repro.redundancy.scheme.GroupScheme`
     layout (``n_disks`` must be a multiple of its group size).  With
@@ -215,9 +183,6 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
               else redundancy)
     groups = (None if scheme is None
               else RedundancyGroups(scheme, n_disks))
-    backend = resolve_kernel_backend(
-        kernel_backend, faults_on=faults is not None,
-        tracing_on=obs is not None and obs.trace_path is not None)
 
     sim = Simulator()
     # Telemetry attaches before anything observes sim.trace: drives cache
@@ -235,7 +200,7 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
             profiler = KernelProfiler()
             sim.set_profiler(profiler)
     array = DiskArray(sim, params, n_disks, fileset, initial_speed=initial_speed,
-                      queue_discipline=queue_discipline, kernel_backend=backend)
+                      queue_discipline=queue_discipline)
     registry: MetricsRegistry | None = None
     sampler: DiskSampler | None = None
     if obs is not None and obs.wants_sampler:
@@ -384,7 +349,6 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
         wall_clock_s=wall_clock_s,
         timeseries=timeseries,
         profile=profile,
-        kernel_backend=backend,
         metrics=metrics_snapshot,
         redundancy=redundancy_summary,
     )

@@ -5,7 +5,7 @@ turn around quickly, but the workload-skew policies this repo studies
 are *disk-local*: once data is laid out, a drive's event sequence is
 driven solely by the requests routed to it.  This module exploits that
 by splitting an N-disk array into ``n_shards`` independent groups, each
-simulated by its own kernel (one SoA batch kernel per shard) over the
+simulated by its own event kernel (one per shard) over the
 *streamed* workload (:mod:`repro.workload.stream` — no shard ever holds
 the full request list), and then merging the per-shard partial results
 into one :class:`~repro.experiments.metrics.SimulationResult`.
@@ -85,7 +85,6 @@ from repro.experiments.runner import (
     _default_disk_params,
     _default_press,
     make_policy,
-    resolve_kernel_backend,
 )
 from repro.obs import (
     DiskSampler,
@@ -280,7 +279,6 @@ class ShardCellResult:
     response_hist: tuple[int, ...]
     events_executed: int
     wall_clock_s: float = field(compare=False, default=0.0)
-    kernel_backend: str = field(compare=False, default="object")
     policy_detail: dict[str, object] = field(default_factory=dict)
     #: Per-shard JSONL trace segment (``None`` when tracing was off).
     #: Events inside carry global disk/file ids and a ``shard`` tag.
@@ -409,8 +407,6 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
 
     params = spec.disk_params if spec.disk_params is not None else _default_disk_params()
     tracing_on = obs is not None and obs.trace_path is not None
-    backend = resolve_kernel_backend("auto", faults_on=False,
-                                     tracing_on=tracing_on)
     offset = plan.disk_offset(shard.index)
     sim = Simulator()
     # Telemetry attaches before the array is built (drives cache the bus
@@ -435,8 +431,7 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
         sim.trace = bus
     array = DiskArray(sim, params, plan.disks_per_shard, local_fileset,
                       initial_speed=spec.initial_speed,
-                      queue_discipline=spec.queue_discipline,
-                      kernel_backend=backend)
+                      queue_discipline=spec.queue_discipline)
     registry: Optional[MetricsRegistry] = None
     sampler: Optional[DiskSampler] = None
     sample_interval: Optional[float] = None
@@ -539,7 +534,6 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
         response_hist=hist,
         events_executed=sim.events_executed,
         wall_clock_s=perf_counter() - wall_start,
-        kernel_backend=backend,
         policy_detail=policy.describe(),
         trace_segment=segment,
         trace_events=writer.events_written if writer is not None else 0,
@@ -716,7 +710,7 @@ def merge_shard_results(results: Sequence[ShardCellResult],
                 f"trace merge saw {merged_count} data events but the "
                 f"shards reported writing {data_events}")
 
-    # ---- PRESS: same factor arithmetic as factors_of/factors_of_state
+    # ---- PRESS: same factor arithmetic as PRESSModel.factors_of
     temps = [c.mean_temperature_c() for c in closed]
     utils = [100.0 * min(c.active_time_s / duration, 1.0) for c in closed]
     freqs = [c.transitions_total * SECONDS_PER_DAY / duration for c in closed]
@@ -777,7 +771,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
         faults=None,
         events_executed=sum(r.events_executed for r in ordered),
         wall_clock_s=sum(r.wall_clock_s for r in ordered),
-        kernel_backend=ordered[0].kernel_backend,
         timeseries=merged_series,
         metrics=federated,
     )

@@ -44,13 +44,6 @@ SAMPLE_COLUMNS: tuple[str, ...] = (
 #: the settled post-event state of its instant.
 _PRIO_SAMPLE = 90
 
-#: Rendered names for the SoA backend's speed/phase codes.  Mirrors
-#: :data:`repro.disk.state.SPEED_NAMES` / ``PHASE_NAMES`` (duplicated
-#: here because the obs layer must not import repro.disk — the
-#: cross-backend equivalence suite asserts the two stay in sync).
-_SPEED_NAMES: tuple[str, ...] = ("low", "high")
-_PHASE_NAMES: tuple[str, ...] = ("idle", "busy", "transitioning", "failed")
-
 
 @dataclass(frozen=True, slots=True)
 class TimeSeries:
@@ -153,37 +146,6 @@ class DiskSampler:
         now = self._sim.now
         registry = self._registry
         rows = self._rows
-        state = getattr(self._array, "state", None)
-        if state is not None:
-            # SoA backend: flush the ledgers once, then read the whole
-            # array from the shared buffers — one copy per column via
-            # the snapshot instead of a per-disk attribute walk.  Every
-            # value is bit-identical to the per-drive reads below, so
-            # the exported JSONL is byte-identical across backends.
-            self._array.finalize()
-            snap = state.snapshot(now)
-            utils = snap.utilization_pct.tolist()
-            temps = snap.temperature_c.tolist()
-            speeds = snap.speed_code.tolist()
-            phases = snap.phase_code.tolist()
-            queues = snap.queue_depth.tolist()
-            energies = snap.energy_j.tolist()
-            offset = self._offset
-            for d in range(state.n_disks):
-                util, temp = utils[d], temps[d]
-                queue, energy = queues[d], energies[d]
-                g = offset + d
-                rows.append((now, g, util, temp, _SPEED_NAMES[speeds[d]],
-                             _PHASE_NAMES[phases[d]], queue, energy))
-                if registry is not None:
-                    registry.gauge(f"disk{g}.utilization_pct").set(util)
-                    registry.gauge(f"disk{g}.temperature_c").set(temp)
-                    registry.gauge(f"disk{g}.queue_depth").set(queue)
-                    registry.gauge(f"disk{g}.energy_j").set(energy)
-            if registry is not None:
-                registry.gauge("array.energy_j").set(self._array.total_energy_j())
-                registry.counter("sampler.ticks").inc()
-            return
         for drive in self._array.drives:
             drive.finalize()
             util = drive.utilization() * 100.0

@@ -20,7 +20,6 @@ import numpy.typing as npt
 
 from repro.disk.array import DiskArray
 from repro.disk.drive import TwoSpeedDrive
-from repro.disk.state import ArrayState
 from repro.press.frequency import FrequencyReliability
 from repro.press.integrator import CombinationStrategy, ReliabilityIntegrator
 from repro.press.temperature import TemperatureReliability
@@ -95,8 +94,8 @@ class PRESSModel:
         All three reliability functions are elementwise (PCHIP
         evaluation, step lookup, quadratic), so batch evaluation is
         bit-identical to calling :meth:`disk_afr` per element — the
-        struct-of-arrays backend and :meth:`rescore_factors` rely on
-        that equivalence (checked by the cross-backend suite).
+        sharded merge and :meth:`rescore_factors` rely on that
+        equivalence (checked by the sharded-equals-unsharded suite).
         """
         t_afr = np.asarray(self.temperature(np.asarray(temp_c, dtype=np.float64)),
                            dtype=np.float64)
@@ -149,46 +148,14 @@ class PRESSModel:
             afr_percent=self.disk_afr(temp_c, util_pct, freq),
         )
 
-    def factors_of_state(self, state: ArrayState,
-                         duration_s: float) -> list[DiskFactors]:
-        """Extract and score every disk's ESRRA factors in one sweep.
-
-        The struct-of-arrays form of :meth:`factors_of`: the three
-        factor vectors are gathered from the shared buffers and scored
-        through :meth:`disk_afr_batch`, all as whole-array expressions.
-        The arithmetic (and hence every value) is bit-identical to the
-        per-drive path; flush the ledgers (``DiskArray.finalize``)
-        beforehand, exactly as for :meth:`factors_of`.
-        """
-        require_positive(duration_s, "duration_s")
-        temp_c = state.mean_temperature_c()
-        util_pct = 100.0 * np.minimum(state.active_time_s() / duration_s, 1.0)
-        freq = state.transitions_per_day(duration_s)
-        afr = self.disk_afr_batch(temp_c, util_pct, freq)
-        return [
-            DiskFactors(disk_id=i, mean_temperature_c=t, utilization_percent=u,
-                        transitions_per_day=q, afr_percent=a)
-            for i, (t, u, q, a) in enumerate(zip(temp_c.tolist(), util_pct.tolist(),
-                                                 freq.tolist(), afr.tolist()))
-        ]
-
     def evaluate_array(self, array: DiskArray,
                        duration_s: float | None = None) -> tuple[float, list[DiskFactors]]:
-        """Array AFR (max over disks, Sec. 3.5) plus per-disk factor detail.
-
-        On the struct-of-arrays backend (``array.state`` is set) the
-        factor extraction and scoring run as one vectorized sweep over
-        the shared buffers instead of a per-drive object walk.
-        """
+        """Array AFR (max over disks, Sec. 3.5) plus per-disk factor detail."""
         if duration_s is None:
             duration_s = array.sim.now
         require_non_negative(duration_s, "duration_s")
         array.finalize()
-        state = getattr(array, "state", None)
-        if state is not None:
-            factors = self.factors_of_state(state, duration_s)
-        else:
-            factors = [self.factors_of(d, duration_s) for d in array.drives]
+        factors = [self.factors_of(d, duration_s) for d in array.drives]
         afr = self.integrator.array_afr(f.afr_percent for f in factors)
         return afr, factors
 

@@ -14,7 +14,6 @@ library).
 """
 
 from repro.sim.engine import EventHandle, Simulator, SimulationError
-from repro.sim.soa import BatchTicker
 from repro.sim.timers import ResettableTimer, PeriodicTask
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "SimulationError",
     "ResettableTimer",
     "PeriodicTask",
-    "BatchTicker",
 ]

@@ -2,7 +2,7 @@
 
 Every sweep used to materialize its full request list before simulating —
 two float64/int64 arrays per trace, ~16 bytes a request, which caps the
-reachable scale long before the SoA kernel does.  This module converts
+reachable scale by memory long before by simulation time.  This module converts
 workload generation to *chunked iteration*: a stream yields
 :class:`TraceChunk` blocks whose concatenation is bit-identical to the
 materialized :class:`~repro.workload.trace.Trace`, while peak state is

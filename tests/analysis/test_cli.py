@@ -54,7 +54,7 @@ def test_list_rules_exits_clean(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ("DET001", "DET002", "DET003", "IO001", "OBS001",
-                 "NUM001", "NUM002", "ARCH001"):
+                 "NUM001", "ARCH001"):
         assert code in out
 
 
@@ -67,7 +67,7 @@ def test_json_document_shape(capsys):
     doc = json.loads(captured.out)     # stdout is pure JSON
     assert doc["version"] == 1
     assert doc["clean"] is False
-    assert doc["files_checked"] == 8
+    assert doc["files_checked"] == 7
     assert {"path", "line", "col", "code", "message", "tool"} <= set(
         doc["findings"][0])
     assert all(f["tool"] == "repro" for f in doc["findings"])

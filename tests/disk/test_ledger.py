@@ -5,7 +5,7 @@ The sharded runner (:mod:`repro.experiments.shard`) captures drives
 the global end time.  These tests pin the contract that makes that
 legal: ``drive.open_ledger().close(t)`` is bit-identical to
 ``drive.finalize()`` at ``t`` — same per-state times and energies, same
-thermal integral, same counters — on both kernel backends.
+thermal integral, same counters.
 """
 
 import math
@@ -23,13 +23,12 @@ from repro.workload.files import FileSet
 from repro.workload.request import Request
 
 
-def _drive_after_some_work(backend: str):
+def _drive_after_some_work():
     """A 2-disk array that served requests and switched speeds."""
     sim = Simulator()
     fileset = FileSet([1.0, 2.0, 4.0, 8.0])
     array = DiskArray(sim, _params(), 2, fileset,
-                      initial_speed=DiskSpeed.HIGH,
-                      kernel_backend=backend)
+                      initial_speed=DiskSpeed.HIGH)
     array.place_all([0, 1, 0, 1])
     for t, fid in [(0.0, 0), (0.5, 1), (1.0, 2), (1.5, 3)]:
         sim.schedule_at(t, lambda fid=fid, t=t: array.submit_request(
@@ -66,9 +65,8 @@ def _assert_ledger_equals_finalized(drive: TwoSpeedDrive,
 
 
 class TestDeferredCloseEqualsFinalize:
-    @pytest.mark.parametrize("backend", ["object", "soa"])
-    def test_close_matches_finalize_bit_for_bit(self, backend):
-        sim, array = _drive_after_some_work(backend)
+    def test_close_matches_finalize_bit_for_bit(self):
+        sim, array = _drive_after_some_work()
         end = sim.now + 3.0  # close strictly after the last event
         open_ledgers = [d.open_ledger() for d in array.drives]
         # advance the clock to `end` and do the live finalize there
@@ -77,9 +75,8 @@ class TestDeferredCloseEqualsFinalize:
         for drive, ledger in zip(array.drives, open_ledgers):
             _assert_ledger_equals_finalized(drive, ledger.close(end))
 
-    @pytest.mark.parametrize("backend", ["object", "soa"])
-    def test_zero_dt_close_is_the_captured_state(self, backend):
-        sim, array = _drive_after_some_work(backend)
+    def test_zero_dt_close_is_the_captured_state(self):
+        sim, array = _drive_after_some_work()
         drive = array.drives[0]
         ledger = drive.open_ledger()
         closed = ledger.close(ledger.last_account_s)
@@ -89,7 +86,7 @@ class TestDeferredCloseEqualsFinalize:
         assert closed.energy_j == ledger.energy_j
 
     def test_close_before_capture_rejected(self):
-        sim, array = _drive_after_some_work("object")
+        sim, array = _drive_after_some_work()
         ledger = array.drives[0].open_ledger()
         with pytest.raises(ValueError):
             ledger.close(ledger.last_account_s - 1.0)
@@ -115,7 +112,7 @@ class TestDeferredCloseEqualsFinalize:
         assert after.elapsed_s == before.elapsed_s + 3600.0
 
     def test_close_mirrors_thermal_integral_formula(self):
-        sim, array = _drive_after_some_work("object")
+        sim, array = _drive_after_some_work()
         ledger = array.drives[1].open_ledger()
         dt = 123.456
         closed = ledger.close(ledger.last_account_s + dt)
@@ -130,7 +127,7 @@ class TestDeferredCloseEqualsFinalize:
 
 class TestLedgerTransport:
     def test_ledgers_pickle_round_trip(self):
-        sim, array = _drive_after_some_work("soa")
+        sim, array = _drive_after_some_work()
         for drive in array.drives:
             ledger = drive.open_ledger()
             clone = pickle.loads(pickle.dumps(ledger))
@@ -139,7 +136,7 @@ class TestLedgerTransport:
             assert clone.close(end) == ledger.close(end)
 
     def test_open_ledger_types(self):
-        sim, array = _drive_after_some_work("object")
+        sim, array = _drive_after_some_work()
         ledger = array.drives[0].open_ledger()
         assert isinstance(ledger, OpenDiskLedger)
         assert isinstance(ledger.close(ledger.last_account_s), ClosedDiskLedger)

@@ -156,10 +156,13 @@ class TestSweepCheckpoint:
         assert ckpt.loaded == 0 and ckpt.quarantined is not None
 
     def test_unknown_version_is_quarantined(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        path.write_bytes(pickle.dumps({"version": 999, "cells": {}}))
-        ckpt = SweepCheckpoint(path)
-        assert ckpt.loaded == 0 and ckpt.quarantined is not None
+        # 1 is the layout before a result field was dropped: loading it
+        # would shift every later slot by one, so it must not be read
+        for version in (1, 999):
+            path = tmp_path / f"sweep-v{version}.ckpt"
+            path.write_bytes(pickle.dumps({"version": version, "cells": {}}))
+            ckpt = SweepCheckpoint(path)
+            assert ckpt.loaded == 0 and ckpt.quarantined is not None
 
 
 class TestRunCellResilient:

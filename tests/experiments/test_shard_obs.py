@@ -12,7 +12,7 @@ The claims of DESIGN.md Sec. 13, asserted end to end:
   unsharded run's **exactly** (tick replay, not approximation);
 * telemetry does not perturb physics: the merged result's physical
   fields match the obs-off sharded run bit-for-bit, and the obs-off
-  sharded path still takes the SoA backend;
+  sharded path attaches no telemetry;
 * kernel profiling under sharding is refused.
 """
 
@@ -115,15 +115,14 @@ class TestFederatedMetrics:
         assert result.metrics == plain.metrics
         assert result.timeseries == plain.timeseries
 
-    def test_sampler_only_uses_soa_and_remaps_rows(self, tmp_path):
-        result, _ = _run(tmp_path, "soa", n_shards=4, trace=False)
-        assert result.kernel_backend == "soa"
+    def test_sampler_only_remaps_rows(self, tmp_path):
+        result, _ = _run(tmp_path, "sampled", n_shards=4, trace=False)
         assert result.timeseries is not None
         disks = {int(row[1]) for row in result.timeseries.rows}
         assert disks == set(range(8))  # global ids, all shards present
 
     def test_sampler_only_timeseries_equals_unsharded(self, tmp_path):
-        result, _ = _run(tmp_path, "soa", n_shards=4, trace=False)
+        result, _ = _run(tmp_path, "sampled", n_shards=4, trace=False)
         fileset, trace = cached_generate(CFG)
         plain = run_simulation(
             make_policy("static-high"), fileset, trace, n_disks=8,
@@ -156,15 +155,10 @@ class TestTelemetryDoesNotPerturbPhysics:
                 continue
             assert getattr(sampled, f) == getattr(plain, f), f"{f} diverged"
 
-    def test_obs_off_sharded_path_keeps_soa_backend(self):
+    def test_obs_off_sharded_path_attaches_no_telemetry(self):
         bare, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2)
-        assert bare.kernel_backend == "soa"
         assert bare.metrics is None
         assert bare.timeseries is None
-
-    def test_tracing_forces_object_backend(self, tmp_path):
-        traced, _ = _run(tmp_path, "obj", n_shards=2, metrics=False)
-        assert traced.kernel_backend == "object"
 
 
 class TestEdgeCases:
