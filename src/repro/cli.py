@@ -30,8 +30,8 @@ the :mod:`repro.obs` layer to the run; ``sweep`` additionally takes
 harness span events.  ``simulate``, ``compare``, ``sweep``,
 ``worthwhile``, and ``report`` accept ``--redundancy`` to lay the array
 out in k-of-n groups (see :mod:`repro.redundancy`).  Unsupported flag
-combinations (e.g. ``--faults`` or ``--redundancy`` with ``--shards``)
-fail fast with a capability error before any cell runs.
+combinations (``--faults`` with ``--shards``) fail fast with a
+capability error before any cell runs.
 
 Every command is a pure function of its arguments (workloads are seeded)
 so CLI output is reproducible and scriptable.
@@ -299,27 +299,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _validate_sweep_combos(args: argparse.Namespace) -> None:
-    """Fail fast, by flag name, on capability combos the engines reject.
+    """Fail fast, before any cell runs, on what sharding refuses."""
+    if args.shards is not None:
+        from repro.experiments.shard import require_shardable
 
-    The library layers raise the same refusals, but from deep inside a
-    worker process; surfacing them here turns a mid-sweep stack trace
-    into an immediate ``error: ...`` naming the offending flags.
-    """
-    if args.shards is not None and args.faults is not None:
-        raise ValueError(
-            "--faults cannot be combined with --shards: fault injection "
-            "needs the whole-array view (rebuilds and redirection cross "
-            "shard boundaries); drop one of the two flags")
-    if getattr(args, "profile", False) and args.shards is not None:
-        raise ValueError(
-            "--profile cannot be combined with --shards: kernel profiling "
-            "wraps one event loop, and a sharded cell runs several")
-    if args.shards is not None and getattr(args, "redundancy", None) is not None:
-        raise ValueError(
-            "--redundancy cannot be combined with --shards: redundancy "
-            "groups span the whole array (degraded reads and rebuild "
-            "fan-out reach disks in other shards); drop --shards to "
-            "combine --redundancy with this workload")
+        require_shardable(args.faults, _obs_config(args))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

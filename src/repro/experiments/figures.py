@@ -151,8 +151,7 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     ``faults`` turns on in-run fault injection for every cell, adding
     realized-reliability metrics next to the paper's three.
     ``redundancy`` attaches a group scheme to every cell (array sizes
-    must be multiples of its group size); incompatible with ``shards``
-    like ``faults``.
+    must be multiples of its group size); it composes with ``shards``.
     ``obs`` enables telemetry per cell; any output paths it names are
     suffixed with the cell's ``<policy>-<disks>`` so parallel cells
     never write to the same file.
@@ -169,7 +168,8 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     disk groups simulated independently (one shard sub-cell each, so the
     pool/checkpoint machinery applies per *shard*, not per cell) and
     merged in fixed reduction order.  ``shards`` must divide every entry
-    of ``disk_counts``; incompatible with ``faults``.  ``obs`` composes
+    of ``disk_counts``; incompatible with ``faults`` (see
+    :func:`~repro.experiments.shard.require_shardable`).  ``obs`` composes
     with ``shards``: each shard sub-cell runs its own telemetry stack
     (shard-tagged events under global disk ids) and the merge federates
     the segments into the cell's named trace/metrics artifacts (see
@@ -183,124 +183,40 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     """
     cfg = config or ExperimentConfig()
     kwargs = policy_kwargs or {}
-    if shards is not None:
-        return _figure7_sharded(cfg, disk_counts=disk_counts,
-                                policies=policies, press=press,
-                                policy_kwargs=kwargs, faults=faults, obs=obs,
-                                redundancy=redundancy,
-                                jobs=jobs, resilience=resilience,
-                                checkpoint=checkpoint, shards=shards,
-                                assignment=shard_assignment,
-                                stream_chunk=stream_chunk, bus=bus)
-    specs = [
+    cells = [
         RunSpec(policy=name, n_disks=n, workload=cfg.workload,
                 policy_kwargs=kwargs.get(name, {}),
                 disk_params=cfg.disk_params, press=press, faults=faults,
                 obs=_cell_obs(obs, name, n), redundancy=redundancy)
         for name in policies for n in disk_counts
     ]
+    specs = cells
+    if shards is not None:
+        from repro.experiments.shard import merge_cell, shard_specs
+        from repro.workload.stream import DEFAULT_CHUNK_SIZE
+
+        # ALL shard sub-cells of ALL cells go through the one batch below,
+        # so one checkpoint file and one harness fault ledger cover the
+        # sweep, and resume granularity is one shard
+        chunk = stream_chunk if stream_chunk is not None else DEFAULT_CHUNK_SIZE
+        specs = [spec for cell in cells
+                 for spec in shard_specs(cell, shards, assignment=shard_assignment,
+                                         chunk_size=chunk)]
     summary: ResilienceSummary | None = None
     if resilience is not None or checkpoint is not None:
         from repro.experiments.resilience import run_cells_resilient
 
-        cells, summary = run_cells_resilient(
+        done, summary = run_cells_resilient(
             specs, jobs=jobs, config=resilience, checkpoint=checkpoint,
             bus=bus)
     else:
-        cells = run_cells(specs, jobs=jobs, bus=bus)
-    results: dict[str, tuple[SimulationResult, ...]] = {}
+        done = run_cells(specs, jobs=jobs, bus=bus)
+    if shards is not None:
+        done = [merge_cell(cell, done[k * shards:(k + 1) * shards], bus)  # type: ignore[arg-type]
+                for k, cell in enumerate(cells)]
     per_policy = len(disk_counts)
-    for i, name in enumerate(policies):
-        results[name] = tuple(cells[i * per_policy:(i + 1) * per_policy])
-    return Figure7Results(disk_counts=tuple(disk_counts), results=results,
-                          resilience=summary)
-
-
-def _figure7_sharded(cfg: ExperimentConfig, *, disk_counts: Sequence[int],
-                     policies: Sequence[str], press: PRESSModel | None,
-                     policy_kwargs: dict[str, dict], faults, obs,
-                     redundancy, jobs: int,
-                     resilience: ResilienceConfig | None,
-                     checkpoint, shards: int, assignment: str,
-                     stream_chunk: int | None, bus=None) -> Figure7Results:
-    """The sharded arm of :func:`figure7_comparison`.
-
-    Every (policy, disk count) cell fans out into ``shards`` streamed
-    sub-cells; ALL sub-cells of ALL cells go through one
-    ``run_cells``/``run_cells_resilient`` batch, so a single checkpoint
-    file and a single harness fault ledger cover the whole sweep, and
-    resume granularity is one shard.  The sub-cell results are then
-    grouped back per cell and merged in fixed reduction order.
-
-    With ``obs`` set, every sub-cell runs the per-shard telemetry stack
-    of :func:`~repro.experiments.shard.run_shard_cell` against its
-    cell's ``<policy>-<disks>``-suffixed paths, and each cell's merge
-    federates the segments/registries into the single-run artifact
-    shapes.  Each merge emits a ``harness.shard.merge`` span on ``bus``.
-    """
-    from time import perf_counter
-
-    from repro.experiments.shard import (
-        ShardCellSpec,
-        ShardPlan,
-        merge_shard_results,
-    )
-    from repro.obs import events as obs_events
-    from repro.workload.stream import DEFAULT_CHUNK_SIZE
-
-    require(faults is None,
-            "fault injection is not supported under sharding "
-            "(the failure schedule is array-global; drop --shards to "
-            "combine --faults with this sweep)")
-    require(redundancy is None,
-            "redundancy groups are not supported under sharding "
-            "(group geometry spans shard boundaries; drop --shards to "
-            "combine --redundancy with this sweep)")
-    require(obs is None or not obs.profile,
-            "kernel profiling is not supported under sharding "
-            "(profiles are per-kernel wall timings; profile the "
-            "unsharded run instead)")
-    for n in disk_counts:
-        require(n % shards == 0,
-                f"shards ({shards}) must divide every disk count (got {n})")
-    chunk = stream_chunk if stream_chunk is not None else DEFAULT_CHUNK_SIZE
-    plans = {n: ShardPlan(n_disks=n, n_shards=shards, assignment=assignment)
-             for n in disk_counts}
-    cell_obs = {(name, n): _cell_obs(obs, name, n)
-                for name in policies for n in disk_counts}
-    specs = [
-        RunSpec(policy=name, n_disks=n, workload=cfg.workload,
-                policy_kwargs=policy_kwargs.get(name, {}),
-                disk_params=cfg.disk_params, press=press,
-                obs=cell_obs[(name, n)],
-                shard=ShardCellSpec(plans[n], s, chunk))
-        for name in policies for n in disk_counts for s in range(shards)
-    ]
-    summary: ResilienceSummary | None = None
-    if resilience is not None or checkpoint is not None:
-        from repro.experiments.resilience import run_cells_resilient
-
-        raw, summary = run_cells_resilient(
-            specs, jobs=jobs, config=resilience, checkpoint=checkpoint,
-            bus=bus)
-    else:
-        raw = run_cells(specs, jobs=jobs, bus=bus)
-    results: dict[str, tuple[SimulationResult, ...]] = {}
-    per_policy = len(disk_counts) * shards
-    for i, name in enumerate(policies):
-        merged = []
-        for j, n in enumerate(disk_counts):
-            lo = i * per_policy + j * shards
-            group = raw[lo:lo + shards]
-            merge_start = perf_counter()
-            cell = merge_shard_results(group, press=press,  # type: ignore[arg-type]
-                                       obs=cell_obs[(name, n)])
-            if bus is not None:
-                bus.emit(obs_events.HARNESS_SHARD_MERGE, 0.0,
-                         policy=cell.policy_name, n_disks=n, shards=shards,
-                         wall_s=perf_counter() - merge_start)
-            merged.append(cell)
-        results[name] = tuple(merged)
+    results = {name: tuple(done[i * per_policy:(i + 1) * per_policy])
+               for i, name in enumerate(policies)}
     return Figure7Results(disk_counts=tuple(disk_counts), results=results,
                           resilience=summary)
 

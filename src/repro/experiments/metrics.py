@@ -73,6 +73,14 @@ class RequestMetrics:
         if self._count + self._failed >= self._expected and self._on_all_done is not None:
             self._on_all_done()
 
+    def close_dispatch(self, dispatched: int) -> None:
+        """Dispatch is over: ``dispatched`` requests entered the array.
+
+        The expected total is known up front, so this only checks it.
+        """
+        require(dispatched == self._expected,
+                f"dispatched {dispatched} requests, expected {self._expected}")
+
     # ------------------------------------------------------------------
     @property
     def completed(self) -> int:

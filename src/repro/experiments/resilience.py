@@ -76,8 +76,10 @@ _POLL_INTERVAL_S = 0.05
 #: On-disk checkpoint format version (bumped on incompatible layouts).
 #: Version 2 dropped a field from the pickled result classes; slotted
 #: dataclasses unpickle fields by position, so a version-1 file would
-#: load with every later field shifted by one.
-CHECKPOINT_VERSION = 2
+#: load with every later field shifted by one.  Version 3 reshaped the
+#: shard partial result (per-disk used capacity in, two unread response
+#: tallies out).
+CHECKPOINT_VERSION = 3
 
 
 # ----------------------------------------------------------------------

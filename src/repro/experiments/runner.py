@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar, cast
 
 from repro.core.extensions import (
     ReplicatingREADConfig,
@@ -30,7 +30,7 @@ from repro.core.extensions import (
 )
 from repro.core.read_strategy import READConfig, READPolicy
 from repro.disk.array import DiskArray
-from repro.disk.drive import QueueDiscipline
+from repro.disk.drive import Job, QueueDiscipline
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams, cheetah_two_speed
 from repro.experiments.metrics import RequestMetrics, SimulationResult
 from repro.faults import FaultConfig, FaultInjector
@@ -51,7 +51,7 @@ from repro.policies.hibernator import HibernatorConfig, HibernatorPolicy
 from repro.policies.pdc import PDCConfig, PDCPolicy
 from repro.policies.static import StaticHighPolicy, StaticLowPolicy
 from repro.policies.striped import StripedPolicyConfig, StripedStaticPolicy
-from repro.press.model import PRESSModel
+from repro.press.model import DiskFactors, PRESSModel
 from repro.redundancy.ctmc import CtmcResult, assess_scheme
 from repro.redundancy.groups import RedundancyGroups
 from repro.redundancy.metrics import RedundancySummary, RedundancyTracker
@@ -144,6 +144,182 @@ class ExperimentConfig:
         return cached_generate(self.workload)
 
 
+#: One chunk of arrivals: request times and file ids, as plain lists.
+Chunk = tuple[list[float], list[int]]
+
+
+class _Tally(Protocol):
+    """What the cell executor needs of a cell's response metrics."""
+
+    @property
+    def completed(self) -> int: ...
+
+    @property
+    def all_done(self) -> bool: ...
+
+    def on_complete(self, job: Job) -> None: ...
+
+    def close_dispatch(self, dispatched: int) -> None: ...
+
+
+_T = TypeVar("_T", bound=_Tally)
+
+
+@dataclass(slots=True)
+class _Cell:
+    """A drained and shut-down cell, handed to its caller's finalize."""
+
+    sim: Simulator
+    array: DiskArray
+    injector: FaultInjector | None
+    sampler: DiskSampler | None
+    registry: MetricsRegistry | None
+    bus: TraceBus | None
+    writer: JsonlTraceWriter | None
+    profiler: KernelProfiler | None
+    #: Wall-clock seconds of the drain alone.
+    wall_clock_s: float
+
+
+def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
+                  make_tally: Callable[[Callable[[], None]], _T], *,
+                  n_disks: int, params: TwoSpeedDiskParams,
+                  initial_speed: DiskSpeed, queue_discipline: QueueDiscipline,
+                  obs: ObsConfig | None,
+                  faults: FaultConfig | None = None,
+                  press: PRESSModel | None = None,
+                  groups: RedundancyGroups | None = None,
+                  bus_tags: Mapping[str, object] | None = None,
+                  bus_id_maps: Mapping[str, Callable[[int], int]] | None = None,
+                  disk_offset: int = 0,
+                  engine_start: Mapping[str, object] | None = None,
+                  ) -> tuple[_Cell, _T]:
+    """Build one cell, dispatch its arrivals, drain it and shut it down.
+
+    The one place a cell's kernel, array, telemetry and policy are wired
+    together: :func:`run_simulation` feeds it the whole trace as one
+    chunk, and :func:`~repro.experiments.shard.run_shard_cell` feeds it
+    one shard's filtered stream chunks.  ``chunks`` yields ``(times,
+    ids)`` list pairs in arrival order; only one is held at a time.
+
+    ``make_tally`` builds the response metrics from the kernel's stop
+    function.  They own the stop condition, and hear the dispatched
+    total through ``close_dispatch`` once ``chunks`` is exhausted.
+    ``bus_tags``/``bus_id_maps`` configure the trace bus and
+    ``disk_offset`` the sampler, so a shard speaks global ids.
+    ``engine_start`` is the payload of the ``engine.start`` event a
+    whole-array trace opens with; the shard merge synthesizes its own.
+
+    Finalizing is the caller's: ledgers are left where the drain left
+    them, the sampler is stopped without a closing sample, and the trace
+    writer is still open.  A failed drain aborts the writer instead.
+    """
+    sim = Simulator()
+    # Telemetry attaches before anything observes sim.trace: drives cache
+    # the bus at construction, policies at bind, the injector at init.
+    bus: TraceBus | None = None
+    writer: JsonlTraceWriter | None = None
+    profiler: KernelProfiler | None = None
+    if obs is not None and obs.trace_path is not None:
+        bus = TraceBus(tags=bus_tags, id_maps=bus_id_maps)
+        writer = JsonlTraceWriter(obs.trace_path)
+        bus.subscribe(writer)
+        sim.trace = bus
+    if obs is not None and obs.profile:
+        profiler = KernelProfiler()
+        sim.set_profiler(profiler)
+    array = DiskArray(sim, params, n_disks, fileset, initial_speed=initial_speed,
+                      queue_discipline=queue_discipline)
+    registry: MetricsRegistry | None = None
+    sampler: DiskSampler | None = None
+    if obs is not None and obs.wants_sampler:
+        registry = MetricsRegistry()
+        sampler = DiskSampler(sim, array, obs.effective_sample_interval_s,
+                              registry=registry, disk_offset=disk_offset)
+        sampler.install()
+    tally = make_tally(sim.request_stop)
+
+    policy.bind(sim, array, fileset)
+    injector: FaultInjector | None = None
+    if faults is None:
+        policy.completion_callback = tally.on_complete
+    else:
+        injector = FaultInjector(sim, array, policy,
+                                 press if press is not None else _default_press(),
+                                 faults, on_success=tally.on_complete,
+                                 on_permanent_failure=cast(RequestMetrics, tally).on_failed,
+                                 redundancy=groups)
+        injector.install()
+        policy.completion_callback = injector.on_user_job_complete
+    policy.initial_layout()
+
+    # Arrivals are chained (each dispatch schedules the next) over one
+    # chunk of plain lists at a time: list indexing returns ready-made
+    # floats/ints instead of numpy scalars needing coercion.  Requests
+    # are counted per chunk, never per request.
+    sizes = fileset.sizes_mb.tolist()
+    pending = iter(chunks)
+    times: list[float] = []
+    ids: list[int] = []
+    i = n = dispatched = 0
+
+    def load_next() -> bool:
+        nonlocal times, ids, i, n, dispatched
+        for times, ids in pending:
+            if times:
+                i, n = 0, len(times)
+                dispatched += n
+                return True
+        tally.close_dispatch(dispatched)
+        return False
+
+    route = policy.route
+    schedule_at = sim.schedule_at
+    new_request = Request.from_validated
+
+    def dispatch_next() -> None:
+        nonlocal i
+        fid = ids[i]
+        route(new_request(sim.now, fid, sizes[fid]))
+        i += 1
+        if i < n or load_next():
+            schedule_at(times[i], dispatch_next, priority=-1)
+
+    if bus is not None and engine_start is not None:
+        bus.emit(obs_events.ENGINE_START, sim.now, **engine_start)
+
+    # Run until every request has completed: the tally stops the kernel
+    # from inside the last completion callback.  Policies' periodic tasks
+    # keep the queue non-empty, so completion — not queue exhaustion — is
+    # the intended stop condition.  A cell no request reaches (a shard
+    # whose files are never read) does not run at all.
+    wall_clock_s = 0.0
+    try:
+        if load_next():
+            schedule_at(times[0], dispatch_next, priority=-1)
+            wall_start = perf_counter()
+            sim.run_until_drained()
+            wall_clock_s = perf_counter() - wall_start
+        if not tally.all_done:
+            raise RuntimeError(f"event queue drained with "
+                               f"{tally.completed}/{dispatched} requests done")
+    except BaseException:
+        # a dying run must not leave a half-written trace where a whole
+        # one is expected: set it aside as <path>.partial
+        if writer is not None:
+            writer.abort()
+        raise
+
+    if injector is not None:
+        injector.shutdown()
+    policy.shutdown()
+    if sampler is not None:
+        sampler.shutdown()
+    return _Cell(sim=sim, array=array, injector=injector, sampler=sampler,
+                 registry=registry, bus=bus, writer=writer, profiler=profiler,
+                 wall_clock_s=wall_clock_s), tally
+
+
 def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
                    n_disks: int, disk_params: TwoSpeedDiskParams | None = None,
                    press: PRESSModel | None = None,
@@ -183,141 +359,33 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
               else redundancy)
     groups = (None if scheme is None
               else RedundancyGroups(scheme, n_disks))
-
-    sim = Simulator()
-    # Telemetry attaches before anything observes sim.trace: drives cache
-    # the bus at construction, policies at bind, the injector at init.
-    bus: TraceBus | None = None
-    writer: JsonlTraceWriter | None = None
-    profiler: KernelProfiler | None = None
-    if obs is not None:
-        if obs.trace_path is not None:
-            bus = TraceBus()
-            writer = JsonlTraceWriter(obs.trace_path)
-            bus.subscribe(writer)
-            sim.trace = bus
-        if obs.profile:
-            profiler = KernelProfiler()
-            sim.set_profiler(profiler)
-    array = DiskArray(sim, params, n_disks, fileset, initial_speed=initial_speed,
-                      queue_discipline=queue_discipline)
-    registry: MetricsRegistry | None = None
-    sampler: DiskSampler | None = None
-    if obs is not None and obs.wants_sampler:
-        registry = MetricsRegistry()
-        sampler = DiskSampler(sim, array, obs.effective_sample_interval_s,
-                              registry=registry)
-        sampler.install()
-    metrics = RequestMetrics(expected=len(trace), on_all_done=sim.request_stop)
-
-    policy.bind(sim, array, fileset)
-    injector: FaultInjector | None = None
-    if faults is None:
-        policy.completion_callback = metrics.on_complete
-    else:
-        injector = FaultInjector(sim, array, policy, model, faults,
-                                 on_success=metrics.on_complete,
-                                 on_permanent_failure=metrics.on_failed,
-                                 redundancy=groups)
-        injector.install()
-        policy.completion_callback = injector.on_user_job_complete
-    policy.initial_layout()
-
-    # Pre-convert the numpy columns to plain Python lists once: the
-    # dispatch callback runs for every arrival, and list indexing returns
-    # ready-made floats/ints instead of numpy scalars needing coercion.
-    times = trace.times_s.tolist()
-    ids = trace.file_ids.tolist()
-    sizes = fileset.sizes_mb.tolist()
     n = len(trace)
-    i = 0
 
-    route = policy.route
-    schedule_at = sim.schedule_at
-    new_request = Request.from_validated
-
-    def dispatch_next() -> None:
-        nonlocal i
-        fid = ids[i]
-        route(new_request(sim.now, fid, sizes[fid]))
-        i += 1
-        if i < n:
-            schedule_at(times[i], dispatch_next, priority=-1)
-
-    schedule_at(times[0], dispatch_next, priority=-1)
-
-    if bus is not None:
-        bus.emit(obs_events.ENGINE_START, sim.now, policy=policy.name,
-                 n_disks=n_disks, n_requests=n)
-
-    # Run until every user request has completed: the metrics object
-    # stops the kernel from inside the last completion callback.
-    # Policies' periodic tasks keep the queue non-empty, so completion —
-    # not queue exhaustion — is the intended stop condition.
-    wall_start = perf_counter()
-    try:
-        sim.run_until_drained()
-        if not metrics.all_done:
-            raise RuntimeError(
-                f"event queue drained with {metrics.completed}/{n} requests done"
-            )
-    except BaseException:
-        # a dying run must not leave a half-written trace where a whole
-        # one is expected: set it aside as <path>.partial
-        if writer is not None:
-            writer.abort()
-        raise
-    wall_clock_s = perf_counter() - wall_start
-
+    cell, metrics = _execute_cell(
+        policy, fileset, [(trace.times_s.tolist(), trace.file_ids.tolist())],
+        lambda stop: RequestMetrics(expected=n, on_all_done=stop),
+        n_disks=n_disks, params=params, initial_speed=initial_speed,
+        queue_discipline=queue_discipline, obs=obs, faults=faults,
+        press=model, groups=groups,
+        engine_start={"policy": policy.name, "n_disks": n_disks,
+                      "n_requests": n})
+    sim, array, injector = cell.sim, cell.array, cell.injector
     duration = sim.now
-    if injector is not None:
-        injector.shutdown()
-    policy.shutdown()
     array.finalize()
 
     timeseries = None
-    metrics_snapshot: dict[str, dict[str, object]] | None = None
-    if sampler is not None:
-        sampler.sample_now()  # close the series with the final state
-        sampler.shutdown()
-        timeseries = sampler.series()
+    if cell.sampler is not None:
+        cell.sampler.sample_now()  # close the series with the final state
+        timeseries = cell.sampler.series()
         if obs is not None and obs.metrics_path is not None:
             write_timeseries(timeseries, obs.metrics_path)
-    if registry is not None:
-        metrics_snapshot = registry.as_dict()
-    if bus is not None:
-        bus.emit(obs_events.ENGINE_STOP, duration,
-                 events=sim.events_executed, duration_s=duration)
-    if writer is not None:
-        writer.close()
-    profile = profiler.summary(wall_clock_s=wall_clock_s) if profiler is not None else None
+    if cell.bus is not None:
+        cell.bus.emit(obs_events.ENGINE_STOP, duration,
+                      events=sim.events_executed, duration_s=duration)
+    if cell.writer is not None:
+        cell.writer.close()
 
     afr, factors = model.evaluate_array(array, duration)
-
-    redundancy_summary: RedundancySummary | None = None
-    if scheme is not None and groups is not None:
-        measured_s = (injector.rtracker.mean_rebuild_s()
-                      if injector is not None and injector.rtracker is not None
-                      else None)
-        if measured_s is not None:
-            rebuild_hours = max(measured_s / 3600.0, 1e-3)
-        else:
-            # no rebuild completed (or faults off): estimate operator
-            # delay + a full-capacity copy stream at high speed
-            delay_s = (faults.repair_delay_s if faults is not None
-                       else FaultConfig().repair_delay_s)
-            used = max((float(m) for m in array.used_mb), default=0.0)
-            transfer = params.mode(DiskSpeed.HIGH).transfer_mb_s
-            rebuild_hours = max((delay_s + used / transfer) / 3600.0, 1e-3)
-        ctmc: CtmcResult | None = assess_scheme(
-            scheme, [f.afr_percent for f in factors],
-            rebuild_hours=rebuild_hours)
-        if injector is not None:
-            redundancy_summary = injector.redundancy_summary(ctmc)
-        else:
-            redundancy_summary = RedundancyTracker().summarize(
-                scheme=scheme.name, n_groups=groups.n_groups,
-                final_states=("healthy",) * groups.n_groups, ctmc=ctmc)
 
     breakdown: dict[str, float] = {}
     for drive in array.drives:
@@ -346,9 +414,49 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
         faults=(None if injector is None else
                 injector.tracker.summarize(n_disks=n_disks, duration_s=duration)),
         events_executed=sim.events_executed,
-        wall_clock_s=wall_clock_s,
+        wall_clock_s=cell.wall_clock_s,
         timeseries=timeseries,
-        profile=profile,
-        metrics=metrics_snapshot,
-        redundancy=redundancy_summary,
+        profile=(None if cell.profiler is None else
+                 cell.profiler.summary(wall_clock_s=cell.wall_clock_s)),
+        metrics=None if cell.registry is None else cell.registry.as_dict(),
+        redundancy=_assess_redundancy(scheme, factors, used_mb=array.used_mb,
+                                      params=params, faults=faults,
+                                      injector=injector),
     )
+
+
+def _assess_redundancy(scheme: GroupScheme | None,
+                       factors: Sequence[DiskFactors], *,
+                       used_mb: Iterable[float], params: TwoSpeedDiskParams,
+                       faults: FaultConfig | None = None,
+                       injector: FaultInjector | None = None,
+                       ) -> RedundancySummary | None:
+    """Price a redundancy layout with the CTMC over a run's PRESS factors.
+
+    ``None`` without a redundant scheme.  The rebuild time is the run's
+    measured mean rebuild when one completed; otherwise (no rebuild, or
+    faults off) it is estimated as the operator delay plus a copy of the
+    fullest disk (``used_mb``) at high speed.  The whole-array finalize
+    and the shard merge both call this, with the same factors and
+    capacities, so a sharded cell is priced exactly like an unsharded one.
+    """
+    if scheme is None or not scheme.is_redundant:
+        return None
+    measured_s = (injector.rtracker.mean_rebuild_s()
+                  if injector is not None and injector.rtracker is not None
+                  else None)
+    if measured_s is not None:
+        rebuild_hours = max(measured_s / 3600.0, 1e-3)
+    else:
+        delay_s = (faults if faults is not None else FaultConfig()).repair_delay_s
+        used = max((float(m) for m in used_mb), default=0.0)
+        transfer = params.mode(DiskSpeed.HIGH).transfer_mb_s
+        rebuild_hours = max((delay_s + used / transfer) / 3600.0, 1e-3)
+    ctmc: CtmcResult = assess_scheme(
+        scheme, [f.afr_percent for f in factors], rebuild_hours=rebuild_hours)
+    if injector is not None:
+        return injector.redundancy_summary(ctmc)
+    n_groups = len(factors) // scheme.group_size
+    return RedundancyTracker().summarize(
+        scheme=scheme.name, n_groups=n_groups,
+        final_states=("healthy",) * n_groups, ctmc=ctmc)

@@ -33,8 +33,16 @@ Policies with cross-disk coupling (MAID's cache zone, READ/PDC
 migration) still *run* sharded — each shard gets its own policy
 instance over its disk group — but that changes semantics (a per-shard
 cache zone is not a per-array cache zone), so sharding them is a
-modeling choice, not a transparent optimization.  Fault injection is
-not supported under sharding (the fault schedule is array-global).
+modeling choice, not a transparent optimization.
+
+Each shard runs the same cell executor as a whole-array run
+(:func:`repro.experiments.runner._execute_cell`), fed the shard's
+filtered stream chunks; only the finalize differs (open ledgers and a
+response histogram here, exact percentiles there).  What a sharded cell
+cannot run — fault injection, whose schedule is array-global, and
+kernel profiling — is refused in one place, :func:`require_shardable`.
+A redundancy layout (faults off) is carried into the merge, which prices
+the merged per-disk factors with the runner's CTMC assessment.
 
 Telemetry under sharding (DESIGN.md Sec. 13)
 --------------------------------------------
@@ -52,15 +60,13 @@ merge ordered by ``(time, shard, seq)`` with one synthesized global
 each shard's open ledgers are advanced through the global tick instants
 it drained before (:meth:`~repro.disk.ledger.OpenDiskLedger.advance`)
 so the merged time-series and federated registry equal the unsharded
-*sampled* run bit-for-bit for shard-decomposable policies.  Kernel
-profiling stays per-kernel wall timing and is not supported under
-sharding.
+*sampled* run bit-for-bit for shard-decomposable policies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -75,21 +81,20 @@ from typing import (
 
 import numpy as np
 
-from repro.disk.array import DiskArray
 from repro.disk.drive import Job, QueueDiscipline
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.parallel import RunSpec, run_cells
 from repro.experiments.runner import (
+    Chunk,
+    _assess_redundancy,
     _default_disk_params,
     _default_press,
+    _execute_cell,
     make_policy,
 )
 from repro.obs import (
-    DiskSampler,
-    JsonlTraceWriter,
-    MetricsRegistry,
     ObsConfig,
     TimeSeries,
     TraceBus,
@@ -100,11 +105,11 @@ from repro.obs import (
 )
 from repro.obs import events as obs_events
 from repro.press.model import DiskFactors, PRESSModel
-from repro.sim.engine import Simulator
+from repro.redundancy.groups import RedundancyGroups
+from repro.redundancy.scheme import GroupScheme
 from repro.util.units import SECONDS_PER_DAY
 from repro.util.validation import require
 from repro.workload.files import FileSet
-from repro.workload.request import Request
 from repro.workload.stream import DEFAULT_CHUNK_SIZE, WorkloadLike, open_stream
 
 if TYPE_CHECKING:
@@ -118,8 +123,11 @@ __all__ = [
     "ShardPlan",
     "ShardCellSpec",
     "ShardCellResult",
+    "require_shardable",
     "run_shard_cell",
     "merge_shard_results",
+    "shard_specs",
+    "merge_cell",
     "run_sharded",
     "N_RESPONSE_BINS",
     "response_bin",
@@ -272,12 +280,13 @@ class ShardCellResult:
     n_requests: int
     #: Per local disk, in local (== global, contiguous groups) order.
     ledgers: tuple[OpenDiskLedger, ...]
+    #: Capacity used per local disk, MB (the CTMC's rebuild estimate).
+    used_mb: tuple[float, ...]
     response_sum_s: tuple[float, ...]
-    wait_sum_s: tuple[float, ...]
-    response_count: tuple[int, ...]
     #: Fixed-bin response histogram counts (length N_RESPONSE_BINS).
     response_hist: tuple[int, ...]
     events_executed: int
+    #: Wall-clock seconds of the shard's drain alone.
     wall_clock_s: float = field(compare=False, default=0.0)
     policy_detail: dict[str, object] = field(default_factory=dict)
     #: Per-shard JSONL trace segment (``None`` when tracing was off).
@@ -305,7 +314,7 @@ class _ShardMetrics:
     """Constant-memory response metrics for one shard's streamed dispatch.
 
     Replaces :class:`~repro.experiments.metrics.RequestMetrics` (which
-    preallocates O(n) arrays) with per-disk float sums plus a fixed
+    preallocates O(n) arrays) with per-disk response sums plus a fixed
     integer histogram, and owns the stream-aware stop condition: the
     run ends when dispatch has exhausted the stream *and* every
     dispatched request has completed.
@@ -313,10 +322,8 @@ class _ShardMetrics:
 
     def __init__(self, n_disks_local: int,
                  on_all_done: Callable[[], None]) -> None:
-        self._resp_sum = [0.0] * n_disks_local
-        self._wait_sum = [0.0] * n_disks_local
-        self._count = [0] * n_disks_local
-        self._hist = np.zeros(N_RESPONSE_BINS, dtype=np.int64)
+        self.response_sum_s = [0.0] * n_disks_local
+        self.response_hist = np.zeros(N_RESPONSE_BINS, dtype=np.int64)
         self.completed = 0
         self.dispatched = 0
         self.dispatch_done = False
@@ -326,24 +333,42 @@ class _ShardMetrics:
         req = job.request
         if req is None:
             return
-        disk = req.served_by
         response = req.completion_time - req.arrival_time
-        self._resp_sum[disk] += response
-        self._wait_sum[disk] += req.service_start - req.arrival_time
-        self._count[disk] += 1
-        self._hist[response_bin(response)] += 1
+        self.response_sum_s[req.served_by] += response
+        self.response_hist[response_bin(response)] += 1
         self.completed += 1
         if self.dispatch_done and self.completed >= self.dispatched:
             self._on_all_done()
+
+    def close_dispatch(self, dispatched: int) -> None:
+        self.dispatched = dispatched
+        self.dispatch_done = True
 
     @property
     def all_done(self) -> bool:
         return self.dispatch_done and self.completed >= self.dispatched
 
-    def snapshot(self) -> tuple[tuple[float, ...], tuple[float, ...],
-                                tuple[int, ...], tuple[int, ...]]:
-        return (tuple(self._resp_sum), tuple(self._wait_sum),
-                tuple(self._count), tuple(int(c) for c in self._hist.tolist()))
+
+# ----------------------------------------------------------------------
+# the capability check
+# ----------------------------------------------------------------------
+def require_shardable(faults: object, obs: Optional[ObsConfig]) -> None:
+    """Refuse, with the reason, what a sharded cell cannot run.
+
+    The one statement of the sharding capability matrix: fault injection
+    (any non-``None`` ``faults``) and kernel profiling are refused;
+    everything else — tracing, sampling, redundancy layouts with faults
+    off — runs sharded.  Raises ``ValueError`` naming the CLI flags.
+    """
+    require(faults is None,
+            "--faults cannot be combined with --shards: fault injection "
+            "needs the whole-array view (hazard budgets, degraded-mode "
+            "redirects and rebuild traffic couple disks across shard "
+            "boundaries); run the cell unsharded")
+    require(obs is None or not obs.profile,
+            "--profile cannot be combined with --shards: kernel profiling "
+            "wraps one event loop, and a sharded cell runs several; "
+            "profile the unsharded run instead")
 
 
 # ----------------------------------------------------------------------
@@ -352,43 +377,25 @@ class _ShardMetrics:
 def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     """Simulate one shard of one cell over the streamed workload.
 
-    Mirrors :func:`repro.experiments.runner.run_simulation` — same array
-    construction, same arrival-chained dispatch, same shutdown sequence
-    — except that (a) requests come from filtered stream chunks instead
-    of a materialized trace, (b) metrics are constant-memory, and (c)
-    the drives' ledgers are captured *open* instead of finalized, so the
-    merge can close them at the global end time.
+    The shard keeps the files it owns, renumbered to local ids, and runs
+    them through the cell executor shared with whole-array runs
+    (:func:`repro.experiments.runner._execute_cell`) as filtered stream
+    chunks.  What is shard-specific stays here: the constant-memory
+    response metrics, a trace bus that maps local ids back to global
+    ones, and the drives' ledgers captured *open* instead of finalized,
+    so the merge can close them at the global end time.
     """
     shard = spec.shard
     require(shard is not None, "run_shard_cell needs a spec with shard set")
     assert shard is not None  # for the type checker
-    require(spec.faults is None,
-            "fault injection is not supported under sharding "
-            "(the failure schedule is array-global: hazard budgets, "
-            "degraded-mode redirects, and rebuild traffic couple disks "
-            "across shard boundaries, so no shard can reproduce its "
-            "slice independently; run the cell unsharded — drop "
-            "--shards — to combine --faults with this workload)")
-    require(spec.redundancy is None,
-            "redundancy groups are not supported under sharding "
-            "(group geometry spans shard boundaries: reconstruct reads "
-            "and rebuild fan-out touch disks in other shards; run the "
-            "cell unsharded — drop --shards — to combine --redundancy "
-            "with this workload)")
-    obs = spec.obs
-    require(obs is None or not obs.profile,
-            "kernel profiling is not supported under sharding "
-            "(profiles are per-kernel wall timings; profile the "
-            "unsharded run instead)")
+    require_shardable(spec.faults, spec.obs)
     plan = shard.plan
     require(spec.n_disks == plan.n_disks,
             f"spec.n_disks ({spec.n_disks}) != plan.n_disks ({plan.n_disks})")
 
-    wall_start = perf_counter()
     stream = open_stream(spec.workload)
     fileset = stream.fileset
-    shard_of = plan.shard_of_files(fileset)
-    mine = shard_of == shard.index
+    mine = plan.shard_of_files(fileset) == shard.index
     my_files = np.flatnonzero(mine)
     # A file-less shard can't even build its array (and policies act on
     # drives their fileset implies), so degenerate splits are rejected
@@ -405,142 +412,69 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     local_id[my_files] = np.arange(my_files.size, dtype=np.int64)
     local_fileset = FileSet(fileset.sizes_mb[my_files])
 
-    params = spec.disk_params if spec.disk_params is not None else _default_disk_params()
-    tracing_on = obs is not None and obs.trace_path is not None
-    offset = plan.disk_offset(shard.index)
-    sim = Simulator()
-    # Telemetry attaches before the array is built (drives cache the bus
-    # at construction).  The bus remaps local ids to global at emission
-    # — disk-carrying fields shift by the shard's disk offset, file ids
-    # go through the shard's local->global file table — and tags every
-    # event with the shard index, so the segment needs no rewrite pass.
-    bus: Optional[TraceBus] = None
-    writer: Optional[JsonlTraceWriter] = None
-    segment: Optional[str] = None
-    if tracing_on:
-        assert obs is not None and obs.trace_path is not None
-        my_files_py = my_files.tolist()
-        shift: Callable[[int], int] = lambda v, _o=offset: v + _o  # noqa: E731
-        bus = TraceBus(
-            tags={"shard": shard.index},
-            id_maps={"disk": shift, "src": shift, "dst": shift,
-                     "file": lambda v, _f=my_files_py: _f[v]})
-        segment = str(shard_segment_path(obs.trace_path, shard.index))
-        writer = JsonlTraceWriter(segment)
-        bus.subscribe(writer)
-        sim.trace = bus
-    array = DiskArray(sim, params, plan.disks_per_shard, local_fileset,
-                      initial_speed=spec.initial_speed,
-                      queue_discipline=spec.queue_discipline)
-    registry: Optional[MetricsRegistry] = None
-    sampler: Optional[DiskSampler] = None
-    sample_interval: Optional[float] = None
-    if obs is not None and obs.wants_sampler:
-        sample_interval = obs.effective_sample_interval_s
-        registry = MetricsRegistry()
-        sampler = DiskSampler(sim, array, sample_interval,
-                              registry=registry, disk_offset=offset)
-        sampler.install()
-    policy = make_policy(spec.policy, **dict(spec.policy_kwargs))
-    metrics = _ShardMetrics(plan.disks_per_shard, on_all_done=sim.request_stop)
-    policy.bind(sim, array, local_fileset)
-    policy.completion_callback = metrics.on_complete
-    policy.initial_layout()
-
-    # ---- streamed dispatch: hold one filtered chunk at a time --------
-    def filtered_chunks() -> Iterator[tuple[list[float], list[int]]]:
+    def filtered_chunks() -> Iterator[Chunk]:
         for chunk in stream.chunks(shard.chunk_size):
             keep = mine[chunk.file_ids]
-            if not keep.any():
-                continue
             yield (chunk.times_s[keep].tolist(),
                    local_id[chunk.file_ids[keep]].tolist())
 
-    chunk_iter = filtered_chunks()
-    sizes = local_fileset.sizes_mb.tolist()
-    route = policy.route
-    schedule_at = sim.schedule_at
-    new_request = Request.from_validated
-    times: list[float] = []
-    ids: list[int] = []
-    i = 0
+    # The bus remaps local ids to global at emission — disk-carrying
+    # fields shift by the shard's disk offset, file ids go through the
+    # shard's local->global file table — and tags every event with the
+    # shard index, so the segment needs no rewrite pass.
+    obs = spec.obs
+    offset = plan.disk_offset(shard.index)
+    tags: Optional[dict[str, object]] = None
+    id_maps: Optional[dict[str, Callable[[int], int]]] = None
+    if obs is not None and obs.trace_path is not None:
+        my_files_py = my_files.tolist()
+        shift: Callable[[int], int] = lambda v, _o=offset: v + _o  # noqa: E731
+        tags = {"shard": shard.index}
+        id_maps = {"disk": shift, "src": shift, "dst": shift,
+                   "file": lambda v, _f=my_files_py: _f[v]}
+        obs = replace(obs, trace_path=str(
+            shard_segment_path(obs.trace_path, shard.index)))
+    policy = make_policy(spec.policy, **dict(spec.policy_kwargs))
+    cell, metrics = _execute_cell(
+        policy, local_fileset, filtered_chunks(),
+        lambda stop: _ShardMetrics(plan.disks_per_shard, on_all_done=stop),
+        n_disks=plan.disks_per_shard,
+        params=(spec.disk_params if spec.disk_params is not None
+                else _default_disk_params()),
+        initial_speed=spec.initial_speed,
+        queue_discipline=spec.queue_discipline,
+        obs=obs, bus_tags=tags, bus_id_maps=id_maps, disk_offset=offset)
 
-    def load_next() -> bool:
-        nonlocal times, ids, i
-        nxt = next(chunk_iter, None)
-        if nxt is None:
-            return False
-        times, ids = nxt
-        i = 0
-        return True
-
-    def dispatch_next() -> None:
-        nonlocal i
-        fid = ids[i]
-        metrics.dispatched += 1
-        route(new_request(sim.now, fid, sizes[fid]))
-        i += 1
-        if i >= len(times) and not load_next():
-            metrics.dispatch_done = True
-            return
-        schedule_at(times[i], dispatch_next, priority=-1)
-
-    try:
-        if load_next():
-            schedule_at(times[0], dispatch_next, priority=-1)
-            sim.run_until_drained()
-            if not metrics.all_done:
-                raise RuntimeError(
-                    f"shard {shard.index}: event queue drained with "
-                    f"{metrics.completed}/{metrics.dispatched} requests done")
-        else:
-            # a shard no request ever targets: its disks idle from t=0 to
-            # the global end; the merge's ledger close accounts all of it
-            metrics.dispatch_done = True
-    except BaseException:
-        # never leave a torn segment where the merge expects a whole one
-        if writer is not None:
-            writer.abort()
-        raise
-
-    duration = sim.now
-    policy.shutdown()
-    if sampler is not None:
-        # stop the periodic tick; deliberately NO final sample_now():
-        # the merge replays the global ticks this shard drained before
-        # and closes the series at the *global* end time
-        sampler.shutdown()
-    if writer is not None:
-        writer.close()
-    # capture the ledgers OPEN (no array.finalize()): the final
-    # accounting step belongs to the merge, at the global end time
-    ledgers = tuple(drive.open_ledger() for drive in array.drives)
-    final_state: tuple[tuple[str, str, int], ...] = ()
-    if sampler is not None:
-        final_state = tuple(
-            (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
-            for drive in array.drives)
-    resp_sum, wait_sum, counts, hist = metrics.snapshot()
+    if cell.writer is not None:
+        cell.writer.close()
+    drives = cell.array.drives
+    sampler = cell.sampler
     return ShardCellResult(
         shard_index=shard.index,
         plan=plan,
         policy_name=policy.name,
-        duration_s=duration,
+        duration_s=cell.sim.now,
         n_requests=metrics.completed,
-        ledgers=ledgers,
-        response_sum_s=resp_sum,
-        wait_sum_s=wait_sum,
-        response_count=counts,
-        response_hist=hist,
-        events_executed=sim.events_executed,
-        wall_clock_s=perf_counter() - wall_start,
+        # captured OPEN (no array.finalize()): the final accounting step
+        # belongs to the merge, at the global end time
+        ledgers=tuple(drive.open_ledger() for drive in drives),
+        used_mb=tuple(float(m) for m in cell.array.used_mb),
+        response_sum_s=tuple(metrics.response_sum_s),
+        response_hist=tuple(metrics.response_hist.tolist()),
+        events_executed=cell.sim.events_executed,
+        wall_clock_s=cell.wall_clock_s,
         policy_detail=policy.describe(),
-        trace_segment=segment,
-        trace_events=writer.events_written if writer is not None else 0,
-        sample_rows=sampler.series().rows if sampler is not None else (),
-        sample_interval_s=sample_interval,
-        metrics=registry.as_dict() if registry is not None else None,
-        final_disk_state=final_state,
+        trace_segment=None if obs is None else obs.trace_path,
+        trace_events=0 if cell.writer is None else cell.writer.events_written,
+        # deliberately no closing sample_now(): the merge replays the
+        # global ticks this shard drained before and closes the series
+        # at the *global* end time
+        sample_rows=() if sampler is None else sampler.series().rows,
+        sample_interval_s=None if sampler is None else sampler.interval_s,
+        metrics=None if cell.registry is None else cell.registry.as_dict(),
+        final_disk_state=() if sampler is None else tuple(
+            (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
+            for drive in drives),
     )
 
 
@@ -569,7 +503,10 @@ def _sampler_ticks(interval_s: float, end_s: float) -> list[float]:
 
 def merge_shard_results(results: Sequence[ShardCellResult],
                         *, press: PRESSModel | None = None,
-                        obs: Optional[ObsConfig] = None) -> SimulationResult:
+                        obs: Optional[ObsConfig] = None,
+                        redundancy: Optional[GroupScheme] = None,
+                        disk_params: Optional[TwoSpeedDiskParams] = None,
+                        ) -> SimulationResult:
     """Reduce per-shard partial results into one :class:`SimulationResult`.
 
     Reduction order is fixed — shards by index, disks by global id,
@@ -591,6 +528,9 @@ def merge_shard_results(results: Sequence[ShardCellResult],
     entries rebuilt from the global final sample.  For
     shard-decomposable policies the merged time-series and registry
     equal the unsharded *sampled* run bit-for-bit.
+
+    ``redundancy`` prices the merged factors with the runner's CTMC
+    assessment, whose rebuild estimate reads ``disk_params``.
     """
     require(len(results) >= 1, "need at least one shard result")
     plan = results[0].plan
@@ -773,12 +713,54 @@ def merge_shard_results(results: Sequence[ShardCellResult],
         wall_clock_s=sum(r.wall_clock_s for r in ordered),
         timeseries=merged_series,
         metrics=federated,
+        redundancy=_assess_redundancy(
+            redundancy, factors,
+            used_mb=[m for r in ordered for m in r.used_mb],
+            params=(disk_params if disk_params is not None
+                    else _default_disk_params())),
     )
 
 
 # ----------------------------------------------------------------------
 # the front door
 # ----------------------------------------------------------------------
+def shard_specs(cell: RunSpec, n_shards: int, *,
+                assignment: str = "affinity",
+                chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[RunSpec]:
+    """Expand one whole-array cell into its ``n_shards`` shard sub-cells.
+
+    Every refusal happens here, before any shard runs: the capability
+    check (:func:`require_shardable`), the plan's divisibility, and a
+    redundancy scheme's group size.
+    """
+    require_shardable(cell.faults, cell.obs)
+    plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards,
+                     assignment=assignment)
+    if cell.redundancy is not None:
+        RedundancyGroups(cell.redundancy, cell.n_disks)  # group-size check
+    return [replace(cell, shard=ShardCellSpec(plan, s, chunk_size))
+            for s in range(n_shards)]
+
+
+def merge_cell(cell: RunSpec, results: Sequence[ShardCellResult],
+               bus: Optional[TraceBus] = None) -> SimulationResult:
+    """Merge the shard results of one cell expanded by :func:`shard_specs`.
+
+    The models, telemetry paths and redundancy scheme come from ``cell``;
+    the merge's wall time lands on ``bus`` as a ``harness.shard.merge``
+    span (outside simulated time, like every harness event: t=0.0).
+    """
+    merge_start = perf_counter()
+    merged = merge_shard_results(results, press=cell.press, obs=cell.obs,
+                                 redundancy=cell.redundancy,
+                                 disk_params=cell.disk_params)
+    if bus is not None:
+        bus.emit(obs_events.HARNESS_SHARD_MERGE, 0.0,
+                 policy=merged.policy_name, n_disks=cell.n_disks,
+                 shards=len(results), wall_s=perf_counter() - merge_start)
+    return merged
+
+
 def run_sharded(policy: str, workload: WorkloadLike, *,
                 n_disks: int, n_shards: int,
                 assignment: str = "affinity",
@@ -808,22 +790,16 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
     merged artifact paths; ``bus`` is the *harness* bus, which receives
     a ``harness.shard.merge`` span when the partials are reduced.
     """
-    plan = ShardPlan(n_disks=n_disks, n_shards=n_shards, assignment=assignment)
-    require(obs is None or not obs.profile,
-            "kernel profiling is not supported under sharding "
-            "(profiles are per-kernel wall timings; profile the "
-            "unsharded run instead)")
-    base_kwargs: dict[str, object] = dict(policy_kwargs) if policy_kwargs else {}
-    speed = initial_speed if initial_speed is not None else DiskSpeed.HIGH
-    discipline = (queue_discipline if queue_discipline is not None
-                  else QueueDiscipline.FCFS)
-    specs = [
-        RunSpec(policy=policy, n_disks=n_disks, workload=workload,
-                policy_kwargs=base_kwargs, disk_params=disk_params,
-                press=press, initial_speed=speed, queue_discipline=discipline,
-                obs=obs, shard=ShardCellSpec(plan, s, chunk_size))
-        for s in range(plan.n_shards)
-    ]
+    cell = RunSpec(
+        policy=policy, n_disks=n_disks, workload=workload,
+        policy_kwargs=dict(policy_kwargs) if policy_kwargs else {},
+        disk_params=disk_params, press=press,
+        initial_speed=initial_speed if initial_speed is not None else DiskSpeed.HIGH,
+        queue_discipline=(queue_discipline if queue_discipline is not None
+                          else QueueDiscipline.FCFS),
+        obs=obs)
+    specs = shard_specs(cell, n_shards, assignment=assignment,
+                        chunk_size=chunk_size)
     summary: "Optional[ResilienceSummary]" = None
     if resilience is not None or checkpoint is not None:
         from repro.experiments.resilience import run_cells_resilient
@@ -832,12 +808,4 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
                                            checkpoint=checkpoint, bus=bus)
     else:
         raw = run_cells(specs, jobs=jobs)
-    shard_results = cast("list[ShardCellResult]", raw)
-    merge_start = perf_counter()
-    merged = merge_shard_results(shard_results, press=press, obs=obs)
-    if bus is not None:
-        # outside simulated time, like every harness event: t=0.0
-        bus.emit(obs_events.HARNESS_SHARD_MERGE, 0.0,
-                 policy=merged.policy_name, n_disks=n_disks, shards=n_shards,
-                 wall_s=perf_counter() - merge_start)
-    return merged, summary
+    return merge_cell(cell, cast("list[ShardCellResult]", raw), bus), summary

@@ -156,9 +156,10 @@ class TestSweepCheckpoint:
         assert ckpt.loaded == 0 and ckpt.quarantined is not None
 
     def test_unknown_version_is_quarantined(self, tmp_path):
-        # 1 is the layout before a result field was dropped: loading it
-        # would shift every later slot by one, so it must not be read
-        for version in (1, 999):
+        # 1 and 2 are older result layouts (a field dropped, then the
+        # shard partial result reshaped): loading one would shift later
+        # slots, so neither may be read
+        for version in (1, 2, 999):
             path = tmp_path / f"sweep-v{version}.ckpt"
             path.write_bytes(pickle.dumps({"version": version, "cells": {}}))
             ckpt = SweepCheckpoint(path)

@@ -14,18 +14,21 @@ The load-bearing claims of :mod:`repro.experiments.shard`:
 import numpy as np
 import pytest
 
-from repro.experiments.parallel import RunSpec, run_cell
+from repro.experiments.parallel import RunSpec, run_cell, run_cells
 from repro.experiments.runner import make_policy, run_simulation
 from repro.experiments.shard import (
     N_RESPONSE_BINS,
     ShardCellSpec,
     ShardPlan,
     histogram_percentile_s,
+    merge_cell,
     merge_shard_results,
     response_bin,
     response_bin_upper_s,
     run_sharded,
+    shard_specs,
 )
+from repro.redundancy import parse_redundancy_spec
 from repro.workload.cache import cached_generate
 from repro.workload.files import FileSet
 from repro.workload.synthetic import SyntheticWorkloadConfig
@@ -141,6 +144,24 @@ class TestShardedEqualsUnsharded:
                                                        rel=0.01)
         assert sharded.p99_response_s == pytest.approx(plain.p99_response_s,
                                                        rel=0.01)
+
+    @pytest.mark.parametrize("scheme,n_disks", [("mirror2", 8),
+                                                ("block4-2", 16)])
+    def test_redundancy_prices_like_plain_runner(self, scheme, n_disks):
+        # faults off, the group geometry never touches the run: sharded
+        # cells carry the layout only into the merge's CTMC assessment
+        layout = parse_redundancy_spec(scheme)
+        fileset, trace = cached_generate(CFG)
+        plain = run_simulation(make_policy("static-high"), fileset, trace,
+                               n_disks=n_disks, redundancy=layout)
+        assert plain.redundancy is not None
+        cell = RunSpec(policy="static-high", n_disks=n_disks, workload=CFG,
+                       redundancy=layout)
+        for n_shards in (1, 2, 4):
+            sharded = merge_cell(cell, run_cells(shard_specs(cell, n_shards)))
+            for f in PHYSICAL_FIELDS + ("redundancy",):
+                assert getattr(sharded, f) == getattr(plain, f), \
+                    f"{f} diverged at n_shards={n_shards}"
 
     def test_jobs_do_not_change_the_merge(self):
         serial, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=4,

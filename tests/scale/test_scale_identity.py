@@ -10,7 +10,9 @@ and every field, response statistics included, must match exactly.
 
 import pytest
 
-from repro.experiments.shard import run_sharded
+from repro.experiments.parallel import RunSpec, run_cells
+from repro.experiments.shard import merge_cell, run_sharded, shard_specs
+from repro.redundancy import parse_redundancy_spec
 from repro.workload.synthetic import SyntheticWorkloadConfig
 
 pytestmark = pytest.mark.scale
@@ -26,11 +28,16 @@ FIELDS = (
 )
 
 
-@pytest.mark.parametrize("policy", ["static-high", "static-low"])
-def test_64_disk_sharded_equals_unsharded_bit_for_bit(policy):
-    unsharded, _ = run_sharded(policy, CFG, n_disks=64, n_shards=1)
-    sharded, _ = run_sharded(policy, CFG, n_disks=64, n_shards=16, jobs=4)
-    for f in FIELDS:
+@pytest.mark.parametrize("policy,scheme", [("static-high", None),
+                                           ("static-low", None),
+                                           ("static-high", "mirror2")])
+def test_64_disk_sharded_equals_unsharded_bit_for_bit(policy, scheme):
+    layout = None if scheme is None else parse_redundancy_spec(scheme)
+    cell = RunSpec(policy=policy, n_disks=64, workload=CFG, redundancy=layout)
+    unsharded = merge_cell(cell, run_cells(shard_specs(cell, 1)))
+    sharded = merge_cell(cell, run_cells(shard_specs(cell, 16), jobs=4))
+    assert (sharded.redundancy is None) == (layout is None)
+    for f in FIELDS + ("redundancy",):
         assert getattr(sharded, f) == getattr(unsharded, f), \
             f"field {f} diverged between 16-shard and unsharded execution"
 

@@ -461,12 +461,26 @@ class TestRedundancyFlag:
         assert "unknown --redundancy scheme" in err
         assert "block4-2" in err  # the error names the candidates
 
-    def test_redundancy_with_shards_is_a_capability_error(self, capsys):
-        rc = main(["sweep", "--policies", "read", "--disks", "4",
-                   "--shards", "2", "--redundancy", "mirror2", *SMALL])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "--redundancy cannot be combined with --shards" in err
+    def test_redundancy_with_shards_prices_like_unsharded(self, capsys,
+                                                          tmp_path):
+        # faults off, a redundancy layout only adds the CTMC assessment of
+        # the run's PRESS rates, so a sharded static sweep must report the
+        # same redundancy table as the unsharded one
+        args = ["sweep", "--policies", "static-high", "--disks", "4",
+                "--redundancy", "mirror2", *SMALL]
+
+        def redundancy_table(path):
+            text = path.read_text()
+            start = text.index("### Redundancy groups")
+            return text[start:text.index("### Simulation runtime")]
+
+        plain, sharded = tmp_path / "plain.md", tmp_path / "sharded.md"
+        assert main([*args, "--report", str(plain)]) == 0
+        assert main([*args, "--shards", "2", "--report", str(sharded)]) == 0
+        assert "sharded execution: 2 shard(s)" in capsys.readouterr().out
+        table = redundancy_table(sharded)
+        assert "| static-high | 4 | mirror2 | 2 |" in table
+        assert table == redundancy_table(plain)
 
     def test_worthwhile_reports_ctmc_and_loss_model(self, capsys):
         rc = main(["worthwhile", "--scheme", "read", "--reference",
