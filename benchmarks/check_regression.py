@@ -26,23 +26,20 @@ RESULTS_PATH = Path(__file__).resolve().parent / "results" / "throughput.json"
 DEFAULT_THRESHOLD = 0.20
 
 #: Allowed wall-clock ratio of a traced run over the same run with
-#: telemetry off.  Tracing costs one JSON encode per event (one hoisted
-#: C encoder, DESIGN.md Sec. 8.4); the ratio measured 1.9-2.8x on the
-#: reference cell (median about 2.4x), and the cap sits at about 1.5x
-#: the median, 1.24x the worst run.  It catches gross per-event work in
-#: the emission path only: a per-call ``json.dumps`` measures 2.4-3.5x,
-#: which can pass.
-MAX_TRACING_OVERHEAD = 3.5
+#: telemetry off.  Tracing costs one orjson encode per event where its
+#: bytes provably equal the stdlib's (DESIGN.md Sec. 8.4); the ratio
+#: measured 1.7-2.5x on the reference cell (median about 2.1x), and the
+#: cap sits at about 1.4x the median, 1.18x the worst run.  The stdlib
+#: C encoder on every event measures 2.5-3.2x, which can pass.
+MAX_TRACING_OVERHEAD = 3.0
 
 #: Same guard for one *sharded* cell (16 disks / 4 shards).  On top of
 #: the per-event encode, the k-way merge parses every segment line in
-#: full to validate it, then splices its bytes: the cost is JSON encode
-#: and decode.  The ratio measured 4.1-5.9x
-#: (median about 5.4x); the cap sits at about 1.4x the median, 1.27x the
-#: worst run.  It catches gross work in the emit or merge path only: a
-#: merge that decodes and re-encodes every event measures 6.8-10.2x,
-#: which can pass.
-MAX_SHARD_TRACING_OVERHEAD = 7.5
+#: full (orjson, stdlib fallback) to validate it, then splices its
+#: bytes.  The ratio measured 2.9-3.9x (median about 3.1x); the cap
+#: sits at about 1.45x the median, 1.14x the worst run.  The stdlib
+#: encode and parse measure 4.1-7.8x, which can pass.
+MAX_SHARD_TRACING_OVERHEAD = 4.5
 
 #: Hard floor on the streamed sharded dispatch rate (requests/sec end to
 #: end: chunked generation + filtered dispatch + per-shard kernels +

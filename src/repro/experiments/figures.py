@@ -171,7 +171,7 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     of ``disk_counts``; incompatible with ``faults`` (see
     :func:`~repro.experiments.shard.require_shardable`).  ``obs`` composes
     with ``shards``: each shard sub-cell runs its own telemetry stack
-    (shard-tagged events under global disk ids) and the merge federates
+    (untagged events under global disk ids) and the merge federates
     the segments into the cell's named trace/metrics artifacts (see
     :mod:`repro.obs.federate`) — kernel profiling is the one obs feature
     sharding rejects.  ``stream_chunk`` bounds streamed-generation

@@ -78,8 +78,10 @@ _POLL_INTERVAL_S = 0.05
 #: dataclasses unpickle fields by position, so a version-1 file would
 #: load with every later field shifted by one.  Version 3 reshaped the
 #: shard partial result (per-disk used capacity in, two unread response
-#: tallies out).
-CHECKPOINT_VERSION = 3
+#: tallies out).  Version 4 untagged the trace segments a checkpointed
+#: shard result points at: merging an older, tagged segment would copy
+#: its ``"shard":N`` field into the merged trace.
+CHECKPOINT_VERSION = 4
 
 
 # ----------------------------------------------------------------------

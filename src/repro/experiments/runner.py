@@ -189,7 +189,6 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
                   faults: FaultConfig | None = None,
                   press: PRESSModel | None = None,
                   groups: RedundancyGroups | None = None,
-                  bus_tags: Mapping[str, object] | None = None,
                   bus_id_maps: Mapping[str, Callable[[int], int]] | None = None,
                   disk_offset: int = 0,
                   engine_start: Mapping[str, object] | None = None,
@@ -205,8 +204,8 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     ``make_tally`` builds the response metrics from the kernel's stop
     function.  They own the stop condition, and hear the dispatched
     total through ``close_dispatch`` once ``chunks`` is exhausted.
-    ``bus_tags``/``bus_id_maps`` configure the trace bus and
-    ``disk_offset`` the sampler, so a shard speaks global ids.
+    ``bus_id_maps`` configures the trace bus and ``disk_offset`` the
+    sampler, so a shard speaks global ids.
     ``engine_start`` is the payload of the ``engine.start`` event a
     whole-array trace opens with; the shard merge synthesizes its own.
 
@@ -221,7 +220,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     writer: JsonlTraceWriter | None = None
     profiler: KernelProfiler | None = None
     if obs is not None and obs.trace_path is not None:
-        bus = TraceBus(tags=bus_tags, id_maps=bus_id_maps)
+        bus = TraceBus(id_maps=bus_id_maps)
         writer = JsonlTraceWriter(obs.trace_path)
         bus.subscribe(writer)
         sim.trace = bus

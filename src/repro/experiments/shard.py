@@ -48,13 +48,13 @@ Telemetry under sharding (DESIGN.md Sec. 13)
 --------------------------------------------
 A sharded cell with an :class:`~repro.obs.ObsConfig` runs one full
 telemetry stack *per shard*: a :class:`~repro.obs.TraceBus` whose
-``id_maps`` remap local disk/file ids to global ones at emission (and
-whose ``tags`` stamp the shard index), streaming into an atomic
-per-shard JSONL segment (:func:`~repro.obs.shard_segment_path`); a
+``id_maps`` remap local disk/file ids to global ones at emission,
+streaming into an atomic, untagged per-shard JSONL segment
+(:func:`~repro.obs.shard_segment_path`); a
 :class:`~repro.obs.DiskSampler` writing rows and registry gauges under
 global disk ids.  The merge then federates: a deterministic k-way trace
-merge ordered by ``(time, shard, seq)`` with one synthesized global
-``engine.start``/``engine.stop`` pair
+merge ordered by ``(time, segment index, seq)`` with one synthesized
+global ``engine.start``/``engine.stop`` pair
 (:func:`~repro.obs.merge_trace_files`), a typed registry merge
 (:func:`~repro.obs.federate_registries`), and a sampler-tick *replay* —
 each shard's open ledgers are advanced through the global tick instants
@@ -420,16 +420,15 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
 
     # The bus remaps local ids to global at emission — disk-carrying
     # fields shift by the shard's disk offset, file ids go through the
-    # shard's local->global file table — and tags every event with the
-    # shard index, so the segment needs no rewrite pass.
+    # shard's local->global file table — so the segment needs no rewrite
+    # pass.  Events carry no shard tag: the merge keys each segment by
+    # its index.
     obs = spec.obs
     offset = plan.disk_offset(shard.index)
-    tags: Optional[dict[str, object]] = None
     id_maps: Optional[dict[str, Callable[[int], int]]] = None
     if obs is not None and obs.trace_path is not None:
         my_files_py = my_files.tolist()
         shift: Callable[[int], int] = lambda v, _o=offset: v + _o  # noqa: E731
-        tags = {"shard": shard.index}
         id_maps = {"disk": shift, "src": shift, "dst": shift,
                    "file": lambda v, _f=my_files_py: _f[v]}
         obs = replace(obs, trace_path=str(
@@ -443,7 +442,7 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
                 else _default_disk_params()),
         initial_speed=spec.initial_speed,
         queue_discipline=spec.queue_discipline,
-        obs=obs, bus_tags=tags, bus_id_maps=id_maps, disk_offset=offset)
+        obs=obs, bus_id_maps=id_maps, disk_offset=offset)
 
     if cell.writer is not None:
         cell.writer.close()

@@ -34,12 +34,11 @@ IdMap = Callable[[int], int]
 class TraceBus:
     """Fan-out of :class:`TraceEvent` records to subscribers.
 
-    ``tags`` stamps constant fields into every payload (a shard worker
-    tags each event with its shard index); ``id_maps`` rewrites integer
-    id fields at emission time (the shard worker remaps local disk/file
-    ids to global ones), keyed by payload field name.  Both default to
-    off and cost nothing when unset; field order in the payload never
-    affects the exported bytes (the exporter sorts keys).
+    ``id_maps`` rewrites integer id fields at emission time (the shard
+    worker remaps local disk/file ids to global ones), keyed by payload
+    field name.  It defaults to off and costs nothing when unset; field
+    order in the payload never affects the exported bytes (the exporter
+    sorts keys).
 
     Examples
     --------
@@ -51,15 +50,13 @@ class TraceBus:
     ('engine.start', 'read')
     """
 
-    __slots__ = ("_subscribers", "_seq", "counts", "_tags", "_id_maps")
+    __slots__ = ("_subscribers", "_seq", "counts", "_id_maps")
 
-    def __init__(self, *, tags: Optional[Mapping[str, object]] = None,
-                 id_maps: Optional[Mapping[str, IdMap]] = None) -> None:
+    def __init__(self, *, id_maps: Optional[Mapping[str, IdMap]] = None) -> None:
         self._subscribers: list[Subscriber] = []
         self._seq = 0
         #: Events emitted so far, by type (cheap always-on rollup).
         self.counts: Counter[str] = Counter()
-        self._tags: Optional[dict[str, object]] = dict(tags) if tags else None
         # a sorted tuple of (field, map) pairs: deterministic application
         # order regardless of the mapping the caller handed in
         self._id_maps: Optional[tuple[tuple[str, IdMap], ...]] = (
@@ -102,9 +99,6 @@ class TraceBus:
                 value = data.get(field)
                 if value is not None:
                     data[field] = id_map(value)  # type: ignore[arg-type]
-        if self._tags is not None:
-            for key, value in self._tags.items():
-                data.setdefault(key, value)
         event = TraceEvent(seq, time_, type_, data)
         for subscriber in self._subscribers:
             subscriber(event)

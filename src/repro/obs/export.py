@@ -4,7 +4,9 @@ Byte-determinism contract: everything written here is a pure function
 of the simulation's seeded state — no wall-clock timestamps, no object
 ids, keys sorted, floats via ``repr`` (shortest round-trip) — so two
 runs of the same configuration produce byte-identical files.  The
-acceptance tests diff whole files on this guarantee.
+acceptance tests diff whole files on this guarantee.  Trace records are
+the bytes ``json.dumps`` would write; :func:`record_bytes` has orjson
+write them wherever its output provably equals the stdlib's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from json import JSONDecodeError, JSONDecoder
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, BinaryIO, Union
+
+from orjson import OPT_SORT_KEYS, JSONEncodeError
+from orjson import dumps as _dumps
 
 from repro.obs.events import TraceEvent
 from repro.util.atomicio import PARTIAL_SUFFIX, atomic_write_text
@@ -27,7 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.sampler import TimeSeries
 
 __all__ = ["JsonlTraceWriter", "event_to_json", "parse_record", "read_trace", "record_body",
-           "splice_body", "write_timeseries", "timeseries_to_csv_text", "write_metrics_json"]
+           "record_bytes", "splice_body", "write_timeseries", "timeseries_to_csv_text",
+           "write_metrics_json"]
 
 PathLike = Union[str, Path]
 
@@ -37,8 +43,15 @@ PathLike = Union[str, Path]
 #: (the events.py contract); nested dicts would get sorted keys, no cycle check.
 _encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
                          None, ":", ",", True, False, True)
-_type_fields: dict[str, str] = {}  # ',"type":"<type>"', encoded once per type
+_type_fields: dict[str, bytes] = {}  # b',"type":"<type>"', encoded once per type
 _raw_decode = JSONDecoder().raw_decode
+
+
+def _type_field(type_: str) -> bytes:
+    field = _type_fields.get(type_)
+    if field is None:
+        field = _type_fields[type_] = (',"type":' + "".join(_encode(type_, 0))).encode()
+    return field
 
 
 def record_body(time: float, type_: str, data: dict) -> str:
@@ -48,11 +61,40 @@ def record_body(time: float, type_: str, data: dict) -> str:
     # finite float: float.__repr__; NaN/Infinity, ints, subclasses: the encoder
     t_text = (float.__repr__(time) if type(time) is float and isfinite(time)
               else "".join(_encode(time, 0)))
-    type_field = _type_fields.get(type_)
-    if type_field is None:
-        type_field = _type_fields[type_] = ',"type":' + "".join(_encode(type_, 0))
-    head = f',"t":{t_text}{type_field}'
+    head = f',"t":{t_text}{_type_field(type_).decode()}'
     return head + "," + "".join(_encode(data, 0))[1:] if data else head + "}"
+
+
+def record_bytes(time: float, type_: str, data: dict) -> bytes:
+    """``record_body(time, type_, data).encode()``, by orjson where its
+    bytes are provably the same, else by :func:`record_body`.
+
+    orjson writes the shortest round-trip digits ``float.__repr__`` does
+    but its own exponent syntax and ``null`` for NaN/Infinity, so a float
+    takes the fast path only where ``repr`` writes no exponent: ``0.0``
+    and ``1e-4 <= abs(v) < 1e16``.  Strings must come out printable
+    ASCII (``json.dumps`` escapes the rest, DEL included; orjson writes
+    UTF-8 and raw DEL); ints past 64 bits make orjson raise.  Exact
+    ``int``, ``bool`` and ``None`` are written alike by both.
+    """
+    if type(time) is float and (1e-4 <= abs(time) < 1e16 or time == 0.0):
+        for value in data.values():
+            kind = type(value)
+            if kind is float:
+                if not (1e-4 <= abs(value) < 1e16 or value == 0.0):
+                    break
+            elif kind is not int and kind is not str and kind is not bool and value is not None:
+                break
+        else:
+            try:
+                payload = _dumps(data, option=OPT_SORT_KEYS)
+            except JSONEncodeError:  # an int past 64 bits, a lone surrogate
+                pass
+            else:
+                if payload.isascii() and 127 not in payload:
+                    head = b"".join((b',"t":', _dumps(time), _type_field(type_)))
+                    return head + b"," + payload[1:] if data else head + b"}"
+    return record_body(time, type_, data).encode()
 
 
 def event_to_json(event: TraceEvent) -> str:
@@ -61,17 +103,15 @@ def event_to_json(event: TraceEvent) -> str:
     return f'{{"seq":{event.seq}{record_body(event.time, event.type, event.data)}'
 
 
-def splice_body(line: str, record: dict, path: PathLike, lineno: int) -> str:
-    """The :func:`record_body` of a stripped :func:`event_to_json` line parsed
-    as ``record``, minus its ``,"shard":N`` tag (which, in a flat payload, no
-    string can contain); other lines raise a ValueError naming ``path:lineno``."""
-    t_at = line.find(',"t":')
-    if not (t_at > 7 and line.startswith('{"seq":') and line[7:t_at].isdigit()):
+def splice_body(line: bytes, path: PathLike, lineno: int) -> bytes:
+    """The :func:`record_bytes` of a stripped canonical trace line — its
+    bytes from ``,"t":`` on; other lines raise a ValueError naming
+    ``path:lineno``."""
+    t_at = line.find(b',"t":')
+    if not (t_at > 7 and line.startswith(b'{"seq":') and line[7:t_at].isdigit()):
         raise ValueError(f"{path}:{lineno}: trace record lacks the "
                          f"canonical '{{\"seq\":<int>,\"t\":' prefix")
-    body = line[t_at:]
-    cut = body.find(',"shard":') if "shard" in record else -1
-    return body if cut < 0 else body[:cut] + body[_raw_decode(body, cut + 9)[1]:]
+    return line[t_at:]
 
 
 class JsonlTraceWriter:
@@ -98,15 +138,16 @@ class JsonlTraceWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._tmp_path = self.path.with_name(
             f"{self.path.name}.{os.getpid()}.tmp")
-        self._file: io.TextIOWrapper | None = self._tmp_path.open(  # repro: allow[IO001] streams to a .tmp sibling; close() publishes with os.replace, abort() quarantines
-            "w", encoding="utf-8", newline="\n")
+        self._file: BinaryIO | None = self._tmp_path.open(  # repro: allow[IO001] streams to a .tmp sibling; close() publishes with os.replace, abort() quarantines
+            "wb")
         self.events_written = 0
 
     def __call__(self, event: TraceEvent) -> None:
         """The subscriber interface: serialize and buffer one event."""
         if self._file is None:
             raise ValueError(f"trace writer for {self.path} is closed")
-        self._file.write(event_to_json(event) + "\n")
+        self._file.write(b'{"seq":%d%b\n'
+                         % (event.seq, record_bytes(event.time, event.type, event.data)))
         self.events_written += 1
 
     def close(self) -> None:

@@ -158,8 +158,9 @@ class TestSweepCheckpoint:
     def test_unknown_version_is_quarantined(self, tmp_path):
         # 1 and 2 are older result layouts (a field dropped, then the
         # shard partial result reshaped): loading one would shift later
-        # slots, so neither may be read
-        for version in (1, 2, 999):
+        # slots, so neither may be read; 3 points at shard-tagged trace
+        # segments, which would leak the tag into a merged trace
+        for version in (1, 2, 3, 999):
             path = tmp_path / f"sweep-v{version}.ckpt"
             path.write_bytes(pickle.dumps({"version": version, "cells": {}}))
             ckpt = SweepCheckpoint(path)

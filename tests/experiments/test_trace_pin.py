@@ -2,9 +2,11 @@
 get faster, never different.
 
 The trace digests were captured from the ``json.dumps``-per-event
-exporter and the decode/re-encode merge.  Any change to the canonical
-JSONL bytes — float formatting, key order, escaping, ``seq`` numbering,
-the shard-tag cut — shows up here as a digest mismatch.
+exporter and the decode/re-encode merge, before segments went untagged
+and before orjson wrote and read them.  Any change to the canonical
+JSONL bytes — float formatting (orjson's exponent syntax), key order,
+escaping, ``seq`` numbering, a shard tag leaking into the merged trace —
+shows up here as a digest mismatch.
 
 The sampler digests were captured from the column-buffer snapshot path
 that once served these cells.  The CSV renders floats with ``repr``, so

@@ -13,8 +13,8 @@ from repro.obs.bus import TraceBus
 from repro.obs.config import ObsConfig
 from repro.obs.events import TraceEvent
 from repro.obs.export import (JsonlTraceWriter, event_to_json, read_trace,
-                              timeseries_to_csv_text, write_metrics_json,
-                              write_timeseries)
+                              record_bytes, timeseries_to_csv_text,
+                              write_metrics_json, write_timeseries)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import SAMPLE_COLUMNS, TimeSeries
 
@@ -59,6 +59,42 @@ _PAYLOADS = st.dictionaries(
     _TEXT.filter(lambda k: k not in ("seq", "t", "type")), _VALUES,
     max_size=6)
 
+# Straddling every edge of record_bytes' orjson domain: repr writes an
+# exponent below 1e-4 and from 1e16 on (orjson: its own syntax), NaN and
+# infinities (orjson: null), subnormals; orjson writes non-ASCII as UTF-8
+# and DEL raw (json.dumps escapes both) and raises on ints past 64 bits
+# and on lone surrogates.  Most other times and values are in-domain, so
+# many examples do take the fast path.
+_EDGE_FLOATS = st.sampled_from(
+    [sign * f for edge in (1e-4, 1e16)
+     for f in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf))
+     for sign in (1.0, -1.0)]
+    + [0.0, -0.0, 9999999999999998.0, 2.0**53, 5e-324, 2.2250738585072014e-308,
+       float("nan"), float("inf"), float("-inf")])
+_NEAR_EDGE_FLOATS = (st.floats(min_value=1e-5, max_value=1e-3)
+                     | st.floats(min_value=1e15, max_value=1e17))
+_FAST_FLOATS = st.floats(min_value=1e-4, max_value=1e15) | st.floats(
+    min_value=-1e15, max_value=-1e-4)
+_FAST_TIMES = _FAST_FLOATS | _EDGE_FLOATS | _NEAR_EDGE_FLOATS
+_FAST_VALUES = (
+    _FAST_TIMES | st.none() | st.booleans()
+    | st.integers(min_value=-2**63, max_value=2**64 - 1)
+    | st.sampled_from([-2**63 - 1, 2**64, 2**100])
+    | st.text(alphabet=st.characters(max_codepoint=127))
+    | st.text(alphabet=st.characters(max_codepoint=127), max_size=3).map(
+        lambda s: s + "\x7f")
+    | st.sampled_from(["caf\u00e9", "\ud800", "\U0001f600", "\x00\x1f\n\t"])
+    # containers and float subclasses leave the domain, whatever they hold
+    | st.lists(_FAST_TIMES, max_size=2) | _FAST_TIMES.map(np.float64))
+_FAST_PAYLOADS = st.dictionaries(
+    st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122),
+            min_size=1).filter(lambda k: k not in ("seq", "t", "type")),
+    _FAST_VALUES, max_size=3)
+
+
+def _event_bytes(event):
+    return b'{"seq":%d' % event.seq + record_bytes(event.time, event.type, event.data)
+
 
 class TestEventToJsonMatchesJsonDumps:
     @settings(max_examples=300, deadline=None)
@@ -66,7 +102,15 @@ class TestEventToJsonMatchesJsonDumps:
            type_=_TEXT, data=_PAYLOADS)
     def test_same_bytes_as_reference(self, seq, time, type_, data):
         event = TraceEvent(seq, time, type_, data)
-        assert event_to_json(event) == _reference_event_to_json(event)
+        reference = _reference_event_to_json(event)
+        assert event_to_json(event) == reference
+        assert _event_bytes(event) == reference.encode()
+
+    @settings(max_examples=600, deadline=None)
+    @given(time=_FAST_TIMES, data=_FAST_PAYLOADS)
+    def test_record_bytes_domain_edges(self, time, data):
+        event = TraceEvent(1, time, "request.dispatch", data)
+        assert _event_bytes(event) == _reference_event_to_json(event).encode()
 
     @pytest.mark.parametrize("time", [
         float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 3,
@@ -74,11 +118,13 @@ class TestEventToJsonMatchesJsonDumps:
     def test_unusual_times(self, time):
         event = TraceEvent(0, time, "x", {"v": np.float64(2.5), "n": None})
         assert event_to_json(event) == _reference_event_to_json(event)
+        assert _event_bytes(event) == _reference_event_to_json(event).encode()
 
     def test_empty_payload(self):
         event = TraceEvent(3, 1.25, ev.ENGINE_STOP, {})
         assert event_to_json(event) == '{"seq":3,"t":1.25,"type":"engine.stop"}'
         assert event_to_json(event) == _reference_event_to_json(event)
+        assert _event_bytes(event) == _reference_event_to_json(event).encode()
 
 
 class TestJsonlTraceWriter:
