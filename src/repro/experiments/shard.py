@@ -89,6 +89,7 @@ from repro.experiments.parallel import RunSpec, run_cells
 from repro.experiments.runner import (
     Chunk,
     _assess_redundancy,
+    _check_finalize_invariants,
     _default_disk_params,
     _default_press,
     _execute_cell,
@@ -668,6 +669,10 @@ def merge_shard_results(results: Sequence[ShardCellResult],
     for c in closed:
         for state, joules in c.breakdown().items():
             breakdown[state] = breakdown.get(state, 0.0) + joules
+    _check_finalize_invariants(
+        ((g, c.time_s, c.energy_j) for g, c in enumerate(closed)),
+        horizon_s=duration, total_energy_j=total_energy,
+        array_afr_percent=array_afr, factors=factors)
 
     # ---- response: per-disk sums in global disk order; exact-integer
     # histogram merge for the percentiles

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from repro.util.validation import require, require_positive
 from repro.workload.trace import Trace
@@ -86,6 +85,10 @@ def popularity_churn(trace: Trace, n_files: int, window_s: float, *,
     * Jaccard overlap of the top-``top_k`` sets (what a cache or a hot
       zone actually keys on).
     """
+    # scipy.stats costs over a second to import and nothing on the
+    # simulation path needs it, so only trace analysis pays for it
+    from scipy import stats as sstats
+
     require(n_files >= 1, "n_files must be >= 1")
     require(top_k >= 1, "top_k must be >= 1")
     idx, n_windows = _window_index(trace, window_s)

@@ -6,6 +6,10 @@ paper-shaped sweeps live in ``benchmarks/``.
 
 from __future__ import annotations
 
+import faulthandler
+import os
+from typing import Iterator
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,37 @@ from repro.sim.engine import Simulator
 from repro.workload.files import FileSet
 from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
 from repro.workload.trace import Trace
+
+#: Seconds a single test may run before the process dies with every
+#: thread's stack printed.  The slowest tier-1 test takes under a
+#: minute; a drain loop that never empties its heap (periodic timers
+#: keep it non-empty) would otherwise hang the suite with no output.
+HANG_TIMEOUT_S = 300
+#: The million-request scale tier waits up to 600 s on one child.
+SCALE_HANG_TIMEOUT_S = 1200
+
+#: A copy of the real stderr for the dump.  Tests run with fd 2 pointed
+#: at pytest's capture file, which dies unread with the process; at
+#: configure time pytest has not redirected it yet.
+_stderr_fd = -1
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    global _stderr_fd
+    _stderr_fd = os.dup(2)
+
+
+def pytest_unconfigure(config: pytest.Config) -> None:
+    os.close(_stderr_fd)
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard(request: pytest.FixtureRequest) -> Iterator[None]:
+    scale = request.node.get_closest_marker("scale") is not None
+    faulthandler.dump_traceback_later(
+        SCALE_HANG_TIMEOUT_S if scale else HANG_TIMEOUT_S, exit=True, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -19,7 +19,9 @@ import pytest
 pytestmark = pytest.mark.scale
 
 #: Peak-RSS budget for the 1M-request child, in MiB.  The interpreter
-#: plus numpy/scipy baseline is ~100 MiB; the streamed path adds one
+#: plus numpy baseline is ~41 MiB (peak RSS after importing
+#: ``repro.experiments.shard`` on CPython 3.11; the simulation path
+#: loads no scipy); the streamed path adds one
 #: chunk (~1 MiB), per-disk accumulators, and the bounded event heap.
 #: A materialized path would add the full trace plus O(n) metrics
 #: arrays and grow without bound as n does; the budget pins that out.

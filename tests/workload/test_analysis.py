@@ -95,6 +95,22 @@ class TestPopularityChurn:
         with pytest.raises(ValueError):
             popularity_churn(trace, 2, 10.0)
 
+    def test_pinned_values_on_a_seeded_trace(self):
+        # captured before scipy.stats moved into popularity_churn: the
+        # deferred import must not change a bit of the output
+        cfg = SyntheticWorkloadConfig(n_files=40, n_requests=3000, seed=11,
+                                      mean_interarrival_s=0.02, drift_segments=4,
+                                      popularity_drift=0.5)
+        _, trace = WorldCupLikeWorkload(cfg).generate()
+        spearman, jaccard = popularity_churn(trace, 40, 6.0, top_k=10)
+        assert spearman.tolist() == [
+            0.6351403975257005, 0.5801518472982433, 0.5548664267433595,
+            0.6032651897967768, 0.40915143241127855, 0.48283986827969605,
+            0.38330231151820165, 0.6178942932064162, 0.6540726714679896,
+            0.30406517853042786]
+        assert jaccard.tolist() == [
+            2 / 3, 7 / 13, 1 / 3, 7 / 13, 3 / 7, 7 / 13, 1 / 3, 7 / 13, 7 / 13, 3 / 7]
+
 
 class TestAnalyzeTrace:
     def test_summary_fields(self):
