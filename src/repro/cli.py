@@ -368,12 +368,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{args.assignment} assignment, streamed workload")
     _print_comparison(fig7, policies, args.baseline)
     summary = fig7.resilience
-    if summary is not None:
-        print()
-        print(f"harness: {summary.cells_run} cell(s) run, "
-              f"{summary.checkpoint_hits} restored from checkpoint, "
-              f"{summary.retries} retried, {summary.timeouts} timed out, "
-              f"{summary.pool_respawns} pool respawn(s)")
+    print()
+    print(f"harness: {summary.cells_run} cell(s) run, "
+          f"{summary.checkpoint_hits} restored from checkpoint, "
+          f"{summary.retries} retried, {summary.timeouts} timed out, "
+          f"{summary.pool_respawns} pool respawn(s)")
     if checkpoint is not None:
         print(f"checkpoint -> {checkpoint}")
     if args.report:

@@ -8,15 +8,19 @@ Figure 7 is the trace-driven policy comparison (the expensive sweep).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.metrics import SimulationResult
-from repro.experiments.parallel import RunSpec, run_cells
-from repro.experiments.resilience import ResilienceConfig, ResilienceSummary
+from repro.experiments.parallel import RunSpec
+from repro.experiments.resilience import (
+    ResilienceConfig,
+    ResilienceSummary,
+    run_cells_resilient,
+)
 from repro.experiments.runner import ExperimentConfig
 from repro.faults import FaultConfig
 from repro.redundancy.scheme import GroupScheme
@@ -88,10 +92,10 @@ class Figure7Results:
 
     disk_counts: tuple[int, ...]
     #: policy name -> one SimulationResult per disk count.
-    results: dict[str, tuple[SimulationResult, ...]] = field(default_factory=dict)
-    #: Harness fault ledger; ``None`` when the sweep ran without the
-    #: resilience engine (see :mod:`repro.experiments.resilience`).
-    resilience: "ResilienceSummary | None" = None
+    results: dict[str, tuple[SimulationResult, ...]]
+    #: What the sweep executor absorbed while producing the results
+    #: (see :mod:`repro.experiments.resilience`).
+    resilience: ResilienceSummary
 
     def series(self, metric: str) -> dict[str, np.ndarray]:
         """Extract one panel: metric in {'afr', 'energy', 'response'}."""
@@ -156,12 +160,14 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     suffixed with the cell's ``<policy>-<disks>`` so parallel cells
     never write to the same file.
 
-    ``resilience`` and/or ``checkpoint`` (path or
-    :class:`~repro.experiments.resilience.SweepCheckpoint`) run the
-    sweep under the fault-domain engine; cells already journaled in the
-    checkpoint are restored instead of re-run and the harness fault
-    ledger lands in :attr:`Figure7Results.resilience`.  Results are
-    identical with or without the engine.
+    The cells run through the sweep executor
+    (:func:`~repro.experiments.resilience.run_cells_resilient`), whose
+    harness fault ledger always lands in
+    :attr:`Figure7Results.resilience`.  ``resilience`` sets per-cell
+    retries/timeouts (default: none); ``checkpoint`` (path or
+    :class:`~repro.experiments.resilience.SweepCheckpoint`) restores
+    cells already journaled instead of re-running them.  Results are
+    identical under any of these.
 
     ``shards`` switches every cell to sharded streamed execution (see
     :mod:`repro.experiments.shard`): each array is split into ``shards``
@@ -178,7 +184,7 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     memory (requests per chunk; ``None`` = the stream layer's default).
 
     ``bus`` is the harness trace bus: sweep/cell span events (and, when
-    sharding, the merge spans) land on it, feeding ``repro sweep
+    sharding, the merge spans) always land on it, feeding ``repro sweep
     --status-out``'s live status file.
     """
     cfg = config or ExperimentConfig()
@@ -202,15 +208,8 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
         specs = [spec for cell in cells
                  for spec in shard_specs(cell, shards, assignment=shard_assignment,
                                          chunk_size=chunk)]
-    summary: ResilienceSummary | None = None
-    if resilience is not None or checkpoint is not None:
-        from repro.experiments.resilience import run_cells_resilient
-
-        done, summary = run_cells_resilient(
-            specs, jobs=jobs, config=resilience, checkpoint=checkpoint,
-            bus=bus)
-    else:
-        done = run_cells(specs, jobs=jobs, bus=bus)
+    done, summary = run_cells_resilient(
+        specs, jobs=jobs, config=resilience, checkpoint=checkpoint, bus=bus)
     if shards is not None:
         done = [merge_cell(cell, done[k * shards:(k + 1) * shards], bus)  # type: ignore[arg-type]
                 for k, cell in enumerate(cells)]

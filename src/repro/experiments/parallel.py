@@ -1,31 +1,28 @@
-"""Parallel sweep execution: picklable cell specs + a process-pool runner.
+"""Picklable cell specs and the sweep entry point.
 
 A *cell* is one (policy, configuration, array size, workload) simulation
 — the unit the figures and sweeps iterate over.  :class:`RunSpec` captures
-everything a cell needs as plain picklable data, and :func:`run_cells`
-fans a batch of cells over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+everything a cell needs as plain picklable data, :func:`run_cell` runs
+one in the current process, and :func:`run_cells` runs a batch through
+the one sweep executor, :func:`repro.experiments.resilience
+.run_cells_resilient` (serial in-process for ``jobs=1``, a process pool
+otherwise).
 
 Design notes
 ------------
-* ``jobs=1`` runs in-process with no executor, so the serial path stays
-  trivially debuggable (breakpoints, profilers, exception locals).
 * Results are returned in input order regardless of completion order,
   and every cell is seeded solely by its spec — parallel and serial
   execution are bit-identical (asserted by the test suite).
-* Workloads are materialized in the parent *before* the pool forks, so
-  workers inherit the cached arrays copy-on-write instead of each
-  regenerating them (on spawn platforms they fall back to their own
-  on-disk/in-process cache).
-* A worker failure is re-raised in the parent as
-  :class:`CellExecutionError` carrying the failing spec, so a sweep
-  error message names the exact cell instead of a bare traceback from
-  an anonymous subprocess.
+* A cell failure is re-raised as :class:`CellExecutionError` carrying
+  the failing spec, so a sweep error message names the exact cell
+  instead of a bare traceback from an anonymous subprocess.
+* The executor looks :func:`run_cell` up on this module at call time,
+  so rebinding ``parallel.run_cell`` (as a profiler does to time every
+  cell) reaches every sweep.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, cast
 
@@ -35,21 +32,15 @@ from repro.experiments.metrics import SimulationResult
 from repro.experiments.runner import make_policy, run_simulation
 from repro.faults import FaultConfig
 from repro.obs import ObsConfig
-from repro.obs.log import get_logger
 from repro.press.model import PRESSModel
 from repro.redundancy.scheme import GroupScheme
-from repro.util.validation import require
-from repro.workload.cache import cached_generate, workload_key
+from repro.workload.cache import cached_generate
 from repro.workload.stream import WorkloadLike
 
 if TYPE_CHECKING:
     from repro.experiments.shard import ShardCellSpec
 
 __all__ = ["CellExecutionError", "RunSpec", "run_cell", "run_cells"]
-
-#: Sweep progress channel; silent unless the embedding application (or
-#: the CLI via ``setup_logging``) installs a handler on ``repro``.
-_log = get_logger("sweep")
 
 
 @dataclass(frozen=True)
@@ -159,65 +150,17 @@ def run_cells(specs: Iterable[RunSpec], *, jobs: int = 1,
     over a process pool.  Both paths produce identical results — specs
     carry all the state a cell reads, so placement does not matter.
 
-    ``resilience`` (a :class:`~repro.experiments.resilience
-    .ResilienceConfig`) and/or ``checkpoint`` (a path or
-    :class:`~repro.experiments.resilience.SweepCheckpoint`) switch to
-    the fault-domain engine: per-cell retries/timeouts, pool respawn,
-    checkpointed resume, SIGINT drain.  Results are identical either
-    way; callers that also want the
-    :class:`~repro.experiments.resilience.ResilienceSummary` should use
-    :func:`~repro.experiments.resilience.run_cells_resilient` directly.
-    ``bus`` (with ``resilience``/``checkpoint``) receives ``harness.*``
-    trace events.  With all three unset this function is byte-for-byte
-    the pre-resilience fast path.
+    This is :func:`~repro.experiments.resilience.run_cells_resilient`
+    minus its summary: ``resilience`` (a :class:`~repro.experiments
+    .resilience.ResilienceConfig`; the default retries nothing) sets
+    per-cell retries/timeouts, ``checkpoint`` (a path or
+    :class:`~repro.experiments.resilience.SweepCheckpoint`) journals and
+    restores cells, and ``bus`` receives the ``harness.*`` sweep and
+    cell events.  The first SIGINT/SIGTERM drains the in-flight cells
+    and raises :class:`~repro.experiments.resilience.SweepInterrupted`.
     """
-    if resilience is not None or checkpoint is not None:
-        from repro.experiments.resilience import run_cells_resilient
+    from repro.experiments.resilience import run_cells_resilient
 
-        results, _summary = run_cells_resilient(
-            specs, jobs=jobs, config=resilience, checkpoint=checkpoint,
-            bus=bus)
-        return results
-    spec_list = list(specs)
-    require(jobs >= 1, f"jobs must be >= 1, got {jobs}")
-    for i, spec in enumerate(spec_list):
-        require(isinstance(spec, RunSpec), f"specs[{i}] is not a RunSpec: {spec!r}")
-
-    total = len(spec_list)
-    if jobs == 1 or total <= 1:
-        results = []
-        for i, spec in enumerate(spec_list, start=1):
-            _log.info("cell %d/%d started: %s", i, total, spec.label())
-            try:
-                results.append(run_cell(spec))
-            except Exception as exc:
-                raise CellExecutionError(spec, exc) from exc
-            _log.info("cell %d/%d finished: %s (%.2fs)",
-                      i, total, spec.label(), results[-1].wall_clock_s)
-        return results
-
-    # Materialize every distinct workload once in the parent: under the
-    # fork start method the workers then share the arrays copy-on-write.
-    # Shard sub-cells are excluded — they exist precisely to *stream*
-    # their workload, and materializing it here would defeat the
-    # constant-memory contract.
-    distinct = {workload_key(s.workload): s.workload
-                for s in spec_list if s.shard is None}
-    for workload in distinct.values():
-        cached_generate(workload)
-
-    with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=multiprocessing.get_context()) as pool:
-        futures = []
-        for i, spec in enumerate(spec_list, start=1):
-            _log.info("cell %d/%d started: %s", i, total, spec.label())
-            futures.append(pool.submit(run_cell, spec))
-        results = []
-        for i, (spec, future) in enumerate(zip(spec_list, futures), start=1):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                raise CellExecutionError(spec, exc) from exc
-            _log.info("cell %d/%d finished: %s (%.2fs)",
-                      i, total, spec.label(), results[-1].wall_clock_s)
+    results, _summary = run_cells_resilient(
+        specs, jobs=jobs, config=resilience, checkpoint=checkpoint, bus=bus)
     return results

@@ -94,15 +94,13 @@ def _redundancy_section(fig7: Figure7Results) -> str:
 
 
 def _resilience_section(fig7: Figure7Results) -> str:
-    """Harness fault ledger, present only for resilience-engine sweeps.
+    """Harness fault ledger of the sweep executor.
 
     Reports what the *runner* absorbed (retries, timeouts, pool
     respawns, checkpoint restores) — harness-level faults, as distinct
     from the simulated faults of the realized-reliability section.
     """
     summary = fig7.resilience
-    if summary is None:
-        return ""
     header = ["cells", "run", "from checkpoint", "retries", "timeouts",
               "pool respawns", "salvaged"]
     row = [str(summary.cells_total), str(summary.cells_run),
@@ -189,10 +187,8 @@ def render_markdown_report(fig7: Figure7Results, *, title: str = "Policy compari
         parts.append(runtime_section)
         parts.append("")
 
-    resilience_section = _resilience_section(fig7)
-    if resilience_section:
-        parts.append(resilience_section)
-        parts.append("")
+    parts.append(_resilience_section(fig7))
+    parts.append("")
 
     if baseline and baseline in fig7.results and len(policies) > 1:
         parts.append(f"## {baseline} improvements\n")

@@ -1,14 +1,14 @@
-"""Resilient sweep execution: fault domains, checkpointing, graceful drain.
+"""The sweep executor: fault domains, checkpointing, graceful drain.
 
-:func:`repro.experiments.parallel.run_cells` treats the harness as
-infallible: one OOM-killed worker, one hung cell, or one Ctrl-C loses a
-whole multi-hour paper-figure sweep.  This module wraps the same cell
-abstraction in per-cell fault domains — the sweep-runner analogue of the
-degraded-mode operation PR 3 gave the simulated array:
+Every batch of cells runs here — :func:`repro.experiments.parallel
+.run_cells` is this engine minus its summary.  Each cell runs in its
+own fault domain, the sweep-runner analogue of the degraded-mode
+operation the simulated array gets from :mod:`repro.faults`:
 
-* **bounded retries** with exponential backoff and deterministic jitter
-  (seeded from the *spec*, never from wall clock, so retry timing cannot
-  leak into results and two hosts retry in the same pattern);
+* **bounded retries** (none by default) with exponential backoff and
+  deterministic jitter (seeded from the *spec*, never from wall clock,
+  so retry timing cannot leak into results and two hosts retry in the
+  same pattern);
 * **wall-clock timeouts** per cell (pool mode), optionally enforced
   inside the worker by a ``faulthandler`` watchdog that dumps every
   thread's stack before exiting — so a hung-cell report names the stuck
@@ -25,10 +25,11 @@ degraded-mode operation PR 3 gave the simulated array:
   checkpoint is flushed and :class:`SweepInterrupted` carries a resume
   hint.
 
-Determinism contract: a retried cell re-runs :func:`run_cell` on the
-identical spec — the simulation RNG is seeded solely by the spec, so a
-sweep that survived three worker crashes and a resume is bit-identical
-to one that ran clean.  The test suite asserts this end to end.
+Determinism contract: a retried cell re-runs
+:func:`~repro.experiments.parallel.run_cell` on the identical spec — the
+simulation RNG is seeded solely by the spec, so a sweep that survived
+three worker crashes and a resume is bit-identical to one that ran
+clean.  The test suite asserts this end to end.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
+from repro.experiments import parallel
 from repro.experiments.metrics import SimulationResult
-from repro.experiments.parallel import CellExecutionError, RunSpec, run_cell
+from repro.experiments.parallel import CellExecutionError, RunSpec
 from repro.obs import events as obs_events
 from repro.obs.bus import TraceBus
 from repro.obs.log import get_logger
@@ -62,7 +64,6 @@ __all__ = [
     "ResilienceSummary",
     "SweepCheckpoint",
     "SweepInterrupted",
-    "run_cell_resilient",
     "run_cells_resilient",
     "spec_key",
 ]
@@ -72,6 +73,10 @@ _log = get_logger("sweep")
 #: Seconds the pool loop blocks in ``wait`` before re-checking signals,
 #: backoff eligibility, and timeout deadlines.
 _POLL_INTERVAL_S = 0.05
+
+#: Relative jitter on each retry backoff (see
+#: :meth:`ResilienceConfig.backoff_s`).
+_RETRY_JITTER = 0.5
 
 #: On-disk checkpoint format version (bumped on incompatible layouts).
 #: Version 2 dropped a field from the pickled result classes; slotted
@@ -136,13 +141,15 @@ class ResilienceConfig:
     ----------
     max_retries:
         Re-queues allowed per cell beyond its first attempt (crashes,
-        exceptions, and timeouts all consume the same budget).
-    retry_backoff_s / retry_jitter:
+        exceptions, and timeouts all consume the same budget).  The
+        default 0 fails a sweep on its first cell error; ``repro sweep``
+        passes ``--retries`` (default 2).
+    retry_backoff_s:
         Backoff before attempt ``k`` retries is
-        ``retry_backoff_s * 2**k * (1 + retry_jitter * u)`` with ``u``
-        drawn from a :class:`random.Random` seeded by the spec key and
-        attempt — deterministic, spec-local, and never touching the
-        simulation RNG.
+        ``retry_backoff_s * 2**k * (1 + 0.5 * u)`` with ``u`` drawn from
+        a :class:`random.Random` seeded by the spec key and attempt —
+        deterministic, spec-local, and never touching the simulation
+        RNG.
     cell_timeout_s:
         Wall-clock limit per cell attempt.  Enforced in pool mode (the
         serial path cannot preempt a running cell and ignores it).
@@ -157,9 +164,8 @@ class ResilienceConfig:
         (no stacks, same recovery).
     """
 
-    max_retries: int = 2
+    max_retries: int = 0
     retry_backoff_s: float = 0.25
-    retry_jitter: float = 0.5
     cell_timeout_s: Optional[float] = None
     max_pool_respawns: int = 3
     watchdog: bool = False
@@ -169,8 +175,6 @@ class ResilienceConfig:
                 f"max_retries must be >= 0, got {self.max_retries}")
         require(self.retry_backoff_s >= 0.0,
                 f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}")
-        require(0.0 <= self.retry_jitter <= 1.0,
-                f"retry_jitter must be in [0, 1], got {self.retry_jitter}")
         require(self.cell_timeout_s is None or self.cell_timeout_s > 0.0,
                 f"cell_timeout_s must be > 0, got {self.cell_timeout_s}")
         require(self.max_pool_respawns >= 0,
@@ -179,7 +183,7 @@ class ResilienceConfig:
     def backoff_s(self, key: str, attempt: int) -> float:
         """Deterministic backoff before re-queueing attempt ``attempt``."""
         base = self.retry_backoff_s * (2.0 ** attempt)
-        jitter = self.retry_jitter * Random(f"{key}:{attempt}").random()
+        jitter = _RETRY_JITTER * Random(f"{key}:{attempt}").random()
         return base * (1.0 + jitter)
 
 
@@ -319,35 +323,6 @@ class SweepCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# serial helper (used by the ablation sweeps and the jobs=1 path)
-# ----------------------------------------------------------------------
-def run_cell_resilient(spec: RunSpec,
-                       config: ResilienceConfig | None = None) -> SimulationResult:
-    """Execute one cell in-process with the config's retry budget.
-
-    Timeouts are not enforced here (an in-process cell cannot be
-    preempted); crashes of the *host* process are the checkpoint's job.
-    """
-    cfg = config or ResilienceConfig()
-    key = spec_key(spec)
-    attempt = 0
-    while True:
-        try:
-            return run_cell(spec)
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            if attempt >= cfg.max_retries:
-                raise CellExecutionError(spec, exc) from exc
-            delay = cfg.backoff_s(key, attempt)
-            _log.warning("cell %s failed (%r); retry %d/%d in %.2fs",
-                         spec.label(), exc, attempt + 1, cfg.max_retries, delay)
-            if delay > 0.0:
-                time.sleep(delay)
-            attempt += 1
-
-
-# ----------------------------------------------------------------------
 # worker shim (module-level so it pickles)
 # ----------------------------------------------------------------------
 def _pool_worker(spec: RunSpec, timeout_s: Optional[float],
@@ -361,7 +336,7 @@ def _pool_worker(spec: RunSpec, timeout_s: Optional[float],
         # converts into a timeout + retry.
         faulthandler.dump_traceback_later(timeout_s, exit=True)
     try:
-        return run_cell(spec)
+        return parallel.run_cell(spec)
     finally:
         if armed:
             faulthandler.cancel_dump_traceback_later()
@@ -518,7 +493,9 @@ class _Sweep:
                   index=index, total=total, attempt=attempt + 1)
             _log.info("cell %d/%d started: %s", index + 1, total, spec.label())
             try:
-                result = run_cell(spec)
+                # looked up at call time: a profiler that rebinds
+                # parallel.run_cell sees every cell
+                result = parallel.run_cell(spec)
             except KeyboardInterrupt:
                 self.interrupt()
             except Exception as exc:
@@ -685,15 +662,17 @@ def run_cells_resilient(
 ) -> tuple[list[SimulationResult], ResilienceSummary]:
     """Execute cells under fault domains; results come back in input order.
 
-    Drop-in superset of :func:`repro.experiments.parallel.run_cells`:
-    identical results (the determinism contract survives retries,
-    respawns, and resumes), plus a :class:`ResilienceSummary` describing
-    what the harness absorbed along the way.
+    Returns the results (identical under retries, respawns and resumes:
+    the determinism contract) and a :class:`ResilienceSummary` of what
+    the harness absorbed along the way.  ``jobs=1`` (or a single pending
+    cell) runs serially in-process; otherwise a process pool runs them.
+    ``config=None`` is ``ResilienceConfig()``: no retries, no timeout.
 
     ``checkpoint`` may be a path (opened/created as a
     :class:`SweepCheckpoint`) or an already-loaded instance; cells whose
     :func:`spec_key` is journaled are restored without re-running.
-    ``bus`` receives ``harness.*`` trace events for each absorbed fault.
+    ``bus`` receives the ``harness.*`` trace events: sweep start/finish,
+    each cell's start/finish, and every absorbed fault.
 
     Raises :class:`SweepInterrupted` on SIGINT/SIGTERM after draining
     and flushing, :class:`CellExecutionError`/:class:`CellTimeoutError`

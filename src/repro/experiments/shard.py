@@ -69,7 +69,6 @@ import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Iterator,
     Mapping,
@@ -85,7 +84,13 @@ from repro.disk.drive import Job, QueueDiscipline
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
 from repro.experiments.metrics import SimulationResult
-from repro.experiments.parallel import RunSpec, run_cells
+from repro.experiments.parallel import RunSpec
+from repro.experiments.resilience import (
+    ResilienceConfig,
+    ResilienceSummary,
+    SweepCheckpoint,
+    run_cells_resilient,
+)
 from repro.experiments.runner import (
     Chunk,
     _assess_redundancy,
@@ -112,13 +117,6 @@ from repro.util.units import SECONDS_PER_DAY
 from repro.util.validation import require
 from repro.workload.files import FileSet
 from repro.workload.stream import DEFAULT_CHUNK_SIZE, WorkloadLike, open_stream
-
-if TYPE_CHECKING:
-    from repro.experiments.resilience import (
-        ResilienceConfig,
-        ResilienceSummary,
-        SweepCheckpoint,
-    )
 
 __all__ = [
     "ShardPlan",
@@ -775,24 +773,24 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
                 initial_speed: Optional[DiskSpeed] = None,
                 queue_discipline: Optional[QueueDiscipline] = None,
                 jobs: int = 1,
-                resilience: "Optional[ResilienceConfig]" = None,
-                checkpoint: "Union[SweepCheckpoint, str, None]" = None,
-                bus: "Optional[TraceBus]" = None,
+                resilience: Optional[ResilienceConfig] = None,
+                checkpoint: Union[SweepCheckpoint, str, None] = None,
+                bus: Optional[TraceBus] = None,
                 obs: Optional[ObsConfig] = None,
-                ) -> tuple[SimulationResult, "Optional[ResilienceSummary]"]:
+                ) -> tuple[SimulationResult, ResilienceSummary]:
     """Run one (policy, workload) cell sharded, returning the merged result.
 
-    Fans one :class:`RunSpec` per shard over the standard cell machinery
-    — :func:`~repro.experiments.parallel.run_cells` (so ``jobs`` workers,
-    checkpointing, retries/timeouts via ``resilience`` all apply
-    per-shard) — and merges.  Returns ``(SimulationResult,
-    ResilienceSummary | None)``; the summary is ``None`` when neither
-    ``resilience`` nor ``checkpoint`` was given.
+    Fans one :class:`RunSpec` per shard through the sweep executor
+    (:func:`~repro.experiments.resilience.run_cells_resilient`, so
+    ``jobs`` workers, checkpointing, retries/timeouts via
+    ``resilience`` all apply per shard) and merges.  Returns
+    ``(SimulationResult, ResilienceSummary)``.
 
     ``obs`` rides into every shard sub-cell (per-shard trace segments,
     samplers, registries — see the module docstring) and names the
     merged artifact paths; ``bus`` is the *harness* bus, which receives
-    a ``harness.shard.merge`` span when the partials are reduced.
+    the sweep and per-shard ``harness.*`` events and a
+    ``harness.shard.merge`` span when the partials are reduced.
     """
     cell = RunSpec(
         policy=policy, n_disks=n_disks, workload=workload,
@@ -804,12 +802,6 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
         obs=obs)
     specs = shard_specs(cell, n_shards, assignment=assignment,
                         chunk_size=chunk_size)
-    summary: "Optional[ResilienceSummary]" = None
-    if resilience is not None or checkpoint is not None:
-        from repro.experiments.resilience import run_cells_resilient
-
-        raw, summary = run_cells_resilient(specs, jobs=jobs, config=resilience,
-                                           checkpoint=checkpoint, bus=bus)
-    else:
-        raw = run_cells(specs, jobs=jobs)
+    raw, summary = run_cells_resilient(specs, jobs=jobs, config=resilience,
+                                       checkpoint=checkpoint, bus=bus)
     return merge_cell(cell, cast("list[ShardCellResult]", raw), bus), summary

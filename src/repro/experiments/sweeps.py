@@ -17,7 +17,6 @@ from typing import Sequence
 
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.parallel import RunSpec, run_cell
-from repro.experiments.resilience import ResilienceConfig, run_cell_resilient
 from repro.experiments.runner import ExperimentConfig, make_policy
 from repro.faults import FaultConfig
 from repro.policies.base import SpeedControlConfig
@@ -38,24 +37,18 @@ __all__ = [
 def _run_one(cfg: ExperimentConfig, policy_name: str, n_disks: int,
              press: PRESSModel | None = None,
              faults: FaultConfig | None = None,
-             resilience: ResilienceConfig | None = None,
              **policy_kwargs) -> SimulationResult:
     spec = RunSpec(policy=policy_name, n_disks=n_disks,
                    workload=cfg.workload, policy_kwargs=policy_kwargs,
                    disk_params=cfg.disk_params, press=press,
                    faults=faults)
-    # resilience=None keeps the exact historical path (no retry wrapper),
-    # so existing callers and goldens are untouched
-    if resilience is None:
-        return run_cell(spec)
-    return run_cell_resilient(spec, resilience)
+    return run_cell(spec)
 
 
 def sweep_fault_acceleration(cfg: ExperimentConfig,
                              accels: Sequence[float] = (1e4, 5e4, 2e5), *,
                              policy: str = "read", n_disks: int = 10,
                              seed: int = 0,
-                             resilience: ResilienceConfig | None = None,
                              ) -> dict[float, SimulationResult]:
     """Realized reliability vs hazard acceleration: how availability and
     data-loss exposure degrade as failures become more frequent, for one
@@ -63,14 +56,13 @@ def sweep_fault_acceleration(cfg: ExperimentConfig,
     acceleration so the failure *budgets* are held fixed and only the
     hazard scale moves."""
     require(len(accels) >= 1, "need at least one acceleration value")
-    return {accel: _run_one(cfg, policy, n_disks, resilience=resilience,
+    return {accel: _run_one(cfg, policy, n_disks,
                             faults=FaultConfig(seed=seed, accel=accel))
             for accel in accels}
 
 
 def sweep_integrator_strategies(cfg: ExperimentConfig, *, n_disks: int = 10,
                                 policy: str = "read",
-                                resilience: ResilienceConfig | None = None,
                                 ) -> dict[str, SimulationResult]:
     """Same run scored under every integrator combination strategy.
 
@@ -79,7 +71,7 @@ def sweep_integrator_strategies(cfg: ExperimentConfig, *, n_disks: int = 10,
     frozen per-disk factors are re-scored under each strategy via
     :meth:`~repro.press.model.PRESSModel.rescore_factors`.
     """
-    base = _run_one(cfg, policy, n_disks, resilience=resilience)
+    base = _run_one(cfg, policy, n_disks)
     out: dict[str, SimulationResult] = {}
     for strategy in CombinationStrategy:
         press = PRESSModel.with_strategy(strategy)
@@ -91,43 +83,35 @@ def sweep_integrator_strategies(cfg: ExperimentConfig, *, n_disks: int = 10,
 
 def sweep_read_transition_cap(cfg: ExperimentConfig, caps: Sequence[int] = (4, 10, 40, 200), *,
                               n_disks: int = 10,
-                              resilience: ResilienceConfig | None = None,
                               ) -> dict[int, SimulationResult]:
     """READ's S: how hard does capping transitions trade energy for AFR?"""
     require(len(caps) >= 1, "need at least one cap value")
-    return {cap: _run_one(cfg, "read", n_disks, resilience=resilience,
-                          max_transitions_per_day=cap)
+    return {cap: _run_one(cfg, "read", n_disks, max_transitions_per_day=cap)
             for cap in caps}
 
 
 def sweep_read_adaptive_threshold(cfg: ExperimentConfig, *,
                                   n_disks: int = 10,
-                                  resilience: ResilienceConfig | None = None,
                                   ) -> dict[str, SimulationResult]:
     """Fig. 6 line 22 on vs off (H doubling at half budget)."""
     return {
-        "adaptive": _run_one(cfg, "read", n_disks, resilience=resilience,
-                             adaptive_threshold=True),
-        "fixed": _run_one(cfg, "read", n_disks, resilience=resilience,
-                          adaptive_threshold=False),
+        "adaptive": _run_one(cfg, "read", n_disks, adaptive_threshold=True),
+        "fixed": _run_one(cfg, "read", n_disks, adaptive_threshold=False),
     }
 
 
 def sweep_read_migration(cfg: ExperimentConfig, *,
                          n_disks: int = 10,
-                         resilience: ResilienceConfig | None = None,
                          ) -> dict[str, SimulationResult]:
     """FRD on vs off: what does epoch redistribution buy?"""
     return {
-        "frd_on": _run_one(cfg, "read", n_disks, resilience=resilience),
-        "frd_off": _run_one(cfg, "read", n_disks, resilience=resilience,
-                            max_migrations_per_epoch=0),
+        "frd_on": _run_one(cfg, "read", n_disks),
+        "frd_off": _run_one(cfg, "read", n_disks, max_migrations_per_epoch=0),
     }
 
 
 def sweep_idle_threshold(cfg: ExperimentConfig, thresholds_s: Sequence[float] = (5.0, 30.0, 120.0),
                          *, policy: str = "pdc", n_disks: int = 10,
-                         resilience: ResilienceConfig | None = None,
                          ) -> dict[float, SimulationResult]:
     """H for the idling policies: small H = eager spin-downs = transitions.
 
@@ -142,6 +126,5 @@ def sweep_idle_threshold(cfg: ExperimentConfig, thresholds_s: Sequence[float] = 
         speed = SpeedControlConfig(idle_threshold_s=h,
                                    spin_up_queue_len=base.spin_up_queue_len,
                                    spin_up_wait_s=base.spin_up_wait_s)
-        out[h] = _run_one(cfg, policy, n_disks, resilience=resilience,
-                          speed=speed)
+        out[h] = _run_one(cfg, policy, n_disks, speed=speed)
     return out

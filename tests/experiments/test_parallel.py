@@ -124,3 +124,46 @@ class TestRunSpec:
         result = run_cell(RunSpec(policy="static-high", n_disks=4, workload=SMALL))
         assert isinstance(result, SimulationResult)
         assert result.n_disks == 4
+
+
+class TestRunCellBindingSite:
+    """Every executor path calls ``parallel.run_cell`` looked up at call
+    time.  ``perfbench/spans.py`` rebinds that attribute to time its
+    ``shard.cell`` span (and ``shard.slowest_over_mean``); an executor
+    that imported ``run_cell`` by name would bypass the rebinding and
+    silently drop both from the per-layer report."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.experiments import parallel
+
+        seen: list[RunSpec] = []
+        real = parallel.run_cell
+
+        def counting(spec):
+            seen.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "run_cell", counting)
+        return seen
+
+    def test_run_cells(self, calls):
+        specs = [RunSpec(policy=p, n_disks=4, workload=SMALL)
+                 for p in ("read", "static-high")]
+        run_cells(specs, jobs=1)
+        assert calls == specs
+
+    def test_run_sharded(self, calls):
+        from repro.experiments.shard import run_sharded
+
+        run_sharded("static-high", SMALL, n_disks=4, n_shards=2, jobs=1)
+        assert [s.shard.index for s in calls] == [0, 1]
+
+    def test_figure7_comparison(self, calls):
+        from repro.experiments.figures import figure7_comparison
+        from repro.experiments.runner import ExperimentConfig
+
+        figure7_comparison(ExperimentConfig(workload=SMALL), disk_counts=[4],
+                           policies=["read", "static-high"], jobs=1)
+        assert [(s.policy, s.n_disks) for s in calls] == [
+            ("read", 4), ("static-high", 4)]

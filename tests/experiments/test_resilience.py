@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments import resilience as resil
 from repro.experiments.parallel import CellExecutionError, RunSpec, run_cell, run_cells
 from repro.experiments.resilience import (
@@ -23,7 +24,6 @@ from repro.experiments.resilience import (
     ResilienceSummary,
     SweepCheckpoint,
     SweepInterrupted,
-    run_cell_resilient,
     run_cells_resilient,
     spec_key,
 )
@@ -46,6 +46,11 @@ fork_only = pytest.mark.skipif(
 
 def tiny_specs(*policies: str) -> list[RunSpec]:
     return [RunSpec(policy=p, n_disks=4, workload=TINY) for p in policies]
+
+
+def clean_run(specs: list[RunSpec]) -> list:
+    """The independent reference: each cell run directly, no executor."""
+    return [run_cell(s) for s in specs]
 
 
 @pytest.fixture
@@ -94,7 +99,6 @@ class TestResilienceConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_retries": -1},
         {"retry_backoff_s": -0.1},
-        {"retry_jitter": 1.5},
         {"cell_timeout_s": 0.0},
         {"max_pool_respawns": -1},
     ])
@@ -103,13 +107,13 @@ class TestResilienceConfig:
             ResilienceConfig(**kwargs)
 
     def test_backoff_is_deterministic_per_spec_and_attempt(self):
-        cfg = ResilienceConfig(retry_backoff_s=0.5, retry_jitter=0.5)
+        cfg = ResilienceConfig(retry_backoff_s=0.5)
         key = spec_key(tiny_specs("read")[0])
         assert cfg.backoff_s(key, 0) == cfg.backoff_s(key, 0)
         assert cfg.backoff_s(key, 0) != cfg.backoff_s(key, 1)
 
     def test_backoff_grows_exponentially_within_jitter(self):
-        cfg = ResilienceConfig(retry_backoff_s=0.25, retry_jitter=0.5)
+        cfg = ResilienceConfig(retry_backoff_s=0.25)
         for attempt in range(4):
             base = 0.25 * 2 ** attempt
             assert base <= cfg.backoff_s("k", attempt) <= 1.5 * base
@@ -168,9 +172,11 @@ class TestSweepCheckpoint:
 
 
 class TestRunCellResilient:
+    """One cell through ``run_cells(..., resilience=...)``."""
+
     def test_clean_cell_matches_plain_run_cell(self):
         spec = tiny_specs("read")[0]
-        assert run_cell_resilient(spec, FAST) == run_cell(spec)
+        assert run_cells([spec], jobs=1, resilience=FAST) == [run_cell(spec)]
 
     def test_flaky_cell_retries_to_success(self, monkeypatch):
         spec = tiny_specs("read")[0]
@@ -183,17 +189,18 @@ class TestRunCellResilient:
                 raise OSError("transient")
             return real(s)
 
-        monkeypatch.setattr(resil, "run_cell", flaky)
-        assert run_cell_resilient(spec, FAST) == real(spec)
+        monkeypatch.setattr(parallel, "run_cell", flaky)
+        assert run_cells([spec], jobs=1, resilience=FAST) == [real(spec)]
         assert calls["n"] == 3
 
     def test_budget_exhaustion_raises_with_spec_and_cause(self, monkeypatch):
         spec = tiny_specs("read")[0]
-        monkeypatch.setattr(resil, "run_cell",
+        monkeypatch.setattr(parallel, "run_cell",
                             lambda s: (_ for _ in ()).throw(OSError("always")))
         with pytest.raises(CellExecutionError) as excinfo:
-            run_cell_resilient(spec, ResilienceConfig(max_retries=1,
-                                                      retry_backoff_s=0.0))
+            run_cells([spec], jobs=1,
+                      resilience=ResilienceConfig(max_retries=1,
+                                                  retry_backoff_s=0.0))
         assert excinfo.value.spec == spec
         assert isinstance(excinfo.value.cause, OSError)
 
@@ -202,13 +209,25 @@ class TestSerialEngine:
     def test_matches_run_cells_bit_for_bit(self):
         specs = tiny_specs("read", "maid", "static-high")
         results, summary = run_cells_resilient(specs, jobs=1, config=FAST)
-        assert results == run_cells(specs, jobs=1)
+        assert results == clean_run(specs)
         assert summary == ResilienceSummary(cells_total=3, cells_run=3)
         assert not summary.eventful
 
+    def test_default_config_fails_fast(self, monkeypatch):
+        calls = []
+
+        def failing(s):
+            calls.append(s)
+            raise OSError("transient")
+
+        monkeypatch.setattr(parallel, "run_cell", failing)
+        with pytest.raises(CellExecutionError):
+            run_cells_resilient(tiny_specs("read"), jobs=1)
+        assert len(calls) == 1
+
     def test_retries_are_counted_and_results_unchanged(self, monkeypatch):
         specs = tiny_specs("read", "static-high")
-        expected = run_cells(specs, jobs=1)
+        expected = clean_run(specs)
         failures = {"left": 2}
         real = run_cell
 
@@ -218,7 +237,7 @@ class TestSerialEngine:
                 raise OSError("transient")
             return real(s)
 
-        monkeypatch.setattr(resil, "run_cell", flaky)
+        monkeypatch.setattr(parallel, "run_cell", flaky)
         results, summary = run_cells_resilient(specs, jobs=1, config=FAST)
         assert results == expected
         assert summary.retries == 2 and summary.cells_run == 2
@@ -234,7 +253,7 @@ class TestSerialEngine:
                 raise OSError("transient")
             return real(s)
 
-        monkeypatch.setattr(resil, "run_cell", flaky)
+        monkeypatch.setattr(parallel, "run_cell", flaky)
         bus = TraceBus()
         seen = []
         bus.subscribe(seen.append)
@@ -250,7 +269,7 @@ class TestCheckpointResume:
 
     def test_resume_skips_done_cells_and_matches_clean_run(self, tmp_path):
         specs = tiny_specs("read", "maid", "static-high")
-        clean = run_cells(specs, jobs=1)
+        clean = clean_run(specs)
         ckpt_path = tmp_path / "sweep.ckpt"
 
         # phase 1: only the first two cells, journaled
@@ -285,7 +304,7 @@ class TestCheckpointResume:
         ckpt_path.write_bytes(b"\x80\x04 torn mid-write")
         results, summary = run_cells_resilient(specs, jobs=1, config=FAST,
                                                checkpoint=ckpt_path)
-        assert results == run_cells(specs, jobs=1)
+        assert results == clean_run(specs)
         assert summary.checkpoint_hits == 0 and summary.cells_run == 2
         assert (tmp_path / "sweep.ckpt.corrupt").exists()
         # the fresh journal was republished and is loadable
@@ -322,7 +341,7 @@ class TestInterrupt:
                 os.kill(os.getpid(), signal.SIGINT)  # handler sets the flag
             return result
 
-        monkeypatch.setattr(resil, "run_cell", wrapper)
+        monkeypatch.setattr(parallel, "run_cell", wrapper)
         with pytest.raises(SweepInterrupted) as excinfo:
             run_cells_resilient(specs, jobs=1, config=FAST,
                                 checkpoint=ckpt_path)
@@ -338,13 +357,13 @@ class TestInterrupt:
         state["kill_at"] = None
         resumed, summary = run_cells_resilient(specs, jobs=1, config=FAST,
                                                checkpoint=ckpt_path)
-        assert resumed == run_cells(specs, jobs=1)
+        assert resumed == clean_run(specs)
         assert summary.checkpoint_hits == 2 and summary.cells_run == 1
 
     def test_interrupt_without_checkpoint_says_so(self, monkeypatch):
         specs = tiny_specs("read", "static-high")
         monkeypatch.setattr(
-            resil, "run_cell",
+            parallel, "run_cell",
             lambda s: (_ for _ in ()).throw(KeyboardInterrupt()))
         with pytest.raises(SweepInterrupted) as excinfo:
             run_cells_resilient(specs, jobs=1, config=FAST)
@@ -408,13 +427,13 @@ class TestPoolRecovery:
         # and the final results match a clean run exactly
         results, summary = run_cells_resilient(good, jobs=1, config=FAST,
                                                checkpoint=ckpt_path)
-        assert results == run_cells(good, jobs=1)
+        assert results == clean_run(good)
         assert summary.checkpoint_hits + summary.cells_run == len(good)
 
     def test_pool_results_match_serial(self):
         specs = tiny_specs("read", "maid", "static-high", "pdc")
         pooled, summary = run_cells_resilient(specs, jobs=2, config=FAST)
-        assert pooled == run_cells(specs, jobs=1)
+        assert pooled == clean_run(specs)
         assert summary.cells_run == 4 and not summary.eventful
 
 
@@ -461,14 +480,14 @@ class TestValidation:
 class TestRunCellsDelegation:
     def test_run_cells_resilience_kwarg_matches_plain(self):
         specs = tiny_specs("read", "static-high")
-        assert run_cells(specs, jobs=1, resilience=FAST) == run_cells(specs, jobs=1)
+        assert run_cells(specs, jobs=1, resilience=FAST) == clean_run(specs)
 
     def test_run_cells_checkpoint_kwarg_round_trips(self, tmp_path):
         specs = tiny_specs("read", "static-high")
         ckpt_path = tmp_path / "sweep.ckpt"
         first = run_cells(specs, jobs=1, checkpoint=ckpt_path)
         again = run_cells(specs, jobs=1, checkpoint=ckpt_path)
-        assert first == again == run_cells(specs, jobs=1)
+        assert first == again == clean_run(specs)
 
     def test_figure7_attaches_resilience_summary_and_report_section(self, tmp_path):
         from repro.experiments.figures import figure7_comparison
@@ -492,10 +511,53 @@ class TestRunCellsDelegation:
         assert "Harness resilience" in report
         assert "identical to an uninterrupted sweep" in report
 
-    def test_plain_figure7_has_no_resilience_summary(self):
+    def test_plain_figure7_has_uneventful_resilience_summary(self):
         from repro.experiments.figures import figure7_comparison
         from repro.experiments.runner import ExperimentConfig
 
         fig7 = figure7_comparison(ExperimentConfig(workload=TINY),
                                   disk_counts=[4], policies=["read"])
-        assert fig7.resilience is None
+        assert fig7.resilience == ResilienceSummary(cells_total=1, cells_run=1)
+        assert not fig7.resilience.eventful
+
+
+class TestPlainSweepHarnessEvents:
+    """A sweep given only a bus (no resilience, no checkpoint) still
+    reports its sweep and cell spans on it."""
+
+    @staticmethod
+    def _recording_bus():
+        bus = TraceBus()
+        seen = []
+        bus.subscribe(seen.append)
+        return bus, seen
+
+    def test_plain_figure7_emits_sweep_and_cell_spans(self):
+        from repro.experiments.figures import figure7_comparison
+        from repro.experiments.runner import ExperimentConfig
+
+        bus, seen = self._recording_bus()
+        figure7_comparison(ExperimentConfig(workload=TINY), disk_counts=[4],
+                           policies=["read", "static-high"], bus=bus)
+        assert [e.type for e in seen] == [
+            obs_events.HARNESS_SWEEP_START,
+            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
+            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
+            obs_events.HARNESS_SWEEP_FINISH,
+        ]
+        assert seen[0].data["cells"] == 2
+
+    def test_plain_run_sharded_emits_shard_spans_and_merge(self):
+        from repro.experiments.shard import run_sharded
+
+        bus, seen = self._recording_bus()
+        _, summary = run_sharded("static-high", TINY, n_disks=4, n_shards=2,
+                                 bus=bus)
+        assert [e.type for e in seen] == [
+            obs_events.HARNESS_SWEEP_START,
+            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
+            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
+            obs_events.HARNESS_SWEEP_FINISH,
+            obs_events.HARNESS_SHARD_MERGE,
+        ]
+        assert summary == ResilienceSummary(cells_total=2, cells_run=2)
