@@ -129,13 +129,13 @@ class OpenDiskLedger:
     def advance(self, at_s: float) -> "OpenDiskLedger":
         """Charge the open interval up to ``at_s``; keep the ledger open.
 
-        One accounting edge with the exact arithmetic of :meth:`close`
-        (one ``EnergyMeter.accumulate`` + one ``ThermalModel.advance``
-        over the interval), returning a new open ledger accounted up to
-        ``at_s``.  This is how the merge replays the sampler ticks an
-        early-draining shard never saw: splitting the residual interval
-        at the global tick instants reproduces the unsharded sampled
-        run's accounting edge sequence bit-for-bit.
+        One accounting edge — one ``EnergyMeter.accumulate`` plus one
+        ``ThermalModel.advance`` over the interval, in the same
+        floating-point expression order — returning a new open ledger
+        accounted up to ``at_s``.  This is how the merge replays the
+        sampler ticks an early-draining shard never saw: splitting the
+        residual interval at the global tick instants reproduces the
+        unsharded sampled run's accounting edge sequence bit-for-bit.
         """
         require(at_s >= self.last_account_s,
                 f"cannot advance disk {self.disk_id} to t={at_s}: ledger is "
@@ -179,41 +179,21 @@ class OpenDiskLedger:
     def close(self, at_s: float) -> ClosedDiskLedger:
         """Charge the open interval up to ``at_s`` and seal the ledgers.
 
-        Bit-identical to the drive having run ``finalize()`` at
-        ``at_s``: one :meth:`EnergyMeter.accumulate` plus one
-        :meth:`ThermalModel.advance` over the whole interval, in the
-        same floating-point expression order.
+        :meth:`advance` to ``at_s``, then seal: bit-identical to the
+        drive having run ``finalize()`` at ``at_s``, because both charge
+        the whole interval in one accounting edge.
         """
-        require(at_s >= self.last_account_s,
-                f"cannot close disk {self.disk_id} at t={at_s}: ledger is "
-                f"already accounted up to t={self.last_account_s}")
-        time_s = list(self.time_s)
-        energy_j = list(self.energy_j)
-        temp = self.temp_c
-        integral = self.integral_c_s
-        elapsed = self.elapsed_s
-        dt = at_s - self.last_account_s
-        if dt > 0.0:
-            if self.state_index is not None:
-                # mirrors EnergyMeter.accumulate(state, dt)
-                time_s[self.state_index] += dt
-                energy_j[self.state_index] += self.power_w * dt
-            # mirrors ThermalModel.advance(dt, steady_c)
-            decay = math.exp(-dt / self.tau_s)
-            t0 = temp
-            temp = self.steady_c + (t0 - self.steady_c) * decay
-            integral += self.steady_c * dt + (t0 - self.steady_c) * self.tau_s * (1.0 - decay)
-            elapsed += dt
+        done = self.advance(at_s)
         return ClosedDiskLedger(
-            disk_id=self.disk_id,
-            time_s=tuple(time_s),
-            energy_j=tuple(energy_j),
-            temperature_c=temp,
-            integral_c_s=integral,
-            elapsed_s=elapsed,
-            requests_served=self.requests_served,
-            internal_jobs_served=self.internal_jobs_served,
-            mb_served=self.mb_served,
-            transitions_total=self.transitions_total,
-            transitions_by_day=self.transitions_by_day,
+            disk_id=done.disk_id,
+            time_s=done.time_s,
+            energy_j=done.energy_j,
+            temperature_c=done.temp_c,
+            integral_c_s=done.integral_c_s,
+            elapsed_s=done.elapsed_s,
+            requests_served=done.requests_served,
+            internal_jobs_served=done.internal_jobs_served,
+            mb_served=done.mb_served,
+            transitions_total=done.transitions_total,
+            transitions_by_day=done.transitions_by_day,
         )

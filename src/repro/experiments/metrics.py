@@ -38,7 +38,6 @@ class RequestMetrics:
         require(expected >= 0, f"expected must be >= 0, got {expected}")
         self._expected = expected
         self._response_times = np.empty(expected, dtype=np.float64)
-        self._waits = np.empty(expected, dtype=np.float64)
         self._count = 0
         self._failed = 0
         self._on_all_done = on_all_done
@@ -53,7 +52,6 @@ class RequestMetrics:
         if count + self._failed >= self._expected:
             raise ValueError("more completions than expected requests")
         self._response_times[count] = req.completion_time - req.arrival_time
-        self._waits[count] = req.service_start - req.arrival_time
         self._count = count + 1
         if count + 1 + self._failed >= self._expected and self._on_all_done is not None:
             self._on_all_done()
@@ -102,11 +100,6 @@ class RequestMetrics:
         """Response times of completed requests (copy-free slice)."""
         return self._response_times[:self._count]
 
-    @property
-    def waiting_times_s(self) -> np.ndarray:
-        """Queueing delays of completed requests."""
-        return self._waits[:self._count]
-
     def mean_response_s(self) -> float:
         """The paper's headline performance metric."""
         require(self._count > 0, "no completed requests")
@@ -150,12 +143,6 @@ class SimulationResult:
     #: Kernel profiling summary; ``None`` unless profiling was enabled
     #: (wall timings inside, so excluded from equality like wall_clock_s).
     profile: ProfileSummary | None = field(default=None, compare=False)
-    #: Frozen metrics-registry snapshot (``MetricsRegistry.as_dict()``
-    #: shapes); ``None`` unless sampling was enabled.  For a merged
-    #: sharded cell this is the *federated* registry, equal to the
-    #: unsharded run's for shard-decomposable policies — so it is part
-    #: of equality, like ``timeseries``.
-    metrics: dict[str, dict[str, object]] | None = None
     #: Redundancy-group outcome + CTMC reliability; ``None`` unless a
     #: ``--redundancy`` scheme was active.
     redundancy: RedundancySummary | None = None

@@ -125,14 +125,12 @@ def _runtime_section(fig7: Figure7Results) -> str:
     if not any(r.events_executed
                for runs in fig7.results.values() for r in runs):
         return ""
-    all_results = [r for runs in fig7.results.values() for r in runs]
-    # Telemetry columns appear only when some cell captured telemetry
-    # (sampled timeseries and/or a metrics registry snapshot).
-    telemetry = any(r.timeseries is not None or r.metrics is not None
-                    for r in all_results)
+    # The samples column appears only when some cell sampled telemetry.
+    telemetry = any(r.timeseries is not None
+                    for runs in fig7.results.values() for r in runs)
     header = ["policy", "disks", "events", "wall s", "events/s"]
     if telemetry:
-        header += ["samples", "metrics"]
+        header.append("samples")
     rows = []
     for policy, runs in fig7.results.items():
         for n, result in zip(fig7.disk_counts, runs):
@@ -142,8 +140,6 @@ def _runtime_section(fig7: Figure7Results) -> str:
             if telemetry:
                 row.append(str(len(result.timeseries.rows))
                            if result.timeseries is not None else "-")
-                row.append(str(len(result.metrics))
-                           if result.metrics is not None else "-")
             rows.append(row)
     return "### Simulation runtime\n\n" + _md_table(header, rows)
 

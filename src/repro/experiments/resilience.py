@@ -85,8 +85,9 @@ _RETRY_JITTER = 0.5
 #: shard partial result (per-disk used capacity in, two unread response
 #: tallies out).  Version 4 untagged the trace segments a checkpointed
 #: shard result points at: merging an older, tagged segment would copy
-#: its ``"shard":N`` field into the merged trace.
-CHECKPOINT_VERSION = 4
+#: its ``"shard":N`` field into the merged trace.  Version 5 dropped the
+#: registry snapshot from both result classes.
+CHECKPOINT_VERSION = 5
 
 
 # ----------------------------------------------------------------------

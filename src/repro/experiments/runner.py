@@ -40,7 +40,6 @@ from repro.obs import (
     DiskSampler,
     JsonlTraceWriter,
     KernelProfiler,
-    MetricsRegistry,
     ObsConfig,
     TraceBus,
     write_timeseries,
@@ -175,7 +174,6 @@ class _Cell:
     array: DiskArray
     injector: FaultInjector | None
     sampler: DiskSampler | None
-    registry: MetricsRegistry | None
     bus: TraceBus | None
     writer: JsonlTraceWriter | None
     profiler: KernelProfiler | None
@@ -231,12 +229,10 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
         sim.set_profiler(profiler)
     array = DiskArray(sim, params, n_disks, fileset, initial_speed=initial_speed,
                       queue_discipline=queue_discipline)
-    registry: MetricsRegistry | None = None
     sampler: DiskSampler | None = None
     if obs is not None and obs.wants_sampler:
-        registry = MetricsRegistry()
         sampler = DiskSampler(sim, array, obs.effective_sample_interval_s,
-                              registry=registry, disk_offset=disk_offset)
+                              disk_offset=disk_offset)
         sampler.install()
     tally = make_tally(sim.request_stop)
 
@@ -317,7 +313,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     if sampler is not None:
         sampler.shutdown()
     return _Cell(sim=sim, array=array, injector=injector, sampler=sampler,
-                 registry=registry, bus=bus, writer=writer, profiler=profiler,
+                 bus=bus, writer=writer, profiler=profiler,
                  wall_clock_s=wall_clock_s), tally
 
 
@@ -427,7 +423,6 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
         timeseries=timeseries,
         profile=(None if cell.profiler is None else
                  cell.profiler.summary(wall_clock_s=cell.wall_clock_s)),
-        metrics=None if cell.registry is None else cell.registry.as_dict(),
         redundancy=_assess_redundancy(scheme, factors, used_mb=array.used_mb,
                                       params=params, faults=faults,
                                       injector=injector),

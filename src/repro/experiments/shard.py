@@ -51,16 +51,15 @@ telemetry stack *per shard*: a :class:`~repro.obs.TraceBus` whose
 ``id_maps`` remap local disk/file ids to global ones at emission,
 streaming into an atomic, untagged per-shard JSONL segment
 (:func:`~repro.obs.shard_segment_path`); a
-:class:`~repro.obs.DiskSampler` writing rows and registry gauges under
-global disk ids.  The merge then federates: a deterministic k-way trace
-merge ordered by ``(time, segment index, seq)`` with one synthesized
-global ``engine.start``/``engine.stop`` pair
-(:func:`~repro.obs.merge_trace_files`), a typed registry merge
-(:func:`~repro.obs.federate_registries`), and a sampler-tick *replay* —
+:class:`~repro.obs.DiskSampler` writing rows under global disk ids.
+The merge then federates: a deterministic k-way trace merge ordered by
+``(time, segment index, seq)`` with one synthesized global
+``engine.start``/``engine.stop`` pair
+(:func:`~repro.obs.merge_trace_files`), and a sampler-tick *replay* —
 each shard's open ledgers are advanced through the global tick instants
 it drained before (:meth:`~repro.disk.ledger.OpenDiskLedger.advance`)
-so the merged time-series and federated registry equal the unsharded
-*sampled* run bit-for-bit for shard-decomposable policies.
+so the merged time-series equals the unsharded *sampled* run
+bit-for-bit for shard-decomposable policies.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ from repro.obs import (
     ObsConfig,
     TimeSeries,
     TraceBus,
-    federate_registries,
     merge_trace_files,
     shard_segment_path,
     write_timeseries,
@@ -289,7 +287,7 @@ class ShardCellResult:
     wall_clock_s: float = field(compare=False, default=0.0)
     policy_detail: dict[str, object] = field(default_factory=dict)
     #: Per-shard JSONL trace segment (``None`` when tracing was off).
-    #: Events inside carry global disk/file ids and a ``shard`` tag.
+    #: Events inside carry global disk/file ids and no shard tag.
     trace_segment: Optional[str] = None
     #: Data events written to the segment — the merge's expected count.
     trace_events: int = 0
@@ -300,8 +298,6 @@ class ShardCellResult:
     #: The sampler cadence this shard ran with (``None`` = sampling off;
     #: the merge requires it to agree across shards).
     sample_interval_s: Optional[float] = None
-    #: Registry snapshot at shard end (``None`` when sampling was off).
-    metrics: Optional[dict[str, dict[str, object]]] = None
     #: ``(speed, phase, queue_depth)`` per local disk, frozen at the
     #: shard's end.  For shard-decomposable policies nothing moves a
     #: disk after its shard drains, so these are the values every
@@ -469,7 +465,6 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
         # at the *global* end time
         sample_rows=() if sampler is None else sampler.series().rows,
         sample_interval_s=None if sampler is None else sampler.interval_s,
-        metrics=None if cell.registry is None else cell.registry.as_dict(),
         final_disk_state=() if sampler is None else tuple(
             (drive.speed.name.lower(), drive.phase.value, drive.queue_length)
             for drive in drives),
@@ -520,12 +515,9 @@ def merge_shard_results(results: Sequence[ShardCellResult],
     when sampling was on, the shards' open ledgers are *replayed*
     through the global tick instants each shard drained before
     (:meth:`~repro.disk.ledger.OpenDiskLedger.advance`), synthesizing
-    the sample rows the unsharded sampler would have written, and the
-    registry snapshots federate typed (counters sum, gauges
-    last-at-max-time, histograms bin-exact) with the sampler-owned
-    entries rebuilt from the global final sample.  For
-    shard-decomposable policies the merged time-series and registry
-    equal the unsharded *sampled* run bit-for-bit.
+    the sample rows the unsharded sampler would have written.  For
+    shard-decomposable policies the merged time-series equals the
+    unsharded *sampled* run bit-for-bit.
 
     ``redundancy`` prices the merged factors with the runner's CTMC
     assessment, whose rebuild estimate reads ``disk_params``.
@@ -556,7 +548,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
     # close every disk's open ledgers at the global end, global disk order
     closed: list[ClosedDiskLedger] = []
     merged_series: Optional[TimeSeries] = None
-    federated: Optional[dict[str, dict[str, object]]] = None
     if interval is None:
         for r in ordered:
             for ledger in r.ledgers:
@@ -573,7 +564,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
         # at the global end for the final end-of-run sample row.
         ticks = _sampler_ticks(interval, duration)
         rows: list[tuple] = []
-        final_gauges: list[tuple[int, float, float, int, float]] = []
         for r in ordered:
             rows.extend(r.sample_rows)
             base = plan.disk_offset(r.shard_index)
@@ -595,34 +585,9 @@ def merge_shard_results(results: Sequence[ShardCellResult],
                 # the unsharded runner's end-of-run sample_now() row
                 rows.append((duration, g, util, c.temperature_c, speed,
                              phase, queue, c.total_energy_j))
-                final_gauges.append((g, util, c.temperature_c, queue,
-                                     c.total_energy_j))
                 closed.append(c)
         rows.sort(key=lambda row: (row[0], row[1]))
         merged_series = TimeSeries(interval_s=interval, rows=tuple(rows))
-
-        snapshots = [r.metrics if r.metrics is not None else {}
-                     for r in ordered]
-        federated = federate_registries(
-            snapshots, at=[r.duration_s for r in ordered])
-        # Sampler-owned entries must reflect the *global* final sample,
-        # not any shard's local last tick: rebuild them exactly as the
-        # unsharded sample_now() would have written them.
-        for g, util, temp, queue, energy in sorted(final_gauges):
-            federated[f"disk{g}.utilization_pct"] = {"type": "gauge",
-                                                     "value": util}
-            federated[f"disk{g}.temperature_c"] = {"type": "gauge",
-                                                   "value": temp}
-            federated[f"disk{g}.queue_depth"] = {"type": "gauge",
-                                                 "value": float(queue)}
-            federated[f"disk{g}.energy_j"] = {"type": "gauge",
-                                              "value": energy}
-        federated["array.energy_j"] = {
-            "type": "gauge",
-            "value": float(sum(c.total_energy_j for c in closed))}
-        federated["sampler.ticks"] = {"type": "counter",
-                                      "value": float(len(ticks) + 1)}
-        federated = {name: federated[name] for name in sorted(federated)}
 
     if obs is not None and obs.metrics_path is not None:
         require(merged_series is not None,
@@ -714,7 +679,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
         events_executed=sum(r.events_executed for r in ordered),
         wall_clock_s=sum(r.wall_clock_s for r in ordered),
         timeseries=merged_series,
-        metrics=federated,
         redundancy=_assess_redundancy(
             redundancy, factors,
             used_mb=[m for r in ordered for m in r.used_mb],
@@ -786,9 +750,9 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
     ``resilience`` all apply per shard) and merges.  Returns
     ``(SimulationResult, ResilienceSummary)``.
 
-    ``obs`` rides into every shard sub-cell (per-shard trace segments,
-    samplers, registries — see the module docstring) and names the
-    merged artifact paths; ``bus`` is the *harness* bus, which receives
+    ``obs`` rides into every shard sub-cell (per-shard trace segments and
+    samplers — see the module docstring) and names the merged artifact
+    paths; ``bus`` is the *harness* bus, which receives
     the sweep and per-shard ``harness.*`` events and a
     ``harness.shard.merge`` span when the partials are reduced.
     """

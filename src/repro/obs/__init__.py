@@ -6,8 +6,7 @@ of them executes the exact pre-observability hot path):
 * :class:`TraceBus` + the event taxonomy (:mod:`repro.obs.events`) —
   typed structured events emitted by the kernel, drives, array,
   policies, and fault injector;
-* :class:`MetricsRegistry` + :class:`DiskSampler` — counters/gauges/
-  histograms and the periodic per-disk time-series snapshot
+* :class:`DiskSampler` — the periodic per-disk time-series snapshot
   (utilization, temperature, speed, queue depth, cumulative energy);
 * :class:`KernelProfiler` — per-handler event-loop timing attached to
   the :class:`~repro.sim.engine.Simulator`;
@@ -27,14 +26,11 @@ from repro.obs.export import (
     event_to_json,
     read_trace,
     timeseries_to_csv_text,
-    write_metrics_json,
     write_timeseries,
 )
 from repro.obs.log import get_logger, setup_logging
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiler import HandlerProfile, KernelProfiler, ProfileSummary
 from repro.obs.federate import (
-    federate_registries,
     merge_trace_files,
     shard_segment_path,
 )
@@ -55,15 +51,11 @@ from repro.obs.summarize import (
 
 __all__ = [
     "ALL_EVENT_TYPES",
-    "Counter",
     "DiskRollup",
     "DiskSampler",
-    "Gauge",
     "HandlerProfile",
-    "Histogram",
     "JsonlTraceWriter",
     "KernelProfiler",
-    "MetricsRegistry",
     "ObsConfig",
     "ProfileSummary",
     "SAMPLE_COLUMNS",
@@ -73,7 +65,6 @@ __all__ = [
     "TraceEvent",
     "TraceSummary",
     "event_to_json",
-    "federate_registries",
     "format_status",
     "format_summary",
     "get_logger",
@@ -86,6 +77,5 @@ __all__ = [
     "summarize_trace",
     "summarize_traces",
     "timeseries_to_csv_text",
-    "write_metrics_json",
     "write_timeseries",
 ]

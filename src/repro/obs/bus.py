@@ -18,7 +18,6 @@ emit byte-identical streams.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.obs.events import TraceEvent
@@ -50,13 +49,11 @@ class TraceBus:
     ('engine.start', 'read')
     """
 
-    __slots__ = ("_subscribers", "_seq", "counts", "_id_maps")
+    __slots__ = ("_subscribers", "_seq", "_id_maps")
 
     def __init__(self, *, id_maps: Optional[Mapping[str, IdMap]] = None) -> None:
         self._subscribers: list[Subscriber] = []
         self._seq = 0
-        #: Events emitted so far, by type (cheap always-on rollup).
-        self.counts: Counter[str] = Counter()
         # a sorted tuple of (field, map) pairs: deterministic application
         # order regardless of the mapping the caller handed in
         self._id_maps: Optional[tuple[tuple[str, IdMap], ...]] = (
@@ -93,7 +90,6 @@ class TraceBus:
         is attached, so this never needs its own on/off branch."""
         seq = self._seq
         self._seq = seq + 1
-        self.counts[type_] += 1
         if self._id_maps is not None:
             for field, id_map in self._id_maps:
                 value = data.get(field)

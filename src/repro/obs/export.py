@@ -28,12 +28,10 @@ from repro.obs.events import TraceEvent
 from repro.util.atomicio import PARTIAL_SUFFIX, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.sampler import TimeSeries
 
 __all__ = ["JsonlTraceWriter", "event_to_json", "parse_record", "read_trace", "record_body",
-           "record_bytes", "splice_body", "write_timeseries", "timeseries_to_csv_text",
-           "write_metrics_json"]
+           "record_bytes", "splice_body", "write_timeseries", "timeseries_to_csv_text"]
 
 PathLike = Union[str, Path]
 
@@ -233,9 +231,3 @@ def write_timeseries(series: "TimeSeries", path: PathLike) -> Path:
     else:
         text = timeseries_to_csv_text(series)
     return atomic_write_text(target, text)
-
-
-def write_metrics_json(registry: "MetricsRegistry", path: PathLike) -> Path:
-    """Dump a metrics registry as deterministic, indented JSON (atomic)."""
-    text = json.dumps(registry.as_dict(), indent=2, sort_keys=True) + "\n"
-    return atomic_write_text(path, text)

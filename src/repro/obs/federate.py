@@ -1,9 +1,8 @@
 """Federation of per-shard telemetry into one canonical artifact set.
 
 A sharded cell (:mod:`repro.experiments.shard`) runs one kernel — and
-therefore one :class:`~repro.obs.bus.TraceBus`, one
-:class:`~repro.obs.sampler.DiskSampler`, one
-:class:`~repro.obs.metrics.MetricsRegistry` — per shard.  Each shard's
+therefore one :class:`~repro.obs.bus.TraceBus` and one
+:class:`~repro.obs.sampler.DiskSampler` — per shard.  Each shard's
 events already carry *global* disk/file ids (remapped at emission via
 the bus's ``id_maps``) and land, untagged, in an atomic per-shard JSONL
 segment.  This module turns those partials back into the single-run
@@ -21,13 +20,6 @@ shape every downstream consumer expects:
     shard-count-invariant (true for disk-local policies; cross-shard
     ties fall back to shard order, which is global-disk-group order).
 
-:func:`federate_registries`
-    Typed merge of registry snapshots (``as_dict()`` shapes): counters
-    sum, gauges take the value from the last snapshot time (ties break
-    toward the highest shard index), histograms merge bin-exactly —
-    the same exact-integer discipline as the response histogram in
-    :func:`~repro.experiments.shard.merge_shard_results`.
-
 :func:`shard_segment_path`
     The naming convention tying a cell's trace path to its per-shard
     segments (``trace.jsonl`` -> ``trace.shard0007.jsonl``), shared by
@@ -40,7 +32,7 @@ import heapq
 import os
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from orjson import JSONDecodeError
 from orjson import loads as _loads
@@ -51,7 +43,6 @@ from repro.util.validation import require
 __all__ = [
     "shard_segment_path",
     "merge_trace_files",
-    "federate_registries",
     "SynthesizedEvent",
 ]
 
@@ -154,78 +145,3 @@ def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
         raise
     os.replace(tmp, out)
     return seq + 1 - len(head) - len(foot)
-
-
-# ----------------------------------------------------------------------
-# metrics federation
-# ----------------------------------------------------------------------
-def _merge_histograms(name: str, entries: list[tuple[int, Mapping[str, object]]],
-                      ) -> dict[str, object]:
-    """Exact-integer bin merge; bounds must match across shards."""
-    bounds = list(entries[0][1]["bounds"])  # type: ignore[arg-type]
-    for index, entry in entries[1:]:
-        require(list(entry["bounds"]) == bounds,  # type: ignore[arg-type]
-                f"metric {name!r}: histogram bounds differ across shards "
-                f"(shard {entries[0][0]} vs shard {index})")
-    counts = [list(e["bucket_counts"]) for _, e in entries]  # type: ignore[arg-type]
-    merged_counts = [sum(col) for col in zip(*counts)]
-    mins = [e["min"] for _, e in entries if e["min"] is not None]
-    maxes = [e["max"] for _, e in entries if e["max"] is not None]
-    return {
-        "type": "histogram",
-        "count": sum(int(e["count"]) for _, e in entries),  # type: ignore[arg-type]
-        "sum": sum(float(e["sum"]) for _, e in entries),  # type: ignore[arg-type]
-        "min": min(mins) if mins else None,  # type: ignore[type-var]
-        "max": max(maxes) if maxes else None,  # type: ignore[type-var]
-        "bounds": bounds,
-        "bucket_counts": merged_counts,
-    }
-
-
-def federate_registries(snapshots: Sequence[Mapping[str, Mapping[str, object]]],
-                        *, at: Optional[Sequence[float]] = None,
-                        ) -> dict[str, dict[str, object]]:
-    """Merge per-shard registry snapshots into one typed registry dict.
-
-    ``snapshots`` are ``MetricsRegistry.as_dict()`` outputs in shard
-    order; ``at`` optionally gives each snapshot's capture time (a
-    shard's local end time).  Federation is typed:
-
-    * **counters** sum across shards;
-    * **gauges** take the value from the snapshot with the latest
-      capture time (ties — and the no-``at`` case — break toward the
-      highest shard index, a deterministic total order);
-    * **histograms** merge bin-exactly (bounds must match) with exact
-      integer bucket counts, like the response histogram in
-      :func:`~repro.experiments.shard.merge_shard_results`.
-
-    A metric may appear in any subset of shards (per-disk gauges are
-    naturally disjoint across shards); conflicting types for one name
-    are an error.
-    """
-    require(len(snapshots) >= 1, "need at least one registry snapshot")
-    if at is not None:
-        require(len(at) == len(snapshots),
-                f"need one capture time per snapshot, got {len(at)} "
-                f"for {len(snapshots)}")
-    out: dict[str, dict[str, object]] = {}
-    for name in sorted({name for snap in snapshots for name in snap}):
-        entries = [(i, snap[name]) for i, snap in enumerate(snapshots)
-                   if name in snap]
-        kinds = sorted({str(e["type"]) for _, e in entries})
-        require(len(kinds) == 1,
-                f"metric {name!r} has conflicting types across shards: {kinds}")
-        kind = kinds[0]
-        if kind == "counter":
-            out[name] = {"type": "counter",
-                         "value": sum(float(e["value"]) for _, e in entries)}  # type: ignore[arg-type]
-        elif kind == "gauge":
-            _, winner = max(entries,
-                            key=lambda p: (at[p[0]] if at is not None else 0.0,
-                                           p[0]))
-            out[name] = {"type": "gauge", "value": winner["value"]}
-        elif kind == "histogram":
-            out[name] = _merge_histograms(name, entries)
-        else:
-            raise ValueError(f"metric {name!r}: unknown type {kind!r}")
-    return out

@@ -28,7 +28,6 @@ from repro.util.validation import require, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.disk.array import DiskArray
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.engine import Simulator
 
 __all__ = ["DiskSampler", "TimeSeries", "SAMPLE_COLUMNS"]
@@ -93,19 +92,14 @@ class DiskSampler:
         Kernel and the observed array.
     interval_s:
         Simulated seconds between samples.
-    registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
-        per-disk gauges (``disk{d}.utilization_pct`` etc.) and the
-        array-level ``array.energy_j`` counter track the latest sample.
     disk_offset:
-        Added to every local disk id in rows and gauge names.  A shard
-        worker passes its plan's offset so the sampled series and the
-        registry speak *global* disk ids, making per-shard telemetry
-        federate without a rename pass (0 for unsharded runs).
+        Added to every local disk id in rows.  A shard worker passes its
+        plan's offset so the sampled series speaks *global* disk ids,
+        making per-shard series merge without a rename pass (0 for
+        unsharded runs).
     """
 
     def __init__(self, sim: "Simulator", array: "DiskArray", interval_s: float, *,
-                 registry: Optional["MetricsRegistry"] = None,
                  disk_offset: int = 0) -> None:
         require_positive(interval_s, "interval_s")
         require(disk_offset >= 0,
@@ -113,7 +107,6 @@ class DiskSampler:
         self._sim = sim
         self._array = array
         self.interval_s = float(interval_s)
-        self._registry = registry
         self._offset = int(disk_offset)
         self._rows: list[tuple] = []
         self._task: Optional[PeriodicTask] = None
@@ -131,11 +124,6 @@ class DiskSampler:
             self._task.stop()
             self._task = None
 
-    @property
-    def samples_taken(self) -> int:
-        """Sampling ticks fired so far."""
-        return self._task.ticks_fired if self._task is not None else 0
-
     # ------------------------------------------------------------------
     def sample_now(self) -> None:
         """Take one snapshot at the current simulated time.
@@ -144,7 +132,6 @@ class DiskSampler:
         end-of-run so the series always closes with the final state.
         """
         now = self._sim.now
-        registry = self._registry
         rows = self._rows
         for drive in self._array.drives:
             drive.finalize()
@@ -157,14 +144,6 @@ class DiskSampler:
             g = self._offset + drive.disk_id
             rows.append((now, g, util, temp, speed, phase,
                          queue, energy))
-            if registry is not None:
-                registry.gauge(f"disk{g}.utilization_pct").set(util)
-                registry.gauge(f"disk{g}.temperature_c").set(temp)
-                registry.gauge(f"disk{g}.queue_depth").set(queue)
-                registry.gauge(f"disk{g}.energy_j").set(energy)
-        if registry is not None:
-            registry.gauge("array.energy_j").set(self._array.total_energy_j())
-            registry.counter("sampler.ticks").inc()
 
     def _sample(self, _tick: int) -> None:
         self.sample_now()

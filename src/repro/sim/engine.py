@@ -20,8 +20,8 @@ Hot-path layout
 ---------------
 The heap stores ``(time, priority, seq, handle)`` tuples rather than the
 handles themselves, so sift comparisons run as C tuple comparisons
-instead of Python ``__lt__`` calls (``seq`` is unique, so the handle
-element is never compared).  A live-event counter makes
+(``seq`` is unique, so the handle element is never compared, and
+handles define no ordering of their own).  A live-event counter makes
 :attr:`Simulator.pending_count` O(1), and :meth:`Simulator.run` takes a
 branch-free drain loop when neither ``until`` nor ``max_events`` is set.
 
@@ -89,13 +89,6 @@ class EventHandle:
         self.seq = seq
         self.action: Optional[Action] = action
         self.cancelled = False
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -25,7 +25,6 @@ class TestRequestMetrics:
         assert m.completed == 2
         assert m.all_done
         np.testing.assert_allclose(m.response_times_s, [3.0, 1.0])
-        np.testing.assert_allclose(m.waiting_times_s, [1.0, 0.0])
         assert m.mean_response_s() == pytest.approx(2.0)
 
     def test_internal_jobs_ignored(self):

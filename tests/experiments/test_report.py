@@ -66,10 +66,9 @@ class TestRender:
         md = render_markdown_report(fig7)
         runtime = md.split("### Simulation runtime")[1]
         header = next(l for l in runtime.splitlines() if l.startswith("|"))
-        assert "samples" in header and "metrics" in header
+        assert header.strip("|").split("|")[-1].strip() == "samples"
         row = next(l for l in runtime.splitlines() if l.startswith("| read |"))
-        counts = [c.strip() for c in row.strip("|").split("|")[-2:]]
-        assert all(c != "-" and int(c) > 0 for c in counts)
+        assert int(row.strip("|").split("|")[-1]) > 0
 
     def test_markdown_tables_well_formed(self, small_fig7):
         md = render_markdown_report(small_fig7)

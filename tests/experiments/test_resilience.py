@@ -163,8 +163,9 @@ class TestSweepCheckpoint:
         # 1 and 2 are older result layouts (a field dropped, then the
         # shard partial result reshaped): loading one would shift later
         # slots, so neither may be read; 3 points at shard-tagged trace
-        # segments, which would leak the tag into a merged trace
-        for version in (1, 2, 3, 999):
+        # segments, which would leak the tag into a merged trace; 4
+        # results still carry the registry snapshot slot
+        for version in (1, 2, 3, 4, 999):
             path = tmp_path / f"sweep-v{version}.ckpt"
             path.write_bytes(pickle.dumps({"version": version, "cells": {}}))
             ckpt = SweepCheckpoint(path)

@@ -1,4 +1,4 @@
-"""Trace bus: fan-out, sequencing, counting, subscription management."""
+"""Trace bus: fan-out, sequencing, subscription management."""
 
 import pytest
 
@@ -29,15 +29,6 @@ class TestEmission:
         assert [e.seq for e in seen] == [0, 1, 2, 3]
         assert bus.events_emitted == 4
 
-    def test_counts_rollup_by_type(self):
-        bus = TraceBus()
-        bus.emit(ev.REQUEST_SUBMIT, 0.0, disk=0)
-        bus.emit(ev.REQUEST_SUBMIT, 1.0, disk=1)
-        bus.emit(ev.REQUEST_COMPLETE, 2.0, disk=0)
-        assert bus.counts[ev.REQUEST_SUBMIT] == 2
-        assert bus.counts[ev.REQUEST_COMPLETE] == 1
-        assert bus.counts[ev.REQUEST_FAIL] == 0
-
     def test_fan_out_preserves_subscription_order(self):
         bus = TraceBus()
         order = []
@@ -50,7 +41,6 @@ class TestEmission:
         bus = TraceBus()
         bus.emit(ev.DISK_REPLACE, 5.0, disk=2)
         assert bus.events_emitted == 1
-        assert bus.counts[ev.DISK_REPLACE] == 1
 
     def test_emit_many(self):
         bus = TraceBus()

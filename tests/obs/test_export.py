@@ -14,8 +14,7 @@ from repro.obs.config import ObsConfig
 from repro.obs.events import TraceEvent
 from repro.obs.export import (JsonlTraceWriter, event_to_json, read_trace,
                               record_bytes, timeseries_to_csv_text,
-                              write_metrics_json, write_timeseries)
-from repro.obs.metrics import MetricsRegistry
+                              write_timeseries)
 from repro.obs.sampler import SAMPLE_COLUMNS, TimeSeries
 
 
@@ -282,14 +281,3 @@ class TestTimeseriesExport:
         a = write_timeseries(self.SERIES, tmp_path / "a.csv").read_bytes()
         b = write_timeseries(self.SERIES, tmp_path / "b.csv").read_bytes()
         assert a == b
-
-
-class TestMetricsExport:
-    def test_write_metrics_json_sorted_and_loadable(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.gauge("disk0.utilization_pct").set(42.0)
-        reg.counter("sampler.ticks").inc(3)
-        target = write_metrics_json(reg, tmp_path / "metrics.json")
-        doc = json.loads(target.read_text())
-        assert list(doc) == sorted(doc)
-        assert doc["sampler.ticks"]["value"] == 3.0

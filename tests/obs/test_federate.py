@@ -1,4 +1,4 @@
-"""Telemetry federation: trace merge determinism, typed registry merge.
+"""Telemetry federation: trace merge determinism and segment naming.
 
 The contracts under test (:mod:`repro.obs.federate`):
 
@@ -6,9 +6,6 @@ The contracts under test (:mod:`repro.obs.federate`):
   ``(time, segment index, seq)``, renumbers ``seq`` globally, and
   shares that sequence space with synthesized lead/tail events —
   streaming and atomic, rejecting any bad line by ``path:lineno``;
-* :func:`federate_registries` merges snapshots typed: counters sum,
-  gauges take the latest capture time (ties toward the highest shard),
-  histograms merge bin-exactly;
 * :func:`shard_segment_path` names segments so lexicographic order is
   shard order.
 """
@@ -19,11 +16,7 @@ import pytest
 
 from repro.obs.events import TraceEvent
 from repro.obs.export import event_to_json, read_trace
-from repro.obs.federate import (
-    federate_registries,
-    merge_trace_files,
-    shard_segment_path,
-)
+from repro.obs.federate import merge_trace_files, shard_segment_path
 
 
 def _write_segment(path, records):
@@ -193,80 +186,3 @@ class TestMergeSplicesSegmentBytes:
         assert [r["disk"] for r in read_trace(out)] == [4, 5, 9]
         merge_trace_files([s0, s1], out)
         assert [r["disk"] for r in read_trace(out)] == [4, 9, 5]
-
-
-class TestFederateRegistries:
-    def test_counters_sum(self):
-        snaps = [{"req": {"type": "counter", "value": 3.0}},
-                 {"req": {"type": "counter", "value": 4.0}}]
-        assert federate_registries(snaps)["req"]["value"] == 7.0
-
-    def test_disjoint_label_sets_union(self):
-        snaps = [{"disk0.util": {"type": "gauge", "value": 10.0}},
-                 {"disk4.util": {"type": "gauge", "value": 20.0}}]
-        out = federate_registries(snaps)
-        assert sorted(out) == ["disk0.util", "disk4.util"]
-        assert out["disk0.util"]["value"] == 10.0
-        assert out["disk4.util"]["value"] == 20.0
-
-    def test_gauge_takes_latest_capture_time(self):
-        snaps = [{"g": {"type": "gauge", "value": 1.0}},
-                 {"g": {"type": "gauge", "value": 2.0}}]
-        out = federate_registries(snaps, at=[100.0, 50.0])
-        assert out["g"]["value"] == 1.0
-
-    def test_gauge_tie_breaks_toward_highest_shard(self):
-        snaps = [{"g": {"type": "gauge", "value": 1.0}},
-                 {"g": {"type": "gauge", "value": 2.0}}]
-        assert federate_registries(snaps, at=[50.0, 50.0])["g"]["value"] == 2.0
-        assert federate_registries(snaps)["g"]["value"] == 2.0
-
-    def test_histograms_merge_bin_exactly(self):
-        h0 = {"type": "histogram", "count": 3, "sum": 6.0, "min": 1.0,
-              "max": 3.0, "bounds": [1.0, 10.0], "bucket_counts": [3, 0, 0]}
-        h1 = {"type": "histogram", "count": 2, "sum": 30.0, "min": 5.0,
-              "max": 25.0, "bounds": [1.0, 10.0], "bucket_counts": [0, 1, 1]}
-        out = federate_registries([{"h": h0}, {"h": h1}])["h"]
-        assert out["count"] == 5
-        assert out["sum"] == 36.0
-        assert out["min"] == 1.0
-        assert out["max"] == 25.0
-        assert out["bucket_counts"] == [3, 1, 1]
-
-    def test_empty_histogram_contributes_nothing(self):
-        h0 = {"type": "histogram", "count": 0, "sum": 0.0, "min": None,
-              "max": None, "bounds": [1.0], "bucket_counts": [0, 0]}
-        h1 = {"type": "histogram", "count": 1, "sum": 2.0, "min": 2.0,
-              "max": 2.0, "bounds": [1.0], "bucket_counts": [0, 1]}
-        out = federate_registries([{"h": h0}, {"h": h1}])["h"]
-        assert out["min"] == 2.0 and out["max"] == 2.0
-
-    def test_mismatched_histogram_bounds_rejected(self):
-        h0 = {"type": "histogram", "count": 0, "sum": 0.0, "min": None,
-              "max": None, "bounds": [1.0], "bucket_counts": [0, 0]}
-        h1 = dict(h0, bounds=[2.0])
-        with pytest.raises(ValueError, match="bounds differ"):
-            federate_registries([{"h": h0}, {"h": h1}])
-
-    def test_conflicting_types_rejected(self):
-        snaps = [{"m": {"type": "counter", "value": 1.0}},
-                 {"m": {"type": "gauge", "value": 1.0}}]
-        with pytest.raises(ValueError, match="conflicting types"):
-            federate_registries(snaps)
-
-    def test_empty_shard_snapshot_is_fine(self):
-        out = federate_registries([{"c": {"type": "counter", "value": 2.0}}, {}])
-        assert out["c"]["value"] == 2.0
-
-    def test_needs_at_least_one_snapshot(self):
-        with pytest.raises(ValueError):
-            federate_registries([])
-
-    def test_at_length_must_match(self):
-        with pytest.raises(ValueError):
-            federate_registries([{}, {}], at=[1.0])
-
-    def test_output_sorted_by_name(self):
-        snaps = [{"z": {"type": "counter", "value": 1.0}},
-                 {"a": {"type": "counter", "value": 1.0}}]
-        assert list(federate_registries(snaps)) == ["a", "z"]

@@ -7,8 +7,8 @@ surface:
 
 * the merged trace is byte-identical across ``--jobs`` and across
   shard counts;
-* the federated registry and merged time-series equal the unsharded
-  (``n_shards=1``) run's exactly.
+* the merged time-series equals the unsharded (``n_shards=1``) run's
+  exactly.
 """
 
 import pytest
@@ -48,9 +48,8 @@ def test_64_disk_traced_merge_is_jobs_and_shard_invariant(tmp_path):
 
     unsharded = _run(tmp_path, "s1", n_shards=1)
     assert (tmp_path / "s1/trace.jsonl").read_bytes() == trace
-    assert base.metrics == unsharded.metrics
     assert base.timeseries == unsharded.timeseries
     assert (tmp_path / "s16j1/metrics.csv").read_bytes() \
         == (tmp_path / "s1/metrics.csv").read_bytes()
-    # remap sanity at scale: the last shard's gauges name disks 60..63
-    assert "disk63.utilization_pct" in base.metrics
+    # remap sanity at scale: the last shard's merged rows name disks 60..63
+    assert 63 in {row[1] for row in base.timeseries.rows}
