@@ -9,7 +9,7 @@
 """
 
 from conftest import record_table
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.experiments.sweeps import (
     sweep_idle_threshold,
     sweep_integrator_strategies,

@@ -10,7 +10,7 @@ under all of them.  Simulations run once; only the PRESS scoring varies.
 """
 
 from conftest import record_table
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.experiments.runner import make_policy, run_simulation
 from repro.press.presets import press_model_preset, preset_names
 

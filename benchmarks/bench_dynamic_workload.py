@@ -11,7 +11,7 @@ cost — and (b) whether the replication extension absorbs some of it.
 """
 
 from conftest import record_table
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.experiments.runner import ExperimentConfig, make_policy, run_simulation
 from repro.workload.analysis import popularity_churn
 from repro.workload.synthetic import SyntheticWorkloadConfig

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import record_table
 from repro.experiments.failures import simulate_failures
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.experiments.runner import ExperimentConfig, make_policy, run_simulation
 from repro.workload.files import FileSet
 from repro.workload.synthetic import SyntheticWorkloadConfig

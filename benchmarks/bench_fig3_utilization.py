@@ -7,7 +7,7 @@ import numpy as np
 
 from conftest import record_table
 from repro.experiments.figures import figure3b_series
-from repro.experiments.reporting import format_series
+from repro.util.tables import format_series
 from repro.press.utilization import UtilizationReliability
 
 

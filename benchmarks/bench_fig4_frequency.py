@@ -8,7 +8,7 @@ import numpy as np
 
 from conftest import record_table
 from repro.experiments.figures import figure4a_series, figure4b_series
-from repro.experiments.reporting import format_series
+from repro.util.tables import format_series
 from repro.press.frequency import frequency_afr_adder_percent
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from conftest import record_table
 from repro.experiments.figures import figure5_surface
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.press.model import PRESSModel
 
 

@@ -10,7 +10,7 @@ against the paper in bench_headline.py / EXPERIMENTS.md.
 import numpy as np
 
 from conftest import record_table
-from repro.experiments.reporting import format_series
+from repro.util.tables import format_series
 
 
 def _panels(fig7, condition: str) -> None:

@@ -15,7 +15,7 @@ exact percentages are not — see EXPERIMENTS.md for the discussion.
 
 from conftest import record_table
 from repro.experiments.figures import headline_summary
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 
 
 def test_headline_vs_paper(benchmark, fig7_light, fig7_heavy):

@@ -7,7 +7,7 @@ Reproduces the paper's printed chain: G(T_max)/A, N'_f, the ~2x ratio
 import pytest
 
 from conftest import record_table
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.press.coffin_manson import paper_calibration
 
 

@@ -9,7 +9,7 @@ taxonomy implies but never runs.
 """
 
 from conftest import record_table
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.experiments.runner import make_policy, run_simulation
 
 CATEGORY = {

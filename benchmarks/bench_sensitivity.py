@@ -7,7 +7,7 @@ about next).
 """
 
 from conftest import record_table
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.press.sensitivity import DEFAULT_RANGES, FactorRange, tornado
 
 

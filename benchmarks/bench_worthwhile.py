@@ -8,7 +8,7 @@ scratch-storage assumptions.
 
 from conftest import record_table
 from repro.experiments.costmodel import CostAssumptions, evaluate_worthwhileness
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.experiments.runner import make_policy, run_simulation
 
 

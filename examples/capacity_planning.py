@@ -12,7 +12,7 @@ administrators can evaluate existing energy-saving schemes' impacts").
 
 from repro import ExperimentConfig, make_policy, run_simulation
 from repro.experiments.costmodel import CostAssumptions, expected_failures_per_year
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.util.units import SECONDS_PER_YEAR, joules_to_kwh
 from repro.workload import SyntheticWorkloadConfig
 

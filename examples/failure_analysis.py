@@ -11,7 +11,7 @@ speed.
 
 from repro import ExperimentConfig, make_policy, run_simulation
 from repro.experiments.failures import simulate_failures
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.workload import SyntheticWorkloadConfig
 
 YEARS = 5.0

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import ExperimentConfig
 from repro.experiments.figures import figure7_comparison, headline_summary
-from repro.experiments.reporting import format_improvement, format_series
+from repro.util.tables import format_improvement, format_series
 from repro.workload import SyntheticWorkloadConfig
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import ExperimentConfig, make_policy, run_simulation
 from repro.experiments.costmodel import CostAssumptions, evaluate_worthwhileness
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.workload import SyntheticWorkloadConfig
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import make_policy, run_simulation
 from repro.disk.parameters import cheetah_two_speed
-from repro.experiments.reporting import format_table
+from repro.util.tables import format_table
 from repro.workload.wc98 import WC98Record, read_wc98, wc98_to_trace, write_wc98
 from repro.workload.zipf import zipf_sample_ranks
 

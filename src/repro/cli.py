@@ -178,7 +178,7 @@ def _package_version() -> str:
 # commands
 # ----------------------------------------------------------------------
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.experiments.reporting import format_table
+    from repro.util.tables import format_table
     from repro.experiments.runner import ExperimentConfig, make_policy, run_simulation
 
     config = ExperimentConfig(workload=_workload_config(args))
@@ -245,7 +245,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _print_comparison(fig7, policies: list[str], baseline: str) -> None:
     """Shared panel printer for the ``compare`` and ``sweep`` commands."""
     from repro.experiments.figures import headline_summary
-    from repro.experiments.reporting import format_series
+    from repro.util.tables import format_series
 
     x = np.array(fig7.disk_counts, dtype=float)
     print(format_series(x, fig7.series("afr"), x_label="disks",
@@ -383,7 +383,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_press(args: argparse.Namespace) -> int:
-    from repro.experiments.reporting import format_table
+    from repro.util.tables import format_table
     from repro.press.model import PRESSModel
 
     press = PRESSModel()

@@ -82,10 +82,6 @@ class RotatingREADPolicy(READPolicy):
         self._hot_tenure = np.zeros(array.n_disks, dtype=np.float64)
         self._hot_set = set(int(d) for d in self.layout.hot_ids)
 
-    def is_hot_disk(self, disk_id: int) -> bool:
-        """Current (post-rotation) hot-role membership."""
-        return disk_id in self._hot_set
-
     def _on_epoch(self, tick: int) -> None:
         super()._on_epoch(tick)
         assert self._hot_tenure is not None

@@ -37,11 +37,6 @@ class ZoneLayout:
                 f"n_hot must leave both zones non-empty, got {self.n_hot}/{self.n_disks}")
 
     @property
-    def n_cold(self) -> int:
-        """Cold-zone size."""
-        return self.n_disks - self.n_hot
-
-    @property
     def hot_ids(self) -> np.ndarray:
         """Hot-zone disk ids (the low-numbered disks, matching Fig. 6)."""
         return np.arange(self.n_hot, dtype=np.int64)

@@ -82,12 +82,6 @@ class PopularitySplit:
         """Total population size."""
         return int(self.popular_ids.size + self.unpopular_ids.size)
 
-    def is_popular(self) -> np.ndarray:
-        """Boolean mask over file ids: True where popular."""
-        mask = np.zeros(self.n_files, dtype=bool)
-        mask[self.popular_ids] = True
-        return mask
-
 
 def split_by_popularity(ranking: np.ndarray, theta: float) -> PopularitySplit:
     """Split a most-popular-first ``ranking`` of file ids at ``|Fp|``.

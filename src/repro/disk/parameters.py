@@ -22,7 +22,7 @@ are the steady-state temperatures used here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util.validation import require, require_positive
 
@@ -130,10 +130,6 @@ class TwoSpeedDiskParams:
     def transition_power_w(self) -> float:
         """Mean power draw during a speed transition."""
         return self.transition_energy_j / self.transition_time_s
-
-    def with_capacity(self, capacity_mb: float) -> "TwoSpeedDiskParams":
-        """Copy with a different capacity (experiment convenience)."""
-        return replace(self, capacity_mb=capacity_mb)
 
 
 def derive_low_mode(high: SpeedModeParams, low_rpm: float, *,

@@ -70,18 +70,3 @@ class StripeLayout:
             remaining -= piece
             disk = (disk + 1) % self.n_disks
         return chunks
-
-    def disks_of(self, file_id: int, size_mb: float) -> list[int]:
-        """Distinct disks touched by one access, in chunk order."""
-        seen: list[int] = []
-        for chunk in self.chunks_of(file_id, size_mb):
-            if chunk.disk_id not in seen:
-                seen.append(chunk.disk_id)
-        return seen
-
-    def per_disk_bytes(self, file_id: int, size_mb: float) -> dict[int, float]:
-        """MB stored on each disk for one file (capacity accounting)."""
-        out: dict[int, float] = {}
-        for chunk in self.chunks_of(file_id, size_mb):
-            out[chunk.disk_id] = out.get(chunk.disk_id, 0.0) + chunk.size_mb
-        return out

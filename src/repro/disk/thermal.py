@@ -130,20 +130,3 @@ class ThermalModel:
             self._temp_c = float(temperature_c)
         self._integral_c_s = 0.0
         self._elapsed_s = 0.0
-
-    def time_to_reach(self, target_c: float, steady_c: float) -> float:
-        """Time for the trajectory toward ``steady_c`` to cross ``target_c``.
-
-        Returns ``inf`` when the target is not between the current
-        temperature and the steady state (never reached), and 0 when
-        already past it.  Useful for thermal-headroom experiments.
-        """
-        t0 = self._temp_c
-        if t0 == steady_c:  # repro: allow[NUM001] degenerate-trajectory guard: division below needs exact inequality only
-            return 0.0 if target_c == steady_c else math.inf  # repro: allow[NUM001] exact asymptote membership; any eps is 'never reached'
-        frac = (target_c - steady_c) / (t0 - steady_c)
-        if frac >= 1.0:
-            return 0.0
-        if frac <= 0.0:
-            return math.inf
-        return -self._tau * math.log(frac)

@@ -24,7 +24,7 @@ from repro.experiments.figures import (
     headline_summary,
 )
 from repro.experiments.costmodel import CostAssumptions, WorthwhileVerdict, evaluate_worthwhileness
-from repro.experiments.reporting import format_table, format_series
+from repro.util.tables import format_table, format_series
 from repro.experiments.failures import FailureAnalysis, simulate_failures
 from repro.experiments.report import render_markdown_report, write_markdown_report
 

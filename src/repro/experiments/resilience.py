@@ -248,13 +248,6 @@ class SweepInterrupted(RuntimeError):
             message += " (no checkpoint configured; completed cells were lost)"
         super().__init__(message)
 
-    @property
-    def resume_hint(self) -> Optional[str]:
-        """CLI flag that continues this sweep, or ``None``."""
-        if self.checkpoint_path is None:
-            return None
-        return f"--resume {self.checkpoint_path}"
-
 
 # ----------------------------------------------------------------------
 # checkpoint journal

@@ -18,7 +18,7 @@ emit byte-identical streams.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.obs.events import TraceEvent
 from repro.util.validation import require
@@ -68,20 +68,6 @@ class TraceBus:
         self._subscribers.append(subscriber)
         return subscriber
 
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        """Detach ``subscriber``; raises ``ValueError`` when not attached."""
-        self._subscribers.remove(subscriber)
-
-    @property
-    def subscriber_count(self) -> int:
-        """Number of attached subscribers."""
-        return len(self._subscribers)
-
-    @property
-    def events_emitted(self) -> int:
-        """Total events emitted onto this bus."""
-        return self._seq
-
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
@@ -98,8 +84,3 @@ class TraceBus:
         event = TraceEvent(seq, time_, type_, data)
         for subscriber in self._subscribers:
             subscriber(event)
-
-    def emit_many(self, events: Iterable[tuple[str, float, dict]]) -> None:
-        """Bulk emission convenience for replays and tests."""
-        for type_, time_, data in events:
-            self.emit(type_, time_, **data)  # repro: allow[OBS001] forwarder: replayed events were taxonomy-checked at original emission

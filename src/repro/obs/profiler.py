@@ -71,21 +71,6 @@ class ProfileSummary:
         """Dispatch throughput over the profiled portion of the run."""
         return self.events_executed / self.wall_clock_s if self.wall_clock_s > 0 else 0.0
 
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready plain-data form (sorted, deterministic layout)."""
-        return {
-            "events_executed": self.events_executed,
-            "wall_clock_s": self.wall_clock_s,
-            "events_per_sec": self.events_per_sec,
-            "bucket_bounds_s": list(self.bucket_bounds_s),
-            "handlers": [
-                {"handler": h.handler, "calls": h.calls,
-                 "total_s": h.total_s, "max_s": h.max_s,
-                 "bucket_counts": list(h.bucket_counts)}
-                for h in self.handlers
-            ],
-        }
-
 
 class _HandlerStat:
     """Mutable accumulator for one handler qualname."""
@@ -130,16 +115,6 @@ class KernelProfiler:
         self._events += 1
 
     # ------------------------------------------------------------------
-    @property
-    def events_recorded(self) -> int:
-        """Dispatches recorded so far."""
-        return self._events
-
-    @property
-    def handler_names(self) -> list[str]:
-        """Handlers seen so far, sorted by name."""
-        return sorted(self._stats)
-
     def summary(self, *, wall_clock_s: float | None = None) -> ProfileSummary:
         """Freeze into a :class:`ProfileSummary`.
 

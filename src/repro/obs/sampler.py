@@ -78,10 +78,6 @@ class TimeSeries:
             out.setdefault(row[1], []).append(row)
         return out
 
-    def as_records(self) -> list[dict[str, object]]:
-        """Rows as dicts (JSON-friendly)."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 class DiskSampler:
     """Snapshots every drive's operating point on a fixed sim-time cadence.

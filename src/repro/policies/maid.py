@@ -111,12 +111,6 @@ class MAIDPolicy(Policy):
         """Whether ``disk_id`` is one of the always-on cache disks."""
         return disk_id < self._n_cache
 
-    @property
-    def hit_rate(self) -> float:
-        """Cache hit fraction over all routed requests so far."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     # ------------------------------------------------------------------
     def initial_layout(self) -> None:
         """Reserve cache disks, spread primaries over passive disks."""

@@ -30,22 +30,15 @@ class AccessTracker:
         self._n_files = n_files
         self._current = np.zeros(n_files, dtype=np.int64)
         self._previous = np.zeros(n_files, dtype=np.int64)
-        self._lifetime = np.zeros(n_files, dtype=np.int64)
         #: accesses recorded since the last flush — record() is a plain
         #: list append; counts fold into the vectors in one bincount when
         #: anything actually reads them (epoch roll, count properties)
         self._pending: list[int] = []
-        self._epochs_completed = 0
 
     @property
     def n_files(self) -> int:
         """Tracked population size."""
         return int(self._current.size)
-
-    @property
-    def epochs_completed(self) -> int:
-        """How many times :meth:`roll_epoch` has been called."""
-        return self._epochs_completed
 
     def record(self, file_id: int) -> None:
         """Count one access to ``file_id`` in the current epoch."""
@@ -56,9 +49,7 @@ class AccessTracker:
     def _flush(self) -> None:
         pending = self._pending
         if pending:
-            delta = np.bincount(pending, minlength=self._n_files)
-            self._current += delta
-            self._lifetime += delta
+            self._current += np.bincount(pending, minlength=self._n_files)
             self._pending = []
 
     def roll_epoch(self) -> np.ndarray:
@@ -71,7 +62,6 @@ class AccessTracker:
         snapshot = self._current.copy()
         self._previous, self._current = snapshot, self._previous
         self._current[:] = 0
-        self._epochs_completed += 1
         return snapshot.copy()
 
     @property
@@ -86,14 +76,6 @@ class AccessTracker:
     def previous_counts(self) -> np.ndarray:
         """Counts of the last completed epoch (read-only view)."""
         view = self._previous.view()
-        view.setflags(write=False)
-        return view
-
-    @property
-    def lifetime_counts(self) -> np.ndarray:
-        """Counts since construction (read-only view)."""
-        self._flush()
-        view = self._lifetime.view()
         view.setflags(write=False)
         return view
 

@@ -110,11 +110,6 @@ class FrequencyReliability:
     def __init__(self) -> None:
         self._domain = FREQUENCY_DOMAIN_PER_DAY
 
-    @property
-    def domain_per_day(self) -> tuple[float, float]:
-        """Fitted frequency domain, transitions per day."""
-        return self._domain
-
     def __call__(self, transitions_per_day: float | npt.NDArray[np.float64]) -> float | npt.NDArray[np.float64]:
         """AFR adder (percent) via Eq. 3, domain-clamped."""
         return frequency_afr_adder_percent(transitions_per_day)

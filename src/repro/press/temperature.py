@@ -132,11 +132,6 @@ class TemperatureReliability:
         self._lo_val = float(afrs[0])
         self._hi_val = float(afrs[-1])
 
-    @property
-    def domain_c(self) -> tuple[float, float]:
-        """Temperature range covered by the anchors, degC."""
-        return (self._t_min, self._t_max)
-
     def __call__(self, temp_c: float | npt.NDArray[np.float64]) -> float | npt.NDArray[np.float64]:
         """AFR (percent) at ``temp_c``; clamped outside the anchor range."""
         t = np.asarray(temp_c, dtype=np.float64)

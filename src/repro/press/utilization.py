@@ -71,21 +71,6 @@ class UtilizationReliability:
         """Whether this instance interpolates between bucket midpoints."""
         return self._smooth
 
-    @property
-    def domain_percent(self) -> tuple[float, float]:
-        """Utilization domain of the function, percent."""
-        return (float(self._edges[0]), float(self._edges[-1]) + _BUCKET_WIDTH)
-
-    def bucket_of(self, utilization_percent: float) -> str:
-        """The paper's category name for a utilization value."""
-        u = float(utilization_percent)
-        require(np.isfinite(u), "utilization must be finite")
-        if u < 50.0:
-            return "low"
-        if u < 75.0:
-            return "medium"
-        return "high"
-
     def __call__(self, utilization_percent: float | npt.NDArray[np.float64]) -> float | npt.NDArray[np.float64]:
         """AFR (percent) for utilization in percent (clamped to [25, 100])."""
         u = np.asarray(utilization_percent, dtype=np.float64)
@@ -102,10 +87,6 @@ class UtilizationReliability:
         if np.ndim(utilization_percent) == 0:
             return float(out)
         return np.asarray(out, dtype=np.float64)
-
-    def from_fraction(self, utilization_fraction: float | npt.NDArray[np.float64]) -> float | npt.NDArray[np.float64]:
-        """Same mapping with utilization given as a fraction in [0, 1]."""
-        return self(np.asarray(utilization_fraction, dtype=np.float64) * 100.0)
 
     def curve(self, n_points: int = 151) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
         """Sampled (utilization %, AFR %) over [25, 100] — Fig. 3b's series."""

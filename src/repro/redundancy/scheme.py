@@ -15,7 +15,9 @@ presets follow the ydb naming the roadmap cites:
 ``block4-2``
     Reed-Solomon-style 6-of-8 parity: eight disks per group (one per
     rack fault domain), any six reconstruct the data; survives any two
-    failures at 1.5x storage.
+    failures at 8/6 (about 1.33x) raw storage.  The name follows ydb's
+    4+2 erasure, whose degraded reads touch four disks where this
+    geometry touches six (DESIGN.md section 14.1).
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class GroupScheme:
         datacenters); a domain outage fails every member in that
         domain at once.  Members are assigned to domains in contiguous
         blocks of ``group_size / fault_domains``.
-    storage_overhead:
-        Raw-to-usable ratio (1.0 = none, mirrors = ``replicas``,
-        ``block4-2`` = 8/6 rounded to 1.5 by its designers — we keep
-        the exact 4/3-style ratio the preset declares).
     """
 
     name: str
@@ -70,7 +68,6 @@ class GroupScheme:
     data_shards: int
     replicas: int
     fault_domains: int
-    storage_overhead: float
 
     def __post_init__(self) -> None:
         require(self.kind in _KINDS,
@@ -83,8 +80,6 @@ class GroupScheme:
         require(self.group_size % self.fault_domains == 0,
                 f"group_size {self.group_size} must be a multiple of "
                 f"fault_domains {self.fault_domains}")
-        require(self.storage_overhead >= 1.0,
-                f"storage_overhead must be >= 1, got {self.storage_overhead}")
         if self.kind == "none":
             require(self.group_size == 1 and self.replicas == 1
                     and self.data_shards == 1,
@@ -135,11 +130,6 @@ class GroupScheme:
         return self.replicas if self.kind == "mirror" else self.group_size
 
     @property
-    def loss_units_per_group(self) -> int:
-        """Independent loss units inside one group."""
-        return self.group_size // self.loss_unit_size
-
-    @property
     def reconstruct_legs(self) -> int:
         """Disks a degraded read touches: 1 for mirrors, ``k`` for parity."""
         return self.data_shards if self.kind == "parity" else 1
@@ -150,23 +140,19 @@ def mirror_scheme(replicas: int) -> GroupScheme:
     require(replicas >= 2, f"mirrorN needs N >= 2, got {replicas}")
     return GroupScheme(
         name=f"mirror{replicas}", kind="mirror", group_size=replicas,
-        data_shards=1, replicas=replicas, fault_domains=replicas,
-        storage_overhead=float(replicas))
+        data_shards=1, replicas=replicas, fault_domains=replicas)
 
 
 #: Named presets accepted by ``--redundancy`` (plus the ``mirrorN`` family).
 SCHEME_PRESETS: dict[str, GroupScheme] = {
     "none": GroupScheme(name="none", kind="none", group_size=1,
-                        data_shards=1, replicas=1, fault_domains=1,
-                        storage_overhead=1.0),
+                        data_shards=1, replicas=1, fault_domains=1),
     "mirror2": mirror_scheme(2),
     "mirror3": mirror_scheme(3),
     "mirror3dc": GroupScheme(name="mirror3dc", kind="mirror", group_size=9,
-                             data_shards=1, replicas=3, fault_domains=3,
-                             storage_overhead=3.0),
+                             data_shards=1, replicas=3, fault_domains=3),
     "block4-2": GroupScheme(name="block4-2", kind="parity", group_size=8,
-                            data_shards=6, replicas=1, fault_domains=8,
-                            storage_overhead=1.5),
+                            data_shards=6, replicas=1, fault_domains=8),
 }
 
 _MIRROR_N = re.compile(r"^mirror(\d+)$")

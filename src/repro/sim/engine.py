@@ -245,13 +245,6 @@ class Simulator:
         """
         self._stop = True
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][3].action is None:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     def step(self) -> bool:
         """Dispatch the single next event.  Returns ``False`` when drained."""
         heap = self._heap

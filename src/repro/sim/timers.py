@@ -83,11 +83,6 @@ class PeriodicTask:
             raise ValueError(f"start_offset must be >= 0, got {start_offset!r}")
         self._handle: Optional[EventHandle] = sim.schedule(first, self._fire, priority=priority)
 
-    @property
-    def ticks_fired(self) -> int:
-        """Number of ticks dispatched so far."""
-        return self._tick
-
     def stop(self) -> None:
         """Cancel all future ticks (safe to call from inside the action)."""
         self._stopped = True

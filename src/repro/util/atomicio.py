@@ -1,7 +1,7 @@
 """Crash-safe filesystem primitives: atomic publication and quarantine.
 
-Every artifact the toolkit persists (workload cache entries, sweep
-checkpoints, traces, time-series, reports) goes through one of these
+Every artifact the toolkit persists (sweep checkpoints, written WC98
+logs, JSONL traces, time-series, reports) goes through one of these
 helpers so a killed process can never leave a half-written file where a
 reader expects a whole one:
 
@@ -10,7 +10,7 @@ reader expects a whole one:
   final :func:`os.replace` is atomic on POSIX and Windows) and only
   renamed onto the destination once fully flushed;
 * **quarantine** — a file that turns out to be corrupt (truncated
-  pickle, damaged npz, bad checkpoint) is renamed aside with a marker
+  pickle, bad checkpoint) is renamed aside with a marker
   suffix instead of deleted, so the operator can inspect it while every
   subsequent run regenerates cleanly.
 

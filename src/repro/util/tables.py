@@ -2,8 +2,7 @@
 
 Lives in :mod:`repro.util` because both the low-level telemetry rollups
 (:mod:`repro.obs.summarize`) and the experiment harness render through
-it — it must sit below both layers (ARCH001).  The historical import
-path :mod:`repro.experiments.reporting` re-exports everything here.
+it — it must sit below both layers (ARCH001).
 """
 
 from __future__ import annotations

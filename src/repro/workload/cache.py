@@ -5,15 +5,10 @@ workload — the paper's fairness protocol (Sec. 3.5) even requires it —
 yet each cell historically regenerated the trace from scratch.  This
 module keys a generated ``(FileSet, Trace)`` pair by a digest of the
 full :class:`~repro.workload.synthetic.SyntheticWorkloadConfig` content,
-so any two configs with equal parameters share one materialization:
-
-* an in-process LRU holds the most recent ``max_entries`` workloads
-  (both arrays are immutable — ``setflags(write=False)`` — so sharing
-  one instance across simulation runs is safe);
-* optionally, a directory of ``.npz`` files persists workloads across
-  processes; point ``REPRO_WORKLOAD_CACHE`` at a directory (or pass
-  ``disk_dir``) to enable it.  Writes are atomic (tmp file + rename) so
-  concurrent sweep workers can share one store.
+so any two configs with equal parameters share one materialization in
+an in-process LRU of the most recent ``max_entries`` workloads (both
+arrays are immutable — ``setflags(write=False)`` — so sharing one
+instance across simulation runs is safe).
 
 The digest covers every config field, including ``size_kwargs``, so a
 changed parameter can never alias a stale workload.
@@ -22,30 +17,18 @@ changed parameter can never alias a stale workload.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
-import pickle
-import zipfile
 from collections import OrderedDict
 from dataclasses import asdict
-from pathlib import Path
 from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.util.atomicio import atomic_write_bytes, quarantine
 from repro.util.validation import require
 from repro.workload.files import FileSet
-from repro.workload.stream import (SyntheticStreamSpec, WC98StreamSpec,
-                                   WorkloadLike, materialize)
-from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
+from repro.workload.stream import SyntheticStreamSpec, WorkloadLike, materialize
+from repro.workload.synthetic import WorldCupLikeWorkload
 from repro.workload.trace import Trace
 
 __all__ = ["WorkloadCache", "cached_generate", "default_cache", "workload_key"]
-
-#: Environment variable naming the on-disk store directory (optional).
-CACHE_DIR_ENV = "REPRO_WORKLOAD_CACHE"
 
 #: Default number of workloads kept in memory.  Workloads at paper scale
 #: are tens of MB; sweeps touch one or two distinct configs at a time.
@@ -56,61 +39,41 @@ def workload_key(config: WorkloadLike) -> str:
     """Stable content digest of a workload description (sha256 hex).
 
     Equal parameter values — not object identity — produce equal keys.
-    Stream specs digest their *canonical* content: a
-    :class:`SyntheticStreamSpec` keys identically to its underlying
-    config (streamed and materialized generation are bit-identical, so
-    they must share one cache entry), and no spec's key ever depends on
-    a chunk size — chunking changes iteration granularity, never the
-    produced trace.
+    A :class:`SyntheticStreamSpec` keys identically to its underlying
+    config: streamed and materialized generation are bit-identical, so
+    they share one cache entry, and no chunk size enters the digest.
     """
     if isinstance(config, SyntheticStreamSpec):
         config = config.config
-    if isinstance(config, WC98StreamSpec):
-        payload: dict = {"kind": "wc98", "path": config.path,
-                         "methods": list(config.methods),
-                         "min_size_bytes": config.min_size_bytes}
-    else:
-        payload = asdict(config)
-        # dicts compare by content but iterate in insertion order; normalize
-        payload["size_kwargs"] = sorted(payload["size_kwargs"].items())
+    payload = asdict(config)
+    # dicts compare by content but iterate in insertion order; normalize
+    payload["size_kwargs"] = sorted(payload["size_kwargs"].items())
     blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
 class WorkloadCache:
-    """LRU of generated workloads with an optional on-disk ``.npz`` store."""
+    """In-process LRU of generated workloads."""
 
-    def __init__(self, *, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 disk_dir: str | os.PathLike | None = None) -> None:
+    def __init__(self, *, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         require(max_entries >= 1, f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._dir: Optional[Path] = Path(disk_dir) if disk_dir is not None else None
         self._lru: "OrderedDict[str, Tuple[FileSet, Trace]]" = OrderedDict()
-        self.hits = 0        #: in-memory hits
-        self.disk_hits = 0   #: misses served from the on-disk store
-        self.misses = 0      #: full regenerations
-        self.quarantined = 0  #: corrupt entries renamed aside (.corrupt)
+        self.hits = 0    #: served from memory
+        self.misses = 0  #: full regenerations
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._lru)
 
-    @property
-    def disk_dir(self) -> Optional[Path]:
-        """On-disk store location (``None`` when memory-only)."""
-        return self._dir
-
     def clear(self) -> None:
-        """Drop all in-memory entries (the disk store is left alone)."""
+        """Drop all entries."""
         self._lru.clear()
 
-    # ------------------------------------------------------------------
     def get_or_generate(self, config: WorkloadLike) -> Tuple[FileSet, Trace]:
         """Return the workload for ``config``, generating at most once.
 
-        Accepts stream specs as well as plain configs: the key is the
-        canonical content digest, so a spec's entry is shared with (and
-        bit-identical to) the materialized form's.
+        Accepts a :class:`SyntheticStreamSpec` as well as a plain config:
+        both share the entry of the same content digest.
         """
         key = workload_key(config)
         pair = self._lru.get(key)
@@ -118,73 +81,15 @@ class WorkloadCache:
             self.hits += 1
             self._lru.move_to_end(key)
             return pair
-        if self._dir is not None:
-            pair = self._disk_load(key)
-            if pair is not None:
-                self.disk_hits += 1
-                self._remember(key, pair)
-                return pair
         self.misses += 1
-        if isinstance(config, (SyntheticStreamSpec, WC98StreamSpec)):
+        if isinstance(config, SyntheticStreamSpec):
             pair = materialize(config)
         else:
             pair = WorldCupLikeWorkload(config).generate()
-        self._remember(key, pair)
-        if self._dir is not None:
-            self._disk_save(key, pair)
-        return pair
-
-    def _remember(self, key: str, pair: Tuple[FileSet, Trace]) -> None:
         self._lru[key] = pair
-        self._lru.move_to_end(key)
         while len(self._lru) > self.max_entries:
             self._lru.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # on-disk store
-    # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        assert self._dir is not None
-        return self._dir / f"workload-{key}.npz"
-
-    def _disk_load(self, key: str) -> Optional[Tuple[FileSet, Trace]]:
-        """Load one entry; a damaged file is quarantined, never fatal.
-
-        A truncated or corrupt ``.npz`` (a process killed mid-write by a
-        pre-atomic build, bit rot, a torn copy) raises anything from
-        :class:`zipfile.BadZipFile` through :class:`EOFError` to
-        :class:`pickle.UnpicklingError` depending on where the damage
-        sits.  All of them are treated the same way: rename the file
-        aside as ``<name>.corrupt`` so every subsequent run regenerates
-        cleanly instead of tripping over the same corpse, and fall
-        through to regeneration now.
-        """
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path) as data:
-                fileset = FileSet(data["sizes_mb"])
-                trace = Trace(data["times_s"], data["file_ids"])
-        except (OSError, KeyError, ValueError, EOFError,
-                zipfile.BadZipFile, pickle.UnpicklingError):
-            if quarantine(path) is not None:
-                self.quarantined += 1
-            return None  # corrupt entry -> regenerate
-        return fileset, trace
-
-    def _disk_save(self, key: str, pair: Tuple[FileSet, Trace]) -> None:
-        assert self._dir is not None
-        fileset, trace = pair
-        buf = io.BytesIO()
-        np.savez(buf, sizes_mb=fileset.sizes_mb,  # repro: allow[IO001] in-memory buffer; published via atomic_write_bytes below
-                 times_s=trace.times_s, file_ids=trace.file_ids)
-        try:
-            # atomic publish: concurrent workers may race on the same key,
-            # and a killed process must never leave a half-written file
-            atomic_write_bytes(self._path(key), buf.getvalue())
-        except OSError:
-            pass  # a read-only or full store must never fail the run
+        return pair
 
 
 # ----------------------------------------------------------------------
@@ -194,10 +99,10 @@ _default: Optional[WorkloadCache] = None
 
 
 def default_cache() -> WorkloadCache:
-    """The process-wide cache, honoring ``REPRO_WORKLOAD_CACHE``."""
+    """The process-wide cache."""
     global _default
     if _default is None:
-        _default = WorkloadCache(disk_dir=os.environ.get(CACHE_DIR_ENV) or None)
+        _default = WorkloadCache()
     return _default
 
 

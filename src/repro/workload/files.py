@@ -130,11 +130,6 @@ class FileSet:
         """Total stored bytes across all files, in MB."""
         return self._total_mb
 
-    @property
-    def mean_mb(self) -> float:
-        """Mean file size in MB."""
-        return float(self._sizes.mean())
-
     def ids_sorted_by_size(self, descending: bool = False) -> np.ndarray:
         """File ids sorted by size (stable).
 

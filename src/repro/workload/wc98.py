@@ -41,27 +41,12 @@ from repro.workload.files import FileSet
 from repro.workload.trace import Trace
 
 __all__ = ["TraceFormatError", "WC98Record", "read_wc98", "write_wc98",
-           "wc98_to_trace", "iter_wc98_chunks", "RECORD_SIZE",
-           "RECORD_DTYPE", "DEFAULT_RECORDS_PER_CHUNK"]
+           "wc98_to_trace", "RECORD_SIZE"]
 
 #: struct layout: big-endian, 4 uint32 + 4 uint8 = 20 bytes.
 _RECORD_STRUCT = struct.Struct(">IIIIBBBB")
 RECORD_SIZE = _RECORD_STRUCT.size
 assert RECORD_SIZE == 20
-
-#: The same wire layout as a numpy structured dtype (big-endian fields),
-#: so whole chunks decode with one ``np.frombuffer`` instead of a
-#: per-record ``struct.unpack`` loop.
-RECORD_DTYPE = np.dtype([("timestamp", ">u4"), ("client_id", ">u4"),
-                         ("object_id", ">u4"), ("size", ">u4"),
-                         ("method", "u1"), ("status", "u1"),
-                         ("type", "u1"), ("server", "u1")])
-assert RECORD_DTYPE.itemsize == RECORD_SIZE
-
-#: Records decoded per chunk by :func:`iter_wc98_chunks` (~1.3 MB of
-#: wire bytes) — large enough that numpy decode dominates, small enough
-#: that streaming stays constant-memory.
-DEFAULT_RECORDS_PER_CHUNK = 65_536
 
 #: Method code for GET in the WC98 tools distribution.
 METHOD_GET = 0
@@ -134,57 +119,6 @@ def _iter_records(fh: BinaryIO) -> Iterator[WC98Record]:
         yield WC98Record(*_RECORD_STRUCT.unpack(chunk))
         index += 1
         offset += RECORD_SIZE
-
-
-def _iter_chunks_fh(fh: BinaryIO, records_per_chunk: int) -> Iterator[np.ndarray]:
-    index = 0
-    offset = 0
-    want = records_per_chunk * RECORD_SIZE
-    while True:
-        data = fh.read(want)
-        if not data:
-            return
-        # short reads mid-stream (pipes, sockets) are legal — top the
-        # buffer up until the chunk completes or the stream truly ends
-        while len(data) < want:
-            rest = fh.read(want - len(data))
-            if not rest:
-                break
-            data += rest
-        extra = len(data) % RECORD_SIZE
-        if extra:
-            # only reachable at EOF (a full chunk is a whole number of
-            # records): the file ends mid-record — corruption, located
-            n_complete = len(data) // RECORD_SIZE
-            raise TraceFormatError(index + n_complete,
-                                   offset + n_complete * RECORD_SIZE, extra)
-        arr = np.frombuffer(data, dtype=RECORD_DTYPE)
-        yield arr
-        index += arr.size
-        offset += arr.size * RECORD_SIZE
-        if len(data) < want:
-            return  # EOF landed exactly on a record boundary
-
-
-def iter_wc98_chunks(path_or_file: Union[str, Path, BinaryIO], *,
-                     records_per_chunk: int = DEFAULT_RECORDS_PER_CHUNK,
-                     ) -> Iterator[np.ndarray]:
-    """Decode a WC98 binary log chunk-at-a-time into structured arrays.
-
-    Yields read-only :data:`RECORD_DTYPE` arrays of up to
-    ``records_per_chunk`` records each; the concatenation over all chunks
-    equals :func:`read_wc98` field-for-field while holding only one chunk
-    in memory.  A file that ends mid-record raises
-    :class:`TraceFormatError` carrying the record index and byte offset
-    of the partial record, exactly like the scalar reader.
-    """
-    require(records_per_chunk >= 1,
-            f"records_per_chunk must be >= 1, got {records_per_chunk}")
-    if isinstance(path_or_file, (str, Path)):
-        with open(path_or_file, "rb") as fh:
-            yield from _iter_chunks_fh(fh, records_per_chunk)
-        return
-    yield from _iter_chunks_fh(path_or_file, records_per_chunk)
 
 
 def read_wc98(path_or_file: Union[str, Path, BinaryIO], *,

@@ -25,7 +25,6 @@ class TestZoneLayout:
         layout = ZoneLayout(n_disks=6, n_hot=2)
         np.testing.assert_array_equal(layout.hot_ids, [0, 1])
         np.testing.assert_array_equal(layout.cold_ids, [2, 3, 4, 5])
-        assert layout.n_cold == 4
         assert layout.is_hot(1) and not layout.is_hot(2)
 
     def test_invalid_layouts_rejected(self):

@@ -74,12 +74,6 @@ class TestSplit:
         combined = np.sort(np.concatenate([split.popular_ids, split.unpopular_ids]))
         np.testing.assert_array_equal(combined, np.arange(50))
 
-    def test_mask(self):
-        split = split_by_popularity(np.arange(10), 0.5)
-        mask = split.is_popular()
-        assert mask.sum() == split.popular_ids.size
-        assert np.all(mask[split.popular_ids])
-
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             split_by_popularity(np.array([0, 0, 1]), 0.5)

@@ -1,5 +1,7 @@
 """DiskArray: placement ledger, routing, migration cost, capacity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestMigration:
         assert array.drive(0).stats.internal_jobs_served == 0
 
     def test_migrate_over_capacity_refused(self, sim, params, tiny_fileset):
-        small = params.with_capacity(16.0)
+        small = dataclasses.replace(params, capacity_mb=16.0)
         arr = DiskArray(Simulator(), small, 4, tiny_fileset)
         arr.place_all(np.array([0, 1, 2, 3, 0, 1, 2, 3]))
         # disk 3 holds 16 MB already (ids 3 and 7): no room for 8 more

@@ -87,11 +87,6 @@ class TestCheetahTwoSpeed:
         assert params.mode(DiskSpeed.LOW) is params.low
         assert params.mode(DiskSpeed.HIGH) is params.high
 
-    def test_with_capacity(self, params):
-        bigger = params.with_capacity(100_000.0)
-        assert bigger.capacity_mb == 100_000.0
-        assert bigger.high is params.high
-
     def test_validation_rejects_inverted_modes(self, params):
         with pytest.raises(ValueError):
             TwoSpeedDiskParams(name="bad", capacity_mb=1000.0,

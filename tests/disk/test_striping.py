@@ -49,18 +49,6 @@ class TestChunking:
             StripeLayout(0)
 
 
-class TestAccessors:
-    def test_disks_of_distinct_ordered(self):
-        layout = StripeLayout(3, stripe_unit_mb=0.5)
-        assert layout.disks_of(1, 2.0) == [1, 2, 0]
-
-    def test_per_disk_bytes_accounting(self):
-        layout = StripeLayout(2, stripe_unit_mb=0.5)
-        per_disk = layout.per_disk_bytes(0, 1.6)
-        assert per_disk[0] == pytest.approx(1.0)  # chunks 0 and 2
-        assert per_disk[1] == pytest.approx(0.6)  # chunks 1 and 3
-
-
 @given(st.integers(1, 8), st.integers(0, 100), st.floats(0.01, 50.0))
 @settings(max_examples=200)
 def test_chunks_conserve_size(n_disks, file_id, size_mb):

@@ -91,18 +91,3 @@ class TestThermalModel:
         assert m.temperature_c == 45.0
         assert m.elapsed_s == 0.0
         assert m.mean_temperature_c() == 45.0
-
-    def test_time_to_reach_basic(self):
-        m = ThermalModel(initial_c=28.0, tau_s=100.0)
-        t = m.time_to_reach(39.0, 50.0)
-        # verify by advancing exactly that long
-        m.advance(t, 50.0)
-        assert m.temperature_c == pytest.approx(39.0)
-
-    def test_time_to_reach_unreachable(self):
-        m = ThermalModel(initial_c=28.0, tau_s=100.0)
-        assert m.time_to_reach(60.0, 50.0) == math.inf
-
-    def test_time_to_reach_already_past(self):
-        m = ThermalModel(initial_c=45.0, tau_s=100.0)
-        assert m.time_to_reach(40.0, 50.0) == 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.reporting import format_improvement, format_series, format_table
+from repro.util.tables import format_improvement, format_series, format_table
 
 
 class TestFormatTable:

@@ -349,8 +349,7 @@ class TestInterrupt:
         exc = excinfo.value
         assert exc.done == 2 and exc.total == 3
         assert exc.checkpoint_path == ckpt_path
-        assert exc.resume_hint == f"--resume {ckpt_path}"
-        assert "resume" in str(exc)
+        assert f"--resume {ckpt_path}" in str(exc)
         # the interrupted cells are already journaled
         assert SweepCheckpoint(ckpt_path).loaded == 2
 
@@ -368,7 +367,6 @@ class TestInterrupt:
             lambda s: (_ for _ in ()).throw(KeyboardInterrupt()))
         with pytest.raises(SweepInterrupted) as excinfo:
             run_cells_resilient(specs, jobs=1, config=FAST)
-        assert excinfo.value.resume_hint is None
         assert "no checkpoint" in str(excinfo.value)
 
 

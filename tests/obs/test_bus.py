@@ -1,4 +1,4 @@
-"""Trace bus: fan-out, sequencing, subscription management."""
+"""Trace bus: fan-out, sequencing, subscription."""
 
 import pytest
 
@@ -27,7 +27,6 @@ class TestEmission:
         for t in (0.0, 1.5, 1.5, 3.0):
             bus.emit(ev.REQUEST_SUBMIT, t, disk=0)
         assert [e.seq for e in seen] == [0, 1, 2, 3]
-        assert bus.events_emitted == 4
 
     def test_fan_out_preserves_subscription_order(self):
         bus = TraceBus()
@@ -40,37 +39,18 @@ class TestEmission:
     def test_emit_with_no_subscribers_still_counts(self):
         bus = TraceBus()
         bus.emit(ev.DISK_REPLACE, 5.0, disk=2)
-        assert bus.events_emitted == 1
-
-    def test_emit_many(self):
-        bus = TraceBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.emit_many([(ev.REQUEST_SUBMIT, 0.0, {"disk": 0}),
-                       (ev.REQUEST_COMPLETE, 1.0, {"disk": 0})])
-        assert [e.type for e in seen] == [ev.REQUEST_SUBMIT, ev.REQUEST_COMPLETE]
+        bus.emit(ev.DISK_REPLACE, 6.0, disk=2)
+        assert [e.seq for e in seen] == [1]
 
 
 class TestSubscriptions:
     def test_subscribe_returns_subscriber(self):
-        bus = TraceBus()
-        fn = bus.subscribe(lambda e: None)
-        assert callable(fn)
-        assert bus.subscriber_count == 1
+        def fn(e):
+            return None
 
-    def test_unsubscribe_detaches(self):
-        bus = TraceBus()
-        seen = []
-        # bound methods compare equal across accesses, so list.remove works
-        bus.subscribe(seen.append)
-        bus.unsubscribe(seen.append)
-        bus.emit(ev.ENGINE_STOP, 0.0)
-        assert seen == []
-        assert bus.subscriber_count == 0
-
-    def test_unsubscribe_unknown_raises(self):
-        with pytest.raises(ValueError):
-            TraceBus().unsubscribe(lambda e: None)
+        assert TraceBus().subscribe(fn) is fn
 
     def test_non_callable_subscriber_rejected(self):
         with pytest.raises(ValueError):

@@ -41,10 +41,6 @@ class TestTimeSeries:
         assert set(grouped) == {0, 1}
         assert [r[0] for r in grouped[0]] == [0.0, 5.0]
 
-    def test_as_records(self):
-        records = TimeSeries(interval_s=5.0, rows=self.ROWS[:1]).as_records()
-        assert records == [dict(zip(SAMPLE_COLUMNS, self.ROWS[0]))]
-
     def test_empty_series(self):
         series = TimeSeries(interval_s=1.0)
         assert len(series) == 0

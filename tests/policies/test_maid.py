@@ -74,14 +74,13 @@ class TestCaching:
                            for d in range(policy._n_cache))
         assert cache_writes == 1
 
-    def test_hit_rate_metric(self, sim, params, tiny_fileset):
+    def test_second_access_hits_the_cache(self, sim, params, tiny_fileset):
         policy, _ = bound_maid(sim, params, tiny_fileset)
-        assert policy.hit_rate == 0.0
         policy.route(Request(0.0, 0, tiny_fileset.size_of(0)))
         sim.run()
         policy.route(Request(sim.now, 0, tiny_fileset.size_of(0)))
         sim.run()
-        assert policy.hit_rate == 0.5
+        assert (policy.cache_hits, policy.cache_misses) == (1, 1)
 
 
 class TestEviction:
@@ -135,6 +134,6 @@ class TestEndToEnd:
         result = run_simulation(policy, fileset, trace.head(2000), n_disks=5,
                                 disk_params=params)
         assert result.policy_name == "maid"
-        assert 0.0 < policy.hit_rate < 1.0
+        assert policy.cache_hits > 0 and policy.cache_misses > 0
         assert result.internal_jobs > 0  # copies happened
         assert result.policy_detail["n_cache_disks"] == policy._n_cache

@@ -15,7 +15,6 @@ class TestCounting:
             t.record(fid)
         np.testing.assert_array_equal(t.current_counts, [1, 0, 2, 1])
         np.testing.assert_array_equal(t.previous_counts, [0, 0, 0, 0])
-        np.testing.assert_array_equal(t.lifetime_counts, [1, 0, 2, 1])
 
     def test_views_readonly(self):
         t = AccessTracker(3)
@@ -36,16 +35,6 @@ class TestEpochRoll:
         np.testing.assert_array_equal(snapshot, [0, 2, 0])
         np.testing.assert_array_equal(t.current_counts, [0, 0, 0])
         np.testing.assert_array_equal(t.previous_counts, [0, 2, 0])
-        assert t.epochs_completed == 1
-
-    def test_lifetime_survives_rolls(self):
-        t = AccessTracker(2)
-        t.record(0)
-        t.roll_epoch()
-        t.record(0)
-        t.record(1)
-        t.roll_epoch()
-        np.testing.assert_array_equal(t.lifetime_counts, [2, 1])
 
     def test_returned_snapshot_is_independent(self):
         t = AccessTracker(2)
@@ -96,4 +85,3 @@ class TestRanking:
             t.record(fid)
         snap = t.roll_epoch()
         assert snap.sum() == len(accesses)
-        assert t.lifetime_counts.sum() == len(accesses)

@@ -23,10 +23,6 @@ class TestAnchors:
         assert f(40.0) == pytest.approx(9.0)
         assert f(50.0) == pytest.approx(15.0)
 
-    def test_domain(self, f):
-        assert f.domain_c == (25.0, 50.0)
-
-
 class TestMonotonicity:
     def test_monotone_over_domain(self, f):
         temps, afrs = f.curve(200)

@@ -28,18 +28,9 @@ class TestPaperBuckets:
         assert step(75.0) == 12.0
         assert step(100.0) == 12.0
 
-    def test_bucket_names(self, step):
-        assert step.bucket_of(30.0) == "low"
-        assert step.bucket_of(60.0) == "medium"
-        assert step.bucket_of(90.0) == "high"
-
     def test_below_25_clamps_to_low(self, step):
         assert step(0.0) == 6.0
         assert step(10.0) == 6.0
-
-    def test_domain(self, step):
-        assert step.domain_percent == (25.0, 100.0)
-
 
 class TestValidation:
     def test_above_100_rejected(self, step):
@@ -77,15 +68,6 @@ class TestSmoothVariant:
     def test_smooth_within_bucket_range(self, smooth, u):
         v = smooth(u)
         assert 6.0 - 1e-9 <= v <= 12.0 + 1e-9
-
-
-class TestFromFraction:
-    def test_fraction_equals_percent(self, step):
-        assert step.from_fraction(0.6) == step(60.0)
-
-    def test_vectorized_fraction(self, step):
-        out = step.from_fraction(np.array([0.3, 0.6, 0.9]))
-        np.testing.assert_allclose(out, [6.0, 8.0, 12.0])
 
 
 class TestVectorized:

@@ -17,9 +17,7 @@ class TestPresets:
         assert (s.group_size, s.data_shards) == (8, 6)
         assert s.fault_tolerance == 2
         assert s.fault_domains == 8
-        assert s.storage_overhead == 1.5
         assert s.loss_unit_size == 8
-        assert s.loss_units_per_group == 1
         assert s.reconstruct_legs == 6
 
     def test_mirror3dc_geometry(self):
@@ -27,10 +25,8 @@ class TestPresets:
         assert s.kind == "mirror"
         assert (s.group_size, s.replicas, s.fault_domains) == (9, 3, 3)
         assert s.fault_tolerance == 2
-        assert s.storage_overhead == 3.0
         # three independent replica sets of three disks each
         assert s.loss_unit_size == 3
-        assert s.loss_units_per_group == 3
         assert s.reconstruct_legs == 1
 
     def test_none_is_not_redundant(self):
@@ -58,26 +54,22 @@ class TestValidation:
     def test_parity_needs_k_below_n(self):
         with pytest.raises(ValueError):
             GroupScheme(name="bad", kind="parity", group_size=4,
-                        data_shards=4, replicas=1, fault_domains=4,
-                        storage_overhead=1.0)
+                        data_shards=4, replicas=1, fault_domains=4)
 
     def test_mirror_group_must_divide_into_replica_sets(self):
         with pytest.raises(ValueError):
             GroupScheme(name="bad", kind="mirror", group_size=7,
-                        data_shards=1, replicas=2, fault_domains=1,
-                        storage_overhead=2.0)
+                        data_shards=1, replicas=2, fault_domains=1)
 
     def test_domains_must_divide_group(self):
         with pytest.raises(ValueError):
             GroupScheme(name="bad", kind="parity", group_size=8,
-                        data_shards=6, replicas=1, fault_domains=3,
-                        storage_overhead=1.5)
+                        data_shards=6, replicas=1, fault_domains=3)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             GroupScheme(name="bad", kind="raid", group_size=2,
-                        data_shards=1, replicas=2, fault_domains=1,
-                        storage_overhead=2.0)
+                        data_shards=1, replicas=2, fault_domains=1)
 
 
 class TestParser:

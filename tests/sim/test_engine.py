@@ -148,14 +148,6 @@ def test_step_returns_false_when_drained():
     assert sim.step() is False
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    first = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    sim.cancel(first)
-    assert sim.peek_time() == 2.0
-
-
 def test_events_executed_counter():
     sim = Simulator()
     for i in range(4):

@@ -133,13 +133,6 @@ class TestPeriodicTask:
         task.stop()
         assert ticks == [2.0, 12.0, 22.0]
 
-    def test_ticks_fired_counter(self):
-        sim = Simulator()
-        task = PeriodicTask(sim, 1.0, lambda i: None)
-        sim.run(until=4.5)
-        assert task.ticks_fired == 4
-        task.stop()
-
     def test_negative_offset_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):

@@ -1,8 +1,7 @@
-"""WorkloadCache: keying, LRU behavior, on-disk round-trip."""
+"""WorkloadCache: keying and LRU behavior."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.workload.cache import (
@@ -80,74 +79,6 @@ class TestInMemoryCache:
     def test_rejects_bad_max_entries(self):
         with pytest.raises(ValueError, match="max_entries"):
             WorkloadCache(max_entries=0)
-
-
-class TestOnDiskStore:
-    def test_round_trip_across_cache_instances(self, tmp_path):
-        writer = WorkloadCache(disk_dir=tmp_path)
-        fs1, tr1 = writer.get_or_generate(CFG)
-        assert writer.misses == 1
-        assert list(tmp_path.glob("workload-*.npz"))
-
-        reader = WorkloadCache(disk_dir=tmp_path)
-        fs2, tr2 = reader.get_or_generate(CFG)
-        assert (reader.misses, reader.disk_hits) == (0, 1)
-        np.testing.assert_array_equal(fs1.sizes_mb, fs2.sizes_mb)
-        np.testing.assert_array_equal(tr1.times_s, tr2.times_s)
-        np.testing.assert_array_equal(tr1.file_ids, tr2.file_ids)
-
-    def test_corrupt_entry_falls_back_to_regeneration(self, tmp_path):
-        writer = WorkloadCache(disk_dir=tmp_path)
-        writer.get_or_generate(CFG)
-        (path,) = tmp_path.glob("workload-*.npz")
-        path.write_bytes(b"not an npz archive")
-
-        reader = WorkloadCache(disk_dir=tmp_path)
-        fs, tr = reader.get_or_generate(CFG)
-        assert reader.misses == 1 and reader.disk_hits == 0
-        assert len(tr) == CFG.n_requests
-
-    def test_corrupt_entry_is_quarantined_not_deleted(self, tmp_path):
-        writer = WorkloadCache(disk_dir=tmp_path)
-        writer.get_or_generate(CFG)
-        (path,) = tmp_path.glob("workload-*.npz")
-        path.write_bytes(b"not an npz archive")
-
-        reader = WorkloadCache(disk_dir=tmp_path)
-        reader.get_or_generate(CFG)
-        assert reader.quarantined == 1
-        corpse = path.with_name(path.name + ".corrupt")
-        assert corpse.exists() and corpse.read_bytes() == b"not an npz archive"
-        # regeneration republished a healthy entry under the original name
-        assert path.exists()
-        fresh = WorkloadCache(disk_dir=tmp_path)
-        fresh.get_or_generate(CFG)
-        assert fresh.disk_hits == 1 and fresh.quarantined == 0
-
-    def test_truncated_entry_is_quarantined(self, tmp_path):
-        """A process killed mid-write leaves a torn zip: quarantine it."""
-        writer = WorkloadCache(disk_dir=tmp_path)
-        writer.get_or_generate(CFG)
-        (path,) = tmp_path.glob("workload-*.npz")
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-
-        reader = WorkloadCache(disk_dir=tmp_path)
-        fs, tr = reader.get_or_generate(CFG)
-        assert reader.quarantined == 1 and reader.misses == 1
-        assert len(tr) == CFG.n_requests
-        assert path.with_name(path.name + ".corrupt").exists()
-
-    def test_writes_leave_no_temp_droppings(self, tmp_path):
-        cache = WorkloadCache(disk_dir=tmp_path)
-        cache.get_or_generate(CFG)
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix != ".npz"]
-        assert leftovers == []
-
-    def test_memory_only_cache_never_touches_disk(self, tmp_path):
-        cache = WorkloadCache()
-        assert cache.disk_dir is None
-        cache.get_or_generate(CFG)
-        assert not list(tmp_path.iterdir())
 
 
 class TestDefaultCache:

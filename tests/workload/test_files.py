@@ -56,7 +56,6 @@ class TestFileSet:
         assert len(tiny_fileset) == 8
         assert tiny_fileset.size_of(2) == 4.0
         assert tiny_fileset.total_mb == pytest.approx(30.0)
-        assert tiny_fileset.mean_mb == pytest.approx(3.75)
         assert tiny_fileset[1].size_mb == 2.0
 
     def test_iteration_yields_specs_in_id_order(self, tiny_fileset):
