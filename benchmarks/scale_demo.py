@@ -43,13 +43,11 @@ def main(jobs: int = 1) -> int:
     result, _summary = run_sharded("static-high", CONFIG, n_disks=N_DISKS,
                                    n_shards=N_SHARDS, jobs=jobs)
     wall_s = perf_counter() - start
-    sharding = result.policy_detail["sharding"]
     doc = {
         "what": "streamed sharded scale demo: one static-high cell",
         "n_requests": result.n_requests,
         "n_disks": result.n_disks,
         "n_shards": N_SHARDS,
-        "assignment": sharding["assignment"],
         "jobs": jobs,
         "workload": {"n_files": CONFIG.n_files, "seed": CONFIG.seed,
                      "bursty": CONFIG.bursty},

@@ -1,20 +1,19 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five commands mirror the library's main entry points:
+The commands mirror the library's main entry points:
 
 * ``simulate``   — run one policy over a synthetic workload, print the
   result summary and per-disk ESRRA factors;
-* ``compare``    — the Figure 7 sweep across policies and array sizes;
-* ``sweep``      — the same sweep under the resilient harness:
-  ``--checkpoint``/``--resume`` journal completed cells and skip them on
-  restart, ``--retries``/``--cell-timeout``/``--watchdog`` give every
-  cell its own fault domain, and SIGINT drains gracefully with a resume
-  hint;
+* ``sweep``      — the Figure 7 sweep across policies and array sizes,
+  under the resilient harness: ``--checkpoint``/``--resume`` journal
+  completed cells and skip them on restart,
+  ``--retries``/``--cell-timeout``/``--watchdog`` give every cell its
+  own fault domain, SIGINT drains gracefully with a resume hint, and
+  ``--report FILE`` also writes the full markdown comparison report;
 * ``press``      — evaluate the PRESS model at explicit factor values
   (or print a Fig. 5 surface at a temperature);
 * ``worthwhile`` — the title question for one scheme vs the always-on
   reference, in dollars per year;
-* ``report``     — write a full markdown comparison report;
 * ``trace``      — generate/inspect traces and convert WC98 binary logs;
 * ``obs``        — inspect telemetry artifacts (``obs summarize`` rolls
   one or more JSONL event traces — e.g. per-shard segments — up per
@@ -23,12 +22,12 @@ Five commands mirror the library's main entry points:
 * ``lint``       — the determinism & invariant static-analysis suite
   (:mod:`repro.analysis`): exit 0 clean, 1 findings, 2 error.
 
-``simulate``, ``compare``, and ``sweep`` accept telemetry flags
+``simulate`` and ``sweep`` accept telemetry flags
 (``--trace-out``, ``--metrics-out``, ``--sample-interval``) that attach
 the :mod:`repro.obs` layer to the run; ``sweep`` additionally takes
 ``--status-out`` for a crash-safe live progress feed folded from the
-harness span events.  ``simulate``, ``compare``, ``sweep``,
-``worthwhile``, and ``report`` accept ``--redundancy`` to lay the array
+harness span events.  ``simulate``, ``sweep`` and ``worthwhile``
+accept ``--redundancy`` to lay the array
 out in k-of-n groups (see :mod:`repro.redundancy`).  Unsupported flag
 combinations (``--faults`` with ``--shards``) fail fast with a
 capability error before any cell runs.
@@ -243,7 +242,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _print_comparison(fig7, policies: list[str], baseline: str) -> None:
-    """Shared panel printer for the ``compare`` and ``sweep`` commands."""
+    """The ``sweep`` command's result panels."""
     from repro.experiments.figures import headline_summary
     from repro.util.tables import format_series
 
@@ -273,29 +272,6 @@ def _print_comparison(fig7, policies: list[str], baseline: str) -> None:
             parts = ", ".join(f"{k.replace('vs_', '').replace('_%', '')} {v:+.1f}%"
                               for k, v in stats.items())
             print(f"{baseline} improvement, {metric}: {parts}")
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import figure7_comparison
-    from repro.experiments.runner import ExperimentConfig
-
-    if args.verbose:
-        from repro.obs import setup_logging
-
-        setup_logging()
-    config = ExperimentConfig(workload=_workload_config(args))
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    disk_counts = [int(d) for d in args.disks.split(",")]
-    obs = _obs_config(args)
-    fig7 = figure7_comparison(config, disk_counts=disk_counts, policies=policies,
-                              faults=_faults_config(args), obs=obs,
-                              jobs=args.jobs,
-                              redundancy=_redundancy_scheme(args))
-    if obs is not None and (obs.trace_path or obs.metrics_path):
-        print("telemetry written per cell "
-              "(paths suffixed with -<policy>-<disks>)")
-    _print_comparison(fig7, policies, args.baseline)
-    return 0
 
 
 def _validate_sweep_combos(args: argparse.Namespace) -> None:
@@ -350,7 +326,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                   resilience=resilience, checkpoint=checkpoint,
                                   obs=obs, bus=bus,
                                   shards=args.shards,
-                                  shard_assignment=args.assignment,
                                   stream_chunk=args.stream_chunk,
                                   redundancy=_redundancy_scheme(args))
     except BaseException:
@@ -365,7 +340,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               "(paths suffixed with -<policy>-<disks>)")
     if args.shards is not None:
         print(f"sharded execution: {args.shards} shard(s) per cell, "
-              f"{args.assignment} assignment, streamed workload")
+              "streamed workload")
     _print_comparison(fig7, policies, args.baseline)
     summary = fig7.resilience
     print()
@@ -439,26 +414,6 @@ def _cmd_worthwhile(args: argparse.Namespace) -> int:
     print(f"  net benefit        : {verdict.net_benefit_usd_per_year:+,.0f} $/yr")
     print(f"  worthwhile         : {'YES' if verdict.worthwhile else 'no'}")
     return 0 if verdict.worthwhile else 3
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import figure7_comparison
-    from repro.experiments.report import write_markdown_report
-    from repro.experiments.runner import ExperimentConfig
-
-    if args.verbose:
-        from repro.obs import setup_logging
-
-        setup_logging()
-    config = ExperimentConfig(workload=_workload_config(args))
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    disk_counts = [int(d) for d in args.disks.split(",")]
-    fig7 = figure7_comparison(config, disk_counts=disk_counts, policies=policies,
-                              faults=_faults_config(args), jobs=args.jobs,
-                              redundancy=_redundancy_scheme(args))
-    path = write_markdown_report(fig7, args.out, baseline=args.baseline or None)
-    print(f"wrote report -> {path}")
-    return 0
 
 
 def _expand_trace_paths(patterns: list[str]) -> list[str]:
@@ -583,23 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="Figure 7 style policy comparison")
-    p_cmp.add_argument("--policies", default="read,maid,pdc",
-                       help="comma-separated policy names")
-    p_cmp.add_argument("--disks", default="6,10,16",
-                       help="comma-separated array sizes")
-    p_cmp.add_argument("--baseline", default="read",
-                       help="policy to compute improvements for ('' = none)")
-    p_cmp.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the sweep (1 = in-process serial)")
-    p_cmp.add_argument("--verbose", action="store_true",
-                       help="log per-cell sweep progress to stderr")
-    _add_faults_arg(p_cmp)
-    _add_redundancy_arg(p_cmp)
-    _add_obs_args(p_cmp)
-    _add_workload_args(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
     p_sweep = sub.add_parser(
         "sweep",
         help="Figure 7 sweep under the resilient harness "
@@ -623,12 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "sub-cells and merged bit-identically "
                                   "(must divide every --disks entry; "
                                   "incompatible with fault injection)")
-    shard_group.add_argument("--assignment", default="affinity",
-                             choices=("affinity", "round-robin"),
-                             help="file-to-shard assignment: 'affinity' "
-                                  "follows the static size-ranked layout "
-                                  "(sharded == unsharded for static "
-                                  "policies); 'round-robin' spreads by id")
     shard_group.add_argument("--stream-chunk", type=int, default=None,
                              metavar="REQUESTS",
                              help="requests generated per streamed chunk "
@@ -685,20 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_redundancy_arg(p_worth)
     _add_workload_args(p_worth)
     p_worth.set_defaults(func=_cmd_worthwhile)
-
-    p_rep = sub.add_parser("report", help="write a markdown comparison report")
-    p_rep.add_argument("--out", required=True, help="output markdown path")
-    p_rep.add_argument("--policies", default="read,maid,pdc,static-high")
-    p_rep.add_argument("--disks", default="6,10,16")
-    p_rep.add_argument("--baseline", default="read")
-    p_rep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the sweep (1 = in-process serial)")
-    p_rep.add_argument("--verbose", action="store_true",
-                       help="log per-cell sweep progress to stderr")
-    _add_faults_arg(p_rep)
-    _add_redundancy_arg(p_rep)
-    _add_workload_args(p_rep)
-    p_rep.set_defaults(func=_cmd_report)
 
     p_trace = sub.add_parser("trace", help="generate/inspect/convert traces")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)

@@ -19,7 +19,7 @@ from repro.disk.thermal import ThermalModel, steady_temperature_from_rpm
 from repro.disk.energy import DiskPowerState, EnergyMeter, STATE_INDEX
 from repro.disk.stats import DiskStats
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
-from repro.disk.drive import Job, TwoSpeedDrive, DrivePhase, QueueDiscipline
+from repro.disk.drive import Job, TwoSpeedDrive, DrivePhase
 from repro.disk.array import DiskArray
 from repro.disk.striping import PAPER_STRIPE_UNIT_MB, StripeChunk, StripeLayout
 
@@ -39,7 +39,6 @@ __all__ = [
     "Job",
     "TwoSpeedDrive",
     "DrivePhase",
-    "QueueDiscipline",
     "DiskArray",
     "PAPER_STRIPE_UNIT_MB",
     "StripeChunk",

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.disk.drive import Job, QueueDiscipline, TwoSpeedDrive
+from repro.disk.drive import Job, TwoSpeedDrive
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
 from repro.obs import events as ev
 from repro.sim.engine import Simulator
@@ -47,8 +47,7 @@ class DiskArray:
     """
 
     def __init__(self, sim: Simulator, params: TwoSpeedDiskParams, n_disks: int,
-                 fileset: FileSet, *, initial_speed: DiskSpeed = DiskSpeed.HIGH,
-                 queue_discipline: QueueDiscipline = QueueDiscipline.FCFS) -> None:
+                 fileset: FileSet, *, initial_speed: DiskSpeed = DiskSpeed.HIGH) -> None:
         require(n_disks >= 1, f"n_disks must be >= 1, got {n_disks}")
         self.sim = sim
         self._trace = sim.trace
@@ -56,7 +55,6 @@ class DiskArray:
         self.fileset = fileset
         self.drives = [
             TwoSpeedDrive(sim, params, i, initial_speed=initial_speed,
-                          queue_discipline=queue_discipline,
                           on_idle=self._forward_idle, on_busy=self._forward_busy)
             for i in range(n_disks)
         ]

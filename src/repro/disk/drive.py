@@ -61,20 +61,6 @@ class DrivePhase(enum.Enum):
     FAILED = "failed"
 
 
-class QueueDiscipline(enum.Enum):
-    """How a drive picks the next job from its queue.
-
-    FCFS is the paper's (implicit) model and the default everywhere.
-    SJF (shortest job first, non-preemptive) is provided for the classic
-    mean-response-vs-tail trade-off ablation on heavy-tailed web sizes:
-    it lowers the mean by letting small files jump the large-transfer
-    queue, at the cost of large files' tail latency.
-    """
-
-    FCFS = "fcfs"
-    SJF = "sjf"
-
-
 @dataclass(slots=True)
 class Job:
     """A unit of disk work: either a user request or internal data movement.
@@ -153,7 +139,6 @@ class TwoSpeedDrive:
 
     def __init__(self, sim: Simulator, params: TwoSpeedDiskParams, disk_id: int, *,
                  initial_speed: DiskSpeed = DiskSpeed.HIGH,
-                 queue_discipline: QueueDiscipline = QueueDiscipline.FCFS,
                  on_idle: Optional[Callable[[int], None]] = None,
                  on_busy: Optional[Callable[[int], None]] = None) -> None:
         self._sim = sim
@@ -162,7 +147,6 @@ class TwoSpeedDrive:
         self._trace = sim.trace
         self.params = params
         self.disk_id = disk_id
-        self.queue_discipline = queue_discipline
         self.on_idle = on_idle
         self.on_busy = on_busy
 
@@ -558,11 +542,7 @@ class TwoSpeedDrive:
             if self.on_idle is not None:
                 self.on_idle(self.disk_id)
             return
-        queue = self._queue
-        if self.queue_discipline is QueueDiscipline.FCFS or len(queue) == 1:
-            job = queue.popleft()
-        else:
-            job = self._pick_next()
+        job = self._queue.popleft()
         now = self._sim.now
         if now != self._last_account_s:  # repro: allow[NUM001] propagated timestamp: dedupes the accounting call chained off _complete
             self._account()
@@ -581,19 +561,6 @@ class TwoSpeedDrive:
                              service_s=service_s, internal=job.internal)
         self._completion_event = self._sim.schedule(
             service_s, self._complete, priority=self._PRIO_COMPLETE)
-
-    def _pick_next(self) -> Job:
-        """Dequeue per the configured discipline (FIFO ties under SJF).
-
-        The FCFS/single-entry shortcut is inlined in :meth:`_dispatch`;
-        this handles the SJF scan.
-        """
-        if self.queue_discipline is QueueDiscipline.FCFS or len(self._queue) == 1:
-            return self._queue.popleft()
-        best = min(range(len(self._queue)), key=lambda i: self._queue[i].size_mb)
-        job = self._queue[best]
-        del self._queue[best]
-        return job
 
     def _complete(self) -> None:
         job = self._current

@@ -134,7 +134,6 @@ def _cell_obs(base: Optional[ObsConfig], policy: str, n_disks: int) -> Optional[
 def figure7_comparison(config: ExperimentConfig | None = None, *,
                        disk_counts: Sequence[int] = PAPER_DISK_COUNTS,
                        policies: Sequence[str] = PAPER_POLICIES,
-                       press: PRESSModel | None = None,
                        policy_kwargs: dict[str, dict] | None = None,
                        faults: FaultConfig | None = None,
                        obs: ObsConfig | None = None,
@@ -143,14 +142,15 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
                        resilience: ResilienceConfig | None = None,
                        checkpoint=None,
                        shards: int | None = None,
-                       shard_assignment: str = "affinity",
                        stream_chunk: int | None = None,
                        bus=None) -> Figure7Results:
     """Run the Fig. 7 sweep: every policy at every array size, same trace.
 
-    ``policy_kwargs`` maps policy name -> config overrides (used by the
-    ablation benches).  The workload is materialized once (via the
-    content-keyed cache) and shared by every cell.  ``jobs`` fans the
+    ``policy_kwargs`` maps policy name -> config overrides (only tests
+    set it; the ablation benches run single cells through
+    :mod:`repro.experiments.sweeps` instead).  The workload is
+    materialized once (via the content-keyed cache) and shared by every
+    cell.  ``jobs`` fans the
     cells over a process pool; results are identical for any value.
     ``faults`` turns on in-run fault injection for every cell, adding
     realized-reliability metrics next to the paper's three.
@@ -192,7 +192,7 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     cells = [
         RunSpec(policy=name, n_disks=n, workload=cfg.workload,
                 policy_kwargs=kwargs.get(name, {}),
-                disk_params=cfg.disk_params, press=press, faults=faults,
+                disk_params=cfg.disk_params, faults=faults,
                 obs=_cell_obs(obs, name, n), redundancy=redundancy)
         for name in policies for n in disk_counts
     ]
@@ -206,8 +206,7 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
         # sweep, and resume granularity is one shard
         chunk = stream_chunk if stream_chunk is not None else DEFAULT_CHUNK_SIZE
         specs = [spec for cell in cells
-                 for spec in shard_specs(cell, shards, assignment=shard_assignment,
-                                         chunk_size=chunk)]
+                 for spec in shard_specs(cell, shards, chunk_size=chunk)]
     done, summary = run_cells_resilient(
         specs, jobs=jobs, config=resilience, checkpoint=checkpoint, bus=bus)
     if shards is not None:

@@ -132,9 +132,12 @@ class SimulationResult:
     policy_detail: dict[str, object] = field(default_factory=dict)
     #: Realized-reliability outcome; ``None`` when fault injection is off.
     faults: FaultSummary | None = None
-    #: Kernel events the run executed (0 for results predating telemetry).
+    #: Kernel events the run executed (a sharded cell sums its shards').
     events_executed: int = 0
-    #: Wall-clock seconds the run took (0.0 for legacy results).
+    #: Wall-clock seconds of the event-loop drain alone: workload
+    #: generation, layout, finalize and the PRESS assessment are outside
+    #: it, and a sharded cell sums its shards' drains (not the elapsed
+    #: time of a parallel fan-out).
     #: Measurement noise, not simulation output — excluded from equality
     #: so serial/parallel sweeps still compare bit-for-bit.
     wall_clock_s: float = field(default=0.0, compare=False)

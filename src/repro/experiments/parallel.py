@@ -26,13 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, cast
 
-from repro.disk.drive import QueueDiscipline
-from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
+from repro.disk.parameters import TwoSpeedDiskParams
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.runner import make_policy, run_simulation
 from repro.faults import FaultConfig
 from repro.obs import ObsConfig
-from repro.press.model import PRESSModel
 from repro.redundancy.scheme import GroupScheme
 from repro.workload.cache import cached_generate
 from repro.workload.stream import WorkloadLike
@@ -59,10 +57,12 @@ class RunSpec:
     workload:
         Full workload description; materialized through the content-keyed
         cache, so identical configs across specs share one generation.
-    disk_params / press:
-        Device model and reliability model (``None`` = module defaults).
-    initial_speed / queue_discipline:
-        Forwarded to :func:`~repro.experiments.runner.run_simulation`.
+    disk_params:
+        Device model (``None`` = the module default).  Every cell boots
+        its drives at high speed, serves queues FCFS and scores with the
+        default PRESS model; a study of another PRESS model rescores one
+        run's factors (:meth:`~repro.press.model.PRESSModel
+        .rescore_factors`) instead of re-simulating.
     faults:
         Fault-injection configuration (``None`` = injection off).  The
         config is frozen plain data and the resulting
@@ -82,9 +82,6 @@ class RunSpec:
     workload: WorkloadLike
     policy_kwargs: Mapping[str, object] = field(default_factory=dict)
     disk_params: Optional[TwoSpeedDiskParams] = None
-    press: Optional[PRESSModel] = None
-    initial_speed: DiskSpeed = DiskSpeed.HIGH
-    queue_discipline: QueueDiscipline = QueueDiscipline.FCFS
     faults: Optional[FaultConfig] = None
     obs: Optional[ObsConfig] = None
     #: Set on the sub-cells a sharded run fans out (see
@@ -134,16 +131,13 @@ def run_cell(spec: RunSpec) -> SimulationResult:
     fileset, trace = cached_generate(spec.workload)
     policy = make_policy(spec.policy, **dict(spec.policy_kwargs))
     return run_simulation(policy, fileset, trace, n_disks=spec.n_disks,
-                          disk_params=spec.disk_params, press=spec.press,
-                          initial_speed=spec.initial_speed,
-                          queue_discipline=spec.queue_discipline,
+                          disk_params=spec.disk_params,
                           faults=spec.faults, obs=spec.obs,
                           redundancy=spec.redundancy)
 
 
 def run_cells(specs: Iterable[RunSpec], *, jobs: int = 1,
-              resilience=None, checkpoint=None,
-              bus=None) -> list[SimulationResult]:
+              resilience=None, checkpoint=None) -> list[SimulationResult]:
     """Execute cells, returning results in input order.
 
     ``jobs=1`` (default) runs serially in-process; ``jobs>1`` fans out
@@ -151,16 +145,16 @@ def run_cells(specs: Iterable[RunSpec], *, jobs: int = 1,
     carry all the state a cell reads, so placement does not matter.
 
     This is :func:`~repro.experiments.resilience.run_cells_resilient`
-    minus its summary: ``resilience`` (a :class:`~repro.experiments
-    .resilience.ResilienceConfig`; the default retries nothing) sets
-    per-cell retries/timeouts, ``checkpoint`` (a path or
-    :class:`~repro.experiments.resilience.SweepCheckpoint`) journals and
-    restores cells, and ``bus`` receives the ``harness.*`` sweep and
-    cell events.  The first SIGINT/SIGTERM drains the in-flight cells
-    and raises :class:`~repro.experiments.resilience.SweepInterrupted`.
+    minus its summary and its harness bus: ``resilience`` (a
+    :class:`~repro.experiments.resilience.ResilienceConfig`; the default
+    retries nothing) sets per-cell retries/timeouts, and ``checkpoint``
+    (a path or :class:`~repro.experiments.resilience.SweepCheckpoint`)
+    journals and restores cells.  The first SIGINT/SIGTERM drains the
+    in-flight cells and raises
+    :class:`~repro.experiments.resilience.SweepInterrupted`.
     """
     from repro.experiments.resilience import run_cells_resilient
 
     results, _summary = run_cells_resilient(
-        specs, jobs=jobs, config=resilience, checkpoint=checkpoint, bus=bus)
+        specs, jobs=jobs, config=resilience, checkpoint=checkpoint)
     return results

@@ -3,7 +3,7 @@
 Renders one :class:`~repro.experiments.figures.Figure7Results` (plus
 optional worthwhileness verdicts) into a self-contained markdown
 document — the artifact an operator would attach to a capacity-planning
-decision.  Used by the CLI's ``report`` command and directly from
+decision.  Written by ``repro sweep --report FILE`` and directly from
 notebooks/scripts.
 """
 

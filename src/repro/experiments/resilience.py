@@ -86,8 +86,11 @@ _RETRY_JITTER = 0.5
 #: tallies out).  Version 4 untagged the trace segments a checkpointed
 #: shard result points at: merging an older, tagged segment would copy
 #: its ``"shard":N`` field into the merged trace.  Version 5 dropped the
-#: registry snapshot from both result classes.
-CHECKPOINT_VERSION = 5
+#: registry snapshot from both result classes.  Version 6 dropped the
+#: assignment field from the :class:`ShardPlan` a shard result pickles
+#: (and the per-cell speed, PRESS and queue-discipline entries from
+#: every :func:`spec_key`, so no older entry would match anyway).
+CHECKPOINT_VERSION = 6
 
 
 # ----------------------------------------------------------------------
@@ -104,30 +107,22 @@ def spec_key(spec: RunSpec) -> str:
     """
     kwargs = tuple(sorted(dict(spec.policy_kwargs).items(),
                           key=lambda kv: str(kv[0])))
-    payload: tuple = (
+    # A shard sub-cell keys on (plan, shard index) but *not* on its chunk
+    # size: chunking changes iteration granularity, never the produced
+    # result (same contract as the workload digest), so a sweep resumed
+    # under a different --stream-chunk reuses its checkpointed shards.
+    shard = None if spec.shard is None else (spec.shard.plan, spec.shard.index)
+    payload = (
         spec.policy,
         spec.n_disks,
         kwargs,
         workload_key(spec.workload),
         spec.disk_params,
-        spec.press,
-        spec.initial_speed,
-        spec.queue_discipline,
         spec.faults,
         spec.obs,
+        shard,
+        spec.redundancy,
     )
-    # Appended only when set so every pre-sharding checkpoint key is
-    # unchanged.  A shard sub-cell keys on (plan, shard index) but *not*
-    # on its chunk size: chunking changes iteration granularity, never
-    # the produced result (same contract as the workload digest), so a
-    # sweep resumed under a different --stream-chunk reuses its
-    # checkpointed shards.
-    if spec.shard is not None:
-        payload = payload + (spec.shard.plan, spec.shard.index)
-    # same append-only-when-set contract: redundancy-free specs keep
-    # their pre-redundancy checkpoint keys
-    if spec.redundancy is not None:
-        payload = payload + (spec.redundancy,)
     return hashlib.sha256(pickle.dumps(payload, protocol=4)).hexdigest()
 
 

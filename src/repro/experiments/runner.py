@@ -31,7 +31,7 @@ from repro.core.extensions import (
 )
 from repro.core.read_strategy import READConfig, READPolicy
 from repro.disk.array import DiskArray
-from repro.disk.drive import Job, QueueDiscipline
+from repro.disk.drive import Job
 from repro.disk.energy import DiskPowerState
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams, cheetah_two_speed
 from repro.experiments.metrics import RequestMetrics, SimulationResult
@@ -184,7 +184,6 @@ class _Cell:
 def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
                   make_tally: Callable[[Callable[[], None]], _T], *,
                   n_disks: int, params: TwoSpeedDiskParams,
-                  initial_speed: DiskSpeed, queue_discipline: QueueDiscipline,
                   obs: ObsConfig | None,
                   faults: FaultConfig | None = None,
                   press: PRESSModel | None = None,
@@ -227,8 +226,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     if obs is not None and obs.profile:
         profiler = KernelProfiler()
         sim.set_profiler(profiler)
-    array = DiskArray(sim, params, n_disks, fileset, initial_speed=initial_speed,
-                      queue_discipline=queue_discipline)
+    array = DiskArray(sim, params, n_disks, fileset)
     sampler: DiskSampler | None = None
     if obs is not None and obs.wants_sampler:
         sampler = DiskSampler(sim, array, obs.effective_sample_interval_s,
@@ -320,8 +318,6 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
 def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
                    n_disks: int, disk_params: TwoSpeedDiskParams | None = None,
                    press: PRESSModel | None = None,
-                   initial_speed: DiskSpeed = DiskSpeed.HIGH,
-                   queue_discipline: QueueDiscipline = QueueDiscipline.FCFS,
                    faults: FaultConfig | None = None,
                    obs: ObsConfig | None = None,
                    redundancy: GroupScheme | None = None) -> SimulationResult:
@@ -329,7 +325,11 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
 
     The same (fileset, trace) pair should be passed to every competing
     policy — that is the paper's fairness protocol (Sec. 3.5: "all
-    algorithms are evaluated ... under the same conditions").
+    algorithms are evaluated ... under the same conditions").  Every
+    drive boots at high speed and serves its queue first-come
+    first-served (Sec. 5.1).  ``press`` is the reliability model that
+    scores the run and, with faults on, sets the injector's hazard
+    (``None`` = the paper's calibration).
 
     ``faults`` enables in-simulation fault injection (see
     :mod:`repro.faults`); ``None`` keeps the fault-free fast path, whose
@@ -361,8 +361,7 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
     cell, metrics = _execute_cell(
         policy, fileset, [(trace.times_s.tolist(), trace.file_ids.tolist())],
         lambda stop: RequestMetrics(expected=n, on_all_done=stop),
-        n_disks=n_disks, params=params, initial_speed=initial_speed,
-        queue_discipline=queue_discipline, obs=obs, faults=faults,
+        n_disks=n_disks, params=params, obs=obs, faults=faults,
         press=model, groups=groups,
         engine_start={"policy": policy.name, "n_disks": n_disks,
                       "n_requests": n})

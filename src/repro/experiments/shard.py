@@ -20,7 +20,7 @@ single accounting step.  Consequences, all enforced by the test suite:
 * merged results are bit-identical across ``--jobs`` values (the shard
   fan-out order never enters the reduction);
 * for shard-decomposable policies (the static family, whose round-robin
-  size-ordered placement the ``"affinity"`` assignment reproduces
+  size-ordered placement the plan's file assignment reproduces
   shard-locally) a sharded run equals the ``n_shards=1`` run — and
   thereby the unsharded streamed run — bit-for-bit on every energy,
   thermal, PRESS, and counter field;
@@ -67,25 +67,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import (
-    Callable,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-    cast,
-)
+from typing import Callable, Iterator, Optional, Sequence, Union, cast
 
 import numpy as np
 
-from repro.disk.drive import Job, QueueDiscipline
+from repro.disk.drive import Job
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
-from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
+from repro.disk.parameters import TwoSpeedDiskParams
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.parallel import RunSpec
 from repro.experiments.resilience import (
-    ResilienceConfig,
     ResilienceSummary,
     SweepCheckpoint,
     run_cells_resilient,
@@ -108,7 +99,7 @@ from repro.obs import (
     write_timeseries,
 )
 from repro.obs import events as obs_events
-from repro.press.model import DiskFactors, PRESSModel
+from repro.press.model import DiskFactors
 from repro.redundancy.groups import RedundancyGroups
 from repro.redundancy.scheme import GroupScheme
 from repro.util.units import SECONDS_PER_DAY
@@ -185,27 +176,17 @@ class ShardPlan:
     """Partition of an N-disk array into independent contiguous groups.
 
     Shard ``s`` owns global disks ``[s*D, (s+1)*D)`` with
-    ``D = n_disks // n_shards``.  File assignment decides which shard
-    *serves* each file:
-
-    ``"affinity"``
-        Files in size-rank order are dealt round-robin across the
-        *global* disks, and each file follows its disk's shard.  This
-        reproduces the static policies' ``placement[order] = rank %
-        n_disks`` layout shard-locally: the k-th file (by size) of a
-        shard lands on local disk ``k % D`` — the same physical disk the
-        unsharded layout picks — which is what makes sharded static runs
-        bit-identical to unsharded ones.
-
-    ``"round-robin"``
-        File id modulo ``n_shards``; ignores sizes.  A plain spreading
-        rule for policies whose placement is not size-ranked (no
-        unsharded-equality guarantee).
+    ``D = n_disks // n_shards``.  Files are assigned by size affinity:
+    in size-rank order they are dealt round-robin across the *global*
+    disks, and each file follows its disk's shard.  This reproduces the
+    static policies' ``placement[order] = rank % n_disks`` layout
+    shard-locally: the k-th file (by size) of a shard lands on local disk
+    ``k % D`` — the same physical disk the unsharded layout picks — which
+    is what makes sharded static runs bit-identical to unsharded ones.
     """
 
     n_disks: int
     n_shards: int
-    assignment: str = "affinity"
 
     def __post_init__(self) -> None:
         require(self.n_disks >= 1, f"n_disks must be >= 1, got {self.n_disks}")
@@ -213,9 +194,6 @@ class ShardPlan:
         require(self.n_disks % self.n_shards == 0,
                 f"n_shards ({self.n_shards}) must divide n_disks "
                 f"({self.n_disks}) so every shard gets equal disks")
-        require(self.assignment in ("affinity", "round-robin"),
-                f"assignment must be 'affinity' or 'round-robin', "
-                f"got {self.assignment!r}")
 
     @property
     def disks_per_shard(self) -> int:
@@ -231,9 +209,7 @@ class ShardPlan:
     def shard_of_files(self, fileset: FileSet) -> np.ndarray:
         """Owning shard per file id (int64, aligned with the fileset)."""
         n_files = len(fileset)
-        if self.assignment == "round-robin":
-            return np.arange(n_files, dtype=np.int64) % self.n_shards
-        # affinity: k-th file by size -> global disk k % n_disks -> its shard
+        # k-th file by size -> global disk k % n_disks -> its shard
         order = fileset.ids_sorted_by_size()
         shard_of = np.empty(n_files, dtype=np.int64)
         shard_of[order] = (np.arange(n_files, dtype=np.int64)
@@ -394,15 +370,15 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     my_files = np.flatnonzero(mine)
     # A file-less shard can't even build its array (and policies act on
     # drives their fileset implies), so degenerate splits are rejected
-    # rather than approximated.  Affinity assignment guarantees every
-    # shard owns files whenever n_files >= n_disks.
+    # rather than approximated.  The size-affinity assignment guarantees
+    # every shard owns files whenever n_files >= n_disks.
     require(my_files.size > 0,
             f"shard {shard.index} owns no files "
             f"({len(fileset)} files across {plan.n_shards} shards); "
             f"use fewer shards or more files")
     # local file ids preserve global id order, so a shard-local stable
     # size sort equals the global sort restricted to this shard — the
-    # keystone of the affinity assignment's unsharded-equality proof
+    # keystone of the sharded-equals-unsharded proof
     local_id = np.full(len(fileset), -1, dtype=np.int64)
     local_id[my_files] = np.arange(my_files.size, dtype=np.int64)
     local_fileset = FileSet(fileset.sizes_mb[my_files])
@@ -435,8 +411,6 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
         n_disks=plan.disks_per_shard,
         params=(spec.disk_params if spec.disk_params is not None
                 else _default_disk_params()),
-        initial_speed=spec.initial_speed,
-        queue_discipline=spec.queue_discipline,
         obs=obs, bus_id_maps=id_maps, disk_offset=offset)
 
     if cell.writer is not None:
@@ -495,8 +469,7 @@ def _sampler_ticks(interval_s: float, end_s: float) -> list[float]:
 
 
 def merge_shard_results(results: Sequence[ShardCellResult],
-                        *, press: PRESSModel | None = None,
-                        obs: Optional[ObsConfig] = None,
+                        *, obs: Optional[ObsConfig] = None,
                         redundancy: Optional[GroupScheme] = None,
                         disk_params: Optional[TwoSpeedDiskParams] = None,
                         ) -> SimulationResult:
@@ -530,7 +503,7 @@ def merge_shard_results(results: Sequence[ShardCellResult],
             f"{sorted(r.shard_index for r in results)}")
     for r in ordered:
         require(r.plan == plan, "shard results were produced under different plans")
-    model = press if press is not None else _default_press()
+    model = _default_press()
 
     completed = sum(r.n_requests for r in ordered)
     require(completed >= 1, "merged run served no requests (empty stream?)")
@@ -653,7 +626,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
     detail: dict[str, object] = dict(ordered[0].policy_detail)
     detail["sharding"] = {
         "n_shards": plan.n_shards,
-        "assignment": plan.assignment,
         "disks_per_shard": plan.disks_per_shard,
         "shard_durations_s": [r.duration_s for r in ordered],
         "shard_requests": [r.n_requests for r in ordered],
@@ -691,7 +663,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
 # the front door
 # ----------------------------------------------------------------------
 def shard_specs(cell: RunSpec, n_shards: int, *,
-                assignment: str = "affinity",
                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[RunSpec]:
     """Expand one whole-array cell into its ``n_shards`` shard sub-cells.
 
@@ -700,8 +671,7 @@ def shard_specs(cell: RunSpec, n_shards: int, *,
     redundancy scheme's group size.
     """
     require_shardable(cell.faults, cell.obs)
-    plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards,
-                     assignment=assignment)
+    plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards)
     if cell.redundancy is not None:
         RedundancyGroups(cell.redundancy, cell.n_disks)  # group-size check
     return [replace(cell, shard=ShardCellSpec(plan, s, chunk_size))
@@ -712,12 +682,13 @@ def merge_cell(cell: RunSpec, results: Sequence[ShardCellResult],
                bus: Optional[TraceBus] = None) -> SimulationResult:
     """Merge the shard results of one cell expanded by :func:`shard_specs`.
 
-    The models, telemetry paths and redundancy scheme come from ``cell``;
-    the merge's wall time lands on ``bus`` as a ``harness.shard.merge``
-    span (outside simulated time, like every harness event: t=0.0).
+    The device model, telemetry paths and redundancy scheme come from
+    ``cell``; the merge's wall time lands on ``bus`` as a
+    ``harness.shard.merge`` span (outside simulated time, like every
+    harness event: t=0.0).
     """
     merge_start = perf_counter()
-    merged = merge_shard_results(results, press=cell.press, obs=cell.obs,
+    merged = merge_shard_results(results, obs=cell.obs,
                                  redundancy=cell.redundancy,
                                  disk_params=cell.disk_params)
     if bus is not None:
@@ -729,15 +700,8 @@ def merge_cell(cell: RunSpec, results: Sequence[ShardCellResult],
 
 def run_sharded(policy: str, workload: WorkloadLike, *,
                 n_disks: int, n_shards: int,
-                assignment: str = "affinity",
                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                policy_kwargs: Optional[Mapping[str, object]] = None,
-                disk_params: Optional[TwoSpeedDiskParams] = None,
-                press: Optional[PRESSModel] = None,
-                initial_speed: Optional[DiskSpeed] = None,
-                queue_discipline: Optional[QueueDiscipline] = None,
                 jobs: int = 1,
-                resilience: Optional[ResilienceConfig] = None,
                 checkpoint: Union[SweepCheckpoint, str, None] = None,
                 bus: Optional[TraceBus] = None,
                 obs: Optional[ObsConfig] = None,
@@ -746,9 +710,9 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
 
     Fans one :class:`RunSpec` per shard through the sweep executor
     (:func:`~repro.experiments.resilience.run_cells_resilient`, so
-    ``jobs`` workers, checkpointing, retries/timeouts via
-    ``resilience`` all apply per shard) and merges.  Returns
-    ``(SimulationResult, ResilienceSummary)``.
+    ``jobs`` workers and checkpointing apply per shard) and merges.
+    The cell runs with the default device and policy configuration.
+    Returns ``(SimulationResult, ResilienceSummary)``.
 
     ``obs`` rides into every shard sub-cell (per-shard trace segments and
     samplers — see the module docstring) and names the merged artifact
@@ -756,16 +720,8 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
     the sweep and per-shard ``harness.*`` events and a
     ``harness.shard.merge`` span when the partials are reduced.
     """
-    cell = RunSpec(
-        policy=policy, n_disks=n_disks, workload=workload,
-        policy_kwargs=dict(policy_kwargs) if policy_kwargs else {},
-        disk_params=disk_params, press=press,
-        initial_speed=initial_speed if initial_speed is not None else DiskSpeed.HIGH,
-        queue_discipline=(queue_discipline if queue_discipline is not None
-                          else QueueDiscipline.FCFS),
-        obs=obs)
-    specs = shard_specs(cell, n_shards, assignment=assignment,
-                        chunk_size=chunk_size)
-    raw, summary = run_cells_resilient(specs, jobs=jobs, config=resilience,
+    cell = RunSpec(policy=policy, n_disks=n_disks, workload=workload, obs=obs)
+    specs = shard_specs(cell, n_shards, chunk_size=chunk_size)
+    raw, summary = run_cells_resilient(specs, jobs=jobs,
                                        checkpoint=checkpoint, bus=bus)
     return merge_cell(cell, cast("list[ShardCellResult]", raw), bus), summary

@@ -35,13 +35,11 @@ __all__ = [
 
 
 def _run_one(cfg: ExperimentConfig, policy_name: str, n_disks: int,
-             press: PRESSModel | None = None,
              faults: FaultConfig | None = None,
              **policy_kwargs) -> SimulationResult:
     spec = RunSpec(policy=policy_name, n_disks=n_disks,
                    workload=cfg.workload, policy_kwargs=policy_kwargs,
-                   disk_params=cfg.disk_params, press=press,
-                   faults=faults)
+                   disk_params=cfg.disk_params, faults=faults)
     return run_cell(spec)
 
 

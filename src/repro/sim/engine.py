@@ -23,7 +23,7 @@ handles themselves, so sift comparisons run as C tuple comparisons
 (``seq`` is unique, so the handle element is never compared, and
 handles define no ordering of their own).  A live-event counter makes
 :attr:`Simulator.pending_count` O(1), and :meth:`Simulator.run` takes a
-branch-free drain loop when neither ``until`` nor ``max_events`` is set.
+branch-free drain loop when ``until`` is not set.
 
 Observability
 -------------
@@ -245,26 +245,8 @@ class Simulator:
         """
         self._stop = True
 
-    def step(self) -> bool:
-        """Dispatch the single next event.  Returns ``False`` when drained."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            entry = pop(heap)
-            handle = entry[3]
-            action = handle.action
-            if action is None:  # lazily-cancelled entry
-                continue
-            handle.action = None
-            self._now = entry[0]
-            self._live -= 1
-            self._events_executed += 1
-            action()
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or ``until`` is reached.
 
         ``until`` is inclusive: events scheduled exactly at ``until``
         execute, and the clock is advanced to ``until`` on return even if
@@ -276,28 +258,26 @@ class Simulator:
             raise SimulationError("run() re-entered from inside an event action")
         if until is not None and (not math.isfinite(until) or until < self._now):
             raise SimulationError(f"until must be finite and >= now, got {until!r}")
-        if max_events is not None and max_events < 0:
-            raise SimulationError(f"max_events must be >= 0, got {max_events!r}")
 
         self._running = True
         self._stop = False
         try:
-            if until is None and max_events is None:
+            if until is None:
                 if self._profiler is None:
                     self._drain()
                 else:
                     self._drain_profiled()
             else:
-                self._run_bounded(until, max_events)
+                self._run_bounded(until)
         finally:
             self._running = False
         if until is not None and self._now < until:
             self._now = until
 
     def run_until_drained(self) -> None:
-        """Drain the queue on the fast path (no ``until``/``max_events``
-        bookkeeping per event).  Equivalent to :meth:`run` with no bounds;
-        honors :meth:`request_stop`.
+        """Drain the queue on the fast path (no ``until`` bookkeeping per
+        event).  Equivalent to :meth:`run` with no bound; honors
+        :meth:`request_stop`.
         """
         if self._running:
             raise SimulationError("run() re-entered from inside an event action")
@@ -355,18 +335,15 @@ class Simulator:
             action()
             record(name, timer() - start)
 
-    def _run_bounded(self, until: Optional[float], max_events: Optional[int]) -> None:
+    def _run_bounded(self, until: float) -> None:
         heap = self._heap
         pop = heapq.heappop
-        dispatched = 0
         while heap and not self._stop:
-            if max_events is not None and dispatched >= max_events:
-                break
             head = heap[0]
             if head[3].action is None:
                 pop(heap)
                 continue
-            if until is not None and head[0] > until:
+            if head[0] > until:
                 break
             pop(heap)
             handle = head[3]
@@ -376,4 +353,3 @@ class Simulator:
             self._live -= 1
             self._events_executed += 1
             action()
-            dispatched += 1

@@ -34,6 +34,15 @@ class TestService:
         sim.run()
         assert completed == [0, 1, 2]
 
+    def test_fcfs_is_submission_order(self, sim, params, drive):
+        """Queued jobs run in submission order whatever their sizes."""
+        done = []
+        for size, tag in [(10.0, "big"), (0.1, "small"), (5.0, "mid")]:
+            drive.submit(Job.internal_transfer(size, on_complete=(
+                lambda j, t=tag: done.append(t))))
+        sim.run()
+        assert done == ["big", "small", "mid"]
+
     def test_queueing_delay(self, sim, params, drive):
         jobs = [Job.internal_transfer(10.0) for _ in range(2)]
         for j in jobs:

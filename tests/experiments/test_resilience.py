@@ -164,8 +164,9 @@ class TestSweepCheckpoint:
         # shard partial result reshaped): loading one would shift later
         # slots, so neither may be read; 3 points at shard-tagged trace
         # segments, which would leak the tag into a merged trace; 4
-        # results still carry the registry snapshot slot
-        for version in (1, 2, 3, 4, 999):
+        # results still carry the registry snapshot slot; 5 shard results
+        # pickle a ShardPlan with the assignment slot
+        for version in (1, 2, 3, 4, 5, 999):
             path = tmp_path / f"sweep-v{version}.ckpt"
             path.write_bytes(pickle.dumps({"version": version, "cells": {}}))
             ckpt = SweepCheckpoint(path)

@@ -3,8 +3,8 @@
 The load-bearing claims of :mod:`repro.experiments.shard`:
 
 * the merged result is bit-identical across ``jobs`` values and across
-  ``n_shards`` (for the shard-decomposable static policies under
-  ``"affinity"`` assignment) — every field, response stats included;
+  ``n_shards`` (for the shard-decomposable static policies) — every
+  field, response stats included;
 * ``n_shards=1`` through the canonical reducer agrees exactly with the
   plain :func:`~repro.experiments.runner.run_simulation` on all physical
   fields (the percentile fields are histogram-quantized by design);
@@ -56,20 +56,10 @@ class TestShardPlan:
         with pytest.raises(ValueError):
             ShardPlan(n_disks=10, n_shards=4)
 
-    def test_bad_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            ShardPlan(n_disks=8, n_shards=2, assignment="hash")
-
-    def test_round_robin_assignment(self):
-        plan = ShardPlan(n_disks=6, n_shards=3, assignment="round-robin")
-        fileset = FileSet([1.0] * 7)
-        shard_of = plan.shard_of_files(fileset)
-        assert shard_of.tolist() == [0, 1, 2, 0, 1, 2, 0]
-
     def test_affinity_follows_size_ranked_disks(self):
         # file k in size order goes to global disk k % n_disks; its shard
         # is that disk's contiguous group
-        plan = ShardPlan(n_disks=4, n_shards=2, assignment="affinity")
+        plan = ShardPlan(n_disks=4, n_shards=2)
         fileset = FileSet([4.0, 1.0, 3.0, 2.0, 5.0])
         order = fileset.ids_sorted_by_size()
         shard_of = plan.shard_of_files(fileset)
@@ -176,14 +166,6 @@ class TestShardedEqualsUnsharded:
         fine, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2,
                               chunk_size=97)
         assert coarse == fine
-
-    def test_round_robin_assignment_still_conserves_requests(self):
-        merged, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=4,
-                                assignment="round-robin")
-        assert merged.n_requests == CFG.n_requests
-        assert merged.total_energy_j > 0.0
-        sharding = merged.policy_detail["sharding"]
-        assert sum(sharding["shard_requests"]) == CFG.n_requests
 
 
 class TestShardCellMechanics:

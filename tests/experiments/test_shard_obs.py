@@ -3,8 +3,7 @@
 The claims of DESIGN.md Sec. 13, asserted end to end:
 
 * the merged per-shard trace is **byte-identical** across ``jobs``
-  values and across shard counts (static policies, affinity
-  assignment);
+  values and across shard counts (static policies);
 * it equals the unsharded run's trace record-for-record, except the
   final ``engine.stop``'s ``events`` payload (data records vs kernel
   events — shard-count-invariant by design, but a different quantity);

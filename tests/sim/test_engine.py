@@ -130,24 +130,6 @@ def test_run_until_before_now_rejected():
         sim.run(until=1.0)
 
 
-def test_max_events_bounds_dispatch():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i + 1), (lambda k=i: fired.append(k)))
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
-    assert sim.pending_count == 7
-
-
-def test_step_returns_false_when_drained():
-    sim = Simulator()
-    assert sim.step() is False
-    sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
-
-
 def test_events_executed_counter():
     sim = Simulator()
     for i in range(4):
@@ -249,7 +231,7 @@ def test_pending_count_tracks_schedule_fire_cancel():
     sim.cancel(handles[0])
     sim.cancel(handles[0])  # double-cancel must not double-decrement
     assert sim.pending_count == 4
-    sim.run(max_events=2)
+    sim.run(until=3.0)  # fires t=2 and t=3 (t=1 was cancelled)
     assert sim.pending_count == 2
     sim.run()
     assert sim.pending_count == 0

@@ -98,7 +98,7 @@ class TestTelemetryFlags:
 
     def test_compare_trace_out_suffixes_per_cell(self, tmp_path, capsys):
         base = tmp_path / "sweep.jsonl"
-        rc = main(["compare", "--policies", "read,static-high",
+        rc = main(["sweep", "--policies", "read,static-high",
                    "--disks", "4", "--trace-out", str(base), *SMALL])
         assert rc == 0
         assert (tmp_path / "sweep-read-4.jsonl").exists()
@@ -148,7 +148,7 @@ class TestTelemetryFlags:
 
 class TestCompare:
     def test_two_policy_sweep(self, capsys):
-        rc = main(["compare", "--policies", "read,static-high",
+        rc = main(["sweep", "--policies", "read,static-high",
                    "--disks", "4,6", "--baseline", "read", *SMALL])
         out = capsys.readouterr().out
         assert rc == 0
@@ -332,9 +332,10 @@ class TestWorthwhile:
 class TestReport:
     def test_report_command_writes_markdown(self, tmp_path, capsys):
         out_md = tmp_path / "r.md"
-        rc = main(["report", "--out", str(out_md), "--policies",
+        rc = main(["sweep", "--report", str(out_md), "--policies",
                    "read,static-high", "--disks", "4", *SMALL])
         assert rc == 0
+        assert f"wrote report -> {out_md}" in capsys.readouterr().out
         assert out_md.exists()
         assert "Array AFR" in out_md.read_text()
 
@@ -380,14 +381,14 @@ class TestErrorPaths:
 
     def test_unknown_policy_in_compare_list(self, capsys):
         # --policies is free-form CSV, so this surfaces at run time
-        rc = main(["compare", "--policies", "read,bogus", "--disks", "4", *SMALL])
+        rc = main(["sweep", "--policies", "read,bogus", "--disks", "4", *SMALL])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "unknown policy 'bogus'" in err
 
     def test_bad_jobs_count(self, capsys):
-        rc = main(["compare", "--policies", "read", "--disks", "4",
+        rc = main(["sweep", "--policies", "read", "--disks", "4",
                    "--jobs", "0", *SMALL])
         assert rc == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
@@ -426,7 +427,7 @@ class TestFaultsFlag:
         assert "availability" in out
 
     def test_compare_with_faults_prints_availability_series(self, capsys):
-        rc = main(["compare", "--policies", "read", "--disks", "4",
+        rc = main(["sweep", "--policies", "read", "--disks", "4",
                    "--faults", "on", *SMALL])
         out = capsys.readouterr().out
         assert rc == 0

@@ -14,6 +14,11 @@ word (a different class's member of the same name, a docstring, an
 ``__all__`` re-exports, and reference implementations cross-checked by
 tests, are therefore out of scope.  Members kept on purpose are listed
 in ``KEEP`` with the reason.
+
+The same holds for options: every defaulted parameter or field of the
+experiment front doors (``KNOB_TARGETS``) must be set at some call in
+the same program code, or be listed in ``KNOB_KEEP`` with the reason.
+An option nothing sets is a branch no experiment runs.
 """
 
 from __future__ import annotations
@@ -87,3 +92,201 @@ def test_keep_list_is_current():
     assert not stale, (
         "KEEP entries that are gone or now have a caller; drop them:\n  "
         + "\n  ".join(stale))
+
+
+# ----------------------------------------------------------------------
+# knobs: every option of the experiment front doors is set by a program
+# ----------------------------------------------------------------------
+#: Functions and dataclasses whose defaulted parameters/fields must each
+#: be set at some call in the scanned program code, by definition site.
+KNOB_TARGETS = {
+    "repro.experiments.parallel": ("RunSpec", "run_cells"),
+    "repro.experiments.shard": ("ShardPlan", "ShardCellSpec", "run_sharded",
+                                "shard_specs", "merge_shard_results"),
+    "repro.experiments.runner": ("run_simulation",),
+    "repro.experiments.figures": ("figure7_comparison",),
+}
+
+#: ``target.option`` -> why the option stays although only tests set it.
+KNOB_KEEP = {
+    "run_simulation.press":
+        "test_finalize_invariants plants a bad model through it; the "
+        "fault injector's hazard reads the same model",
+    "run_cells.resilience":
+        "tests drive the executor's retries and timeouts through the "
+        "public cell runner",
+    "run_cells.checkpoint":
+        "tests journal and resume cells through the public cell runner",
+    "run_sharded.chunk_size":
+        "tests show the merge is independent of the stream's chunking",
+    "run_sharded.checkpoint":
+        "tests and the scale tier resume a sharded cell shard by shard",
+    "run_sharded.bus":
+        "tests check the harness spans and merge span of one sharded cell",
+    "figure7_comparison.policy_kwargs":
+        "tests run short-epoch READ sweeps through it",
+}
+
+
+def _scanned_trees():
+    for name in SCANNED_DIRS:
+        for path in sorted((ROOT / name).rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _params(fn: ast.FunctionDef, *, method: bool):
+    """``(positional names, {name: has default})`` of one function."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if method and positional and positional[0] in ("self", "cls"):
+        positional = positional[1:]
+    n_pos = len(args.posonlyargs) + len(args.args)
+    first_default = n_pos - len(args.defaults)
+    defaulted = {a.arg: i >= first_default
+                 for i, a in enumerate(args.posonlyargs + args.args)}
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        defaulted[a.arg] = d is not None
+    return positional, defaulted
+
+
+def _dataclass_fields(cls: ast.ClassDef):
+    """``(field names in order, {name: has default})`` of one dataclass."""
+    defaulted = {s.target.id: s.value is not None for s in cls.body
+                 if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+    return list(defaulted), defaulted
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+@functools.cache
+def _program_index():
+    """Every call site (with its enclosing function scopes) and every
+    function signature in the scanned program code, keyed by name."""
+    calls: dict[str, list] = {}
+    signatures: dict[str, list] = {}
+
+    def visit(node, scopes, in_class=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scopes, in_class=child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional, defaulted = _params(child, method=in_class is not None)
+                name = (in_class if child.name == "__init__" and in_class
+                        else child.name)
+                signatures.setdefault(name, []).append((positional, defaulted))
+                visit(child, scopes + ((name, set(defaulted)),))
+                continue
+            if isinstance(child, ast.Call):
+                callee = _callee(child)
+                if callee is not None:
+                    calls.setdefault(callee, []).append((child, scopes))
+            visit(child, scopes, in_class)
+
+    for tree in _scanned_trees():
+        visit(tree, ())
+    return calls, signatures
+
+
+def _forwarded(value: ast.expr, scopes):
+    """``(function, parameter)`` when ``value`` is a bare name naming a
+    parameter of an enclosing function, else ``None``."""
+    if not isinstance(value, ast.Name):
+        return None
+    for fn, params in reversed(scopes):
+        if value.id in params:
+            return fn, value.id
+    return None
+
+
+def _sets(call: ast.Call, positional: list[str], option: str) -> ast.expr | None:
+    """The expression ``call`` passes for ``option``, if it passes one."""
+    for kw in call.keywords:
+        if kw.arg == option:
+            return kw.value
+    if option in positional:
+        i = positional.index(option)
+        if i < len(call.args) and not any(isinstance(a, ast.Starred)
+                                          for a in call.args[:i + 1]):
+            return call.args[i]
+    return None
+
+
+def _is_set(name: str, positional: list[str], option: str,
+            seen: frozenset = frozenset()) -> bool:
+    """Whether some program call of ``name`` sets ``option`` (fixpoint
+    over bare forwards of an enclosing function's own parameters)."""
+    calls, _ = _program_index()
+    key = (name, option)
+    if key in seen:
+        return False
+    seen = seen | {key}
+    for call, scopes in calls.get(name, ()):
+        value = _sets(call, positional, option)
+        if value is None:
+            continue
+        forward = _forwarded(value, scopes)
+        if forward is None or _param_is_set(*forward, seen):
+            return True
+    # dataclasses.replace(obj, option=...) sets the field on a copy
+    if name[:1].isupper():
+        for call, scopes in calls.get("replace", ()):
+            value = _sets(call, [], option)
+            if value is not None:
+                forward = _forwarded(value, scopes)
+                if forward is None or _param_is_set(*forward, seen):
+                    return True
+    return False
+
+
+def _param_is_set(fn: str, param: str, seen: frozenset) -> bool:
+    """A required parameter is always set; a defaulted one when a call sets it."""
+    _, signatures = _program_index()
+    for positional, defaulted in signatures.get(fn, ()):
+        if param not in defaulted:
+            continue
+        if not defaulted[param] or _is_set(fn, positional, param, seen):
+            return True
+    return False
+
+
+@functools.cache
+def _unset_knobs() -> tuple[str, ...]:
+    unset = []
+    for module, names in KNOB_TARGETS.items():
+        path = ROOT / "src" / (module.replace(".", "/") + ".py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if getattr(node, "name", None) not in names:
+                continue
+            if isinstance(node, ast.ClassDef):
+                positional, defaulted = _dataclass_fields(node)
+            else:
+                positional, defaulted = _params(node, method=False)
+            for option, has_default in defaulted.items():
+                if has_default and not _is_set(node.name, positional, option):
+                    unset.append(f"{node.name}.{option}")
+    return tuple(unset)
+
+
+def test_every_knob_is_set_by_a_program():
+    """A defaulted option no program sets is a branch nothing measures."""
+    unlisted = [knob for knob in _unset_knobs() if knob not in KNOB_KEEP]
+    assert not unlisted, (
+        "options that no call in src/, benchmarks/, examples/ or perfbench/ "
+        "sets (delete them with their plumbing, or add them to KNOB_KEEP "
+        "with a reason):\n  " + "\n  ".join(unlisted))
+
+
+def test_knob_keep_list_is_current():
+    stale = sorted(set(KNOB_KEEP) - set(_unset_knobs()))
+    assert not stale, (
+        "KNOB_KEEP entries that are gone or now set by a program; drop "
+        "them:\n  " + "\n  ".join(stale))
