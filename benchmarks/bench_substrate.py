@@ -60,7 +60,7 @@ def test_trace_generation_throughput(benchmark):
 
 
 def test_press_array_scoring(benchmark):
-    """End-of-run evaluation of a 16-disk array (PRESS path)."""
+    """End-of-run PRESS scoring of a 16-disk array's closed ledgers."""
     from repro.disk.array import DiskArray
     from repro.press.model import PRESSModel
     from repro.workload.files import FileSet
@@ -71,9 +71,11 @@ def test_press_array_scoring(benchmark):
     array = DiskArray(sim, params, 16, FileSet(np.ones(100)))
     sim.schedule(1000.0, lambda: None)
     sim.run()
+    array.finalize()
+    ledgers = [d.open_ledger().close(1000.0) for d in array.drives]
 
     def score():
-        return press.evaluate_array(array, 1000.0)
+        return press.evaluate_array(ledgers, 1000.0)
 
     afr, factors = benchmark(score)
     assert len(factors) == 16

@@ -274,8 +274,12 @@ def _print_comparison(fig7, policies: list[str], baseline: str) -> None:
             print(f"{baseline} improvement, {metric}: {parts}")
 
 
-def _validate_sweep_combos(args: argparse.Namespace) -> None:
-    """Fail fast, before any cell runs, on what sharding refuses."""
+def _validate_sweep_combos(args: argparse.Namespace, policies: list[str]) -> None:
+    """Fail fast, before any cell runs or any checkpoint opens, on an
+    unknown policy or on what sharding refuses."""
+    unknown = sorted(set(policies) - set(_policy_names()))
+    if unknown:
+        raise ValueError(f"unknown policy {unknown[0]!r}; known: {_policy_names()}")
     if args.shards is not None:
         from repro.experiments.shard import require_shardable
 
@@ -295,7 +299,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         setup_logging()
     from repro.experiments.runner import ExperimentConfig
 
-    _validate_sweep_combos(args)
+    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    _validate_sweep_combos(args, policies)
     checkpoint = args.resume or args.checkpoint
     if args.resume is not None and not Path(args.resume).exists():
         raise FileNotFoundError(
@@ -307,7 +312,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cell_timeout_s=args.cell_timeout,
         watchdog=args.watchdog)
     config = ExperimentConfig(workload=_workload_config(args))
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     disk_counts = [int(d) for d in args.disks.split(",")]
     obs = _obs_config(args)
     status_writer = None

@@ -264,7 +264,3 @@ class DiskArray:
         """Flush every drive's energy/thermal ledgers to ``sim.now``."""
         for drive in self.drives:
             drive.finalize()
-
-    def total_energy_j(self) -> float:
-        """Array-wide energy (call :meth:`finalize` first for exactness)."""
-        return sum(d.energy.total_energy_j for d in self.drives)

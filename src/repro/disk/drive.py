@@ -301,13 +301,13 @@ class TwoSpeedDrive:
     def open_ledger(self) -> OpenDiskLedger:
         """Capture the raw accumulator state *without* the final flush.
 
-        Used by sharded runs (``repro.experiments.shard``): the shard's
-        sub-simulation stops at its local end time, but the merged
-        result must charge each disk's final open interval up to the
-        *global* end time in a single accounting step — exactly what
-        :meth:`finalize` would have done there.  The returned ledger is
-        picklable and :meth:`~repro.disk.ledger.OpenDiskLedger.close`
-        performs that step with bit-identical arithmetic.
+        Every finalize scores closed ledgers (:mod:`repro.disk.ledger`).
+        A sharded run (``repro.experiments.shard``) captures at its
+        local end time, and the merge charges each disk's final open
+        interval up to the *global* end time in a single accounting
+        step — exactly what :meth:`finalize` would have done there.
+        :meth:`~repro.disk.ledger.OpenDiskLedger.close` performs that
+        step with bit-identical arithmetic.
         """
         energy, thermal, stats = self.energy, self.thermal, self.stats
         if self._phase is DrivePhase.FAILED:

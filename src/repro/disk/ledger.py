@@ -1,27 +1,26 @@
-"""Open accounting ledgers: deferred end-of-run closes for sharded runs.
+"""Open and closed accounting ledgers: how every cell is finalized.
 
 A drive's energy/thermal/stats ledgers are exact up to its *last
 accounting edge* (``TwoSpeedDrive._account`` runs on every dispatch,
-completion, and transition).  A normal run then calls
-:meth:`TwoSpeedDrive.finalize`, which charges the final interval from
-that edge to ``sim.now`` in one step.
+completion, and transition).  Every cell scores PRESS, energy and
+counters from :class:`ClosedDiskLedger` values
+(``repro.experiments.runner._reduce_ledgers``).  A whole-array run
+finalizes its drives at the horizon and closes their open ledgers
+there, a zero-length close.
 
-A *sharded* run (``repro.experiments.shard``) cannot do that: each
-shard's sub-simulation stops at its own local end time, but the merged
-result must account every disk up to the **global** end time — the
-maximum over all shards — exactly as the unsharded simulation would
-have.  Critically, the unsharded run closes each disk's ledgers from
-its last edge to the global end in *one* ``accumulate``/``advance``
-call, so a shard worker must not finalize locally and extend later
-(two exponential thermal steps are not bit-identical to one).
-
-The solution is the :class:`OpenDiskLedger`: a picklable capture of a
-drive's raw accumulator state *before* the final flush, plus the power
-state and thermal steady target that were open at capture.  The merge
-step calls :meth:`OpenDiskLedger.close` with the global end time; its
-arithmetic mirrors :meth:`EnergyMeter.accumulate` and
-:meth:`ThermalModel.advance` float-op for float-op, so a closed ledger
-equals the unsharded drive's finalized ledgers bit-for-bit.
+A *sharded* run (``repro.experiments.shard``) is why the open form
+exists: each shard's sub-simulation stops at its own local end time,
+but the merged result must account every disk up to the **global** end
+time, exactly as the unsharded simulation would have, which charges
+the interval from the last edge in *one* ``accumulate``/``advance``
+call.  Two exponential thermal steps are not bit-identical to one, so
+a shard captures an :class:`OpenDiskLedger`: a picklable capture of
+the raw accumulator state *before* the final flush, plus the power
+state and thermal steady target open at capture.  The merge calls
+:meth:`OpenDiskLedger.close` with the global end time; its arithmetic
+mirrors :meth:`EnergyMeter.accumulate` and :meth:`ThermalModel.advance`
+float-op for float-op, so a closed ledger equals the unsharded drive's
+finalized ledgers bit-for-bit.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """Per-drive operating statistics consumed by PRESS and the reports.
 
-The three ESRRA factors the PRESS model needs per disk (Sec. 3) map to:
-
-* operating temperature  -> the thermal model's time-weighted mean;
-* utilization            -> active time / power-on time (Sec. 3.3's
-  definition, verbatim);
-* speed-transition freq. -> transitions normalized to a per-day rate.
+The speed-transition count here is one of the three ESRRA factors the
+PRESS model needs per disk (Sec. 3); ``PRESSModel.evaluate_array``
+normalizes it to a per-day rate from the disk's closed ledger, beside
+the thermal model's mean temperature and the meter's utilization.
 
 ``DiskStats`` also tracks served-request counters used by the
 performance metrics and by policies (READ's FPT is file-level and lives
@@ -64,21 +62,3 @@ class DiskStats:
     def max_transitions_per_day(self) -> int:
         """Worst single-day transition count (0 when none occurred)."""
         return max(self.transitions_by_day.values(), default=0)
-
-    def transitions_per_day(self, duration_s: float) -> float:
-        """Transition count normalized to a per-day rate.
-
-        For simulations shorter than a day this extrapolates linearly —
-        the paper's frequency-reliability function is defined on
-        transitions *per day*, and its own experiments replay a fraction
-        of a day (Sec. 5.1), implying the same normalization.
-        """
-        require_positive(duration_s, "duration_s")
-        return self.speed_transitions_total * SECONDS_PER_DAY / duration_s
-
-    def utilization(self, active_time_s: float, power_on_time_s: float) -> float:
-        """The paper's utilization: active time / power-on time (Sec. 3.3)."""
-        require_non_negative(active_time_s, "active_time_s")
-        require_positive(power_on_time_s, "power_on_time_s")
-        util = active_time_s / power_on_time_s
-        return min(util, 1.0)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
-from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence, TypeVar, cast
+from typing import Any, Callable, Container, Iterable, Mapping, Protocol, Sequence, TypeVar, cast
 
 from repro.core.extensions import (
     ReplicatingREADConfig,
@@ -32,7 +32,7 @@ from repro.core.extensions import (
 from repro.core.read_strategy import READConfig, READPolicy
 from repro.disk.array import DiskArray
 from repro.disk.drive import Job
-from repro.disk.energy import DiskPowerState
+from repro.disk.ledger import ClosedDiskLedger
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams, cheetah_two_speed
 from repro.experiments.metrics import RequestMetrics, SimulationResult
 from repro.faults import FaultConfig, FaultInjector
@@ -381,18 +381,9 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
     if cell.writer is not None:
         cell.writer.close()
 
-    afr, factors = model.evaluate_array(array, duration)
-
-    breakdown: dict[str, float] = {}
-    for drive in array.drives:
-        for state, joules in drive.energy.breakdown().items():
-            breakdown[state] = breakdown.get(state, 0.0) + joules
-    total_energy = array.total_energy_j()
-    _check_finalize_invariants(
-        ((d.disk_id, [d.energy.time_s(s) for s in DiskPowerState],
-          [d.energy.energy_j(s) for s in DiskPowerState]) for d in array.drives),
-        horizon_s=duration, total_energy_j=total_energy,
-        array_afr_percent=afr, factors=factors,
+    totals = _reduce_ledgers(
+        [d.open_ledger().close(duration) for d in array.drives],
+        horizon_s=duration, press=model,
         failed_disks=(() if injector is None else
                       {d for d, _ in injector.tracker.failure_schedule}))
 
@@ -408,12 +399,7 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
         mean_response_s=float("nan") if no_served else metrics.mean_response_s(),
         p95_response_s=float("nan") if no_served else metrics.percentile_response_s(95.0),
         p99_response_s=float("nan") if no_served else metrics.percentile_response_s(99.0),
-        total_energy_j=total_energy,
-        array_afr_percent=afr,
-        per_disk=tuple(factors),
-        total_transitions=sum(d.stats.speed_transitions_total for d in array.drives),
-        internal_jobs=sum(d.stats.internal_jobs_served for d in array.drives),
-        energy_breakdown_j=breakdown,
+        **totals,
         policy_detail=policy.describe(),
         faults=(None if injector is None else
                 injector.tracker.summarize(n_disks=n_disks, duration_s=duration)),
@@ -422,10 +408,37 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
         timeseries=timeseries,
         profile=(None if cell.profiler is None else
                  cell.profiler.summary(wall_clock_s=cell.wall_clock_s)),
-        redundancy=_assess_redundancy(scheme, factors, used_mb=array.used_mb,
+        redundancy=_assess_redundancy(scheme, totals["per_disk"], used_mb=array.used_mb,
                                       params=params, faults=faults,
                                       injector=injector),
     )
+
+
+def _reduce_ledgers(ledgers: Sequence[ClosedDiskLedger], *, horizon_s: float,
+                    press: PRESSModel, failed_disks: Container[int] = (),
+                    ) -> dict[str, Any]:
+    """Score and total a cell's closed ledgers, then check conservation.
+
+    The ledger half of both finalizes: :func:`run_simulation` closes its
+    drives' ledgers at the horizon, the shard merge closes the shards'
+    open ledgers at the global end.  ``ledgers`` are in global disk
+    order, keyed by position (a shard's ledgers carry shard-local ids).
+    Energy sums states first, in definition order, then disks.  Returns
+    the :class:`SimulationResult` fields the ledgers determine.
+    """
+    afr, factors = press.evaluate_array(ledgers, horizon_s)
+    total_energy = sum(c.total_energy_j for c in ledgers)
+    breakdown: dict[str, float] = {}
+    for c in ledgers:
+        for state, joules in c.breakdown().items():
+            breakdown[state] = breakdown.get(state, 0.0) + joules
+    _check_finalize_invariants(
+        ledgers, horizon_s=horizon_s, total_energy_j=total_energy,
+        array_afr_percent=afr, factors=factors, failed_disks=failed_disks)
+    return {"per_disk": tuple(factors), "array_afr_percent": afr,
+            "total_energy_j": total_energy, "energy_breakdown_j": breakdown,
+            "total_transitions": sum(c.transitions_total for c in ledgers),
+            "internal_jobs": sum(c.internal_jobs_served for c in ledgers)}
 
 
 #: Relative tolerance of a never-failed disk's state-time sum against the
@@ -435,31 +448,31 @@ STATE_TIME_RTOL = 1e-9
 
 
 def _check_finalize_invariants(
-        ledgers: Iterable[tuple[int, Sequence[float], Sequence[float]]], *,
+        ledgers: Sequence[ClosedDiskLedger], *,
         horizon_s: float, total_energy_j: float, array_afr_percent: float,
         factors: Sequence[DiskFactors], failed_disks: Container[int] = (),
 ) -> None:
     """Raise ``RuntimeError`` if a finalized cell breaks a conservation law.
 
-    ``ledgers`` yields ``(disk_id, state_times_s, state_energies_j)`` per
-    disk, in :class:`DiskPowerState` order.  Every energy and AFR must be
-    finite and non-negative, and the state-times of a disk that never
-    failed must sum to ``horizon_s`` within :data:`STATE_TIME_RTOL`.  A
-    failed disk spends its downtime in no power state, so it is exempt
-    from the time check.  O(disks); reads the result, never changes it.
+    ``ledgers`` are in global disk order; a disk is named by its
+    position.  Every energy and AFR must be finite and non-negative, and
+    the state-times of a disk that never failed must sum to ``horizon_s``
+    within :data:`STATE_TIME_RTOL`.  A failed disk spends its downtime in
+    no power state, so it is exempt from the time check.  O(disks);
+    reads the result, never changes it.
     """
     def bad(value: float) -> bool:
         return not 0.0 <= value < math.inf  # NaN fails too
 
-    for disk_id, times, energies in ledgers:
-        if any(bad(j) for j in energies):
-            raise RuntimeError(f"disk {disk_id}: state energies {list(energies)} J "
+    for disk_id, c in enumerate(ledgers):
+        if any(bad(j) for j in c.energy_j):
+            raise RuntimeError(f"disk {disk_id}: state energies {list(c.energy_j)} J "
                                f"are not all finite and >= 0")
         if disk_id in failed_disks:
             continue
-        total_s = sum(times)
+        total_s = sum(c.time_s)
         if not abs(total_s - horizon_s) <= STATE_TIME_RTOL * horizon_s:
-            raise RuntimeError(f"disk {disk_id}: state-times {list(times)} s sum to "
+            raise RuntimeError(f"disk {disk_id}: state-times {list(c.time_s)} s sum to "
                                f"{total_s!r} s, not the horizon {horizon_s!r} s")
     for f in factors:
         if bad(f.afr_percent):

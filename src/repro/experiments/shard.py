@@ -37,8 +37,10 @@ modeling choice, not a transparent optimization.
 
 Each shard runs the same cell executor as a whole-array run
 (:func:`repro.experiments.runner._execute_cell`), fed the shard's
-filtered stream chunks; only the finalize differs (open ledgers and a
-response histogram here, exact percentiles there).  What a sharded cell
+filtered stream chunks, and the merge scores PRESS, energy and counters
+with the same ledger reducer (``runner._reduce_ledgers``) over the
+shards' ledgers closed at the global end.  Only the response reduction
+differs: a histogram here, exact percentiles there.  What a sharded cell
 cannot run — fault injection, whose schedule is array-global, and
 kernel profiling — is refused in one place, :func:`require_shardable`.
 A redundancy layout (faults off) is carried into the merge, which prices
@@ -84,10 +86,10 @@ from repro.experiments.resilience import (
 from repro.experiments.runner import (
     Chunk,
     _assess_redundancy,
-    _check_finalize_invariants,
     _default_disk_params,
     _default_press,
     _execute_cell,
+    _reduce_ledgers,
     make_policy,
 )
 from repro.obs import (
@@ -99,10 +101,8 @@ from repro.obs import (
     write_timeseries,
 )
 from repro.obs import events as obs_events
-from repro.press.model import DiskFactors
 from repro.redundancy.groups import RedundancyGroups
 from repro.redundancy.scheme import GroupScheme
-from repro.util.units import SECONDS_PER_DAY
 from repro.util.validation import require
 from repro.workload.files import FileSet
 from repro.workload.stream import DEFAULT_CHUNK_SIZE, WorkloadLike, open_stream
@@ -476,11 +476,11 @@ def merge_shard_results(results: Sequence[ShardCellResult],
     """Reduce per-shard partial results into one :class:`SimulationResult`.
 
     Reduction order is fixed — shards by index, disks by global id,
-    power states by definition order — and every floating-point
-    reduction mirrors the unsharded runner's expression shape, so the
-    merged result is independent of how (and how parallel) the shards
-    were executed, and equals the ``n_shards=1`` reduction of the same
-    stream exactly.
+    power states by definition order — and the closed ledgers go through
+    the unsharded runner's own reducer (``runner._reduce_ledgers``), so
+    the merged result is independent of how (and how parallel) the
+    shards were executed, and equals the ``n_shards=1`` reduction of the
+    same stream exactly.
 
     Telemetry federates here too (``obs`` names the merged artifact
     paths): per-shard trace segments k-way merge into ``obs.trace_path``
@@ -503,7 +503,6 @@ def merge_shard_results(results: Sequence[ShardCellResult],
             f"{sorted(r.shard_index for r in results)}")
     for r in ordered:
         require(r.plan == plan, "shard results were produced under different plans")
-    model = _default_press()
 
     completed = sum(r.n_requests for r in ordered)
     require(completed >= 1, "merged run served no requests (empty stream?)")
@@ -586,29 +585,8 @@ def merge_shard_results(results: Sequence[ShardCellResult],
                 f"trace merge saw {merged_count} data events but the "
                 f"shards reported writing {data_events}")
 
-    # ---- PRESS: same factor arithmetic as PRESSModel.factors_of
-    temps = [c.mean_temperature_c() for c in closed]
-    utils = [100.0 * min(c.active_time_s / duration, 1.0) for c in closed]
-    freqs = [c.transitions_total * SECONDS_PER_DAY / duration for c in closed]
-    afrs = model.disk_afr_batch(temps, utils, freqs)
-    factors = tuple(
-        DiskFactors(disk_id=i, mean_temperature_c=t, utilization_percent=u,
-                    transitions_per_day=f, afr_percent=a)
-        for i, (t, u, f, a) in enumerate(zip(temps, utils, freqs, afrs.tolist()))
-    )
-    array_afr = model.integrator.array_afr(f.afr_percent for f in factors)
-
-    # ---- energy: per-disk state sums first (as EnergyMeter does), then
-    # across disks in global order (as DiskArray.total_energy_j does)
-    total_energy = sum(c.total_energy_j for c in closed)
-    breakdown: dict[str, float] = {}
-    for c in closed:
-        for state, joules in c.breakdown().items():
-            breakdown[state] = breakdown.get(state, 0.0) + joules
-    _check_finalize_invariants(
-        ((g, c.time_s, c.energy_j) for g, c in enumerate(closed)),
-        horizon_s=duration, total_energy_j=total_energy,
-        array_afr_percent=array_afr, factors=factors)
+    # ---- PRESS, energy and counters: the runner's ledger reducer
+    totals = _reduce_ledgers(closed, horizon_s=duration, press=_default_press())
 
     # ---- response: per-disk sums in global disk order; exact-integer
     # histogram merge for the percentiles
@@ -640,19 +618,14 @@ def merge_shard_results(results: Sequence[ShardCellResult],
         mean_response_s=mean_response,
         p95_response_s=p95,
         p99_response_s=p99,
-        total_energy_j=total_energy,
-        array_afr_percent=array_afr,
-        per_disk=factors,
-        total_transitions=sum(c.transitions_total for c in closed),
-        internal_jobs=sum(c.internal_jobs_served for c in closed),
-        energy_breakdown_j=breakdown,
+        **totals,
         policy_detail=detail,
         faults=None,
         events_executed=sum(r.events_executed for r in ordered),
         wall_clock_s=sum(r.wall_clock_s for r in ordered),
         timeseries=merged_series,
         redundancy=_assess_redundancy(
-            redundancy, factors,
+            redundancy, totals["per_disk"],
             used_mb=[m for r in ordered for m in r.used_mb],
             params=(disk_params if disk_params is not None
                     else _default_disk_params())),

@@ -5,26 +5,29 @@ integrator.  It is consumed two ways:
 
 * analytically — :meth:`PRESSModel.disk_afr` on explicit factor values,
   and :meth:`PRESSModel.afr_surface` for the Fig. 5 surfaces;
-* against a simulation — :meth:`PRESSModel.evaluate_drive` extracts the
-  three ESRRA factors from a finished :class:`~repro.disk.TwoSpeedDrive`
-  and :meth:`PRESSModel.evaluate_array` reduces over the array with the
-  max rule.
+* against a simulation — :meth:`PRESSModel.evaluate_array` turns the
+  disks' closed ledgers (:class:`~repro.disk.ledger.ClosedDiskLedger`)
+  into the three ESRRA factors, scores them, and reduces over the array
+  with the max rule; :meth:`PRESSModel.factors_of` scores one live
+  :class:`~repro.disk.TwoSpeedDrive` through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.disk.array import DiskArray
 from repro.disk.drive import TwoSpeedDrive
+from repro.disk.ledger import ClosedDiskLedger
 from repro.press.frequency import FrequencyReliability
 from repro.press.integrator import CombinationStrategy, ReliabilityIntegrator
 from repro.press.temperature import TemperatureReliability
 from repro.press.utilization import UtilizationReliability
-from repro.util.validation import require, require_non_negative, require_positive
+from repro.util.units import SECONDS_PER_DAY
+from repro.util.validation import require, require_positive
 
 __all__ = ["DiskFactors", "PRESSModel"]
 
@@ -93,9 +96,9 @@ class PRESSModel:
 
         All three reliability functions are elementwise (PCHIP
         evaluation, step lookup, quadratic), so batch evaluation is
-        bit-identical to calling :meth:`disk_afr` per element — the
-        sharded merge and :meth:`rescore_factors` rely on that
-        equivalence (checked by the sharded-equals-unsharded suite).
+        bit-identical to calling :meth:`disk_afr` per element —
+        :meth:`evaluate_array` and :meth:`rescore_factors` rely on that
+        equivalence (the goldens pin it).
         """
         t_afr = np.asarray(self.temperature(np.asarray(temp_c, dtype=np.float64)),
                            dtype=np.float64)
@@ -129,33 +132,32 @@ class PRESSModel:
     # simulation interface
     # ------------------------------------------------------------------
     def factors_of(self, drive: TwoSpeedDrive, duration_s: float) -> DiskFactors:
-        """Extract ESRRA factors from a finalized drive and score it.
+        """Score one live drive: :meth:`evaluate_array` over its ledgers
+        closed at ``duration_s``.  The close leaves the drive untouched."""
+        _, (factors,) = self.evaluate_array([drive.open_ledger().close(duration_s)],
+                                            duration_s)
+        return replace(factors, disk_id=drive.disk_id)
 
-        ``duration_s`` is the simulated horizon used to normalize the
-        transition count to a daily rate and as the power-on time for
-        utilization.  Call :meth:`~repro.disk.TwoSpeedDrive.finalize` (or
-        :meth:`DiskArray.finalize`) beforehand so the ledgers are flushed.
+    def evaluate_array(self, ledgers: Sequence[ClosedDiskLedger],
+                       duration_s: float) -> tuple[float, list[DiskFactors]]:
+        """Array AFR (max over disks, Sec. 3.5) plus per-disk factor detail.
+
+        The one place ledgers become ESRRA factors.  ``ledgers`` are
+        closed at the horizon ``duration_s``, the power-on time of
+        utilization (clamped at 100 %, Sec. 3.3) and the span a daily
+        transition rate extrapolates from (Sec. 5.1).  Disks are numbered
+        by position: a shard's ledgers carry shard-local ids.
         """
         require_positive(duration_s, "duration_s")
-        temp_c = drive.thermal.mean_temperature_c()
-        util_pct = 100.0 * drive.stats.utilization(drive.energy.active_time_s, duration_s)
-        freq = drive.stats.transitions_per_day(duration_s)
-        return DiskFactors(
-            disk_id=drive.disk_id,
-            mean_temperature_c=temp_c,
-            utilization_percent=util_pct,
-            transitions_per_day=freq,
-            afr_percent=self.disk_afr(temp_c, util_pct, freq),
-        )
-
-    def evaluate_array(self, array: DiskArray,
-                       duration_s: float | None = None) -> tuple[float, list[DiskFactors]]:
-        """Array AFR (max over disks, Sec. 3.5) plus per-disk factor detail."""
-        if duration_s is None:
-            duration_s = array.sim.now
-        require_non_negative(duration_s, "duration_s")
-        array.finalize()
-        factors = [self.factors_of(d, duration_s) for d in array.drives]
+        temps = [c.mean_temperature_c() for c in ledgers]
+        utils = [100.0 * min(c.active_time_s / duration_s, 1.0) for c in ledgers]
+        freqs = [c.transitions_total * SECONDS_PER_DAY / duration_s for c in ledgers]
+        afrs = self.disk_afr_batch(temps, utils, freqs)
+        factors = [
+            DiskFactors(disk_id=i, mean_temperature_c=t, utilization_percent=u,
+                        transitions_per_day=f, afr_percent=a)
+            for i, (t, u, f, a) in enumerate(zip(temps, utils, freqs, afrs.tolist()))
+        ]
         afr = self.integrator.array_afr(f.afr_percent for f in factors)
         return afr, factors
 

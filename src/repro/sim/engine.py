@@ -254,24 +254,21 @@ class Simulator:
         horizon).  An action may call :meth:`request_stop` to end the run
         early.
         """
+        if until is None:
+            self.run_until_drained()
+            return
         if self._running:
             raise SimulationError("run() re-entered from inside an event action")
-        if until is not None and (not math.isfinite(until) or until < self._now):
+        if not math.isfinite(until) or until < self._now:
             raise SimulationError(f"until must be finite and >= now, got {until!r}")
 
         self._running = True
         self._stop = False
         try:
-            if until is None:
-                if self._profiler is None:
-                    self._drain()
-                else:
-                    self._drain_profiled()
-            else:
-                self._run_bounded(until)
+            self._run_bounded(until)
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if self._now < until:
             self._now = until
 
     def run_until_drained(self) -> None:

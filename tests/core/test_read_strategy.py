@@ -37,7 +37,7 @@ class TestInitialRound:
     def test_initial_config_costs_nothing(self, sim, params, uniform_files):
         _, array = bound_read(sim, params, uniform_files)
         assert all(d.stats.speed_transitions_total == 0 for d in array.drives)
-        assert array.total_energy_j() == 0.0
+        assert all(d.energy.total_energy_j == 0.0 for d in array.drives)
 
     def test_every_file_placed(self, sim, params, uniform_files):
         _, array = bound_read(sim, params, uniform_files)

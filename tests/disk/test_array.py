@@ -7,6 +7,8 @@ import pytest
 
 from repro.disk.array import DiskArray
 from repro.disk.parameters import DiskSpeed
+from repro.experiments.runner import _reduce_ledgers
+from repro.press.model import PRESSModel
 from repro.sim.engine import Simulator
 from repro.workload.files import FileSet
 from repro.workload.request import Request
@@ -140,9 +142,12 @@ class TestEnergyAggregation:
         array.submit_request(Request(0.0, 0, 1.0))
         sim.run(until=10.0)
         array.finalize()
-        assert array.total_energy_j() == pytest.approx(
-            sum(d.energy.total_energy_j for d in array.drives))
-        assert array.total_energy_j() > 0.0
+        # a cell's total is the ledger reducer's, over the closed ledgers
+        totals = _reduce_ledgers([d.open_ledger().close(10.0) for d in array.drives],
+                                 horizon_s=10.0, press=PRESSModel())
+        assert totals["total_energy_j"] == sum(d.energy.total_energy_j
+                                               for d in array.drives)
+        assert totals["total_energy_j"] > 0.0
 
     def test_hooks_forwarded(self, sim, array):
         events = []

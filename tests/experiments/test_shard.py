@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.parallel import RunSpec, run_cell, run_cells
-from repro.experiments.runner import make_policy, run_simulation
+from repro.experiments.runner import _POLICY_REGISTRY, make_policy, run_simulation
 from repro.experiments.shard import (
     N_RESPONSE_BINS,
     ShardCellSpec,
@@ -117,11 +117,14 @@ class TestShardedEqualsUnsharded:
                     f"{f} diverged at n_shards={n_shards}"
             assert _strip_sharding(sharded) == _strip_sharding(base)
 
-    def test_single_shard_matches_plain_runner_physically(self):
+    @pytest.mark.parametrize("policy", sorted(_POLICY_REGISTRY))
+    def test_single_shard_matches_plain_runner_physically(self, policy):
+        # both finalizes reduce the same closed ledgers, so every policy
+        # matches, the migrating and caching ones included
         fileset, trace = cached_generate(CFG)
-        plain = run_simulation(make_policy("static-high"), fileset, trace,
+        plain = run_simulation(make_policy(policy), fileset, trace,
                                n_disks=6)
-        sharded, summary = run_sharded("static-high", CFG, n_disks=6,
+        sharded, summary = run_sharded(policy, CFG, n_disks=6,
                                        n_shards=1)
         assert summary.cells_total == 1 and not summary.eventful
         for f in PHYSICAL_FIELDS:

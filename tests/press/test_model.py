@@ -9,7 +9,6 @@ from repro.disk.parameters import DiskSpeed
 from repro.press.integrator import CombinationStrategy
 from repro.press.model import PRESSModel
 from repro.sim.engine import Simulator
-from repro.workload.files import FileSet
 
 
 class TestDiskAFR:
@@ -86,18 +85,34 @@ class TestSimulationInterface:
         # disk 0 transitions (worse), others stay put
         array.drive(0).request_speed(DiskSpeed.LOW)
         sim.run(until=1000.0)
-        afr, factors = press.evaluate_array(array, 1000.0)
+        afr, factors = press.evaluate_array(
+            [d.open_ledger().close(1000.0) for d in array.drives], 1000.0)
         assert len(factors) == 3
         assert afr == pytest.approx(max(f.afr_percent for f in factors))
+        assert factors[0].transitions_per_day > 0.0
 
-    def test_evaluate_array_default_duration_is_now(self, params, press, tiny_fileset):
+    def test_evaluate_array_keys_disks_by_position(self, params, press):
+        # shard ledgers carry local ids; the merged factors are global
         sim = Simulator()
-        array = DiskArray(sim, params, 2, tiny_fileset)
-        array.drive(0).submit(Job.internal_transfer(5.0))
+        drives = [TwoSpeedDrive(sim, params, 0), TwoSpeedDrive(sim, params, 0)]
+        drives[1].submit(Job.internal_transfer(5.0))
         sim.run()
-        afr, factors = press.evaluate_array(array)
-        assert all(f.utilization_percent > 0 for f in factors[:1])
-        assert afr > 0
+        _, factors = press.evaluate_array(
+            [d.open_ledger().close(sim.now) for d in drives], sim.now)
+        assert [f.disk_id for f in factors] == [0, 1]
+        assert factors[0].utilization_percent == 0.0
+        assert factors[1].utilization_percent > 0.0
+
+    def test_factors_of_scores_like_evaluate_array(self, params, press):
+        sim = Simulator()
+        drive = TwoSpeedDrive(sim, params, 4)
+        drive.submit(Job.internal_transfer(5.0))
+        sim.run(until=50.0)
+        _, (expected,) = press.evaluate_array([drive.open_ledger().close(50.0)], 50.0)
+        factors = press.factors_of(drive, 50.0)
+        assert factors.disk_id == 4
+        assert factors.afr_percent == expected.afr_percent
+        assert factors.utilization_percent == expected.utilization_percent
 
 
 class TestStrategyFactory:

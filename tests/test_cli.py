@@ -387,6 +387,16 @@ class TestErrorPaths:
         assert "error:" in err
         assert "unknown policy 'bogus'" in err
 
+    def test_unknown_policy_fails_before_any_cell_or_checkpoint(self, capsys, tmp_path):
+        # a bad name is not a transient cell failure: no cell runs, no
+        # retry sleeps, and no checkpoint is journaled
+        ckpt = tmp_path / "F"
+        rc = main(["sweep", "--policies", "read,bogus", "--disks", "4",
+                   *SMALL, "--checkpoint", str(ckpt)])
+        assert rc == 2
+        assert "unknown policy 'bogus'" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_bad_jobs_count(self, capsys):
         rc = main(["sweep", "--policies", "read", "--disks", "4",
                    "--jobs", "0", *SMALL])
