@@ -2,7 +2,8 @@
 
 Runs, in order:
 
-1. the tier-1 test suite (``pytest tests/``) — with ``pytest-cov``
+1. the tier-1 test suite (``pytest tests/ --durations=10``, so the log
+   lists the ten slowest tests) — with ``pytest-cov``
    measuring ``src/repro`` and enforcing the floor configured under
    ``[tool.coverage.report]`` in ``pyproject.toml`` when the plugin is
    installed; without it the suite still runs and the coverage step is
@@ -33,7 +34,8 @@ def has_pytest_cov() -> bool:
 
 
 def run_tests(*, with_coverage: bool) -> int:
-    cmd = [sys.executable, "-m", "pytest", "tests/"]
+    # --durations lists the slowest tests in every CI log
+    cmd = [sys.executable, "-m", "pytest", "tests/", "--durations=10"]
     if with_coverage:
         cmd += ["--cov=repro", "--cov-report=term-missing:skip-covered",
                 "--cov-fail-under=80"]

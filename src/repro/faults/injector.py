@@ -5,9 +5,11 @@ Hazard sampling
 Each disk d gets an exponential *failure budget* ``u_d ~ Exp(1)`` drawn
 once up front from a per-disk deterministic stream (and re-drawn for the
 replacement spindle after each rebuild).  Every ``hazard_refresh_s`` the
-injector re-scores the disk's PRESS factors — mean temperature,
-utilization, and transition frequency all evolve with the workload — and
-converts the resulting AFR into an instantaneous failure rate via
+injector re-scores the PRESS factors of every up disk with no failure
+pending, in one batched :meth:`~repro.press.model.PRESSModel.evaluate_array`
+call — mean temperature, utilization, and transition frequency all
+evolve with the workload — and converts each resulting AFR into an
+instantaneous failure rate via
 :func:`repro.press.hazard.annual_failure_rate_to_rate`, scaled
 by the acceleration factor.  The rate is held over the next refresh
 period and the integrated hazard ``Lambda_d`` accumulates; when
@@ -205,14 +207,22 @@ class FaultInjector:
     def _refresh(self, _tick: int) -> None:
         now = self._sim.now
         period = self.config.hazard_refresh_s
-        for d, drive in enumerate(self._array.drives):
-            if (self._lifecycle[d] is not DiskLifecycle.UP
-                    or self._pending_failure[d] is not None):
-                continue
-            drive.finalize()
-            factors = self._press.factors_of(drive, now)
+        drives = self._array.drives
+        live = [d for d in range(len(drives))
+                if self._lifecycle[d] is DiskLifecycle.UP
+                and self._pending_failure[d] is None]
+        if not live:
+            return
+        for d in live:
+            drives[d].finalize()
+        # one batched scoring of every live disk, elementwise and so
+        # bit-identical to scoring each through PRESSModel.factors_of
+        _, factors = self._press.evaluate_array(
+            [drives[d].open_ledger().close(now) for d in live], now)
+        for d, disk_factors in zip(live, factors):
             # Eq. 3 caps below 100%, so the conversion cannot blow up
-            rate = annual_failure_rate_to_rate(factors.afr_percent) * self._rate_scale
+            rate = (annual_failure_rate_to_rate(disk_factors.afr_percent)
+                    * self._rate_scale)
             if rate <= 0.0:
                 continue
             gap = self._budget[d] - self._hazard[d]

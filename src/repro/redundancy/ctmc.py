@@ -19,7 +19,11 @@ from the transient generator ``Q_T`` by solving ``-Q_T t = 1`` —
 exact, no simulation.  ``P(loss within mission)`` integrates the same
 chain by uniformization (Poisson-weighted powers of the discretized
 chain, interval-split so the weights never underflow), pure numpy and
-deterministic.
+deterministic.  The sub-intervals share one weight sequence, computed
+once per call; each Poisson term costs one vector-matrix product and
+the weighted terms are summed by a left fold, so the result is
+bit-identical to summing the terms one at a time.  The cost still grows
+with ``rate * mission`` (the number of sub-intervals).
 
 The rates are *physical*: ``lambda`` comes from
 :func:`repro.press.hazard.annual_failure_rate_to_rate` on PRESS's
@@ -104,14 +108,25 @@ def loss_probability(unit_size: int, tolerance: int, lam: float, mu: float,
                      years: float) -> float:
     """P(one unit loses data within ``years``), by uniformization.
 
-    Splits the horizon so each sub-interval's uniformized rate mass is
-    at most :data:`_MAX_RATE_DT`; within a sub-interval the transition
-    operator ``exp(Q_T dt)`` is applied to the state distribution as a
-    Poisson-weighted sum of powers of the substochastic DTMC
-    ``I + Q_T / rate``.  Pure numpy, deterministic, no underflow for
-    any realistic (lam, mu, mission) combination.
+    Splits the horizon into ``n_steps`` equal sub-intervals so each
+    carries at most :data:`_MAX_RATE_DT` of uniformized rate mass;
+    within a sub-interval the transition operator ``exp(Q_T dt)`` is
+    applied to the state distribution as a Poisson-weighted sum of
+    powers of the substochastic DTMC ``I + Q_T / rate``.  ``rate * dt``
+    is the same in every sub-interval, so the Poisson weights and the
+    term count are computed once per call.  Each sub-interval then
+    costs one vector-matrix product per term, written into a row of a
+    preallocated array, and one left-to-right ``add.accumulate`` over
+    the weighted rows — the same IEEE operations, in the same order, as
+    summing ``acc = acc + weight * power`` term by term, so the result
+    is bit-identical to that loop.  The cost is O(rate * years)
+    products.  Pure numpy, deterministic, no underflow for any
+    realistic (lam, mu, mission) combination.
     """
-    require(years >= 0.0, f"years must be >= 0, got {years}")
+    require(1 <= unit_size, f"unit_size must be >= 1, got {unit_size}")
+    require(0 <= tolerance < unit_size,
+            f"tolerance must be in [0, unit_size), got {tolerance}")
+    require(0.0 <= years < math.inf, f"years must be finite and >= 0, got {years}")
     require(lam >= 0.0, f"lam must be >= 0, got {lam}")
     require(mu >= 0.0, f"mu must be >= 0, got {mu}")
     if lam <= 0.0 or years <= 0.0:
@@ -119,23 +134,28 @@ def loss_probability(unit_size: int, tolerance: int, lam: float, mu: float,
     q = _transient_generator(unit_size, tolerance, lam, mu)
     rate = float(np.max(-np.diag(q)))
     dtmc = np.eye(tolerance + 1, dtype=np.float64) + q / rate
-    state = np.zeros(tolerance + 1, dtype=np.float64)
-    state[0] = 1.0
     n_steps = max(1, math.ceil(rate * years / _MAX_RATE_DT))
     rate_dt = rate * (years / n_steps)
+    weight = math.exp(-rate_dt)
+    weights = [weight]
+    m = 1
+    while True:
+        weight *= rate_dt / m
+        weights.append(weight)
+        if m >= rate_dt and weight < _TAIL_EPS:
+            break
+        m += 1
+    w = np.array(weights, dtype=np.float64)[:, None]
+    powers = np.empty((len(weights), tolerance + 1), dtype=np.float64)
+    rows = list(zip(powers[:-1], powers[1:]))
+    state = np.zeros(tolerance + 1, dtype=np.float64)
+    state[0] = 1.0
+    dot = np.dot  # one lookup, not one per term: this loop is the cost
     for _ in range(n_steps):
-        weight = math.exp(-rate_dt)
-        power = state
-        acc = weight * power
-        m = 1
-        while True:
-            power = power @ dtmc
-            weight *= rate_dt / m
-            acc = acc + weight * power
-            if m >= rate_dt and weight < _TAIL_EPS:
-                break
-            m += 1
-        state = acc
+        powers[0] = state
+        for src, dst in rows:
+            dot(src, dtmc, out=dst)
+        state = np.add.accumulate(w * powers, axis=0)[-1]
     survival = float(np.sum(state))
     return min(1.0, max(0.0, 1.0 - survival))
 

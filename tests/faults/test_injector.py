@@ -6,6 +6,8 @@ import pytest
 from repro.disk.array import DiskArray
 from repro.faults import DiskLifecycle, FaultConfig, FaultInjector
 from repro.policies.base import Policy
+from repro.press.hazard import annual_failure_rate_to_rate
+from repro.sim.engine import Simulator
 from repro.workload.request import Request
 
 
@@ -186,3 +188,82 @@ class TestDegradedServing:
         sim.run_until_drained()
         assert len(dead) == 1
         assert injector.tracker.requests_retried == 0
+
+
+class PerDriveRefreshInjector(FaultInjector):
+    """The hazard refresh scoring each up drive on its own, through
+    ``PRESSModel.factors_of`` — the reference the batched refresh must
+    reproduce."""
+
+    def _refresh(self, _tick):
+        now = self._sim.now
+        period = self.config.hazard_refresh_s
+        for d, drive in enumerate(self._array.drives):
+            if (self._lifecycle[d] is not DiskLifecycle.UP
+                    or self._pending_failure[d] is not None):
+                continue
+            drive.finalize()
+            factors = self._press.factors_of(drive, now)
+            rate = annual_failure_rate_to_rate(factors.afr_percent) * self._rate_scale
+            if rate <= 0.0:
+                continue
+            gap = self._budget[d] - self._hazard[d]
+            if rate * period >= gap:
+                self._hazard[d] = self._budget[d]
+                self._pending_failure[d] = self._sim.schedule(
+                    gap / rate, (lambda disk=d: self._fail(disk)),
+                    priority=self._PRIO_FAIL)
+            else:
+                self._hazard[d] += rate * period
+
+
+class TestHazardRefresh:
+    @staticmethod
+    def _run(injector_cls, params, press, fileset):
+        """Drive one injector through failures and rebuilds; return the
+        hazard and pending-failure state seen after every refresh."""
+        sim = Simulator()
+        array = DiskArray(sim, params, 4, fileset)
+        array.place_all(np.arange(8) % 4)
+        policy = StubPolicy()
+        policy.bind(sim, array, fileset)
+        cfg = FaultConfig(seed=3, accel=2e7, hazard_refresh_s=5.0,
+                          repair_delay_s=20.0)
+        seen = []
+
+        class Recording(injector_cls):
+            def _refresh(self, tick):
+                super()._refresh(tick)
+                seen.append((sim.now, list(self._hazard),
+                             [None if h is None else (h.time, h.seq)
+                              for h in self._pending_failure]))
+
+        injector = Recording(sim, array, policy, press, cfg,
+                             on_success=lambda job: None,
+                             on_permanent_failure=lambda job: None)
+        injector.install()
+        policy.completion_callback = injector.on_user_job_complete
+        # skewed load: disks see different utilization, so different AFRs
+        for i in range(400):
+            fid = (0, 0, 1, 3, 4, 0, 5, 7)[i % 8]
+            t = 0.5 * i
+            sim.schedule_at(t, lambda t=t, fid=fid: policy.route(
+                Request(arrival_time=t, file_id=fid,
+                        size_mb=fileset.size_of(fid))))
+        sim.run(until=400.0)
+        injector.shutdown()
+        return seen, injector.tracker.failure_schedule
+
+    def test_batched_refresh_matches_per_drive_scoring(self, params, press,
+                                                       tiny_fileset):
+        batched, batched_failures = self._run(FaultInjector, params, press,
+                                              tiny_fileset)
+        reference, reference_failures = self._run(
+            PerDriveRefreshInjector, params, press, tiny_fileset)
+        assert batched == reference
+        assert batched_failures == reference_failures
+        # the scenario exercises the interesting paths: failures fire,
+        # and refreshes run with some disks down or already doomed
+        assert len(batched_failures) >= 2
+        assert any(None in pending and any(h is not None for h in pending)
+                   for _, _, pending in batched)

@@ -12,13 +12,17 @@ pinned by ``test_none_degenerates_to_per_disk_rate``.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.press.hazard import annual_failure_rate_to_rate
 from repro.redundancy.ctmc import (
+    _MAX_RATE_DT,
+    _TAIL_EPS,
     HOURS_PER_YEAR,
+    _transient_generator,
     assess_scheme,
     loss_probability,
     mirror_mttdl_closed_form,
@@ -102,6 +106,88 @@ class TestLossProbability:
     def test_zero_horizon_and_zero_rate(self):
         assert loss_probability(2, 1, 0.5, 100.0, 0.0) == 0.0
         assert loss_probability(2, 1, 0.0, 100.0, 5.0) == 0.0
+
+    @pytest.mark.parametrize("unit_size, tolerance", [
+        (2, 5),   # tolerance beyond the unit: no loss state reachable
+        (2, 2),
+        (0, 0),   # an empty unit
+        (3, -1),  # a negative tolerance
+    ])
+    def test_rejects_invalid_unit_shape(self, unit_size, tolerance):
+        with pytest.raises(ValueError):
+            loss_probability(unit_size, tolerance, 0.5, 100.0, 1.0)
+
+    @pytest.mark.parametrize("years", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_or_negative_horizon(self, years):
+        with pytest.raises(ValueError):
+            loss_probability(2, 1, 0.5, 100.0, years)
+
+
+def _term_by_term_loss_probability(unit_size, tolerance, lam, mu, years):
+    """Uniformization summed one Poisson term at a time.
+
+    The reference arithmetic ``loss_probability`` must reproduce bit for
+    bit: per sub-interval, ``acc = acc + weight * power`` with
+    ``power = power @ dtmc`` and the weights recomputed each time.
+    """
+    if lam <= 0.0 or years <= 0.0:
+        return 0.0
+    q = _transient_generator(unit_size, tolerance, lam, mu)
+    rate = float(np.max(-np.diag(q)))
+    dtmc = np.eye(tolerance + 1, dtype=np.float64) + q / rate
+    state = np.zeros(tolerance + 1, dtype=np.float64)
+    state[0] = 1.0
+    n_steps = max(1, math.ceil(rate * years / _MAX_RATE_DT))
+    rate_dt = rate * (years / n_steps)
+    for _ in range(n_steps):
+        weight = math.exp(-rate_dt)
+        power = state
+        acc = weight * power
+        m = 1
+        while True:
+            power = power @ dtmc
+            weight *= rate_dt / m
+            acc = acc + weight * power
+            if m >= rate_dt and weight < _TAIL_EPS:
+                break
+            m += 1
+        state = acc
+    survival = float(np.sum(state))
+    return min(1.0, max(0.0, 1.0 - survival))
+
+
+#: Every unit shape with unit size 1-9 and tolerance 0-3.
+UNIT_SHAPES = [(n, t) for n in range(1, 10) for t in range(min(n, 4))]
+#: (lam, mu, years): a single sub-interval with rate*dt < 1, a few
+#: sub-intervals, and a stiff chain split into dozens of them.
+RATE_POINTS = [(0.01, 0.1, 0.5), (0.3, 20.0, 1.5), (2.0, 500.0, 0.7)]
+
+
+class TestLossProbabilityBits:
+    """``loss_probability`` batches its Poisson terms without moving a bit."""
+
+    @pytest.mark.parametrize("lam, mu, years", RATE_POINTS)
+    def test_equals_term_by_term_sum(self, lam, mu, years):
+        for unit_size, tolerance in UNIT_SHAPES:
+            expected = _term_by_term_loss_probability(
+                unit_size, tolerance, lam, mu, years)
+            assert loss_probability(unit_size, tolerance, lam, mu,
+                                    years) == expected, (unit_size, tolerance)
+
+    def test_grid_covers_short_and_split_horizons(self):
+        rate_dts = []
+        for lam, mu, years in RATE_POINTS:
+            for unit_size, tolerance in UNIT_SHAPES:
+                q = _transient_generator(unit_size, tolerance, lam, mu)
+                rate_dts.append(float(np.max(-np.diag(q))) * years)
+        assert min(rate_dts) < 1.0
+        assert max(rate_dts) > 10 * _MAX_RATE_DT
+
+    def test_faults_block4_2_operating_point(self):
+        # the faults-block4-2 benchmark cell at seed 7: PRESS rate and
+        # measured rebuild rate of its worst block4-2 unit, 1-year mission
+        assert loss_probability(8, 2, 0.11093311378111341, 52587.66991411792,
+                                1.0) == 7.717670946760791e-11
 
 
 class TestAssessScheme:

@@ -6,6 +6,7 @@ validate the committed baseline file — without measuring anything.
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -192,3 +193,14 @@ class TestCiGate:
         monkeypatch.setattr(ci_gate, "RESULTS_PATH", results)
         assert ci_gate.run_regression_check() == 0
         assert "ok:" in capsys.readouterr().out
+
+    def test_test_run_lists_the_slowest_tests(self, ci_gate, monkeypatch):
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0)
+
+        monkeypatch.setattr(ci_gate.subprocess, "run", fake_run)
+        assert ci_gate.run_tests(with_coverage=False) == 0
+        assert "--durations=10" in calls[0]
