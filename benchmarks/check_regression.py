@@ -26,20 +26,23 @@ RESULTS_PATH = Path(__file__).resolve().parent / "results" / "throughput.json"
 DEFAULT_THRESHOLD = 0.20
 
 #: Allowed wall-clock ratio of a traced run over the same run with
-#: telemetry off.  Tracing costs one orjson encode per event where its
-#: bytes provably equal the stdlib's (DESIGN.md Sec. 8.4); the ratio
-#: measured 1.7-2.5x on the reference cell (median about 2.1x), and the
-#: cap sits at about 1.4x the median, 1.18x the worst run.  The stdlib
-#: C encoder on every event measures 2.5-3.2x, which can pass.
-MAX_TRACING_OVERHEAD = 3.0
+#: telemetry off.  Tracing costs one call into the cell's trace writer
+#: and one orjson encode per event where its bytes provably equal the
+#: stdlib's (DESIGN.md Sec. 8.4).  Three bench runs back to back on
+#: the shared 2-core reference host measured 1.626-1.640x on the
+#: reference cell (median 1.63x); the cap sits at about 1.4x the
+#: median.  The trace bus in front of the writer, as before, measured
+#: 1.93x in a run alongside them, which passes: the cap catches gross
+#: regressions only.
+MAX_TRACING_OVERHEAD = 2.3
 
 #: Same guard for one *sharded* cell (16 disks / 4 shards).  On top of
 #: the per-event encode, the k-way merge parses every segment line in
-#: full (orjson, stdlib fallback) to validate it, then splices its
-#: bytes.  The ratio measured 2.9-3.9x (median about 3.1x); the cap
-#: sits at about 1.45x the median, 1.14x the worst run.  The stdlib
-#: encode and parse measure 4.1-7.8x, which can pass.
-MAX_SHARD_TRACING_OVERHEAD = 4.5
+#: full (orjson, stdlib fallback) to validate it, then copies its bytes.
+#: The same three runs measured 2.620-2.632x (median 2.63x); the cap
+#: sits at about 1.4x the median.  The bus, the lambda id remap and the
+#: per-record merge writes, as before, measured 3.20x, which passes.
+MAX_SHARD_TRACING_OVERHEAD = 3.7
 
 #: Hard floor on the streamed sharded dispatch rate (requests/sec end to
 #: end: chunked generation + filtered dispatch + per-shard kernels +

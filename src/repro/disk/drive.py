@@ -142,7 +142,7 @@ class TwoSpeedDrive:
                  on_idle: Optional[Callable[[int], None]] = None,
                  on_busy: Optional[Callable[[int], None]] = None) -> None:
         self._sim = sim
-        # Cached trace-bus reference: None on the default path, so every
+        # Cached trace-sink reference: None on the default path, so every
         # emission site is a single attribute load + is-None branch.
         self._trace = sim.trace
         self.params = params

@@ -41,7 +41,6 @@ from repro.obs import (
     JsonlTraceWriter,
     KernelProfiler,
     ObsConfig,
-    TraceBus,
     write_timeseries,
 )
 from repro.obs import events as obs_events
@@ -174,7 +173,7 @@ class _Cell:
     array: DiskArray
     injector: FaultInjector | None
     sampler: DiskSampler | None
-    bus: TraceBus | None
+    #: The trace sink producers emit to (``sim.trace``), or ``None``.
     writer: JsonlTraceWriter | None
     profiler: KernelProfiler | None
     #: Wall-clock seconds of the drain alone.
@@ -188,8 +187,8 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
                   faults: FaultConfig | None = None,
                   press: PRESSModel | None = None,
                   groups: RedundancyGroups | None = None,
-                  bus_id_maps: Mapping[str, Callable[[int], int]] | None = None,
                   disk_offset: int = 0,
+                  file_table: Sequence[int] | None = None,
                   engine_start: Mapping[str, object] | None = None,
                   ) -> tuple[_Cell, _T]:
     """Build one cell, dispatch its arrivals, drain it and shut it down.
@@ -203,8 +202,9 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     ``make_tally`` builds the response metrics from the kernel's stop
     function.  They own the stop condition, and hear the dispatched
     total through ``close_dispatch`` once ``chunks`` is exhausted.
-    ``bus_id_maps`` configures the trace bus and ``disk_offset`` the
-    sampler, so a shard speaks global ids.
+    A shard passes its ``disk_offset`` (for the sampler and the trace)
+    and its local->global ``file_table`` (for the trace), so it speaks
+    global ids.
     ``engine_start`` is the payload of the ``engine.start`` event a
     whole-array trace opens with; the shard merge synthesizes its own.
 
@@ -214,15 +214,14 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     """
     sim = Simulator()
     # Telemetry attaches before anything observes sim.trace: drives cache
-    # the bus at construction, policies at bind, the injector at init.
-    bus: TraceBus | None = None
+    # the sink at construction, policies at bind, the injector at init.
     writer: JsonlTraceWriter | None = None
     profiler: KernelProfiler | None = None
     if obs is not None and obs.trace_path is not None:
-        bus = TraceBus(id_maps=bus_id_maps)
-        writer = JsonlTraceWriter(obs.trace_path)
-        bus.subscribe(writer)
-        sim.trace = bus
+        writer = JsonlTraceWriter(
+            obs.trace_path,
+            remap=None if file_table is None else (disk_offset, file_table))
+        sim.trace = writer
     if obs is not None and obs.profile:
         profiler = KernelProfiler()
         sim.set_profiler(profiler)
@@ -280,8 +279,8 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
         if i < n or load_next():
             schedule_at(times[i], dispatch_next, priority=-1)
 
-    if bus is not None and engine_start is not None:
-        bus.emit(obs_events.ENGINE_START, sim.now, **engine_start)
+    if writer is not None and engine_start is not None:
+        writer.emit(obs_events.ENGINE_START, sim.now, **engine_start)
 
     # Run until every request has completed: the tally stops the kernel
     # from inside the last completion callback.  Policies' periodic tasks
@@ -311,7 +310,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     if sampler is not None:
         sampler.shutdown()
     return _Cell(sim=sim, array=array, injector=injector, sampler=sampler,
-                 bus=bus, writer=writer, profiler=profiler,
+                 writer=writer, profiler=profiler,
                  wall_clock_s=wall_clock_s), tally
 
 
@@ -375,10 +374,9 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
         timeseries = cell.sampler.series()
         if obs is not None and obs.metrics_path is not None:
             write_timeseries(timeseries, obs.metrics_path)
-    if cell.bus is not None:
-        cell.bus.emit(obs_events.ENGINE_STOP, duration,
-                      events=sim.events_executed, duration_s=duration)
     if cell.writer is not None:
+        cell.writer.emit(obs_events.ENGINE_STOP, duration,
+                         events=sim.events_executed, duration_s=duration)
         cell.writer.close()
 
     totals = _reduce_ledgers(

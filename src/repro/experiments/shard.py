@@ -49,9 +49,10 @@ the merged per-disk factors with the runner's CTMC assessment.
 Telemetry under sharding (DESIGN.md Sec. 13)
 --------------------------------------------
 A sharded cell with an :class:`~repro.obs.ObsConfig` runs one full
-telemetry stack *per shard*: a :class:`~repro.obs.TraceBus` whose
-``id_maps`` remap local disk/file ids to global ones at emission,
-streaming into an atomic, untagged per-shard JSONL segment
+telemetry stack *per shard*: a :class:`~repro.obs.JsonlTraceWriter`
+whose ``remap`` — the shard's disk offset and local->global file table —
+turns local disk/file ids into global ones at emission, streaming into
+an atomic, untagged per-shard JSONL segment
 (:func:`~repro.obs.shard_segment_path`); a
 :class:`~repro.obs.DiskSampler` writing rows under global disk ids.
 The merge then federates: a deterministic k-way trace merge ordered by
@@ -352,9 +353,9 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     them through the cell executor shared with whole-array runs
     (:func:`repro.experiments.runner._execute_cell`) as filtered stream
     chunks.  What is shard-specific stays here: the constant-memory
-    response metrics, a trace bus that maps local ids back to global
-    ones, and the drives' ledgers captured *open* instead of finalized,
-    so the merge can close them at the global end time.
+    response metrics, a trace writer that maps local ids back to
+    global ones, and the drives' ledgers captured *open* instead of
+    finalized, so the merge can close them at the global end time.
     """
     shard = spec.shard
     require(shard is not None, "run_shard_cell needs a spec with shard set")
@@ -389,19 +390,16 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
             yield (chunk.times_s[keep].tolist(),
                    local_id[chunk.file_ids[keep]].tolist())
 
-    # The bus remaps local ids to global at emission — disk-carrying
-    # fields shift by the shard's disk offset, file ids go through the
-    # shard's local->global file table — so the segment needs no rewrite
-    # pass.  Events carry no shard tag: the merge keys each segment by
-    # its index.
+    # The trace writer remaps local ids to global at emission — disk-
+    # carrying fields shift by the shard's disk offset, file ids go
+    # through the shard's local->global file table — so the segment needs
+    # no rewrite pass.  Events carry no shard tag: the merge keys each
+    # segment by its index.
     obs = spec.obs
     offset = plan.disk_offset(shard.index)
-    id_maps: Optional[dict[str, Callable[[int], int]]] = None
+    file_table: Optional[list[int]] = None
     if obs is not None and obs.trace_path is not None:
-        my_files_py = my_files.tolist()
-        shift: Callable[[int], int] = lambda v, _o=offset: v + _o  # noqa: E731
-        id_maps = {"disk": shift, "src": shift, "dst": shift,
-                   "file": lambda v, _f=my_files_py: _f[v]}
+        file_table = my_files.tolist()
         obs = replace(obs, trace_path=str(
             shard_segment_path(obs.trace_path, shard.index)))
     policy = make_policy(spec.policy, **dict(spec.policy_kwargs))
@@ -411,7 +409,7 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
         n_disks=plan.disks_per_shard,
         params=(spec.disk_params if spec.disk_params is not None
                 else _default_disk_params()),
-        obs=obs, bus_id_maps=id_maps, disk_offset=offset)
+        obs=obs, disk_offset=offset, file_table=file_table)
 
     if cell.writer is not None:
         cell.writer.close()

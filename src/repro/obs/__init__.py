@@ -3,9 +3,10 @@
 Four cooperating pieces, all strictly opt-in (a run that attaches none
 of them executes the exact pre-observability hot path):
 
-* :class:`TraceBus` + the event taxonomy (:mod:`repro.obs.events`) —
-  typed structured events emitted by the kernel, drives, array,
-  policies, and fault injector;
+* the event taxonomy (:mod:`repro.obs.events`) — typed structured
+  events the kernel, drives, array, policies, and fault injector emit
+  into a cell's :class:`JsonlTraceWriter`, and the sweep harness emits
+  onto a :class:`TraceBus`;
 * :class:`DiskSampler` — the periodic per-disk time-series snapshot
   (utilization, temperature, speed, queue depth, cumulative energy);
 * :class:`KernelProfiler` — per-handler event-loop timing attached to

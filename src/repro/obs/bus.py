@@ -1,24 +1,23 @@
-"""The trace bus: structured event fan-out with a zero-cost off switch.
+"""The harness trace bus: structured event fan-out for sweep-level events.
 
-Instrumented layers (kernel, drives, array, policies, fault injector)
-hold a reference to the simulation's bus — or ``None`` when observability
-is off.  Every emission site is guarded by a single ``is not None``
-check, so a run with no bus attached does no event construction, no
-dict allocation, and no dispatch: the faults-off hot path stays
-bit-identical to an uninstrumented build (asserted by the golden tests
-and the throughput regression gate).
+A sweep's executor (:mod:`repro.experiments.resilience`) emits its
+``harness.*`` lifecycle events on a :class:`TraceBus`, and subscribers
+such as :class:`~repro.obs.status.SweepStatusWriter` turn them into a
+live status feed.  :meth:`TraceBus.emit` assigns a monotone sequence
+number, builds a :class:`~repro.obs.events.TraceEvent`, and forwards it
+to every subscriber in subscription order.
 
-When a bus *is* attached, :meth:`TraceBus.emit` assigns a monotone
-sequence number, builds a :class:`~repro.obs.events.TraceEvent`, and
-forwards it to every subscriber in subscription order.  Determinism
-contract: the only inputs are simulated time and the producers' payloads
-— no wall-clock, no ids — so two runs of the same seeded configuration
-emit byte-identical streams.
+A simulation cell does not use the bus: its producers (kernel, drives,
+array, policies, fault injector) call ``emit`` on the cell's
+:class:`~repro.obs.export.JsonlTraceWriter` directly, or on nothing when
+tracing is off — every emission site is guarded by a single
+``is not None`` check, so an untraced run does no event construction,
+no dict allocation and no dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable
 
 from repro.obs.events import TraceEvent
 from repro.util.validation import require
@@ -27,17 +26,9 @@ __all__ = ["TraceBus"]
 
 Subscriber = Callable[[TraceEvent], None]
 
-IdMap = Callable[[int], int]
-
 
 class TraceBus:
     """Fan-out of :class:`TraceEvent` records to subscribers.
-
-    ``id_maps`` rewrites integer id fields at emission time (the shard
-    worker remaps local disk/file ids to global ones), keyed by payload
-    field name.  It defaults to off and costs nothing when unset; field
-    order in the payload never affects the exported bytes (the exporter
-    sorts keys).
 
     Examples
     --------
@@ -49,15 +40,11 @@ class TraceBus:
     ('engine.start', 'read')
     """
 
-    __slots__ = ("_subscribers", "_seq", "_id_maps")
+    __slots__ = ("_subscribers", "_seq")
 
-    def __init__(self, *, id_maps: Optional[Mapping[str, IdMap]] = None) -> None:
+    def __init__(self) -> None:
         self._subscribers: list[Subscriber] = []
         self._seq = 0
-        # a sorted tuple of (field, map) pairs: deterministic application
-        # order regardless of the mapping the caller handed in
-        self._id_maps: Optional[tuple[tuple[str, IdMap], ...]] = (
-            tuple(sorted(id_maps.items())) if id_maps else None)
 
     # ------------------------------------------------------------------
     # subscription management
@@ -72,15 +59,9 @@ class TraceBus:
     # emission
     # ------------------------------------------------------------------
     def emit(self, type_: str, time_: float, **data: object) -> None:
-        """Emit one event; called only from sites that checked the bus
-        is attached, so this never needs its own on/off branch."""
+        """Emit one event to every subscriber."""
         seq = self._seq
         self._seq = seq + 1
-        if self._id_maps is not None:
-            for field, id_map in self._id_maps:
-                value = data.get(field)
-                if value is not None:
-                    data[field] = id_map(value)  # type: ignore[arg-type]
         event = TraceEvent(seq, time_, type_, data)
         for subscriber in self._subscribers:
             subscriber(event)

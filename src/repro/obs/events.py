@@ -1,7 +1,8 @@
-"""The event taxonomy of the simulation trace bus.
+"""The event taxonomy of the simulation trace and the harness bus.
 
-Every instrumented layer emits events of these types onto the
-:class:`~repro.obs.bus.TraceBus`; exporters and the ``obs summarize``
+Every instrumented layer emits events of these types into the cell's
+:class:`~repro.obs.export.JsonlTraceWriter`, and the sweep harness onto
+the :class:`~repro.obs.bus.TraceBus`; exporters and the ``obs summarize``
 rollups key on them.  Producers pass the type string plus flat,
 JSON-serializable fields — the canonical field set per type is
 documented here (and in DESIGN.md Sec. 8) so consumers can rely on it:
@@ -189,14 +190,15 @@ ALL_EVENT_TYPES: frozenset[str] = frozenset({
 class TraceEvent(NamedTuple):
     """One structured trace record.
 
-    A NamedTuple (not a dataclass): events are allocated once per
-    emission on instrumented hot paths, and tuple construction is the
-    cheapest structured record CPython offers.
+    The harness bus's record, and the input of :func:`~repro.obs.export.event_to_json`;
+    a simulation cell's writer encodes its events without building one.
+    A NamedTuple (not a dataclass): the cheapest structured record
+    CPython offers.
 
     Attributes
     ----------
     seq:
-        Bus-assigned monotone sequence number; with ``time`` it gives a
+        Monotone sequence number; with ``time`` it gives a
         total order identical to the kernel's dispatch order.
     time:
         Simulated seconds at emission.

@@ -19,7 +19,7 @@ from json import JSONDecodeError, JSONDecoder
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Union
+from typing import TYPE_CHECKING, BinaryIO, Sequence, Union
 
 from orjson import OPT_SORT_KEYS, JSONEncodeError
 from orjson import dumps as _dumps
@@ -63,36 +63,44 @@ def record_body(time: float, type_: str, data: dict) -> str:
     return head + "," + "".join(_encode(data, 0))[1:] if data else head + "}"
 
 
-def record_bytes(time: float, type_: str, data: dict) -> bytes:
-    """``record_body(time, type_, data).encode()``, by orjson where its
-    bytes are provably the same, else by :func:`record_body`.
+def _orjson_payload(time: float, data: dict) -> bytes | None:
+    """orjson's key-sorted ``data`` where a record of it and ``time`` is
+    provably what :func:`record_body` writes, else ``None``.
 
     orjson writes the shortest round-trip digits ``float.__repr__`` does
     but its own exponent syntax and ``null`` for NaN/Infinity, so a float
-    takes the fast path only where ``repr`` writes no exponent: ``0.0``
-    and ``1e-4 <= abs(v) < 1e16``.  Strings must come out printable
-    ASCII (``json.dumps`` escapes the rest, DEL included; orjson writes
-    UTF-8 and raw DEL); ints past 64 bits make orjson raise.  Exact
-    ``int``, ``bool`` and ``None`` are written alike by both.
+    qualifies only where ``repr`` writes no exponent: ``0.0`` and
+    ``1e-4 <= abs(v) < 1e16``.  Strings must come out printable ASCII
+    (``json.dumps`` escapes the rest, DEL included; orjson writes UTF-8
+    and raw DEL); ints past 64 bits make orjson raise.  Exact ``int``,
+    ``bool`` and ``None`` are written alike by both.
     """
     if type(time) is float and (1e-4 <= abs(time) < 1e16 or time == 0.0):
         for value in data.values():
             kind = type(value)
             if kind is float:
                 if not (1e-4 <= abs(value) < 1e16 or value == 0.0):
-                    break
+                    return None
             elif kind is not int and kind is not str and kind is not bool and value is not None:
-                break
-        else:
-            try:
-                payload = _dumps(data, option=OPT_SORT_KEYS)
-            except JSONEncodeError:  # an int past 64 bits, a lone surrogate
-                pass
-            else:
-                if payload.isascii() and 127 not in payload:
-                    head = b"".join((b',"t":', _dumps(time), _type_field(type_)))
-                    return head + b"," + payload[1:] if data else head + b"}"
-    return record_body(time, type_, data).encode()
+                return None
+        try:
+            payload = _dumps(data, option=OPT_SORT_KEYS)
+        except JSONEncodeError:  # an int past 64 bits, a lone surrogate
+            return None
+        if payload.isascii() and 127 not in payload:
+            return payload
+    return None
+
+
+def record_bytes(time: float, type_: str, data: dict) -> bytes:
+    """``record_body(time, type_, data).encode()``, by orjson where its
+    bytes are provably the same (:func:`_orjson_payload`), else by
+    :func:`record_body`."""
+    payload = _orjson_payload(time, data)
+    if payload is None:
+        return record_body(time, type_, data).encode()
+    head = b"".join((b',"t":', _dumps(time), _type_field(type_)))
+    return head + b"," + payload[1:] if data else head + b"}"
 
 
 def event_to_json(event: TraceEvent) -> str:
@@ -113,7 +121,13 @@ def splice_body(line: bytes, path: PathLike, lineno: int) -> bytes:
 
 
 class JsonlTraceWriter:
-    """Bus subscriber streaming events to a JSONL file.
+    """A cell's trace sink: producers call :meth:`emit` and it streams
+    one canonical JSONL record per event to ``path``.
+
+    ``remap`` is a shard's ``(disk_offset, file_table)``: the ``disk``,
+    ``src`` and ``dst`` fields shift by the offset and ``file`` goes
+    through the local->global table, so a shard's segment speaks global
+    ids.  ``None`` (a whole-array cell) writes ids as given.
 
     Usable as a context manager; always :meth:`close` (or exit the
     ``with`` block) before reading the file — lines are buffered.
@@ -127,26 +141,47 @@ class JsonlTraceWriter:
 
     Examples
     --------
-    >>> bus = TraceBus(); writer = JsonlTraceWriter(path)   # doctest: +SKIP
-    >>> bus.subscribe(writer)                               # doctest: +SKIP
+    >>> with JsonlTraceWriter(path) as writer:               # doctest: +SKIP
+    ...     writer.emit("engine.start", 0.0, policy="read")
     """
 
-    def __init__(self, path: PathLike) -> None:
+    def __init__(self, path: PathLike,
+                 remap: tuple[int, Sequence[int]] | None = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._tmp_path = self.path.with_name(
             f"{self.path.name}.{os.getpid()}.tmp")
         self._file: BinaryIO | None = self._tmp_path.open(  # repro: allow[IO001] streams to a .tmp sibling; close() publishes with os.replace, abort() quarantines
             "wb")
+        self._remap = remap
+        #: Records written so far; the next record's ``seq``.
         self.events_written = 0
 
-    def __call__(self, event: TraceEvent) -> None:
-        """The subscriber interface: serialize and buffer one event."""
+    def emit(self, type_: str, time_: float, /, **data: object) -> None:
+        """Write one event as ``{"seq":<n>`` + :func:`record_bytes`;
+        called only from sites that checked a sink is attached."""
         if self._file is None:
             raise ValueError(f"trace writer for {self.path} is closed")
-        self._file.write(b'{"seq":%d%b\n'
-                         % (event.seq, record_bytes(event.time, event.type, event.data)))
-        self.events_written += 1
+        if self._remap is not None:
+            offset, files = self._remap
+            for field in ("disk", "dst", "src"):
+                value = data.get(field)
+                if value is not None:
+                    data[field] = value + offset  # type: ignore[operator]
+            value = data.get("file")
+            if value is not None:
+                data["file"] = files[value]  # type: ignore[index]
+        seq = self.events_written
+        payload = _orjson_payload(time_, data)
+        if payload is None:
+            line = b'{"seq":%d%b\n' % (seq, record_body(time_, type_, data).encode())
+        elif data:
+            line = b'{"seq":%d,"t":%b%b,%b\n' % (seq, _dumps(time_), _type_field(type_),
+                                                payload[1:])
+        else:
+            line = b'{"seq":%d,"t":%b%b}\n' % (seq, _dumps(time_), _type_field(type_))
+        self._file.write(line)
+        self.events_written = seq + 1
 
     def close(self) -> None:
         """Flush, close, and atomically publish the trace (idempotent)."""

@@ -1,19 +1,20 @@
 """Federation of per-shard telemetry into one canonical artifact set.
 
 A sharded cell (:mod:`repro.experiments.shard`) runs one kernel — and
-therefore one :class:`~repro.obs.bus.TraceBus` and one
+therefore one :class:`~repro.obs.export.JsonlTraceWriter` and one
 :class:`~repro.obs.sampler.DiskSampler` — per shard.  Each shard's
-events already carry *global* disk/file ids (remapped at emission via
-the bus's ``id_maps``) and land, untagged, in an atomic per-shard JSONL
-segment.  This module turns those partials back into the single-run
-shape every downstream consumer expects:
+events already carry *global* disk/file ids (remapped at emission by
+the writer's disk offset and file table) and land, untagged, in an
+atomic per-shard JSONL segment.  This module turns those partials back
+into the single-run shape every downstream consumer expects:
 
 :func:`merge_trace_files`
     Deterministic k-way merge of the segments, ordered by
     ``(time, segment index, seq)`` — simulated time first, then the
     shard the segment came from, then the shard-local emission order.
     Each line is parsed (orjson, falling back to the stdlib) to
-    validate it and key it; its bytes after ``seq`` are copied, and
+    validate it and key it; its bytes after ``seq`` are copied (by
+    slice when it starts with the canonical ``{"seq":<seq>,"t":``), and
     ``seq`` is renumbered globally, so the output bytes depend only on
     the events themselves: byte-identical across ``--jobs`` values, and
     across shard counts whenever the event *timestamps* are
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -52,6 +53,9 @@ PathLike = Union[str, Path]
 #: merge assigns its global ``seq``; the payload is emitted key-sorted.
 SynthesizedEvent = tuple[str, float, dict]
 
+#: Merged records per ``write``: one ``b"".join`` per block of lines.
+_WRITE_BLOCK = 4096
+
 
 def shard_segment_path(trace_path: PathLike, shard_index: int) -> Path:
     """Per-shard segment path for one cell's trace output.
@@ -69,13 +73,17 @@ def _segment_lines(path: Path, shard: int) -> Iterator[tuple[float, int, int, by
     """Yield ``(t, shard, seq, body)`` for one segment, in file order.
 
     Within a segment, records are already sorted by ``(t, seq)`` — the
-    bus assigns ``seq`` in kernel dispatch order — so each segment is a
-    sorted run for the k-way merge.  Each line is parsed in full: by
-    orjson, or by :func:`~repro.obs.export.parse_record` for whatever
-    orjson rejects (NaN/Infinity) or reads unlike the stdlib (a ``seq``
-    past 64 bits, which it reads as a float), so the merge accepts
-    exactly what the stdlib does and every bad line raises a ValueError
-    naming ``path:lineno``.
+    writer assigns ``seq`` in kernel dispatch order — so each segment is
+    a sorted run for the k-way merge.  Each line is parsed in full by
+    orjson.  A line it reads as a dict with a ``type``, an int
+    ``seq >= 0`` and a float ``t``, and which starts with
+    ``{"seq":<seq>,"t":``, is canonical, and its body is the slice after
+    ``seq``.  Every other line takes the exact path:
+    :func:`~repro.obs.export.parse_record` for whatever orjson rejects
+    (NaN/Infinity) or reads unlike the stdlib (a ``seq`` past 64 bits,
+    which it reads as a float), then :func:`~repro.obs.export.splice_body`
+    — so the merge accepts exactly what the stdlib does and every bad
+    line raises a ValueError naming ``path:lineno``.
     """
     with path.open("rb") as fh:
         for lineno, line in enumerate(map(bytes.strip, fh), start=1):
@@ -85,9 +93,15 @@ def _segment_lines(path: Path, shard: int) -> Iterator[tuple[float, int, int, by
                 record = _loads(line)
             except JSONDecodeError:
                 record = None
-            if not (type(record) is dict and "type" in record
-                    and type(record.get("seq")) is int
-                    and type(record.get("t")) is float):
+            if (type(record) is dict and "type" in record
+                    and type(seq := record.get("seq")) is int
+                    and type(t := record.get("t")) is float):
+                if seq >= 0:
+                    prefix = b'{"seq":%d,"t":' % seq
+                    if line.startswith(prefix):
+                        yield t, shard, seq, line[len(prefix) - 5:]
+                        continue
+            else:
                 record = _stdlib_record(line, path, lineno)
             yield record["t"], shard, record["seq"], splice_body(line, path, lineno)
 
@@ -135,13 +149,16 @@ def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
     runs = [_segment_lines(Path(p), i) for i, p in enumerate(segments)]
     # (t, shard, seq) is unique per record, so the bodies are never compared
     data = (body for _t, _shard, _seq, body in heapq.merge(*runs))
-    seq = -1
+    lines = (b'{"seq":%d%b\n' % record
+             for record in enumerate(chain(head, data, foot)))
+    written = 0
     try:
         with tmp.open("wb") as fh:  # repro: allow[IO001] streams to a .tmp sibling; published whole via os.replace below
-            for seq, body in enumerate(chain(head, data, foot)):
-                fh.write(b'{"seq":%d%b\n' % (seq, body))
+            while block := list(islice(lines, _WRITE_BLOCK)):
+                fh.write(b"".join(block))
+                written += len(block)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, out)
-    return seq + 1 - len(head) - len(foot)
+    return written - len(head) - len(foot)

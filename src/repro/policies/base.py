@@ -245,7 +245,7 @@ class Policy(abc.ABC):
         #: injection is active; ``None`` (the default) keeps the fast
         #: direct-submit path and today's bit-identical behaviour.
         self.fault_domain: Optional["FaultDomain"] = None
-        #: Trace bus cached at :meth:`bind` time; ``None`` keeps every
+        #: Trace sink cached at :meth:`bind` time; ``None`` keeps every
         #: policy emission site a dead branch.
         self.trace = None
 

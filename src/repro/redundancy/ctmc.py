@@ -95,8 +95,8 @@ def mttdl_years(unit_size: int, tolerance: int, lam: float,
     require(1 <= unit_size, f"unit_size must be >= 1, got {unit_size}")
     require(0 <= tolerance < unit_size,
             f"tolerance must be in [0, unit_size), got {tolerance}")
-    require(lam >= 0.0, f"lam must be >= 0, got {lam}")
-    require(mu >= 0.0, f"mu must be >= 0, got {mu}")
+    require(0.0 <= lam < math.inf, f"lam must be finite and >= 0, got {lam}")
+    require(0.0 <= mu < math.inf, f"mu must be finite and >= 0, got {mu}")
     if lam <= 0.0:
         return math.inf
     q = _transient_generator(unit_size, tolerance, lam, mu)
@@ -127,8 +127,8 @@ def loss_probability(unit_size: int, tolerance: int, lam: float, mu: float,
     require(0 <= tolerance < unit_size,
             f"tolerance must be in [0, unit_size), got {tolerance}")
     require(0.0 <= years < math.inf, f"years must be finite and >= 0, got {years}")
-    require(lam >= 0.0, f"lam must be >= 0, got {lam}")
-    require(mu >= 0.0, f"mu must be >= 0, got {mu}")
+    require(0.0 <= lam < math.inf, f"lam must be finite and >= 0, got {lam}")
+    require(0.0 <= mu < math.inf, f"mu must be finite and >= 0, got {mu}")
     if lam <= 0.0 or years <= 0.0:
         return 0.0
     q = _transient_generator(unit_size, tolerance, lam, mu)
@@ -170,7 +170,7 @@ def mirror_mttdl_closed_form(lam: float, mu: float) -> float:
     exactly — the property test in ``tests/redundancy`` pins that.
     """
     require_positive(lam, "lam")
-    require(mu >= 0.0, f"mu must be >= 0, got {mu}")
+    require(0.0 <= mu < math.inf, f"mu must be finite and >= 0, got {mu}")
     return (3.0 * lam + mu) / (2.0 * lam * lam)
 
 

@@ -30,11 +30,11 @@ Observability
 The kernel carries two opt-in observation points, both off by default
 and costing nothing while off:
 
-* :attr:`Simulator.trace` — an opaque slot for a
-  :class:`repro.obs.TraceBus`; the kernel never touches it itself
-  (instrumented components read it at construction), it just gives
-  every layer holding the ``Simulator`` one well-known place to find
-  the bus.
+* :attr:`Simulator.trace` — an opaque slot for a trace sink (the
+  cell's :class:`repro.obs.JsonlTraceWriter`); the kernel never touches
+  it itself (instrumented components read it at construction), it just
+  gives every layer holding the ``Simulator`` one well-known place to
+  find the sink.
 * :meth:`Simulator.set_profiler` — attaches a
   :class:`repro.obs.KernelProfiler`-shaped object; the unbounded drain
   then runs a *separate* instrumented loop timing each action by its
@@ -120,7 +120,8 @@ class Simulator:
         self._events_executed = 0
         self._running = False
         self._stop = False
-        #: Opaque slot for a :class:`repro.obs.TraceBus` (or ``None``).
+        #: Opaque slot for a trace sink with ``emit(type, time, **data)``
+        #: (the cell's :class:`repro.obs.JsonlTraceWriter`) or ``None``.
         #: Set by the experiment runner before components are built;
         #: the kernel itself never reads it.
         self.trace: Optional[Any] = None

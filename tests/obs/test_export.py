@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import make_policy, run_simulation
 from repro.obs import events as ev
-from repro.obs.bus import TraceBus
 from repro.obs.config import ObsConfig
 from repro.obs.events import TraceEvent
 from repro.obs.export import (JsonlTraceWriter, event_to_json, read_trace,
@@ -126,14 +125,48 @@ class TestEventToJsonMatchesJsonDumps:
         assert _event_bytes(event) == _reference_event_to_json(event).encode()
 
 
+#: The shard remap's id fields, drawn apart from the payload so they
+#: hold what producers put there: ints, and None for a request-less file.
+_REMAP_FIELDS = st.fixed_dictionaries({}, optional={
+    "disk": st.integers(0, 63), "src": st.integers(0, 63),
+    "dst": st.integers(0, 63), "file": st.none() | st.integers(0, 9)})
+_REMAPS = st.none() | st.tuples(
+    st.integers(0, 1000), st.lists(st.integers(0, 2**40), min_size=10, max_size=10))
+
+
+class TestWriterEmitMatchesEventToJson:
+    """The writer's one-format line is the record ``event_to_json``
+    writes, with ids remapped first when the writer has a remap."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(events=st.lists(st.tuples(
+        _TIMES | _FAST_TIMES, _TEXT,
+        (_PAYLOADS | _FAST_PAYLOADS).map(
+            lambda d: {k: v for k, v in d.items()
+                       if k not in ("disk", "src", "dst", "file")}),
+        _REMAP_FIELDS), min_size=1, max_size=4), remap=_REMAPS)
+    def test_same_line_as_event_to_json(self, tmp_path_factory, events, remap):
+        path = tmp_path_factory.mktemp("emit") / "t.jsonl"
+        expected = []
+        with JsonlTraceWriter(path, remap=remap) as writer:
+            for seq, (time, type_, payload, ids) in enumerate(events):
+                writer.emit(type_, time, **payload, **ids)
+                if remap is not None:
+                    offset, files = remap
+                    ids = {k: v if v is None else files[v] if k == "file" else v + offset
+                           for k, v in ids.items()}
+                event = TraceEvent(seq, time, type_, {**payload, **ids})
+                expected.append(event_to_json(event) + "\n")
+        assert writer.events_written == len(events)
+        assert path.read_bytes() == "".join(expected).encode()
+
+
 class TestJsonlTraceWriter:
-    def test_round_trip_through_bus(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        bus = TraceBus()
         with JsonlTraceWriter(path) as writer:
-            bus.subscribe(writer)
-            bus.emit(ev.ENGINE_START, 0.0, policy="read")
-            bus.emit(ev.REQUEST_SUBMIT, 0.5, disk=0, size_mb=1.0)
+            writer.emit(ev.ENGINE_START, 0.0, policy="read")
+            writer.emit(ev.REQUEST_SUBMIT, 0.5, disk=0, size_mb=1.0)
         assert writer.events_written == 2
         records = read_trace(path)
         assert [r["type"] for r in records] == [ev.ENGINE_START,
@@ -146,7 +179,7 @@ class TestJsonlTraceWriter:
         writer.close()
         writer.close()  # idempotent
         with pytest.raises(ValueError, match="closed"):
-            writer(TraceEvent(0, 0.0, "x", {}))
+            writer.emit("x", 0.0)
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.jsonl"
@@ -159,7 +192,7 @@ class TestCrashSafety:
     def test_trace_invisible_until_close(self, tmp_path):
         path = tmp_path / "t.jsonl"
         writer = JsonlTraceWriter(path)
-        writer(TraceEvent(0, 0.0, "x", {}))
+        writer.emit("x", 0.0)
         assert not path.exists()  # still streaming into the tmp file
         writer.close()
         assert path.exists()
@@ -168,7 +201,7 @@ class TestCrashSafety:
     def test_abort_quarantines_partial_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
         writer = JsonlTraceWriter(path)
-        writer(TraceEvent(0, 0.0, "x", {}))
+        writer.emit("x", 0.0)
         writer.abort()
         writer.abort()  # idempotent
         assert not path.exists()
@@ -179,7 +212,7 @@ class TestCrashSafety:
     def test_abort_after_close_keeps_published_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
         writer = JsonlTraceWriter(path)
-        writer(TraceEvent(0, 0.0, "x", {}))
+        writer.emit("x", 0.0)
         writer.close()
         writer.abort()  # must not disturb a complete trace
         assert path.exists()
@@ -189,7 +222,7 @@ class TestCrashSafety:
         path = tmp_path / "t.jsonl"
         with pytest.raises(RuntimeError):
             with JsonlTraceWriter(path) as writer:
-                writer(TraceEvent(0, 0.0, "x", {}))
+                writer.emit("x", 0.0)
                 raise RuntimeError("simulated crash mid-run")
         assert not path.exists()
         assert (tmp_path / "t.jsonl.partial").exists()
@@ -200,22 +233,24 @@ class TestCrashSafety:
         fileset, trace = small_workload
         path = tmp_path / "run.jsonl"
         obs = ObsConfig(trace_path=path)
-
-        import repro.obs.bus as bus_mod
-        original = bus_mod.TraceBus.emit
+        original = JsonlTraceWriter.emit
+        written = []
 
         def exploding_emit(self, type_, t, **data):
-            if type_ == ev.REQUEST_SUBMIT:
+            if type_ == ev.REQUEST_SUBMIT and ev.REQUEST_SUBMIT in written:
                 raise RuntimeError("simulated mid-run crash")
-            return original(self, type_, t, **data)
+            original(self, type_, t, **data)
+            written.append(type_)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bus_mod.TraceBus, "emit", exploding_emit)
+            mp.setattr(JsonlTraceWriter, "emit", exploding_emit)
             with pytest.raises(RuntimeError, match="mid-run"):
                 run_simulation(make_policy("static-high"), fileset, trace,
                                n_disks=4, disk_params=params, obs=obs)
         assert not path.exists()
-        assert (tmp_path / "run.jsonl.partial").exists()
+        partial = tmp_path / "run.jsonl.partial"
+        assert [r["type"] for r in read_trace(partial)] == written
+        assert written[0] == ev.ENGINE_START and len(written) > 2
 
 
 class TestReadTrace:

@@ -166,6 +166,8 @@ class TestMergeSplicesSegmentBytes:
         '{"seq":0,"t":"abc","type":"x"}',
         '{"t":1.0,"type":"x"}',
         '{"seq":0,"t":true,"type":"x"}',
+        '{"seq":-1,"t":1.0,"type":"x"}',
+        '{"seq":1,"seq":2,"t":1.0,"type":"x"}',
     ])
     def test_non_canonical_prefix_rejected(self, tmp_path, line):
         bad = tmp_path / "bad.jsonl"

@@ -123,6 +123,29 @@ class TestLossProbability:
             loss_probability(2, 1, 0.5, 100.0, years)
 
 
+#: (lam, mu) pairs with one rate infinite: before they were refused,
+#: MTTDL came out nan (which ``assess_scheme`` skips, pricing loss at $0)
+#: and P(loss) raised numpy's NaN or overflow errors.
+_INFINITE_RATES = [(math.inf, 10.0), (0.5, math.inf)]
+
+
+class TestRejectsInfiniteRates:
+    @pytest.mark.parametrize("lam, mu", _INFINITE_RATES)
+    def test_mttdl_years(self, lam, mu):
+        with pytest.raises(ValueError, match="finite"):
+            mttdl_years(2, 1, lam, mu)
+
+    @pytest.mark.parametrize("lam, mu", _INFINITE_RATES)
+    def test_loss_probability(self, lam, mu):
+        with pytest.raises(ValueError, match="finite"):
+            loss_probability(2, 1, lam, mu, 1.0)
+
+    @pytest.mark.parametrize("lam, mu", _INFINITE_RATES)
+    def test_mirror_closed_form(self, lam, mu):
+        with pytest.raises(ValueError, match="finite"):
+            mirror_mttdl_closed_form(lam, mu)
+
+
 def _term_by_term_loss_probability(unit_size, tolerance, lam, mu, years):
     """Uniformization summed one Poisson term at a time.
 
