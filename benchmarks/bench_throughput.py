@@ -21,9 +21,9 @@ the numbers stay comparable across commits:
   of the redundancy-group machinery.
 
 The committed reference numbers live in ``BENCH_throughput.json`` at the
-repo root; each run writes its fresh measurement to
-``benchmarks/results/throughput.json`` and ``check_regression.py``
-compares the two (>20% drop fails).
+repo root; each run writes its fresh, host-specific measurement and its
+table to the git-ignored ``.benchmarks/`` (``.benchmarks/throughput.json``)
+and ``check_regression.py`` compares the two (>20% drop fails).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from conftest import RESULTS_DIR, record_table
+from conftest import HOST_RESULTS_DIR, record_table
 from check_regression import (BASELINE_PATH, compare, stream_floor,
                               tracing_overhead)
 from repro.experiments.parallel import RunSpec, run_cells
@@ -207,8 +207,8 @@ def measure_shard_merge_s(repeats: int = 3) -> float:
 
 
 def _write_results(results: dict) -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "throughput.json"
+    HOST_RESULTS_DIR.mkdir(exist_ok=True)
+    path = HOST_RESULTS_DIR / "throughput.json"
     path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return path
 
@@ -277,7 +277,8 @@ def test_throughput(benchmark):
         f"{baseline.get('shard_traced_s', float('nan')):>12.2f}"
         f"{'':>12}",
     ]
-    record_table("Throughput: event kernel and 8-cell sweep", "\n".join(lines))
+    record_table("Throughput: event kernel and 8-cell sweep", "\n".join(lines),
+                 directory=HOST_RESULTS_DIR)
 
     regressions = (compare(current, baseline) + tracing_overhead(current)
                    + stream_floor(current))

@@ -7,7 +7,7 @@ tests can exercise the gate logic without re-measuring anything;
     PYTHONPATH=src python benchmarks/check_regression.py
 
 exits non-zero (and prints why) if the freshest measurement in
-``benchmarks/results/throughput.json`` regressed more than 20% against
+``.benchmarks/throughput.json`` (git-ignored) regressed more than 20% against
 the committed baseline.
 """
 
@@ -19,8 +19,8 @@ from pathlib import Path
 
 #: Committed reference numbers (repo root, updated when perf work lands).
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
-#: Fresh measurement written by bench_throughput.py.
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "throughput.json"
+#: Fresh, host-specific measurement written by bench_throughput.py.
+RESULTS_PATH = Path(__file__).resolve().parent.parent / ".benchmarks" / "throughput.json"
 
 #: Allowed relative slowdown before the gate fails.
 DEFAULT_THRESHOLD = 0.20

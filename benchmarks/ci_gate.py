@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = Path(__file__).resolve().parent / "results" / "throughput.json"
+RESULTS_PATH = REPO_ROOT / ".benchmarks" / "throughput.json"
 
 
 def has_pytest_cov() -> bool:

@@ -3,7 +3,9 @@
 Every bench regenerates one of the paper's figures/tables and registers
 its text rendering here; the tables are printed in the terminal summary
 (so they survive pytest's output capture) and written to
-``benchmarks/results/``.
+``benchmarks/results/``.  Host-specific measurements (wall-clock
+timings) go to the git-ignored ``.benchmarks/`` at the repo root
+instead, so a bench run leaves the tracked tree clean.
 
 Scale is controlled with the ``REPRO_BENCH_SCALE`` environment variable:
 
@@ -26,16 +28,18 @@ from repro.experiments.runner import ExperimentConfig
 from repro.workload.synthetic import SyntheticWorkloadConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where host-specific measurements land (ignored by git).
+HOST_RESULTS_DIR = Path(__file__).resolve().parent.parent / ".benchmarks"
 
 _TABLES: list[tuple[str, str]] = []
 
 
-def record_table(title: str, text: str) -> None:
+def record_table(title: str, text: str, *, directory: Path = RESULTS_DIR) -> None:
     """Register a reproduction table for end-of-run printing + saving."""
     _TABLES.append((title, text))
-    RESULTS_DIR.mkdir(exist_ok=True)
+    directory.mkdir(exist_ok=True)
     slug = "".join(c if c.isalnum() else "_" for c in title.lower())[:60]
-    (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n", encoding="utf-8")
+    (directory / f"{slug}.txt").write_text(text + "\n", encoding="utf-8")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

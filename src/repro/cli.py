@@ -30,7 +30,8 @@ harness span events.  ``simulate``, ``sweep`` and ``worthwhile``
 accept ``--redundancy`` to lay the array
 out in k-of-n groups (see :mod:`repro.redundancy`).  Unsupported flag
 combinations (``--faults`` with ``--shards``) fail fast with a
-capability error before any cell runs.
+capability error before any cell runs.  Where a run's time goes, per
+event handler, is ``python -m cProfile -s tottime -m repro simulate ...``.
 
 Every command is a pure function of its arguments (workloads are seeded)
 so CLI output is reproducible and scriptable.
@@ -123,8 +124,7 @@ def _redundancy_scheme(args: argparse.Namespace):
     return parse_redundancy_spec(args.redundancy)
 
 
-def _add_obs_args(parser: argparse.ArgumentParser, *,
-                  profile: bool = False) -> None:
+def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("telemetry")
     group.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the structured event trace as JSONL")
@@ -135,21 +135,16 @@ def _add_obs_args(parser: argparse.ArgumentParser, *,
                        metavar="SECONDS",
                        help="simulated seconds between time-series samples "
                             "(default 60 when --metrics-out is given)")
-    if profile:
-        group.add_argument("--profile", action="store_true",
-                           help="time the event loop per handler and print "
-                                "the profile")
 
 
 def _obs_config(args: argparse.Namespace):
-    profile = bool(getattr(args, "profile", False))
     if (args.trace_out is None and args.metrics_out is None
-            and args.sample_interval is None and not profile):
+            and args.sample_interval is None):
         return None
     from repro.obs import ObsConfig
 
     return ObsConfig(trace_path=args.trace_out, metrics_path=args.metrics_out,
-                     sample_interval_s=args.sample_interval, profile=profile)
+                     sample_interval_s=args.sample_interval)
 
 
 def _package_version() -> str:
@@ -195,11 +190,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"wrote trace -> {obs.trace_path}")
         if obs.metrics_path is not None:
             print(f"wrote time-series -> {obs.metrics_path}")
-    if result.profile is not None:
-        print()
-        print(format_table([h.summary_row() for h in result.profile.handlers],
-                           title=f"event-loop profile "
-                                 f"({result.profile.events_per_sec:.3g} events/s)"))
     if result.faults is not None:
         f = result.faults
         print()
@@ -283,7 +273,7 @@ def _validate_sweep_combos(args: argparse.Namespace, policies: list[str]) -> Non
     if args.shards is not None:
         from repro.experiments.shard import require_shardable
 
-        require_shardable(args.faults, _obs_config(args))
+        require_shardable(args.faults)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -531,14 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {_package_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one policy over a synthetic workload")
+    p_sim = sub.add_parser(
+        "simulate", help="run one policy over a synthetic workload",
+        epilog="per-handler timing: python -m cProfile -s tottime -m repro simulate ...")
     p_sim.add_argument("--policy", choices=_policy_names(), default="read")
     p_sim.add_argument("--disks", type=int, default=10)
     p_sim.add_argument("--per-disk", action="store_true",
                        help="also print per-disk ESRRA factors")
     _add_faults_arg(p_sim)
     _add_redundancy_arg(p_sim)
-    _add_obs_args(p_sim, profile=True)
+    _add_obs_args(p_sim)
     _add_workload_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -14,7 +14,14 @@ Transitions between phases drive three side ledgers in lock-step: the
 The pattern is *account-then-change*: every state change first charges
 the elapsed interval to the outgoing state, so the ledgers are exact by
 construction and ``sum(state times) == power-on time`` is an invariant
-the test suite checks.
+the test suite checks.  The charge (:meth:`TwoSpeedDrive._account`) is
+inline arithmetic on the energy and thermal accumulators, in the float
+expression order of :meth:`repro.disk.ledger.OpenDiskLedger.advance`, so
+a closed ledger equals the drive's own accounting bit for bit.
+
+Per-event paths read the phase, power-state and speed enum members
+through module-level names bound once below: a global load is an order
+of magnitude cheaper than an attribute lookup on an ``Enum`` class.
 
 Speed-change semantics
 ----------------------
@@ -42,12 +49,15 @@ from repro.disk.stats import DiskStats
 from repro.disk.thermal import ThermalModel
 from repro.obs import events as ev
 from repro.sim.engine import EventHandle, Simulator
-from repro.util.validation import require_positive
+from repro.util.validation import require_non_negative, require_positive
 from repro.workload.request import Request
 
 __all__ = ["DrivePhase", "Job", "TwoSpeedDrive"]
 
 _INF = math.inf
+_exp = math.exp
+_HIGH = DiskSpeed.HIGH
+_TRANSITION_INDEX = STATE_INDEX[DiskPowerState.TRANSITION]
 
 
 class DrivePhase(enum.Enum):
@@ -59,6 +69,12 @@ class DrivePhase(enum.Enum):
     #: The drive has failed and is out of service (fault injection);
     #: it draws no power, serves nothing, and drops submitted work.
     FAILED = "failed"
+
+
+_IDLE = DrivePhase.IDLE
+_BUSY = DrivePhase.BUSY
+_TRANSITIONING = DrivePhase.TRANSITIONING
+_FAILED = DrivePhase.FAILED
 
 
 @dataclass(slots=True)
@@ -138,7 +154,7 @@ class TwoSpeedDrive:
     _PRIO_TRANSITION = 1
 
     def __init__(self, sim: Simulator, params: TwoSpeedDiskParams, disk_id: int, *,
-                 initial_speed: DiskSpeed = DiskSpeed.HIGH,
+                 initial_speed: DiskSpeed = _HIGH,
                  on_idle: Optional[Callable[[int], None]] = None,
                  on_busy: Optional[Callable[[int], None]] = None) -> None:
         self._sim = sim
@@ -151,7 +167,7 @@ class TwoSpeedDrive:
         self.on_busy = on_busy
 
         self._speed = initial_speed
-        self._phase = DrivePhase.IDLE
+        self._phase = _IDLE
         self._transition_target: Optional[DiskSpeed] = None
         self._pending_target: Optional[DiskSpeed] = None
         self._queue: deque[Job] = deque()
@@ -180,12 +196,15 @@ class TwoSpeedDrive:
         service times from plain floats instead of re-resolving the mode.
         The arithmetic (``positioning + size / rate``) matches
         :meth:`SpeedModeParams.service_time_s` term for term, so results
-        are bit-identical.
+        are bit-identical.  :meth:`_account` reads the idle and busy
+        power-state indices at this speed from here too.
         """
         mode = self.params.mode(self._speed)
         self._svc_positioning_s = mode.avg_seek_s + mode.avg_rot_latency_s
         self._svc_transfer_mb_s = mode.transfer_mb_s
         self._steady_c_at_speed = mode.steady_temp_c
+        self._idle_index = STATE_INDEX[DiskPowerState.of(False, self._speed)]
+        self._busy_index = STATE_INDEX[DiskPowerState.of(True, self._speed)]
 
     # ------------------------------------------------------------------
     # introspection
@@ -208,12 +227,12 @@ class TwoSpeedDrive:
     @property
     def is_idle(self) -> bool:
         """True when spinning idle with an empty queue."""
-        return self._phase is DrivePhase.IDLE
+        return self._phase is _IDLE
 
     @property
     def is_failed(self) -> bool:
         """True while the drive is failed/out of service (fault injection)."""
-        return self._phase is DrivePhase.FAILED
+        return self._phase is _FAILED
 
     @property
     def effective_target_speed(self) -> DiskSpeed:
@@ -247,20 +266,27 @@ class TwoSpeedDrive:
         """
         mode = self.params.mode(self.effective_target_speed)
         backlog = sum(mode.service_time_s(j.size_mb) for j in self._queue)
-        if self._phase is DrivePhase.TRANSITIONING:
+        if self._phase is _TRANSITIONING:
             backlog += self.params.transition_time_s  # upper bound on residual
         return backlog
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _current_power_state(self) -> DiskPowerState:
-        if self._phase is DrivePhase.TRANSITIONING:
-            return DiskPowerState.TRANSITION
-        return DiskPowerState.of(self._phase is DrivePhase.BUSY, self._speed)
+    def _open_state_index(self) -> Optional[int]:
+        """:data:`STATE_INDEX` of the power state now ruling (None = failed)."""
+        phase = self._phase
+        if phase is _FAILED:
+            return None
+        if phase is _TRANSITIONING:
+            return _TRANSITION_INDEX
+        return self._busy_index if phase is _BUSY else self._idle_index
 
     def _steady_temp_c(self) -> float:
-        if self._phase is DrivePhase.TRANSITIONING:
+        phase = self._phase
+        if phase is _FAILED:
+            return AMBIENT_TEMPERATURE_C  # a dead spindle cools toward ambient
+        if phase is _TRANSITIONING:
             assert self._transition_target is not None
             return self.params.mode(self._transition_target).steady_temp_c
         return self._steady_c_at_speed
@@ -268,35 +294,45 @@ class TwoSpeedDrive:
     def _account(self) -> None:
         """Charge the interval since the last state change to that state.
 
-        The state/steady-temperature selection mirrors
-        :meth:`_current_power_state` / :meth:`_steady_temp_c` but is
-        inlined: accounting runs on every dispatch, completion, and
-        transition edge.
+        Runs on every dispatch, completion and transition edge, so the
+        state and steady-temperature selection of
+        :meth:`_open_state_index` / :meth:`_steady_temp_c` and both
+        accumulator updates are inlined, in the float expression order of
+        :meth:`OpenDiskLedger.advance`.  A failed drive draws no power;
+        it only cools toward ambient.
         """
         now = self._sim.now
         dt = now - self._last_account_s
-        if dt > 0.0:
-            phase = self._phase
-            if phase is DrivePhase.FAILED:
-                # a dead spindle draws no power; it cools toward ambient
-                self.thermal.advance(dt, AMBIENT_TEMPERATURE_C)
-                self._last_account_s = now
+        if not 0.0 < dt < _INF:
+            if dt == 0.0:  # repro: allow[NUM001] exact zero-length edge: nothing to charge
                 return
-            if phase is DrivePhase.TRANSITIONING:
-                state = DiskPowerState.TRANSITION
+            require_non_negative(dt, "dt")  # raises: negative, NaN or inf
+        phase = self._phase
+        if phase is _FAILED:
+            steady_c = AMBIENT_TEMPERATURE_C
+        else:
+            if phase is _BUSY:
+                i = self._busy_index
+                steady_c = self._steady_c_at_speed
+            elif phase is _IDLE:
+                i = self._idle_index
+                steady_c = self._steady_c_at_speed
+            else:
+                i = _TRANSITION_INDEX
                 target = self._transition_target
                 assert target is not None
                 steady_c = self.params.mode(target).steady_temp_c
-            else:
-                high = self._speed is DiskSpeed.HIGH
-                if phase is DrivePhase.BUSY:
-                    state = DiskPowerState.ACTIVE_HIGH if high else DiskPowerState.ACTIVE_LOW
-                else:
-                    state = DiskPowerState.IDLE_HIGH if high else DiskPowerState.IDLE_LOW
-                steady_c = self._steady_c_at_speed
-            self.energy.accumulate(state, dt)
-            self.thermal.advance(dt, steady_c)
-            self._last_account_s = now
+            energy = self.energy
+            energy.times_s[i] += dt
+            energy.energies_j[i] += energy.powers_w[i] * dt
+        thermal = self.thermal
+        tau = thermal.tau_s
+        t0 = thermal.temperature_c
+        decay = _exp(-dt / tau)
+        thermal.temperature_c = steady_c + (t0 - steady_c) * decay
+        thermal.integral_c_s += steady_c * dt + (t0 - steady_c) * tau * (1.0 - decay)
+        thermal.elapsed_s += dt
+        self._last_account_s = now
 
     def open_ledger(self) -> OpenDiskLedger:
         """Capture the raw accumulator state *without* the final flush.
@@ -310,23 +346,15 @@ class TwoSpeedDrive:
         step with bit-identical arithmetic.
         """
         energy, thermal, stats = self.energy, self.thermal, self.stats
-        if self._phase is DrivePhase.FAILED:
-            state_index: Optional[int] = None
-            power_w = 0.0
-            steady_c = AMBIENT_TEMPERATURE_C
-        else:
-            state = self._current_power_state()
-            state_index = STATE_INDEX[state]
-            power_w = energy.power_w(state)
-            steady_c = self._steady_temp_c()
+        state_index = self._open_state_index()
         return OpenDiskLedger(
             disk_id=self.disk_id,
             last_account_s=self._last_account_s,
-            time_s=tuple(energy.time_s(s) for s in DiskPowerState),
-            energy_j=tuple(energy.energy_j(s) for s in DiskPowerState),
+            time_s=tuple(energy.times_s),
+            energy_j=tuple(energy.energies_j),
             state_index=state_index,
-            power_w=power_w,
-            steady_c=steady_c,
+            power_w=0.0 if state_index is None else energy.powers_w[state_index],
+            steady_c=self._steady_temp_c(),
             temp_c=thermal.temperature_c,
             integral_c_s=thermal.integral_c_s,
             elapsed_s=thermal.elapsed_s,
@@ -365,13 +393,13 @@ class TwoSpeedDrive:
                        size_mb=job.size_mb, internal=job.internal,
                        file=request.file_id if request is not None else None)
         phase = self._phase
-        if phase is DrivePhase.IDLE:
+        if phase is _IDLE:
             self._queue.append(job)
             if self.on_busy is not None:
                 self.on_busy(self.disk_id)
             self._dispatch()
             return
-        if phase is DrivePhase.FAILED:
+        if phase is _FAILED:
             job.failed = True
             if trace is not None:
                 trace.emit(ev.REQUEST_FAIL, now, disk=self.disk_id,
@@ -393,7 +421,7 @@ class TwoSpeedDrive:
         transition, so it charges no time, energy, or transition count.
         Only legal while the drive is idle with an empty queue.
         """
-        if self._phase is not DrivePhase.IDLE or self._queue:
+        if self._phase is not _IDLE or self._queue:
             raise RuntimeError("force_speed is only valid on an idle, empty drive")
         self._account()
         self._speed = target
@@ -412,9 +440,9 @@ class TwoSpeedDrive:
         there, or the drive is failed).  The caller (policy) is
         responsible for any transition budget checks *before* calling.
         """
-        if self._phase is DrivePhase.FAILED:
+        if self._phase is _FAILED:
             return False
-        if self._phase is DrivePhase.TRANSITIONING:
+        if self._phase is _TRANSITIONING:
             if self._transition_target is target:
                 self._pending_target = None
                 return False
@@ -424,7 +452,7 @@ class TwoSpeedDrive:
         if self._speed is target:
             self._pending_target = None
             return False
-        if self._phase is DrivePhase.BUSY:
+        if self._phase is _BUSY:
             if self._pending_target is target:
                 return False
             self._pending_target = target
@@ -433,9 +461,9 @@ class TwoSpeedDrive:
         return True
 
     def _begin_transition(self, target: DiskSpeed) -> None:
-        assert self._phase is DrivePhase.IDLE
+        assert self._phase is _IDLE
         self._account()
-        self._phase = DrivePhase.TRANSITIONING
+        self._phase = _TRANSITIONING
         self._transition_target = target
         self._pending_target = None
         self.stats.record_transition(self._sim.now)
@@ -455,7 +483,7 @@ class TwoSpeedDrive:
         self._speed = self._transition_target
         self._refresh_speed_cache()
         self._transition_target = None
-        self._phase = DrivePhase.IDLE
+        self._phase = _IDLE
         if self._trace is not None:
             self._trace.emit(ev.DISK_TRANSITION_END, self._sim.now,
                              disk=self.disk_id, speed=self._speed.name.lower())
@@ -479,7 +507,7 @@ class TwoSpeedDrive:
         request is dropped.  Returns the failed jobs (served-first order).
         Failing an already-failed drive is a no-op.
         """
-        if self._phase is DrivePhase.FAILED:
+        if self._phase is _FAILED:
             return []
         self._account()
         dropped: list[Job] = []
@@ -494,7 +522,7 @@ class TwoSpeedDrive:
             self._current = None
         dropped.extend(self._queue)
         self._queue.clear()
-        self._phase = DrivePhase.FAILED
+        self._phase = _FAILED
         self._transition_target = None
         self._pending_target = None
         trace = self._trace
@@ -507,7 +535,7 @@ class TwoSpeedDrive:
                 job.on_complete(job)
         return dropped
 
-    def replace_with_new_spindle(self, *, speed: DiskSpeed = DiskSpeed.HIGH) -> None:
+    def replace_with_new_spindle(self, *, speed: DiskSpeed = _HIGH) -> None:
         """Swap in a replacement drive (failed -> idle, empty, at ``speed``).
 
         Models the operator installing a fresh spindle: the replacement
@@ -517,10 +545,10 @@ class TwoSpeedDrive:
         the slot, not the physical spindle, is the unit the experiment
         accounts (matching how the array AFR aggregates per slot).
         """
-        if self._phase is not DrivePhase.FAILED:
+        if self._phase is not _FAILED:
             raise RuntimeError("replace_with_new_spindle requires a failed drive")
         self._account()
-        self._phase = DrivePhase.IDLE
+        self._phase = _IDLE
         self._speed = speed
         self._refresh_speed_cache()
         if self._trace is not None:
@@ -532,7 +560,7 @@ class TwoSpeedDrive:
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
         """From IDLE, start pending transition or next job (or stay idle)."""
-        assert self._phase is DrivePhase.IDLE
+        assert self._phase is _IDLE
         if self._pending_target is not None and self._pending_target is not self._speed:
             target, self._pending_target = self._pending_target, None
             self._begin_transition(target)
@@ -546,7 +574,7 @@ class TwoSpeedDrive:
         now = self._sim.now
         if now != self._last_account_s:  # repro: allow[NUM001] propagated timestamp: dedupes the accounting call chained off _complete
             self._account()
-        self._phase = DrivePhase.BUSY
+        self._phase = _BUSY
         self._current = job
         job.service_start = now
         request = job.request
@@ -564,10 +592,10 @@ class TwoSpeedDrive:
 
     def _complete(self) -> None:
         job = self._current
-        assert job is not None and self._phase is DrivePhase.BUSY
+        assert job is not None and self._phase is _BUSY
         self._completion_event = None
         self._account()
-        self._phase = DrivePhase.IDLE
+        self._phase = _IDLE
         self._current = None
         now = self._sim.now
         job.completion_time = now

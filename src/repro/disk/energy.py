@@ -2,20 +2,16 @@
 
 Energy is ``sum(power(state) * time_in_state)`` over the five power
 states of a two-speed drive.  The meter is a pure accumulator — the drive
-state machine tells it which state ruled each interval, which keeps the
-accounting exact regardless of event ordering and makes "total time in
-states == wall clock" an easily testable invariant.
+state machine charges each interval to the state that ruled it, which
+keeps the accounting exact regardless of event ordering and makes "total
+time in states == wall clock" an easily testable invariant.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams
-from repro.util.validation import require_non_negative
-
-_INF = math.inf
 
 __all__ = ["DiskPowerState", "EnergyMeter", "STATE_INDEX"]
 
@@ -30,7 +26,7 @@ class DiskPowerState(enum.Enum):
     TRANSITION = "transition"
 
     # members are singletons, so identity hashing is exact — and it avoids
-    # enum's Python-level __hash__ on the metering path's dict lookups
+    # enum's Python-level __hash__ on STATE_INDEX lookups
     __hash__ = object.__hash__
 
     @staticmethod
@@ -46,58 +42,60 @@ class DiskPowerState(enum.Enum):
 STATE_INDEX: dict[DiskPowerState, int] = {s: i for i, s in enumerate(DiskPowerState)}
 
 
+_ACTIVE_LOW = STATE_INDEX[DiskPowerState.ACTIVE_LOW]
+_ACTIVE_HIGH = STATE_INDEX[DiskPowerState.ACTIVE_HIGH]
+
+
 class EnergyMeter:
-    """Accumulates energy and residence time per power state."""
+    """Energy and residence time per power state, indexed by
+    :data:`STATE_INDEX`.
+
+    A plain accumulator: :meth:`TwoSpeedDrive._account
+    <repro.disk.drive.TwoSpeedDrive._account>` charges an interval ``dt``
+    spent in state ``i`` inline, as ``times_s[i] += dt`` then
+    ``energies_j[i] += powers_w[i] * dt`` — the arithmetic of
+    :meth:`repro.disk.ledger.OpenDiskLedger.advance`.
+    """
+
+    __slots__ = ("powers_w", "times_s", "energies_j")
 
     def __init__(self, params: TwoSpeedDiskParams) -> None:
-        self._params = params
-        self._power = {
-            DiskPowerState.IDLE_LOW: params.low.idle_w,
-            DiskPowerState.IDLE_HIGH: params.high.idle_w,
-            DiskPowerState.ACTIVE_LOW: params.low.active_w,
-            DiskPowerState.ACTIVE_HIGH: params.high.active_w,
-            DiskPowerState.TRANSITION: params.transition_power_w,
-        }
-        self._energy_j = {state: 0.0 for state in DiskPowerState}
-        self._time_s = {state: 0.0 for state in DiskPowerState}
-
-    def power_w(self, state: DiskPowerState) -> float:
-        """Power draw of ``state`` in watts."""
-        return self._power[state]
-
-    def accumulate(self, state: DiskPowerState, dt: float) -> None:
-        """Charge ``dt`` seconds spent in ``state``."""
-        if not (dt >= 0.0) or dt == _INF:  # also rejects NaN
-            require_non_negative(dt, "dt")
-        self._time_s[state] += dt
-        self._energy_j[state] += self._power[state] * dt
+        #: Power draw per state, watts (definition order).
+        self.powers_w: tuple[float, ...] = (
+            params.low.idle_w,
+            params.high.idle_w,
+            params.low.active_w,
+            params.high.active_w,
+            params.transition_power_w,
+        )
+        self.times_s = [0.0] * len(self.powers_w)
+        self.energies_j = [0.0] * len(self.powers_w)
 
     # ------------------------------------------------------------------
     @property
     def total_energy_j(self) -> float:
         """Total energy across all states, joules."""
-        return sum(self._energy_j.values())
+        return sum(self.energies_j)
 
     @property
     def total_time_s(self) -> float:
         """Total metered time across all states, seconds."""
-        return sum(self._time_s.values())
+        return sum(self.times_s)
 
     def energy_j(self, state: DiskPowerState) -> float:
         """Energy spent in one state, joules."""
-        return self._energy_j[state]
+        return self.energies_j[STATE_INDEX[state]]
 
     def time_s(self, state: DiskPowerState) -> float:
         """Time spent in one state, seconds."""
-        return self._time_s[state]
+        return self.times_s[STATE_INDEX[state]]
 
     def breakdown(self) -> dict[str, float]:
         """Energy per state keyed by state value (reporting convenience)."""
-        return {state.value: self._energy_j[state] for state in DiskPowerState}
+        return {state.value: self.energies_j[i] for state, i in STATE_INDEX.items()}
 
     @property
     def active_time_s(self) -> float:
         """Total transfer time at either speed (the numerator of the
         paper's utilization metric, Sec. 3.3)."""
-        return (self._time_s[DiskPowerState.ACTIVE_LOW]
-                + self._time_s[DiskPowerState.ACTIVE_HIGH])
+        return self.times_s[_ACTIVE_LOW] + self.times_s[_ACTIVE_HIGH]

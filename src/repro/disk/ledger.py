@@ -12,15 +12,16 @@ A *sharded* run (``repro.experiments.shard``) is why the open form
 exists: each shard's sub-simulation stops at its own local end time,
 but the merged result must account every disk up to the **global** end
 time, exactly as the unsharded simulation would have, which charges
-the interval from the last edge in *one* ``accumulate``/``advance``
-call.  Two exponential thermal steps are not bit-identical to one, so
-a shard captures an :class:`OpenDiskLedger`: a picklable capture of
-the raw accumulator state *before* the final flush, plus the power
-state and thermal steady target open at capture.  The merge calls
-:meth:`OpenDiskLedger.close` with the global end time; its arithmetic
-mirrors :meth:`EnergyMeter.accumulate` and :meth:`ThermalModel.advance`
-float-op for float-op, so a closed ledger equals the unsharded drive's
-finalized ledgers bit-for-bit.
+the interval from the last edge in *one* accounting step.  Two
+exponential thermal steps are not bit-identical to one, so a shard
+captures an :class:`OpenDiskLedger`: a picklable capture of the raw
+accumulator state *before* the final flush, plus the power state and
+thermal steady target open at capture.  The merge calls
+:meth:`OpenDiskLedger.close` with the global end time.
+:meth:`OpenDiskLedger.advance` is the reference form of one accounting
+step; the drive's edge (``TwoSpeedDrive._account``) inlines the same
+float operations in the same order, so a closed ledger equals the
+unsharded drive's finalized ledgers bit-for-bit.
 """
 
 from __future__ import annotations
@@ -128,10 +129,10 @@ class OpenDiskLedger:
     def advance(self, at_s: float) -> "OpenDiskLedger":
         """Charge the open interval up to ``at_s``; keep the ledger open.
 
-        One accounting edge — one ``EnergyMeter.accumulate`` plus one
-        ``ThermalModel.advance`` over the interval, in the same
-        floating-point expression order — returning a new open ledger
-        accounted up to ``at_s``.  This is how the merge replays the
+        One accounting edge — the energy charge, then the thermal
+        relaxation over the interval, in the floating-point expression
+        order ``TwoSpeedDrive._account`` inlines — returning a new open
+        ledger accounted up to ``at_s``.  This is how the merge replays the
         sampler ticks an early-draining shard never saw: splitting the
         residual interval at the global tick instants reproduces the
         unsharded sampled run's accounting edge sequence bit-for-bit.
@@ -147,10 +148,10 @@ class OpenDiskLedger:
         dt = at_s - self.last_account_s
         if dt > 0.0:
             if self.state_index is not None:
-                # mirrors EnergyMeter.accumulate(state, dt)
+                # energy: power x time into the open state
                 time_s[self.state_index] += dt
                 energy_j[self.state_index] += self.power_w * dt
-            # mirrors ThermalModel.advance(dt, steady_c)
+            # thermal: exact exponential relaxation toward steady_c
             decay = math.exp(-dt / self.tau_s)
             t0 = temp
             temp = self.steady_c + (t0 - self.steady_c) * decay

@@ -17,22 +17,28 @@ to steady state — take the reported 48 minutes.
 
 The model integrates the exact time-weighted temperature analytically
 (no per-tick stepping), because PRESS consumes the *mean operating
-temperature* over the simulated interval.
+temperature* over the simulated interval.  Over an interval ``dt``
+spent relaxing toward ``T_ss`` it adds
+
+    int T dt = T_ss * dt + (T0 - T_ss) * tau * (1 - exp(-dt / tau)).
+
+That step is charged inline by the drive's accounting edge
+(``TwoSpeedDrive._account``); its reference form, in the same
+floating-point expression order, is
+:meth:`repro.disk.ledger.OpenDiskLedger.advance`.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.util.validation import require_non_negative, require_positive
+from repro.util.validation import require_positive
 from repro.disk.parameters import AMBIENT_TEMPERATURE_C
 
 __all__ = ["ThermalModel", "steady_temperature_from_rpm"]
 
 #: Default time constant: 48 min / 4 time constants (see module docstring).
 DEFAULT_TAU_S = 720.0
-
-_exp = math.exp  # bound once; advance() runs on every accounting edge
 
 
 def steady_temperature_from_rpm(rpm: float, *, ambient_c: float = AMBIENT_TEMPERATURE_C) -> float:
@@ -53,66 +59,32 @@ def steady_temperature_from_rpm(rpm: float, *, ambient_c: float = AMBIENT_TEMPER
 
 
 class ThermalModel:
-    """Tracks one drive's temperature and its exact time integral.
+    """One drive's temperature and its exact time integral.
 
-    Call :meth:`advance` whenever the thermal environment changes (speed
-    transition, end of simulation); it integrates the closed-form
-    temperature trajectory over the elapsed interval.
+    A plain accumulator the drive's accounting edge advances inline (see
+    the module docstring).
+
+    Attributes
+    ----------
+    temperature_c:
+        Instantaneous temperature (degC) as of the last accounting edge.
+    integral_c_s:
+        Exact integral of T dt so far (degC * s);
+        ``mean_temperature_c() == integral_c_s / elapsed_s``.
+    elapsed_s:
+        Total time integrated so far.
+    tau_s:
+        The thermal time constant this model integrates with.
     """
+
+    __slots__ = ("temperature_c", "integral_c_s", "elapsed_s", "tau_s")
 
     def __init__(self, *, initial_c: float = AMBIENT_TEMPERATURE_C,
                  tau_s: float = DEFAULT_TAU_S) -> None:
-        require_positive(tau_s, "tau_s")
-        self._temp_c = float(initial_c)
-        self._tau = tau_s
-        self._integral_c_s = 0.0  # integral of T dt, degC * s
-        self._elapsed_s = 0.0
-
-    @property
-    def temperature_c(self) -> float:
-        """Instantaneous temperature (degC) as of the last :meth:`advance`."""
-        return self._temp_c
-
-    @property
-    def elapsed_s(self) -> float:
-        """Total time integrated so far."""
-        return self._elapsed_s
-
-    @property
-    def tau_s(self) -> float:
-        """The thermal time constant this model integrates with."""
-        return self._tau
-
-    @property
-    def integral_c_s(self) -> float:
-        """Exact integral of T dt so far (degC * s).
-
-        ``mean_temperature_c() == integral_c_s / elapsed_s``; exposed so
-        deferred end-of-run closes (:mod:`repro.disk.ledger`) can capture
-        the raw accumulator and finish the integral elsewhere.
-        """
-        return self._integral_c_s
-
-    def advance(self, dt: float, steady_c: float) -> float:
-        """Advance ``dt`` seconds toward steady temperature ``steady_c``.
-
-        Returns the new instantaneous temperature.  The time integral of
-        the exponential trajectory is accumulated exactly:
-
-            int T dt = T_ss * dt + (T0 - T_ss) * tau * (1 - exp(-dt/tau))
-        """
-        if not (dt > 0.0):  # False for NaN too
-            if dt == 0.0:  # repro: allow[NUM001] exact zero-step fast path; any eps falls through to the integrator
-                return self._temp_c
-            require_non_negative(dt, "dt")  # raises with the precise message
-        elif dt == math.inf:  # repro: allow[NUM001] inf compares exactly by IEEE-754 definition
-            require_non_negative(dt, "dt")
-        t0 = self._temp_c
-        decay = _exp(-dt / self._tau)
-        self._temp_c = steady_c + (t0 - steady_c) * decay
-        self._integral_c_s += steady_c * dt + (t0 - steady_c) * self._tau * (1.0 - decay)
-        self._elapsed_s += dt
-        return self._temp_c
+        self.tau_s = require_positive(tau_s, "tau_s")
+        self.temperature_c = float(initial_c)
+        self.integral_c_s = 0.0
+        self.elapsed_s = 0.0
 
     def mean_temperature_c(self) -> float:
         """Time-weighted mean temperature over everything integrated so far.
@@ -120,13 +92,13 @@ class ThermalModel:
         Falls back to the instantaneous temperature when no time has
         elapsed (e.g. PRESS evaluated at t = 0).
         """
-        if self._elapsed_s <= 0.0:
-            return self._temp_c
-        return self._integral_c_s / self._elapsed_s
+        if self.elapsed_s <= 0.0:
+            return self.temperature_c
+        return self.integral_c_s / self.elapsed_s
 
     def reset(self, *, temperature_c: float | None = None) -> None:
         """Clear the integral; optionally pin a new instantaneous temperature."""
         if temperature_c is not None:
-            self._temp_c = float(temperature_c)
-        self._integral_c_s = 0.0
-        self._elapsed_s = 0.0
+            self.temperature_c = float(temperature_c)
+        self.integral_c_s = 0.0
+        self.elapsed_s = 0.0

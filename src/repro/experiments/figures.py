@@ -179,8 +179,7 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     with ``shards``: each shard sub-cell runs its own telemetry stack
     (untagged events under global disk ids) and the merge federates
     the segments into the cell's named trace/metrics artifacts (see
-    :mod:`repro.obs.federate`) — kernel profiling is the one obs feature
-    sharding rejects.  ``stream_chunk`` bounds streamed-generation
+    :mod:`repro.obs.federate`).  ``stream_chunk`` bounds streamed-generation
     memory (requests per chunk; ``None`` = the stream layer's default).
 
     ``bus`` is the harness trace bus: sweep/cell span events (and, when

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.disk.drive import Job
 from repro.faults.metrics import FaultSummary
-from repro.obs.profiler import ProfileSummary
 from repro.redundancy.metrics import RedundancySummary
 from repro.obs.sampler import TimeSeries
 from repro.press.model import DiskFactors
@@ -143,9 +142,6 @@ class SimulationResult:
     wall_clock_s: float = field(default=0.0, compare=False)
     #: Per-disk sampled telemetry; ``None`` unless sampling was enabled.
     timeseries: TimeSeries | None = None
-    #: Kernel profiling summary; ``None`` unless profiling was enabled
-    #: (wall timings inside, so excluded from equality like wall_clock_s).
-    profile: ProfileSummary | None = field(default=None, compare=False)
     #: Redundancy-group outcome + CTMC reliability; ``None`` unless a
     #: ``--redundancy`` scheme was active.
     redundancy: RedundancySummary | None = None

@@ -70,9 +70,9 @@ class RunSpec:
         fan out over the process pool like any other.
     obs:
         Telemetry configuration (``None`` = everything off).  Frozen
-        plain data; the cell materializes its own bus/sampler/profiler,
-        and the resulting time-series/profile summaries are picklable
-        tuples, so telemetry survives the pool boundary.  File-writing
+        plain data; the cell materializes its own trace writer and
+        sampler, and the resulting time-series is picklable tuples, so
+        telemetry survives the pool boundary.  File-writing
         options (``trace_path``/``metrics_path``) make sense only on
         single-cell specs — parallel cells would race on one path.
     """

@@ -34,7 +34,9 @@ clean.  The test suite asserts this end to end.
 
 from __future__ import annotations
 
+import dataclasses
 import faulthandler
+import functools
 import hashlib
 import multiprocessing
 import pickle
@@ -46,7 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
 
 from repro.experiments import parallel
 from repro.experiments.metrics import SimulationResult
@@ -78,19 +80,53 @@ _POLL_INTERVAL_S = 0.05
 #: :meth:`ResilienceConfig.backoff_s`).
 _RETRY_JITTER = 0.5
 
-#: On-disk checkpoint format version (bumped on incompatible layouts).
-#: Version 2 dropped a field from the pickled result classes; slotted
-#: dataclasses unpickle fields by position, so a version-1 file would
-#: load with every later field shifted by one.  Version 3 reshaped the
-#: shard partial result (per-disk used capacity in, two unread response
-#: tallies out).  Version 4 untagged the trace segments a checkpointed
-#: shard result points at: merging an older, tagged segment would copy
-#: its ``"shard":N`` field into the merged trace.  Version 5 dropped the
-#: registry snapshot from both result classes.  Version 6 dropped the
-#: assignment field from the :class:`ShardPlan` a shard result pickles
-#: (and the per-cell speed, PRESS and queue-discipline entries from
-#: every :func:`spec_key`, so no older entry would match anyway).
-CHECKPOINT_VERSION = 6
+# ----------------------------------------------------------------------
+# checkpoint format version
+# ----------------------------------------------------------------------
+def layout_version(*roots: type) -> str:
+    """Digest of the pickled layout of ``roots`` (sha256 hex, 16 digits).
+
+    Walks every dataclass reachable from the roots' field annotations
+    (through ``Optional``, ``tuple`` and other generic arguments) and
+    digests each one's qualified name and field names, in order.
+    Slotted dataclasses unpickle fields by position, so a file written
+    under another layout would load with fields shifted: any added,
+    dropped, renamed or reordered field must change the version, and
+    deriving it makes a forgotten bump impossible.
+    """
+    seen: list[type] = []
+
+    def walk(hint: object) -> None:
+        if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+            if hint not in seen:
+                seen.append(hint)
+                for field_hint in get_type_hints(hint).values():
+                    walk(field_hint)
+            return
+        for arg in get_args(hint):
+            walk(arg)
+
+    for root in roots:
+        walk(root)
+    layout = ";".join(f"{cls.__module__}.{cls.__qualname__}("
+                      + ",".join(f.name for f in dataclasses.fields(cls)) + ")"
+                      for cls in seen)
+    return hashlib.sha256(layout.encode("utf-8")).hexdigest()[:16]
+
+
+@functools.cache
+def checkpoint_version() -> str:
+    """On-disk checkpoint format version: the :func:`layout_version` of
+    the two result classes a checkpoint pickles.
+
+    A checkpoint holds :class:`SimulationResult` cells and shard
+    sub-cells' :class:`~repro.experiments.shard.ShardCellResult`; a file
+    of any other version is quarantined.
+    """
+    # imported here: the shard module imports this one
+    from repro.experiments.shard import ShardCellResult
+
+    return layout_version(SimulationResult, ShardCellResult)
 
 
 # ----------------------------------------------------------------------
@@ -250,10 +286,10 @@ class SweepInterrupted(RuntimeError):
 class SweepCheckpoint:
     """On-disk journal of completed cells, keyed by :func:`spec_key`.
 
-    The whole journal is one pickle ``{"version": 1, "cells": {key:
-    SimulationResult}}`` republished atomically after every recorded
-    cell, so a crash at any instant leaves either the previous or the
-    new complete journal — never a torn file.  A journal that fails to
+    The whole journal is one pickle ``{"version": checkpoint_version(),
+    "cells": {key: SimulationResult}}`` republished atomically after
+    every recorded cell, so a crash at any instant leaves either the
+    previous or the new complete journal — never a torn file.  A journal that fails to
     unpickle (truncated by a dying filesystem, wrong version, foreign
     content) is quarantined aside as ``<name>.corrupt`` and the sweep
     starts fresh rather than aborting.
@@ -275,7 +311,7 @@ class SweepCheckpoint:
             with self.path.open("rb") as fh:
                 doc = pickle.load(fh)
             if (not isinstance(doc, dict)
-                    or doc.get("version") != CHECKPOINT_VERSION
+                    or doc.get("version") != checkpoint_version()
                     or not isinstance(doc.get("cells"), dict)):
                 raise ValueError(f"unrecognized checkpoint layout in {self.path}")
         except Exception as exc:  # unpickling garbage raises nearly anything
@@ -306,7 +342,7 @@ class SweepCheckpoint:
 
     def flush(self) -> None:
         """Atomically publish the current journal to :attr:`path`."""
-        blob = pickle.dumps({"version": CHECKPOINT_VERSION,
+        blob = pickle.dumps({"version": checkpoint_version(),
                              "cells": self._cells}, protocol=4)
         atomic_write_bytes(self.path, blob)
 

@@ -36,13 +36,7 @@ from repro.disk.ledger import ClosedDiskLedger
 from repro.disk.parameters import DiskSpeed, TwoSpeedDiskParams, cheetah_two_speed
 from repro.experiments.metrics import RequestMetrics, SimulationResult
 from repro.faults import FaultConfig, FaultInjector
-from repro.obs import (
-    DiskSampler,
-    JsonlTraceWriter,
-    KernelProfiler,
-    ObsConfig,
-    write_timeseries,
-)
+from repro.obs import DiskSampler, JsonlTraceWriter, ObsConfig, write_timeseries
 from repro.obs import events as obs_events
 from repro.policies.base import Policy
 from repro.policies.maid import MAIDConfig, MAIDPolicy
@@ -175,7 +169,6 @@ class _Cell:
     sampler: DiskSampler | None
     #: The trace sink producers emit to (``sim.trace``), or ``None``.
     writer: JsonlTraceWriter | None
-    profiler: KernelProfiler | None
     #: Wall-clock seconds of the drain alone.
     wall_clock_s: float
 
@@ -216,15 +209,11 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     # Telemetry attaches before anything observes sim.trace: drives cache
     # the sink at construction, policies at bind, the injector at init.
     writer: JsonlTraceWriter | None = None
-    profiler: KernelProfiler | None = None
     if obs is not None and obs.trace_path is not None:
         writer = JsonlTraceWriter(
             obs.trace_path,
             remap=None if file_table is None else (disk_offset, file_table))
         sim.trace = writer
-    if obs is not None and obs.profile:
-        profiler = KernelProfiler()
-        sim.set_profiler(profiler)
     array = DiskArray(sim, params, n_disks, fileset)
     sampler: DiskSampler | None = None
     if obs is not None and obs.wants_sampler:
@@ -247,10 +236,10 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
         policy.completion_callback = injector.on_user_job_complete
     policy.initial_layout()
 
-    # Arrivals are chained (each dispatch schedules the next) over one
-    # chunk of plain lists at a time: list indexing returns ready-made
-    # floats/ints instead of numpy scalars needing coercion.  Requests
-    # are counted per chunk, never per request.
+    # Arrivals are chained (each dispatch hands the kernel's arrival slot
+    # the next) over one chunk of plain lists at a time: list indexing
+    # returns ready-made floats/ints instead of numpy scalars needing
+    # coercion.  Requests are counted per chunk, never per request.
     sizes = fileset.sizes_mb.tolist()
     pending = iter(chunks)
     times: list[float] = []
@@ -268,7 +257,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
         return False
 
     route = policy.route
-    schedule_at = sim.schedule_at
+    set_arrival = sim.set_arrival
     new_request = Request.from_validated
 
     def dispatch_next() -> None:
@@ -277,7 +266,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
         route(new_request(sim.now, fid, sizes[fid]))
         i += 1
         if i < n or load_next():
-            schedule_at(times[i], dispatch_next, priority=-1)
+            set_arrival(times[i], dispatch_next)
 
     if writer is not None and engine_start is not None:
         writer.emit(obs_events.ENGINE_START, sim.now, **engine_start)
@@ -290,7 +279,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     wall_clock_s = 0.0
     try:
         if load_next():
-            schedule_at(times[0], dispatch_next, priority=-1)
+            set_arrival(times[0], dispatch_next)
             wall_start = perf_counter()
             sim.run_until_drained()
             wall_clock_s = perf_counter() - wall_start
@@ -310,8 +299,7 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     if sampler is not None:
         sampler.shutdown()
     return _Cell(sim=sim, array=array, injector=injector, sampler=sampler,
-                 writer=writer, profiler=profiler,
-                 wall_clock_s=wall_clock_s), tally
+                 writer=writer, wall_clock_s=wall_clock_s), tally
 
 
 def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
@@ -335,7 +323,7 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
     results are bit-identical to runs predating the fault subsystem.
 
     ``obs`` enables the telemetry layer (see :mod:`repro.obs`): event
-    tracing to JSONL, periodic per-disk sampling, and kernel profiling.
+    tracing to JSONL and periodic per-disk sampling.
     ``None`` (and the all-off ``ObsConfig()``) attach nothing, keeping
     the hot path and the results bit-identical to an untraced run.
 
@@ -404,8 +392,6 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
         events_executed=sim.events_executed,
         wall_clock_s=cell.wall_clock_s,
         timeseries=timeseries,
-        profile=(None if cell.profiler is None else
-                 cell.profiler.summary(wall_clock_s=cell.wall_clock_s)),
         redundancy=_assess_redundancy(scheme, totals["per_disk"], used_mb=array.used_mb,
                                       params=params, faults=faults,
                                       injector=injector),

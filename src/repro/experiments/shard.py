@@ -41,8 +41,8 @@ filtered stream chunks, and the merge scores PRESS, energy and counters
 with the same ledger reducer (``runner._reduce_ledgers``) over the
 shards' ledgers closed at the global end.  Only the response reduction
 differs: a histogram here, exact percentiles there.  What a sharded cell
-cannot run — fault injection, whose schedule is array-global, and
-kernel profiling — is refused in one place, :func:`require_shardable`.
+cannot run — fault injection, whose schedule is array-global — is
+refused in one place, :func:`require_shardable`.
 A redundancy layout (faults off) is carried into the merge, which prices
 the merged per-disk factors with the runner's CTMC assessment.
 
@@ -324,23 +324,19 @@ class _ShardMetrics:
 # ----------------------------------------------------------------------
 # the capability check
 # ----------------------------------------------------------------------
-def require_shardable(faults: object, obs: Optional[ObsConfig]) -> None:
+def require_shardable(faults: object) -> None:
     """Refuse, with the reason, what a sharded cell cannot run.
 
     The one statement of the sharding capability matrix: fault injection
-    (any non-``None`` ``faults``) and kernel profiling are refused;
-    everything else — tracing, sampling, redundancy layouts with faults
-    off — runs sharded.  Raises ``ValueError`` naming the CLI flags.
+    (any non-``None`` ``faults``) is refused; everything else — tracing,
+    sampling, redundancy layouts with faults off — runs sharded.  Raises
+    ``ValueError`` naming the CLI flags.
     """
     require(faults is None,
             "--faults cannot be combined with --shards: fault injection "
             "needs the whole-array view (hazard budgets, degraded-mode "
             "redirects and rebuild traffic couple disks across shard "
             "boundaries); run the cell unsharded")
-    require(obs is None or not obs.profile,
-            "--profile cannot be combined with --shards: kernel profiling "
-            "wraps one event loop, and a sharded cell runs several; "
-            "profile the unsharded run instead")
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +356,7 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     shard = spec.shard
     require(shard is not None, "run_shard_cell needs a spec with shard set")
     assert shard is not None  # for the type checker
-    require_shardable(spec.faults, spec.obs)
+    require_shardable(spec.faults)
     plan = shard.plan
     require(spec.n_disks == plan.n_disks,
             f"spec.n_disks ({spec.n_disks}) != plan.n_disks ({plan.n_disks})")
@@ -641,7 +637,7 @@ def shard_specs(cell: RunSpec, n_shards: int, *,
     check (:func:`require_shardable`), the plan's divisibility, and a
     redundancy scheme's group size.
     """
-    require_shardable(cell.faults, cell.obs)
+    require_shardable(cell.faults)
     plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards)
     if cell.redundancy is not None:
         RedundancyGroups(cell.redundancy, cell.n_disks)  # group-size check

@@ -1,6 +1,6 @@
 """repro.obs — the simulation telemetry layer.
 
-Four cooperating pieces, all strictly opt-in (a run that attaches none
+Three cooperating pieces, all strictly opt-in (a run that attaches none
 of them executes the exact pre-observability hot path):
 
 * the event taxonomy (:mod:`repro.obs.events`) — typed structured
@@ -9,8 +9,6 @@ of them executes the exact pre-observability hot path):
   onto a :class:`TraceBus`;
 * :class:`DiskSampler` — the periodic per-disk time-series snapshot
   (utilization, temperature, speed, queue depth, cumulative energy);
-* :class:`KernelProfiler` — per-handler event-loop timing attached to
-  the :class:`~repro.sim.engine.Simulator`;
 * exporters (:mod:`repro.obs.export`) and rollups
   (:mod:`repro.obs.summarize`) — deterministic JSONL traces, CSV/JSON
   time-series, and the ``repro obs summarize`` tables.
@@ -30,7 +28,6 @@ from repro.obs.export import (
     write_timeseries,
 )
 from repro.obs.log import get_logger, setup_logging
-from repro.obs.profiler import HandlerProfile, KernelProfiler, ProfileSummary
 from repro.obs.federate import (
     merge_trace_files,
     shard_segment_path,
@@ -54,11 +51,8 @@ __all__ = [
     "ALL_EVENT_TYPES",
     "DiskRollup",
     "DiskSampler",
-    "HandlerProfile",
     "JsonlTraceWriter",
-    "KernelProfiler",
     "ObsConfig",
-    "ProfileSummary",
     "SAMPLE_COLUMNS",
     "SweepStatusWriter",
     "TimeSeries",

@@ -2,8 +2,8 @@
 
 ``ObsConfig`` is frozen plain data so it rides inside a
 :class:`~repro.experiments.parallel.RunSpec` across the process-pool
-boundary; the runner materializes the actual bus/sampler/profiler from
-it per cell.  ``ObsConfig()`` (all fields off) is equivalent to passing
+boundary; the runner materializes the actual trace writer and sampler
+from it per cell.  ``ObsConfig()`` (all fields off) is equivalent to passing
 no config at all — the runner attaches nothing.
 """
 
@@ -33,15 +33,11 @@ class ObsConfig:
         Simulated seconds between per-disk time-series samples; ``None``
         disables the sampler (unless :attr:`metrics_path` forces it on
         at :data:`DEFAULT_SAMPLE_INTERVAL_S`).
-    profile:
-        Attach a kernel profiler: per-handler dispatch timings land in
-        ``SimulationResult.profile``.
     """
 
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None
     sample_interval_s: Optional[float] = None
-    profile: bool = False
 
     #: Sampler cadence used when metrics output is requested without an
     #: explicit interval.
@@ -66,5 +62,4 @@ class ObsConfig:
     @property
     def enabled(self) -> bool:
         """Whether any observability feature is on."""
-        return (self.trace_path is not None or self.wants_sampler
-                or self.profile)
+        return self.trace_path is not None or self.wants_sampler

@@ -34,6 +34,10 @@ from repro.workload.request import Request
 __all__ = ["FaultDomain", "Policy", "PolicyError", "SpeedControlConfig",
            "SpeedController", "TransitionBudget"]
 
+# bound once: the idle/busy hooks and the spin-up check run per event
+_HIGH = DiskSpeed.HIGH
+_LOW = DiskSpeed.LOW
+
 
 class PolicyError(RuntimeError):
     """Raised for policy misuse (unbound policy, invalid configuration)."""
@@ -164,7 +168,7 @@ class SpeedController:
     # ------------------------------------------------------------------
     def on_disk_idle(self, disk_id: int) -> None:
         """Array hook: a drive's queue drained — start its idleness clock."""
-        if self._eligible(disk_id) and self._drives[disk_id].speed is DiskSpeed.HIGH:
+        if self._eligible(disk_id) and self._drives[disk_id].speed is _HIGH:
             self._timers[disk_id].arm()
 
     def on_disk_busy(self, disk_id: int) -> None:
@@ -174,13 +178,13 @@ class SpeedController:
     # ------------------------------------------------------------------
     def _idle_expired(self, disk_id: int) -> None:
         drive = self._drives[disk_id]
-        if not drive.is_idle or drive.speed is not DiskSpeed.HIGH:
+        if not drive.is_idle or drive.speed is not _HIGH:
             return
         if self._budget is not None and not self._budget.spend(disk_id):
             return
         if self._trace is not None:
             self._trace.emit(ev.POLICY_SPIN_DOWN, self._sim.now, disk=disk_id)
-        drive.request_speed(DiskSpeed.LOW)
+        drive.request_speed(_LOW)
 
     def check_spin_up(self, disk_id: int, *, incoming_jobs: int = 1) -> None:
         """Arrival-side demand rule: spin a LOW drive up when the backlog
@@ -195,7 +199,7 @@ class SpeedController:
         if drive.is_failed:
             return
         self._timers[disk_id].cancel()
-        if drive.effective_target_speed is DiskSpeed.HIGH:
+        if drive.effective_target_speed is _HIGH:
             return
         backlog = drive.queue_length + incoming_jobs
         if (backlog >= self.config.spin_up_queue_len
@@ -205,7 +209,7 @@ class SpeedController:
             if self._trace is not None:
                 self._trace.emit(ev.POLICY_SPIN_UP, self._sim.now,
                                  disk=disk_id, backlog=backlog)
-            drive.request_speed(DiskSpeed.HIGH)
+            drive.request_speed(_HIGH)
 
     def shutdown(self) -> None:
         """Cancel every armed idleness timer (end-of-run teardown)."""

@@ -16,52 +16,48 @@ heap pop discards dead entries, which is O(1) per cancel instead of an
 O(n) heap rebuild — idleness timers are cancelled constantly, so this
 matters.
 
+The arrival slot
+----------------
+A trace-driven run streams its arrivals: each arrival action hands the
+kernel the next one.  At most one arrival is ever pending, so it lives
+in a dedicated slot (:meth:`Simulator.set_arrival`) instead of the heap,
+and pays no ``EventHandle``, ``heappush`` or ``heappop``.  The slot
+fires when its time is ``<=`` the heap head's time, which is exactly
+the order it would have as a heap event of priority −1: it precedes
+every heap event at its own instant, because every component schedules
+at priority ``>= 0``.  A dead (cancelled) head needs no special case:
+every live entry lies at or after it.  A pending arrival counts in
+:attr:`Simulator.pending_count`, and a fired one in
+:attr:`Simulator.events_executed`, like any event.
+
 Hot-path layout
 ---------------
 The heap stores ``(time, priority, seq, handle)`` tuples rather than the
 handles themselves, so sift comparisons run as C tuple comparisons
 (``seq`` is unique, so the handle element is never compared, and
 handles define no ordering of their own).  A live-event counter makes
-:attr:`Simulator.pending_count` O(1), and :meth:`Simulator.run` takes a
-branch-free drain loop when ``until`` is not set.
+:attr:`Simulator.pending_count` O(1), and :attr:`Simulator.now` is a
+plain attribute that only the loop writes.  There is one event loop,
+:meth:`Simulator._drain`: an unbounded drain runs it with an infinite
+stop time, so :meth:`Simulator.run` with ``until`` costs one float
+comparison per event and no second loop.
 
-Observability
--------------
-The kernel carries two opt-in observation points, both off by default
-and costing nothing while off:
-
-* :attr:`Simulator.trace` — an opaque slot for a trace sink (the
-  cell's :class:`repro.obs.JsonlTraceWriter`); the kernel never touches
-  it itself (instrumented components read it at construction), it just
-  gives every layer holding the ``Simulator`` one well-known place to
-  find the sink.
-* :meth:`Simulator.set_profiler` — attaches a
-  :class:`repro.obs.KernelProfiler`-shaped object; the unbounded drain
-  then runs a *separate* instrumented loop timing each action by its
-  qualified name.  The uninstrumented ``_drain`` stays byte-for-byte
-  untouched, so profiling-off throughput is unchanged.
+:attr:`Simulator.trace` is an opaque slot for a trace sink (the cell's
+:class:`repro.obs.JsonlTraceWriter`); the kernel never touches it
+itself (instrumented components read it at construction), it just gives
+every layer holding the ``Simulator`` one well-known place to find the
+sink.  Per-handler timing is ``python -m cProfile``'s job.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from time import perf_counter
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Optional
 
-__all__ = ["EventHandle", "Simulator", "SimulationError", "DispatchProfiler"]
+__all__ = ["EventHandle", "Simulator", "SimulationError"]
 
 Action = Callable[[], None]
-
-
-class DispatchProfiler(Protocol):
-    """What the kernel needs from a profiler: one call per dispatch.
-
-    Implemented by :class:`repro.obs.KernelProfiler`; declared as a
-    protocol so the kernel never imports the observability layer.
-    """
-
-    def record(self, handler: str, elapsed_s: float) -> None: ...
 
 _INF = math.inf
 
@@ -111,7 +107,8 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         if not math.isfinite(start_time):
             raise SimulationError(f"start_time must be finite, got {start_time!r}")
-        self._now = float(start_time)
+        #: Current simulated time in seconds; only the event loop writes it.
+        self.now = float(start_time)
         # entries are (time, priority, seq, EventHandle); seq is unique so
         # comparisons never reach the handle
         self._heap: list[tuple[float, int, int, EventHandle]] = []
@@ -120,21 +117,18 @@ class Simulator:
         self._events_executed = 0
         self._running = False
         self._stop = False
+        # the arrival slot: its action, or None, and its time (inf if empty)
+        self._arrival: Optional[Action] = None
+        self._arrival_time = _INF
         #: Opaque slot for a trace sink with ``emit(type, time, **data)``
         #: (the cell's :class:`repro.obs.JsonlTraceWriter`) or ``None``.
         #: Set by the experiment runner before components are built;
         #: the kernel itself never reads it.
         self.trace: Optional[Any] = None
-        self._profiler: Optional[DispatchProfiler] = None
 
     # ------------------------------------------------------------------
-    # clock
+    # counters
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Total number of events dispatched since construction."""
@@ -142,30 +136,9 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1)."""
+        """Number of live (non-cancelled) events still queued, the
+        pending arrival included.  O(1)."""
         return self._live
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def set_profiler(self, profiler: Optional[DispatchProfiler]) -> None:
-        """Attach (or with ``None`` detach) a dispatch profiler.
-
-        While attached, unbounded runs (:meth:`run_until_drained`, or
-        :meth:`run` without bounds) time every action and report it by
-        qualified name; bounded runs are never profiled (they are the
-        debugging path, not the measured path).
-        """
-        if profiler is not None and not callable(getattr(profiler, "record", None)):
-            raise SimulationError(
-                f"profiler must have a record(handler, elapsed_s) method, "
-                f"got {profiler!r}")
-        self._profiler = profiler
-
-    @property
-    def profiler(self) -> Optional[DispatchProfiler]:
-        """The attached dispatch profiler, if any."""
-        return self._profiler
 
     # ------------------------------------------------------------------
     # scheduling
@@ -176,7 +149,7 @@ class Simulator:
         ``delay`` must be finite and non-negative; a zero delay fires at
         the current time, after any already-queued events at this time.
         """
-        now = self._now
+        now = self.now
         try:
             time = now + delay
         except TypeError:
@@ -185,7 +158,6 @@ class Simulator:
         # one comparison rejects NaN and negative delays; inf needs its own
         if not (time >= now) or time == _INF:
             raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
-        # push inlined (schedule is called once or more per simulated event)
         if not callable(action):
             raise SimulationError(f"action must be callable, got {action!r}")
         if type(priority) is not int:
@@ -197,33 +169,29 @@ class Simulator:
         self._live += 1
         return handle
 
-    def schedule_at(self, time: float, action: Action, *, priority: int = 0) -> EventHandle:
-        """Schedule ``action`` at absolute simulated ``time`` (>= now)."""
+    def set_arrival(self, time: float, action: Action) -> None:
+        """Fill the arrival slot: run ``action`` at absolute ``time``.
+
+        The slot holds at most one arrival (the runner's streamed
+        dispatch hands over the next one from inside the current one) and
+        orders it like a heap event of priority −1 (see the module
+        docstring).  ``time`` must be finite and ``>= now``.  A filled
+        slot cannot be cancelled.
+        """
+        if self._arrival is not None:
+            raise SimulationError("an arrival is already pending")
         try:
-            in_future = time >= self._now
+            valid = self.now <= time < _INF  # False for NaN too
         except TypeError:
-            raise SimulationError(f"event time must be finite, got {time!r}") from None
-        if not in_future:
-            if isinstance(time, (int, float)) and math.isfinite(time):
-                raise SimulationError(
-                    f"cannot schedule into the past: event time {time} < now {self._now}"
-                )
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        if time == _INF:
-            raise SimulationError(f"event time must be finite, got {time!r}")
+            valid = False
+        if not valid:
+            raise SimulationError(
+                f"arrival time must be finite and >= now ({self.now}), got {time!r}")
         if type(time) is not float:
             time = float(time)
-        # push inlined (same body as in schedule)
-        if not callable(action):
-            raise SimulationError(f"action must be callable, got {action!r}")
-        if type(priority) is not int:
-            priority = int(priority)
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, priority, seq, action)
-        heapq.heappush(self._heap, (time, priority, seq, handle))
+        self._arrival = action
+        self._arrival_time = time
         self._live += 1
-        return handle
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a pending event.  Cancelling twice (or after it fired) is a no-op."""
@@ -258,96 +226,55 @@ class Simulator:
         if until is None:
             self.run_until_drained()
             return
-        if self._running:
-            raise SimulationError("run() re-entered from inside an event action")
-        if not math.isfinite(until) or until < self._now:
+        if not math.isfinite(until) or until < self.now:
             raise SimulationError(f"until must be finite and >= now, got {until!r}")
-
-        self._running = True
-        self._stop = False
-        try:
-            self._run_bounded(until)
-        finally:
-            self._running = False
-        if self._now < until:
-            self._now = until
+        self._run(until)
+        if self.now < until:
+            self.now = until
 
     def run_until_drained(self) -> None:
-        """Drain the queue on the fast path (no ``until`` bookkeeping per
-        event).  Equivalent to :meth:`run` with no bound; honors
-        :meth:`request_stop`.
+        """Run until the queue drains; :meth:`run` with no bound.
+
+        Honors :meth:`request_stop`.
         """
+        self._run(_INF)
+
+    # ------------------------------------------------------------------
+    def _run(self, until: float) -> None:
         if self._running:
             raise SimulationError("run() re-entered from inside an event action")
         self._running = True
         self._stop = False
         try:
-            if self._profiler is None:
-                self._drain()
-            else:
-                self._drain_profiled()
+            self._drain(until)
         finally:
             self._running = False
 
-    # ------------------------------------------------------------------
-    def _drain(self) -> None:
-        # The kernel's hottest loop: everything pre-bound, no bound checks.
+    def _drain(self, until: float) -> None:
+        # The kernel's one event loop: the next event is the arrival slot
+        # when its time is <= the heap head's, else the heap head; the
+        # loop returns before any event later than ``until``.
         heap = self._heap
         pop = heapq.heappop
-        while heap and not self._stop:
-            entry = pop(heap)
-            handle = entry[3]
-            action = handle.action
-            if action is None:
-                continue
-            handle.action = None
-            self._now = entry[0]
-            self._live -= 1
-            self._events_executed += 1
-            action()
-
-    def _drain_profiled(self) -> None:
-        # _drain with per-action timing; a separate loop so the
-        # profiling-off path carries zero extra work per event.
-        heap = self._heap
-        pop = heapq.heappop
-        profiler = self._profiler
-        assert profiler is not None
-        record = profiler.record
-        timer = perf_counter
-        while heap and not self._stop:
-            entry = pop(heap)
-            handle = entry[3]
-            action = handle.action
-            if action is None:
-                continue
-            handle.action = None
-            self._now = entry[0]
-            self._live -= 1
-            self._events_executed += 1
-            name = getattr(action, "__qualname__", None)
-            if name is None:  # bound method / partial: name the underlying func
-                name = getattr(getattr(action, "__func__", action),
-                               "__qualname__", repr(action))
-            start = timer()
-            action()
-            record(name, timer() - start)
-
-    def _run_bounded(self, until: float) -> None:
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and not self._stop:
-            head = heap[0]
-            if head[3].action is None:
+        while not self._stop:
+            time = self._arrival_time
+            if heap and (entry := heap[0])[0] < time:
+                time = entry[0]
+                if time > until:
+                    return
                 pop(heap)
-                continue
-            if head[0] > until:
-                break
-            pop(heap)
-            handle = head[3]
-            action = handle.action
-            handle.action = None
-            self._now = head[0]
+                handle = entry[3]
+                action = handle.action
+                if action is None:  # lazily cancelled
+                    continue
+                handle.action = None
+            else:
+                action = self._arrival
+                if action is None or time > until:
+                    return
+                self._arrival = None
+                self._arrival_time = _INF
+            self.now = time
             self._live -= 1
             self._events_executed += 1
             action()

@@ -31,9 +31,9 @@ def _drive_after_some_work():
                       initial_speed=DiskSpeed.HIGH)
     array.place_all([0, 1, 0, 1])
     for t, fid in [(0.0, 0), (0.5, 1), (1.0, 2), (1.5, 3)]:
-        sim.schedule_at(t, lambda fid=fid, t=t: array.submit_request(
+        sim.schedule(t, lambda fid=fid, t=t: array.submit_request(
             Request.from_validated(t, fid, fileset.sizes_mb[fid])))
-    sim.schedule_at(0.7, lambda: array.drives[0].request_speed(DiskSpeed.LOW))
+    sim.schedule(0.7, lambda: array.drives[0].request_speed(DiskSpeed.LOW))
     sim.run()
     return sim, array
 
@@ -95,7 +95,7 @@ class TestDeferredCloseEqualsFinalize:
         drive = TwoSpeedDrive(sim, params, 0, initial_speed=DiskSpeed.HIGH)
         drive.submit(Job.internal_transfer(4.0))
         sim.run()
-        sim.schedule_at(sim.now + 10.0, drive.fail)
+        sim.schedule(10.0, drive.fail)
         sim.run()
         ledger = drive.open_ledger()
         assert ledger.state_index is None

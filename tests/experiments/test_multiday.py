@@ -23,7 +23,7 @@ class TestBudgetAcrossDays:
     def test_budget_replenishes_each_day(self, sim):
         budget = TransitionBudget(sim, limit_per_day=2)
         for day in range(3):
-            sim.schedule_at(day * SECONDS_PER_DAY + 1.0, lambda: None)
+            sim.schedule(day * SECONDS_PER_DAY + 1.0 - sim.now, lambda: None)
             sim.run(until=day * SECONDS_PER_DAY + 1.0)
             assert budget.spend(0)
             assert budget.spend(0)
@@ -34,7 +34,7 @@ class TestBudgetAcrossDays:
         budget = TransitionBudget(sim, limit_per_day=2,
                                   on_half_spent=lambda d: fired.append(sim.now))
         budget.spend(0)
-        sim.schedule_at(SECONDS_PER_DAY + 1.0, lambda: None)
+        sim.schedule(SECONDS_PER_DAY + 1.0, lambda: None)
         sim.run()
         budget.spend(0)
         assert len(fired) == 2
@@ -108,8 +108,8 @@ class TestDiurnalTwoDayRun:
         policy2.initial_layout()
         for t, fid in zip(times, fids):
             from repro.workload.request import Request
-            sim.schedule_at(float(t), (lambda r=Request(float(t), int(fid), 0.5):
-                                       policy2.route(r)))
+            sim.schedule(float(t), (lambda r=Request(float(t), int(fid), 0.5):
+                                    policy2.route(r)))
         sim.run(until=2 * SECONDS_PER_DAY)
         policy2.shutdown()
         for drive in array.drives:

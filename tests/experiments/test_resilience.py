@@ -7,11 +7,13 @@ policies in the parent's registry and rely on ``fork`` inheritance, so
 they are skipped on spawn-only platforms.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
 import signal
 import time
+from typing import Optional
 
 import pytest
 
@@ -27,7 +29,9 @@ from repro.experiments.resilience import (
     run_cells_resilient,
     spec_key,
 )
+from repro.experiments.metrics import SimulationResult
 from repro.experiments.runner import _POLICY_REGISTRY
+from repro.experiments.shard import ShardCellResult
 from repro.obs import events as obs_events
 from repro.obs.bus import TraceBus
 from repro.policies.static import StaticHighPolicy
@@ -160,17 +164,62 @@ class TestSweepCheckpoint:
         assert ckpt.loaded == 0 and ckpt.quarantined is not None
 
     def test_unknown_version_is_quarantined(self, tmp_path):
-        # 1 and 2 are older result layouts (a field dropped, then the
-        # shard partial result reshaped): loading one would shift later
-        # slots, so neither may be read; 3 points at shard-tagged trace
-        # segments, which would leak the tag into a merged trace; 4
-        # results still carry the registry snapshot slot; 5 shard results
-        # pickle a ShardPlan with the assignment slot
-        for version in (1, 2, 3, 4, 5, 999):
+        # 1-6 are the hand-numbered versions of older result layouts
+        # (loading one would shift later slots); the version is now a
+        # layout digest, so none of them can match
+        for version in (1, 2, 3, 4, 5, 6, 999):
             path = tmp_path / f"sweep-v{version}.ckpt"
             path.write_bytes(pickle.dumps({"version": version, "cells": {}}))
             ckpt = SweepCheckpoint(path)
             assert ckpt.loaded == 0 and ckpt.quarantined is not None
+
+    def test_current_version_round_trips(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        result = run_cell(tiny_specs("read")[0])
+        SweepCheckpoint(path).record("k", result)
+        ckpt = SweepCheckpoint(path)
+        assert ckpt.quarantined is None and ckpt.get("k") == result
+        assert pickle.loads(path.read_bytes())["version"] == resil.checkpoint_version()
+
+
+def _layout(extra_field: bool, nested_field: bool) -> type:
+    """A root result class with a nested one, fields chosen by flags."""
+    nested_fields = [("x", int)] + ([("y", int)] if nested_field else [])
+    Nested = dataclasses.make_dataclass("Nested", nested_fields, frozen=True, slots=True)
+    root_fields = [("a", int), ("inner", Optional[Nested])]
+    root_fields += [("b", float)] if extra_field else []
+    return dataclasses.make_dataclass("Root", root_fields, frozen=True, slots=True)
+
+
+class TestCheckpointVersion:
+    """The version is derived from the pickled layout, never bumped by hand."""
+
+    def test_version_is_stable_for_one_layout(self):
+        assert (resil.layout_version(_layout(False, False))
+                == resil.layout_version(_layout(False, False)))
+
+    def test_changing_a_root_field_changes_the_version(self):
+        assert (resil.layout_version(_layout(True, False))
+                != resil.layout_version(_layout(False, False)))
+
+    def test_changing_a_nested_field_changes_the_version(self):
+        assert (resil.layout_version(_layout(False, True))
+                != resil.layout_version(_layout(False, False)))
+
+    def test_dropping_a_result_field_changes_the_checkpoint_version(self):
+        fields = [(f.name, f.type) for f in dataclasses.fields(SimulationResult)]
+        shrunk = dataclasses.make_dataclass(
+            "SimulationResult", fields[:-1], frozen=True, slots=True)
+        shrunk.__module__ = SimulationResult.__module__
+        assert (resil.layout_version(shrunk, ShardCellResult)
+                != resil.checkpoint_version())
+
+    def test_checkpoint_of_an_older_layout_is_quarantined(self, tmp_path):
+        old = resil.layout_version(_layout(True, True))
+        path = tmp_path / "sweep.ckpt"
+        path.write_bytes(pickle.dumps({"version": old, "cells": {}}))
+        ckpt = SweepCheckpoint(path)
+        assert ckpt.loaded == 0 and ckpt.quarantined is not None
 
 
 class TestRunCellResilient:

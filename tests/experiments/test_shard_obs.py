@@ -11,8 +11,7 @@ The claims of DESIGN.md Sec. 13, asserted end to end:
   replay, not approximation);
 * telemetry does not perturb physics: the merged result's physical
   fields match the obs-off sharded run bit-for-bit, and the obs-off
-  sharded path attaches no telemetry;
-* kernel profiling under sharding is refused.
+  sharded path attaches no telemetry.
 """
 
 import json
@@ -175,11 +174,6 @@ class TestEdgeCases:
         assert merged[-1]["type"] == "engine.stop"
         # idle shards still sample: the time-series covers all 4 disks
         assert {int(r[1]) for r in result.timeseries.rows} == set(range(4))
-
-    def test_profile_under_sharding_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="profiling"):
-            run_sharded("static-high", CFG, n_disks=8, n_shards=2,
-                        obs=ObsConfig(profile=True))
 
     def test_merged_trace_is_valid_jsonl_with_dense_seq(self, tmp_path):
         _run(tmp_path, "seq", n_shards=2)

@@ -38,7 +38,7 @@ def simulate_single_disk(fileset, params, mean_gap, n_requests, *,
     for t, fid in zip(times, fids):
         req = Request(float(t), int(fid), fileset.size_of(int(fid)))
         requests.append(req)
-        sim.schedule_at(float(t), (lambda r=req: array.submit_request(
+        sim.schedule(float(t), (lambda r=req: array.submit_request(
             r, on_complete=metrics.on_complete)))
     sim.run()
     return metrics, np.array([r.waiting_time for r in requests])

@@ -247,7 +247,7 @@ class TestHazardRefresh:
         for i in range(400):
             fid = (0, 0, 1, 3, 4, 0, 5, 7)[i % 8]
             t = 0.5 * i
-            sim.schedule_at(t, lambda t=t, fid=fid: policy.route(
+            sim.schedule(t, lambda t=t, fid=fid: policy.route(
                 Request(arrival_time=t, file_id=fid,
                         size_mb=fileset.size_of(fid))))
         sim.run(until=400.0)

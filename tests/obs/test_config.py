@@ -31,11 +31,6 @@ class TestObsConfig:
         assert cfg.wants_sampler
         assert cfg.enabled
 
-    def test_profile_only(self):
-        cfg = ObsConfig(profile=True)
-        assert cfg.enabled
-        assert not cfg.wants_sampler
-
     def test_non_positive_interval_rejected(self):
         with pytest.raises(ValueError):
             ObsConfig(sample_interval_s=0.0)

@@ -19,7 +19,7 @@ class TestOffSwitchIdentity:
                                 disk_params=params)
         r_empty = run_simulation(make_policy("read"), fileset, sub, n_disks=4,
                                  disk_params=params, obs=ObsConfig())
-        # wall_clock_s/profile are compare=False; everything else must match
+        # wall_clock_s is compare=False; everything else must match
         assert r_none == r_empty
 
     def test_tracing_does_not_change_results(self, small_workload, params,
@@ -34,18 +34,6 @@ class TestOffSwitchIdentity:
         assert traced == plain
         assert traced.events_executed == plain.events_executed
 
-    def test_profiling_does_not_change_results(self, small_workload, params):
-        fileset, trace = small_workload
-        sub = trace.head(800)
-        plain = run_simulation(make_policy("read"), fileset, sub, n_disks=4,
-                               disk_params=params)
-        profiled = run_simulation(make_policy("read"), fileset, sub, n_disks=4,
-                                  disk_params=params,
-                                  obs=ObsConfig(profile=True))
-        assert profiled == plain  # profile field is compare=False
-        assert profiled.profile is not None
-        assert plain.profile is None
-
 
 class TestFullStackRun:
     @pytest.fixture(scope="class")
@@ -54,7 +42,7 @@ class TestFullStackRun:
         out = tmp_path_factory.mktemp("obs")
         obs = ObsConfig(trace_path=str(out / "trace.jsonl"),
                         metrics_path=str(out / "ts.csv"),
-                        sample_interval_s=3.0, profile=True)
+                        sample_interval_s=3.0)
         result = run_simulation(make_policy("maid"), fileset, trace.head(800),
                                 n_disks=4, disk_params=params, obs=obs)
         return result, out
@@ -64,7 +52,6 @@ class TestFullStackRun:
         assert (out / "trace.jsonl").stat().st_size > 0
         assert (out / "ts.csv").read_text().startswith("time_s,disk,")
         assert result.timeseries is not None
-        assert result.profile is not None
 
     def test_trace_brackets_the_run(self, everything_on):
         _result, out = everything_on
@@ -86,18 +73,11 @@ class TestFullStackRun:
         assert ev.REQUEST_SUBMIT in types
         assert ev.REQUEST_COMPLETE in types
 
-    def test_profile_accounts_for_every_event(self, everything_on):
-        result, _out = everything_on
-        assert result.profile.events_executed == result.events_executed
-        assert sum(h.calls for h in result.profile.handlers) == result.events_executed
-        assert result.profile.handlers[0].total_s > 0.0
-
     def test_result_pickles_with_telemetry_attached(self, everything_on):
         result, _out = everything_on
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert clone.timeseries.rows == result.timeseries.rows
-        assert clone.profile.events_executed == result.profile.events_executed
 
     def test_events_per_sec_positive(self, everything_on):
         result, _out = everything_on

@@ -1,4 +1,5 @@
-"""Kernel semantics: ordering, cancellation, run bounds, misuse errors."""
+"""Kernel semantics: ordering, cancellation, run bounds, the arrival slot,
+misuse errors."""
 
 import pytest
 
@@ -72,7 +73,7 @@ def test_schedule_into_past_rejected():
     sim.schedule(5.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule_at(1.0, lambda: None)
+        sim.set_arrival(1.0, lambda: None)
 
 
 def test_non_callable_action_rejected():
@@ -234,4 +235,112 @@ def test_pending_count_tracks_schedule_fire_cancel():
     sim.run(until=3.0)  # fires t=2 and t=3 (t=1 was cancelled)
     assert sim.pending_count == 2
     sim.run()
+    assert sim.pending_count == 0
+
+
+# ----------------------------------------------------------------------
+# the arrival slot
+# ----------------------------------------------------------------------
+def _arrivals(sim, times, fired):
+    """Chain ``times`` through the arrival slot, as the runner does."""
+    pending = iter(times)
+
+    def arrive():
+        fired.append(("arrival", sim.now))
+        nxt = next(pending, None)
+        if nxt is not None:
+            sim.set_arrival(nxt, arrive)
+
+    sim.set_arrival(next(pending), arrive)
+
+
+def test_arrival_precedes_heap_events_at_its_instant():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(("heap", sim.now)))
+    sim.schedule(2.0, lambda: fired.append(("heap", sim.now)))
+    _arrivals(sim, [1.0, 1.0, 1.5, 2.0], fired)
+    sim.run()
+    assert fired == [("arrival", 1.0), ("arrival", 1.0), ("heap", 1.0),
+                     ("arrival", 1.5), ("arrival", 2.0), ("heap", 2.0)]
+
+
+def test_arrival_after_a_cancelled_head():
+    sim = Simulator()
+    fired = []
+    dead = sim.schedule(1.0, lambda: fired.append(("dead", sim.now)))
+    sim.schedule(3.0, lambda: fired.append(("heap", sim.now)))
+    sim.cancel(dead)
+    _arrivals(sim, [2.0], fired)
+    sim.run()
+    assert fired == [("arrival", 2.0), ("heap", 3.0)]
+
+
+def test_second_pending_arrival_rejected():
+    sim = Simulator()
+    sim.set_arrival(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="already pending"):
+        sim.set_arrival(2.0, lambda: None)
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0, "1.0"])
+def test_bad_arrival_time_rejected(time):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.set_arrival(time, lambda: None)
+    assert sim.pending_count == 0
+
+
+def test_request_stop_inside_an_arrival():
+    sim = Simulator()
+    fired = []
+
+    def arrive():
+        fired.append(sim.now)
+        sim.set_arrival(sim.now + 1.0, arrive)
+        if len(fired) == 2:
+            sim.request_stop()
+
+    sim.set_arrival(1.0, arrive)
+    sim.schedule(10.0, lambda: fired.append("heap"))
+    sim.run_until_drained()
+    assert fired == [1.0, 2.0]
+    assert sim.now == 2.0
+    assert sim.pending_count == 2  # the next arrival and the heap event
+
+
+def test_run_until_fires_an_arrival_exactly_at_until():
+    sim = Simulator()
+    fired = []
+    _arrivals(sim, [2.0, 5.0], fired)
+    sim.run(until=2.0)
+    assert fired == [("arrival", 2.0)]
+    assert sim.now == 2.0
+    assert sim.pending_count == 1
+
+
+def test_run_until_leaves_a_later_arrival_for_the_next_run():
+    sim = Simulator()
+    fired = []
+    _arrivals(sim, [5.0], fired)
+    sim.run(until=4.0)
+    assert fired == []
+    assert sim.now == 4.0  # the clock advances to the bound
+    assert sim.pending_count == 1
+    sim.run(until=6.0)
+    assert fired == [("arrival", 5.0)]
+    assert sim.now == 6.0
+
+
+def test_arrivals_count_as_events():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.5, lambda: None)
+    _arrivals(sim, [1.0, 2.0, 3.0], fired)
+    assert sim.pending_count == 2  # one heap event, one pending arrival
+    sim.run(until=1.0)
+    assert sim.events_executed == 1
+    assert sim.pending_count == 2  # the fired arrival handed over the next
+    sim.run()
+    assert sim.events_executed == 4
     assert sim.pending_count == 0

@@ -56,3 +56,66 @@ def test_run_until_partitions_the_event_set(delays, cut):
     sim.run(until=cut)
     assert all(t <= cut for t in fired)
     assert sim.pending_count == sum(1 for d in delays if d > cut)
+
+
+# few distinct instants, so arrivals, heap events and cancellations tie often
+instants = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0])
+
+
+@given(st.lists(st.tuples(instants, st.integers(0, 3)), max_size=30),
+       st.lists(instants, min_size=1, max_size=15),
+       st.data())
+@settings(max_examples=200)
+def test_arrival_slot_orders_like_priority_minus_one(heap_events, arrival_times,
+                                                     data):
+    """Arrivals streamed through the slot interleave with heap events in
+    the reference ``(time, priority, seq)`` order with arrivals at
+    priority -1, through pre-run and in-run (lazy) cancellations and
+    stepped ``run(until=...)`` calls."""
+    arrival_times = sorted(arrival_times)
+    n_heap = len(heap_events)
+    cancelled_before = data.draw(st.sets(st.integers(0, max(n_heap - 1, 0)),
+                                         max_size=n_heap)) if n_heap else set()
+    # arrival k cancels heap event cancels_by[k] (if still pending)
+    cancels_by = data.draw(st.lists(
+        st.one_of(st.none(), st.integers(0, max(n_heap - 1, 0))) if n_heap
+        else st.none(),
+        min_size=len(arrival_times), max_size=len(arrival_times)))
+    cuts = sorted(data.draw(st.lists(instants, max_size=3)))
+
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(t, (lambda k=k: fired.append(("heap", k))), priority=p)
+               for k, (t, p) in enumerate(heap_events)]
+    for k in cancelled_before:
+        sim.cancel(handles[k])
+
+    def arrive(k=0):
+        fired.append(("arrival", k))
+        if cancels_by[k] is not None:
+            sim.cancel(handles[cancels_by[k]])
+        if k + 1 < len(arrival_times):
+            sim.set_arrival(arrival_times[k + 1], lambda: arrive(k + 1))
+
+    sim.set_arrival(arrival_times[0], arrive)
+    for cut in cuts:
+        sim.run(until=cut)
+        assert sim.now == cut
+    sim.run()
+
+    # reference: every event keyed (time, priority, seq); arrivals at -1.
+    # A heap event is cancelled in-run by arrival k when it has not fired
+    # yet, i.e. when it sorts after that arrival.
+    keyed = [((t, -1, k), ("arrival", k)) for k, t in enumerate(arrival_times)]
+    keyed += [((t, p, k), ("heap", k)) for k, (t, p) in enumerate(heap_events)]
+    killed = set(cancelled_before)
+    for k, victim in enumerate(cancels_by):
+        if victim is not None:
+            t, p = heap_events[victim]
+            if (t, p) > (arrival_times[k], -1):
+                killed.add(victim)
+    expected = [ev for _key, ev in sorted(keyed)
+                if not (ev[0] == "heap" and ev[1] in killed)]
+    assert fired == expected
+    assert sim.events_executed == len(expected)
+    assert sim.pending_count == 0

@@ -87,15 +87,6 @@ class TestTelemetryFlags:
         assert path.read_text().startswith("time_s,disk,")
         assert "wrote time-series ->" in out
 
-    def test_simulate_profile_prints_handler_table(self, capsys):
-        rc = main(["simulate", "--policy", "read", "--disks", "4",
-                   "--profile", *SMALL])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "event-loop profile" in out
-        assert "handler" in out
-        assert "mean_us" in out
-
     def test_compare_trace_out_suffixes_per_cell(self, tmp_path, capsys):
         base = tmp_path / "sweep.jsonl"
         rc = main(["sweep", "--policies", "read,static-high",
