@@ -6,10 +6,11 @@ The commands mirror the library's main entry points:
   result summary and per-disk ESRRA factors;
 * ``sweep``      — the Figure 7 sweep across policies and array sizes,
   under the resilient harness: ``--checkpoint``/``--resume`` journal
-  completed cells and skip them on restart,
-  ``--retries``/``--cell-timeout``/``--watchdog`` give every cell its
-  own fault domain, SIGINT drains gracefully with a resume hint, and
-  ``--report FILE`` also writes the full markdown comparison report;
+  completed cells and skip them on restart, ``--retries`` re-queues a
+  cell after a lost worker or a ``--cell-timeout`` (``--jobs >= 2``
+  only; an exception from a cell fails the sweep at once), SIGINT
+  drains gracefully with a resume hint, and ``--report FILE`` also
+  writes the full markdown comparison report;
 * ``press``      — evaluate the PRESS model at explicit factor values
   (or print a Fig. 5 surface at a temperature);
 * ``worthwhile`` — the title question for one scheme vs the always-on
@@ -296,11 +297,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise FileNotFoundError(
             f"checkpoint to resume not found: {args.resume} "
             f"(use --checkpoint to start a new one)")
-    resilience = ResilienceConfig(
-        max_retries=args.retries,
-        retry_backoff_s=args.retry_backoff,
-        cell_timeout_s=args.cell_timeout,
-        watchdog=args.watchdog)
+    resilience = ResilienceConfig(max_retries=args.retries,
+                                  cell_timeout_s=args.cell_timeout)
     config = ExperimentConfig(workload=_workload_config(args))
     disk_counts = [int(d) for d in args.disks.split(",")]
     obs = _obs_config(args)
@@ -537,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="Figure 7 sweep under the resilient harness "
-             "(checkpointed, resumable, per-cell retries/timeouts)")
+             "(checkpointed, resumable, per-cell timeouts)")
     p_sweep.add_argument("--policies", default="read,maid,pdc",
                          help="comma-separated policy names")
     p_sweep.add_argument("--disks", default="6,10,16",
@@ -569,20 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="resume from an existing checkpoint "
                                 "(errors if the file does not exist)")
     res_group.add_argument("--retries", type=int, default=2,
-                           help="re-queues allowed per cell after a "
-                                "crash/failure/timeout (default 2)")
-    res_group.add_argument("--retry-backoff", type=float, default=0.25,
-                           metavar="SECONDS",
-                           help="base exponential backoff between attempts "
-                                "(default 0.25)")
+                           help="re-queues allowed per cell after a lost "
+                                "worker or a timeout (with --jobs >= 2; an "
+                                "exception from a cell fails the sweep at "
+                                "once; default 2)")
     res_group.add_argument("--cell-timeout", type=float, default=None,
                            metavar="SECONDS",
                            help="wall-clock limit per cell attempt "
                                 "(enforced with --jobs >= 2)")
-    res_group.add_argument("--watchdog", action="store_true",
-                           help="arm a faulthandler watchdog in each worker: "
-                                "a hung cell dumps all thread stacks to "
-                                "stderr before being killed")
     _add_faults_arg(p_sweep)
     _add_redundancy_arg(p_sweep)
     _add_obs_args(p_sweep)

@@ -82,18 +82,6 @@ class EnergyMeter:
         """Total metered time across all states, seconds."""
         return sum(self.times_s)
 
-    def energy_j(self, state: DiskPowerState) -> float:
-        """Energy spent in one state, joules."""
-        return self.energies_j[STATE_INDEX[state]]
-
-    def time_s(self, state: DiskPowerState) -> float:
-        """Time spent in one state, seconds."""
-        return self.times_s[STATE_INDEX[state]]
-
-    def breakdown(self) -> dict[str, float]:
-        """Energy per state keyed by state value (reporting convenience)."""
-        return {state.value: self.energies_j[i] for state, i in STATE_INDEX.items()}
-
     @property
     def active_time_s(self) -> float:
         """Total transfer time at either speed (the numerator of the

@@ -69,8 +69,8 @@ class ThermalModel:
     temperature_c:
         Instantaneous temperature (degC) as of the last accounting edge.
     integral_c_s:
-        Exact integral of T dt so far (degC * s);
-        ``mean_temperature_c() == integral_c_s / elapsed_s``.
+        Exact integral of T dt so far (degC * s); the time-weighted
+        mean temperature is ``integral_c_s / elapsed_s``.
     elapsed_s:
         Total time integrated so far.
     tau_s:
@@ -85,16 +85,6 @@ class ThermalModel:
         self.temperature_c = float(initial_c)
         self.integral_c_s = 0.0
         self.elapsed_s = 0.0
-
-    def mean_temperature_c(self) -> float:
-        """Time-weighted mean temperature over everything integrated so far.
-
-        Falls back to the instantaneous temperature when no time has
-        elapsed (e.g. PRESS evaluated at t = 0).
-        """
-        if self.elapsed_s <= 0.0:
-            return self.temperature_c
-        return self.integral_c_s / self.elapsed_s
 
     def reset(self, *, temperature_c: float | None = None) -> None:
         """Clear the integral; optionally pin a new instantaneous temperature."""

@@ -163,8 +163,10 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     The cells run through the sweep executor
     (:func:`~repro.experiments.resilience.run_cells_resilient`), whose
     harness fault ledger always lands in
-    :attr:`Figure7Results.resilience`.  ``resilience`` sets per-cell
-    retries/timeouts (default: none); ``checkpoint`` (path or
+    :attr:`Figure7Results.resilience`.  ``resilience`` re-queues a cell
+    after a lost worker or a timeout (``jobs >= 2`` only; default:
+    never); an exception from a cell fails the sweep at once.
+    ``checkpoint`` (path or
     :class:`~repro.experiments.resilience.SweepCheckpoint`) restores
     cells already journaled instead of re-running them.  Results are
     identical under any of these.

@@ -147,11 +147,12 @@ def run_cells(specs: Iterable[RunSpec], *, jobs: int = 1,
     This is :func:`~repro.experiments.resilience.run_cells_resilient`
     minus its summary and its harness bus: ``resilience`` (a
     :class:`~repro.experiments.resilience.ResilienceConfig`; the default
-    retries nothing) sets per-cell retries/timeouts, and ``checkpoint``
-    (a path or :class:`~repro.experiments.resilience.SweepCheckpoint`)
-    journals and restores cells.  The first SIGINT/SIGTERM drains the
-    in-flight cells and raises
-    :class:`~repro.experiments.resilience.SweepInterrupted`.
+    re-queues nothing) sets how often a cell is re-queued after a lost
+    worker or a timeout (``jobs>1`` only); an exception from a cell
+    fails the sweep at once.  ``checkpoint`` (a path or
+    :class:`~repro.experiments.resilience.SweepCheckpoint`) journals and
+    restores cells.  The first SIGINT/SIGTERM drains the in-flight cells
+    and raises :class:`~repro.experiments.resilience.SweepInterrupted`.
     """
     from repro.experiments.resilience import run_cells_resilient
 

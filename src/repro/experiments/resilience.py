@@ -5,17 +5,17 @@ Every batch of cells runs here — :func:`repro.experiments.parallel
 own fault domain, the sweep-runner analogue of the degraded-mode
 operation the simulated array gets from :mod:`repro.faults`:
 
-* **bounded retries** (none by default) with exponential backoff and
-  deterministic jitter (seeded from the *spec*, never from wall clock,
-  so retry timing cannot leak into results and two hosts retry in the
-  same pattern);
-* **wall-clock timeouts** per cell (pool mode), optionally enforced
-  inside the worker by a ``faulthandler`` watchdog that dumps every
-  thread's stack before exiting — so a hung-cell report names the stuck
-  frame instead of just the cell;
-* **pool respawn**: a :class:`BrokenProcessPool` (worker SIGKILLed,
-  OOM-killed, or watchdog-expired) recreates the pool and re-queues only
-  the in-flight cells instead of aborting the sweep;
+* **fail once**: a cell is a pure function of its spec, so an exception
+  raised inside it would recur on every attempt.  It fails the sweep at
+  once as :class:`CellExecutionError`, chained to the original;
+* **bounded re-queues** (``--jobs >= 2`` only, none by default) for the
+  two faults of the *host* a second attempt can outlive: a cell lost
+  with its worker, or one past its wall-clock deadline;
+* **wall-clock timeouts** per cell (pool mode): the parent kills the
+  pool at a cell's deadline;
+* **pool respawn**: a :class:`BrokenProcessPool` (worker SIGKILLed or
+  OOM-killed) recreates the pool and re-queues only the in-flight cells
+  instead of aborting the sweep;
 * **checkpointing**: every completed :class:`SimulationResult` is
   journaled to an on-disk :class:`SweepCheckpoint` (atomic tmp-file +
   ``os.replace``), content-keyed by :func:`spec_key` so a changed spec
@@ -25,7 +25,7 @@ operation the simulated array gets from :mod:`repro.faults`:
   checkpoint is flushed and :class:`SweepInterrupted` carries a resume
   hint.
 
-Determinism contract: a retried cell re-runs
+Determinism contract: a re-queued cell re-runs
 :func:`~repro.experiments.parallel.run_cell` on the identical spec — the
 simulation RNG is seeded solely by the spec, so a sweep that survived
 three worker crashes and a resume is bit-identical to one that ran
@@ -35,7 +35,6 @@ clean.  The test suite asserts this end to end.
 from __future__ import annotations
 
 import dataclasses
-import faulthandler
 import functools
 import hashlib
 import multiprocessing
@@ -43,11 +42,11 @@ import pickle
 import signal
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from random import Random
 from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
 
 from repro.experiments import parallel
@@ -72,13 +71,13 @@ __all__ = [
 
 _log = get_logger("sweep")
 
-#: Seconds the pool loop blocks in ``wait`` before re-checking signals,
-#: backoff eligibility, and timeout deadlines.
+#: Seconds the pool loop blocks in ``wait`` before re-checking signals
+#: and timeout deadlines.
 _POLL_INTERVAL_S = 0.05
 
-#: Relative jitter on each retry backoff (see
-#: :meth:`ResilienceConfig.backoff_s`).
-_RETRY_JITTER = 0.5
+#: Worker-pool recreations tolerated per sweep before giving up — the
+#: backstop against a cell that kills its worker every time.
+MAX_POOL_RESPAWNS = 3
 
 # ----------------------------------------------------------------------
 # checkpoint format version
@@ -167,56 +166,32 @@ def spec_key(spec: RunSpec) -> str:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Per-cell fault-domain parameters for a resilient sweep.
+    """Per-cell fault-domain parameters for a sweep.
+
+    Both apply in pool mode (``jobs >= 2``) only: the serial path cannot
+    preempt a running cell or lose a worker.  An exception raised by a
+    cell fails the sweep at once whatever they are.
 
     Attributes
     ----------
     max_retries:
-        Re-queues allowed per cell beyond its first attempt (crashes,
-        exceptions, and timeouts all consume the same budget).  The
-        default 0 fails a sweep on its first cell error; ``repro sweep``
-        passes ``--retries`` (default 2).
-    retry_backoff_s:
-        Backoff before attempt ``k`` retries is
-        ``retry_backoff_s * 2**k * (1 + 0.5 * u)`` with ``u`` drawn from
-        a :class:`random.Random` seeded by the spec key and attempt —
-        deterministic, spec-local, and never touching the simulation
-        RNG.
+        Re-queues allowed per cell lost with its worker or timed out,
+        beyond its first attempt.  The default 0 fails a sweep on its
+        first lost cell; ``repro sweep`` passes ``--retries``
+        (default 2).
     cell_timeout_s:
-        Wall-clock limit per cell attempt.  Enforced in pool mode (the
-        serial path cannot preempt a running cell and ignores it).
-    max_pool_respawns:
-        Worker-pool recreations tolerated per sweep before giving up —
-        the backstop against a cell that kills its worker every time.
-    watchdog:
-        Arm ``faulthandler.dump_traceback_later`` inside each worker for
-        ``cell_timeout_s``: a hung cell dumps every thread's stack to
-        stderr and exits, which the parent converts into a timeout +
-        retry.  Off, the parent kills the pool at the deadline instead
-        (no stacks, same recovery).
+        Wall-clock limit per cell attempt; at the deadline the parent
+        kills the pool and re-queues the cell against ``max_retries``.
     """
 
     max_retries: int = 0
-    retry_backoff_s: float = 0.25
     cell_timeout_s: Optional[float] = None
-    max_pool_respawns: int = 3
-    watchdog: bool = False
 
     def __post_init__(self) -> None:
         require(self.max_retries >= 0,
                 f"max_retries must be >= 0, got {self.max_retries}")
-        require(self.retry_backoff_s >= 0.0,
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}")
         require(self.cell_timeout_s is None or self.cell_timeout_s > 0.0,
                 f"cell_timeout_s must be > 0, got {self.cell_timeout_s}")
-        require(self.max_pool_respawns >= 0,
-                f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}")
-
-    def backoff_s(self, key: str, attempt: int) -> float:
-        """Deterministic backoff before re-queueing attempt ``attempt``."""
-        base = self.retry_backoff_s * (2.0 ** attempt)
-        jitter = _RETRY_JITTER * Random(f"{key}:{attempt}").random()
-        return base * (1.0 + jitter)
 
 
 @dataclass(frozen=True)
@@ -228,7 +203,7 @@ class ResilienceSummary:
     cells_run: int = 0
     #: Cells restored from the checkpoint instead of re-run.
     checkpoint_hits: int = 0
-    #: Re-queues after a failure/crash/timeout (attempts minus firsts).
+    #: Re-queues after a lost worker or a timeout (attempts minus firsts).
     retries: int = 0
     #: Cell attempts killed for exceeding the wall-clock limit.
     timeouts: int = 0
@@ -243,10 +218,6 @@ class ResilienceSummary:
         """Whether the harness had to absorb any fault at all."""
         return bool(self.retries or self.timeouts or self.pool_respawns
                     or self.cells_salvaged or self.checkpoint_hits)
-
-    def summary_row(self) -> dict[str, object]:
-        """Flat dict for tabular reporting."""
-        return dict(asdict(self))
 
 
 class CellTimeoutError(CellExecutionError):
@@ -333,12 +304,10 @@ class SweepCheckpoint:
         """The journaled result for ``key``, or ``None``."""
         return self._cells.get(key)
 
-    def record(self, key: str, result: SimulationResult, *,
-               flush: bool = True) -> None:
-        """Journal one completed cell (atomically republished by default)."""
+    def record(self, key: str, result: SimulationResult) -> None:
+        """Journal one completed cell and republish atomically."""
         self._cells[key] = result
-        if flush:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         """Atomically publish the current journal to :attr:`path`."""
@@ -347,24 +316,11 @@ class SweepCheckpoint:
         atomic_write_bytes(self.path, blob)
 
 
-# ----------------------------------------------------------------------
-# worker shim (module-level so it pickles)
-# ----------------------------------------------------------------------
-def _pool_worker(spec: RunSpec, timeout_s: Optional[float],
-                 watchdog: bool) -> SimulationResult:
-    """Run one cell in a pool worker, optionally under a stack-dumping
-    watchdog that turns a hang into an actionable crash."""
-    armed = watchdog and timeout_s is not None
-    if armed:
-        # exit=True: after dumping every thread's stack to stderr the
-        # worker dies, which the parent sees as BrokenProcessPool and
-        # converts into a timeout + retry.
-        faulthandler.dump_traceback_later(timeout_s, exit=True)
-    try:
-        return parallel.run_cell(spec)
-    finally:
-        if armed:
-            faulthandler.cancel_dump_traceback_later()
+def _run_cell(spec: RunSpec) -> SimulationResult:
+    """Pool entry point: looks :func:`parallel.run_cell` up in the worker,
+    so a rebinding that does not pickle (a profiler's closure) still
+    reaches every cell."""
+    return parallel.run_cell(spec)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +369,7 @@ def _emit(bus: Optional[TraceBus], event_type: str, **data) -> None:
 
 
 class _Sweep:
-    """One resilient sweep invocation (parent-process state machine)."""
+    """One sweep invocation (parent-process state machine)."""
 
     def __init__(self, specs: Sequence[RunSpec], *, jobs: int,
                  config: ResilienceConfig,
@@ -426,8 +382,11 @@ class _Sweep:
         self.bus = bus
         self.keys = [spec_key(s) for s in specs]
         self.results: list[Optional[SimulationResult]] = [None] * len(specs)
-        #: (index, attempt, ready_at_monotonic) of cells awaiting a slot.
-        self.pending: list[tuple[int, int, float]] = []
+        #: Indices of the cells awaiting a slot, in submission order.
+        self.pending: deque[int] = deque()
+        #: Attempts charged per cell (re-queues after a lost worker or a
+        #: timeout); a salvaged cell keeps its count.
+        self.attempts = [0] * len(specs)
         self.flag = _InterruptFlag()
         self.cells_run = 0
         self.checkpoint_hits = 0
@@ -449,7 +408,15 @@ class _Sweep:
                 _log.info("cell %d/%d restored from checkpoint: %s",
                           i + 1, total, spec.label())
             else:
-                self.pending.append((i, 0, 0.0))
+                self.pending.append(i)
+
+    def start(self, index: int) -> None:
+        """Announce one attempt of cell ``index``."""
+        spec, attempt = self.specs[index], self.attempts[index]
+        _emit(self.bus, obs_events.HARNESS_CELL_START, cell=spec.label(),
+              index=index, total=len(self.specs), attempt=attempt + 1)
+        _log.info("cell %d/%d started: %s%s", index + 1, len(self.specs),
+                  spec.label(), f" (attempt {attempt + 1})" if attempt else "")
 
     def record_success(self, index: int, result: SimulationResult) -> None:
         self.results[index] = result
@@ -465,10 +432,10 @@ class _Sweep:
                   len(self.specs), self.specs[index].label(),
                   result.wall_clock_s)
 
-    def requeue_or_raise(self, index: int, attempt: int,
-                         exc: BaseException, *, timed_out: bool) -> None:
-        """Charge one failed attempt; re-queue with backoff or give up."""
-        spec = self.specs[index]
+    def requeue_or_raise(self, index: int, exc: BaseException, *,
+                         timed_out: bool) -> None:
+        """Charge one lost or timed-out attempt; re-queue it or give up."""
+        spec, attempt = self.specs[index], self.attempts[index]
         if timed_out:
             self.timeouts += 1
             _emit(self.bus, obs_events.HARNESS_CELL_TIMEOUT,
@@ -478,13 +445,13 @@ class _Sweep:
                 raise CellTimeoutError(spec, self.cfg.cell_timeout_s) from exc
             raise CellExecutionError(spec, exc) from exc
         self.retries += 1
+        self.attempts[index] = attempt + 1
         _emit(self.bus, obs_events.HARNESS_CELL_RETRY, cell=spec.label(),
               attempt=attempt + 1, reason=type(exc).__name__)
-        delay = self.cfg.backoff_s(self.keys[index], attempt)
-        _log.warning("cell %s %s (%r); retry %d/%d in %.2fs", spec.label(),
-                     "timed out" if timed_out else "failed", exc,
-                     attempt + 1, self.cfg.max_retries, delay)
-        self.pending.append((index, attempt + 1, time.monotonic() + delay))
+        _log.warning("cell %s %s (%r); retry %d/%d", spec.label(),
+                     "timed out" if timed_out else "lost its worker", exc,
+                     attempt + 1, self.cfg.max_retries)
+        self.pending.append(index)
 
     def interrupt(self) -> None:
         """Flush the checkpoint and raise :class:`SweepInterrupted`."""
@@ -504,28 +471,18 @@ class _Sweep:
 
     # -- serial path ---------------------------------------------------
     def run_serial(self) -> None:
-        total = len(self.specs)
-        while self.pending:
+        for index in self.pending:
             if self.flag.tripped:
                 self.interrupt()
-            self.pending.sort(key=lambda e: e[2])
-            index, attempt, ready_at = self.pending.pop(0)
-            delay = ready_at - time.monotonic()
-            if delay > 0.0:
-                time.sleep(delay)
-            spec = self.specs[index]
-            _emit(self.bus, obs_events.HARNESS_CELL_START, cell=spec.label(),
-                  index=index, total=total, attempt=attempt + 1)
-            _log.info("cell %d/%d started: %s", index + 1, total, spec.label())
+            self.start(index)
             try:
                 # looked up at call time: a profiler that rebinds
                 # parallel.run_cell sees every cell
-                result = parallel.run_cell(spec)
+                result = parallel.run_cell(self.specs[index])
             except KeyboardInterrupt:
                 self.interrupt()
             except Exception as exc:
-                self.requeue_or_raise(index, attempt, exc, timed_out=False)
-                continue
+                raise CellExecutionError(self.specs[index], exc) from exc
             self.record_success(index, result)
 
     # -- pool path -----------------------------------------------------
@@ -534,17 +491,20 @@ class _Sweep:
         # Shard sub-cells stream their workload; materializing it here
         # would defeat their constant-memory contract, so skip them.
         distinct = {workload_key(self.specs[i].workload): self.specs[i].workload
-                    for i, _, _ in self.pending
-                    if self.specs[i].shard is None}
+                    for i in self.pending if self.specs[i].shard is None}
         for workload in distinct.values():
             cached_generate(workload)
 
+        # No more cells in flight than workers: a cell queued behind a
+        # busy worker would have its wait counted against its deadline.
+        workers = min(self.jobs, len(self.pending))
         pool: Optional[ProcessPoolExecutor] = None
-        in_flight: dict[Future, tuple[int, int, float]] = {}
+        #: future -> (cell index, submission time on the monotonic clock)
+        in_flight: dict[Future, tuple[int, float]] = {}
 
         def make_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
-                max_workers=self.jobs,
+                max_workers=workers,
                 mp_context=multiprocessing.get_context())
 
         def kill_pool() -> None:
@@ -565,32 +525,26 @@ class _Sweep:
             """Tear the pool down and re-queue the in-flight cells."""
             nonlocal pool
             self.pool_respawns += 1
-            if self.pool_respawns > self.cfg.max_pool_respawns:
-                index = min(i for i, _, _ in in_flight.values()) \
-                    if in_flight else 0
-                raise CellExecutionError(self.specs[index], RuntimeError(
-                    f"worker pool broke {self.pool_respawns} times "
-                    f"(limit {self.cfg.max_pool_respawns}); last cause: {reason}"))
-            salvaged = list(in_flight.values())
+            salvaged = sorted(index for index, _ in in_flight.values())
+            if self.pool_respawns > MAX_POOL_RESPAWNS:
+                raise CellExecutionError(
+                    self.specs[salvaged[0] if salvaged else 0], RuntimeError(
+                        f"worker pool broke {self.pool_respawns} times "
+                        f"(limit {MAX_POOL_RESPAWNS}); last cause: {reason}"))
             in_flight.clear()
-            for index, attempt, _submitted in salvaged:
+            for index in salvaged:
                 self.cells_salvaged += 1
                 _emit(self.bus, obs_events.HARNESS_CELL_SALVAGE,
                       cell=self.specs[index].label())
-                self.pending.append((index, attempt, 0.0))
+                self.pending.append(index)
             _emit(self.bus, obs_events.HARNESS_POOL_RESPAWN,
                   respawn=self.pool_respawns, requeued=len(salvaged))
             _log.warning("worker pool respawn %d/%d (%s); re-queued %d "
                          "in-flight cell(s)", self.pool_respawns,
-                         self.cfg.max_pool_respawns, reason, len(salvaged))
+                         MAX_POOL_RESPAWNS, reason, len(salvaged))
             kill_pool()
             pool = make_pool()
 
-        def elapsed_timeout(submitted: float) -> bool:
-            return (self.cfg.cell_timeout_s is not None
-                    and time.monotonic() - submitted >= self.cfg.cell_timeout_s)
-
-        total = len(self.specs)
         pool = make_pool()
         try:
             while self.pending or in_flight:
@@ -599,32 +553,19 @@ class _Sweep:
                     if not in_flight:
                         self.interrupt()
                 else:
-                    self.pending.sort(key=lambda e: e[2])
-                    now = time.monotonic()
-                    while (self.pending and self.pending[0][2] <= now
-                           and len(in_flight) < 2 * self.jobs):
-                        index, attempt, _ready = self.pending.pop(0)
-                        spec = self.specs[index]
+                    while self.pending and len(in_flight) < workers:
+                        index = self.pending.popleft()
                         try:
-                            future = pool.submit(_pool_worker, spec,
-                                                 self.cfg.cell_timeout_s,
-                                                 self.cfg.watchdog)
+                            future = pool.submit(_run_cell, self.specs[index])
                         except (BrokenProcessPool, RuntimeError) as exc:
                             # pool broke between waits; put the cell back
                             # untouched and rebuild
-                            self.pending.append((index, attempt, 0.0))
+                            self.pending.appendleft(index)
                             respawn(repr(exc))
                             break
-                        in_flight[future] = (index, attempt, time.monotonic())
-                        _emit(self.bus, obs_events.HARNESS_CELL_START,
-                              cell=spec.label(), index=index, total=total,
-                              attempt=attempt + 1)
-                        _log.info("cell %d/%d started: %s%s", index + 1, total,
-                                  spec.label(),
-                                  f" (attempt {attempt + 1})" if attempt else "")
-
-                if not in_flight:  # everything is backing off
-                    time.sleep(_POLL_INTERVAL_S)
+                        in_flight[future] = (index, time.monotonic())
+                        self.start(index)
+                if not in_flight:  # the pool was rebuilt before a submit
                     continue
 
                 try:
@@ -634,41 +575,38 @@ class _Sweep:
                     kill_pool()
                     self.interrupt()
 
-                broken_reason: Optional[str] = None
+                # Journal every success of this wait before charging any
+                # failure, then charge failures in cell order, so no
+                # finished sibling is lost and the error names the same
+                # cell run to run.
+                failures: list[tuple[int, BaseException]] = []
                 for future in done:
-                    index, attempt, submitted = in_flight.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        # the worker died under this cell (or a sibling);
-                        # classify by elapsed wall clock, charge the attempt
-                        broken_reason = repr(exc)
-                        self.requeue_or_raise(index, attempt, exc,
-                                              timed_out=elapsed_timeout(submitted))
-                    except KeyboardInterrupt:
-                        kill_pool()
-                        self.interrupt()
-                    except Exception as exc:
-                        self.requeue_or_raise(index, attempt, exc,
-                                              timed_out=False)
+                    index, _submitted = in_flight.pop(future)
+                    exc = future.exception()
+                    if exc is None:
+                        self.record_success(index, future.result())
                     else:
-                        self.record_success(index, result)
-                if broken_reason is not None:
-                    respawn(broken_reason)
+                        failures.append((index, exc))
+                failures.sort(key=lambda failure: failure[0])
+                if any(isinstance(exc, KeyboardInterrupt) for _, exc in failures):
+                    kill_pool()  # the interrupt reached the workers too
+                    self.interrupt()
+                for index, exc in failures:
+                    if not isinstance(exc, BrokenProcessPool):
+                        raise CellExecutionError(self.specs[index], exc) from exc
+                    self.requeue_or_raise(index, exc, timed_out=False)
+                if failures:  # every one of them lost its worker
+                    respawn(repr(failures[0][1]))
                     continue
 
-                # parent-side timeout backstop (the watchdog usually wins)
                 if self.cfg.cell_timeout_s is not None:
-                    grace = (0.5 * self.cfg.cell_timeout_s + 5.0
-                             if self.cfg.watchdog else 0.0)
                     now = time.monotonic()
-                    expired = [f for f, (_i, _a, sub) in in_flight.items()
-                               if now - sub >= self.cfg.cell_timeout_s + grace]
+                    expired = [future for future, (_i, submitted) in in_flight.items()
+                               if now - submitted >= self.cfg.cell_timeout_s]
                     if expired:
-                        for future in expired:
-                            index, attempt, _sub = in_flight.pop(future)
+                        for index in sorted(in_flight.pop(f)[0] for f in expired):
                             self.requeue_or_raise(
-                                index, attempt,
+                                index,
                                 TimeoutError(f"no result after "
                                              f"{self.cfg.cell_timeout_s:g}s"),
                                 timed_out=True)
@@ -687,11 +625,12 @@ def run_cells_resilient(
 ) -> tuple[list[SimulationResult], ResilienceSummary]:
     """Execute cells under fault domains; results come back in input order.
 
-    Returns the results (identical under retries, respawns and resumes:
-    the determinism contract) and a :class:`ResilienceSummary` of what
-    the harness absorbed along the way.  ``jobs=1`` (or a single pending
-    cell) runs serially in-process; otherwise a process pool runs them.
-    ``config=None`` is ``ResilienceConfig()``: no retries, no timeout.
+    Returns the results (identical under re-queues, respawns and
+    resumes: the determinism contract) and a :class:`ResilienceSummary`
+    of what the harness absorbed along the way.  ``jobs=1`` runs
+    serially in-process; otherwise a process pool runs the cells, and
+    ``config`` (``None`` is ``ResilienceConfig()``: no re-queues, no
+    timeout) bounds the re-queues after a lost worker or a timeout.
 
     ``checkpoint`` may be a path (opened/created as a
     :class:`SweepCheckpoint`) or an already-loaded instance; cells whose
@@ -700,8 +639,9 @@ def run_cells_resilient(
     each cell's start/finish, and every absorbed fault.
 
     Raises :class:`SweepInterrupted` on SIGINT/SIGTERM after draining
-    and flushing, :class:`CellExecutionError`/:class:`CellTimeoutError`
-    when a cell exhausts its retry budget.
+    and flushing; :class:`CellExecutionError` at once when a cell
+    raises, and :class:`CellExecutionError`/:class:`CellTimeoutError`
+    when a lost or timed-out cell exhausts its re-queues.
     """
     spec_list = list(specs)
     require(jobs >= 1, f"jobs must be >= 1, got {jobs}")
@@ -722,7 +662,7 @@ def run_cells_resilient(
     previous = _install_handlers(sweep.flag)
     try:
         if sweep.pending:
-            if jobs == 1 or len(sweep.pending) <= 1:
+            if jobs == 1:
                 sweep.run_serial()
             else:
                 sweep.run_pool()

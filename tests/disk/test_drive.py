@@ -209,11 +209,12 @@ class TestAccounting:
         assert drive.energy.total_energy_j == pytest.approx(expected)
 
     def test_transition_energy_accounted(self, sim, params, drive):
-        from repro.disk.energy import DiskPowerState
+        from repro.disk.energy import STATE_INDEX, DiskPowerState
         drive.request_speed(DiskSpeed.LOW)
         sim.run()
         drive.finalize()
-        assert drive.energy.energy_j(DiskPowerState.TRANSITION) == pytest.approx(
+        transition = STATE_INDEX[DiskPowerState.TRANSITION]
+        assert drive.energy.energies_j[transition] == pytest.approx(
             params.transition_energy_j)
 
     def test_total_time_equals_wall_clock(self, sim, params, drive):

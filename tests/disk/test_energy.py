@@ -49,8 +49,8 @@ class TestEnergyMeter:
         expected = (params.low.idle_w * 5 + params.high.active_w * 2
                     + params.transition_power_w * 1)
         assert meter.total_energy_j == pytest.approx(expected)
-        assert meter.time_s(DiskPowerState.IDLE_LOW) == 5.0
-        assert meter.energy_j(DiskPowerState.TRANSITION) == pytest.approx(
+        assert meter.times_s[STATE_INDEX[DiskPowerState.IDLE_LOW]] == 5.0
+        assert meter.energies_j[STATE_INDEX[DiskPowerState.TRANSITION]] == pytest.approx(
             params.transition_power_w)
 
     def test_active_time_sums_both_speeds(self, params):
@@ -61,18 +61,20 @@ class TestEnergyMeter:
         assert meter.active_time_s == pytest.approx(7.0)
 
     def test_breakdown_keys(self, params):
+        # one zeroed slot per state, in STATE_INDEX (definition) order
         meter = EnergyMeter(params)
-        bd = meter.breakdown()
-        assert list(bd) == [s.value for s in DiskPowerState]
-        assert all(v == 0.0 for v in bd.values())
+        assert list(STATE_INDEX) == list(DiskPowerState)
+        assert list(STATE_INDEX.values()) == list(range(len(DiskPowerState)))
+        assert meter.times_s == meter.energies_j == [0.0] * len(DiskPowerState)
 
     # the drive's inline charge: power x time into the ruling state
     def test_accumulate_energy_is_power_times_time(self, sim, params):
         drive = TwoSpeedDrive(sim, params, 0, initial_speed=DiskSpeed.HIGH)
         sim.run(until=10.0)
         drive.finalize()
-        assert drive.energy.time_s(DiskPowerState.IDLE_HIGH) == 10.0
-        assert drive.energy.energy_j(DiskPowerState.IDLE_HIGH) == params.high.idle_w * 10.0
+        idle_high = STATE_INDEX[DiskPowerState.IDLE_HIGH]
+        assert drive.energy.times_s[idle_high] == 10.0
+        assert drive.energy.energies_j[idle_high] == params.high.idle_w * 10.0
         assert drive.energy.total_energy_j == params.high.idle_w * 10.0
 
     def test_zero_dt_allowed(self, sim, params):

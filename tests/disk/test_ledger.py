@@ -15,7 +15,7 @@ import pytest
 
 from repro.disk.array import DiskArray
 from repro.disk.drive import Job, TwoSpeedDrive
-from repro.disk.energy import DiskPowerState
+from repro.disk.energy import STATE_INDEX, DiskPowerState
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
 from repro.disk.parameters import AMBIENT_TEMPERATURE_C, DiskSpeed
 from repro.sim.engine import Simulator
@@ -47,16 +47,18 @@ def _assert_ledger_equals_finalized(drive: TwoSpeedDrive,
                                     closed: ClosedDiskLedger) -> None:
     """Every field of the closed ledger equals the finalized drive, exactly."""
     for state in DiskPowerState:
-        i = list(DiskPowerState).index(state)
-        assert closed.time_s[i] == drive.energy.time_s(state)
-        assert closed.energy_j[i] == drive.energy.energy_j(state)
+        i = STATE_INDEX[state]
+        assert closed.time_s[i] == drive.energy.times_s[i]
+        assert closed.energy_j[i] == drive.energy.energies_j[i]
     assert closed.total_energy_j == drive.energy.total_energy_j
     assert closed.active_time_s == drive.energy.active_time_s
-    assert closed.breakdown() == drive.energy.breakdown()
+    assert closed.breakdown() == {state.value: drive.energy.energies_j[i]
+                                  for state, i in STATE_INDEX.items()}
     assert closed.temperature_c == drive.thermal.temperature_c
     assert closed.integral_c_s == drive.thermal.integral_c_s
     assert closed.elapsed_s == drive.thermal.elapsed_s
-    assert closed.mean_temperature_c() == drive.thermal.mean_temperature_c()
+    assert (closed.mean_temperature_c()
+            == drive.thermal.integral_c_s / drive.thermal.elapsed_s)
     assert closed.requests_served == drive.stats.requests_served
     assert closed.internal_jobs_served == drive.stats.internal_jobs_served
     assert closed.mb_served == drive.stats.mb_served

@@ -49,16 +49,14 @@ class TestThermalModel:
     def test_initial_state(self):
         m = ThermalModel(initial_c=28.0)
         assert m.temperature_c == 28.0
-        assert m.elapsed_s == 0.0
-        assert m.mean_temperature_c() == 28.0
+        assert m.elapsed_s == 0.0 and m.integral_c_s == 0.0
 
     def test_reset_clears_integral(self):
         m = ThermalModel(initial_c=28.0)
         m.integral_c_s, m.elapsed_s = 4000.0, 100.0
         m.reset(temperature_c=45.0)
         assert m.temperature_c == 45.0
-        assert m.elapsed_s == 0.0
-        assert m.mean_temperature_c() == 45.0
+        assert m.elapsed_s == 0.0 and m.integral_c_s == 0.0
 
     def test_non_positive_tau_rejected(self):
         with pytest.raises(ValueError):

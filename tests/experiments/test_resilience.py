@@ -1,13 +1,16 @@
-"""Resilient sweep engine: retries, pool recovery, checkpoint resume.
+"""Resilient sweep engine: fail-once cells, pool recovery, checkpoint resume.
 
 The heart of this suite is the determinism-under-fault contract: a sweep
-that crashed, retried, was interrupted, and resumed must produce results
-bit-identical to one that ran clean.  Worker-kill tests register suicide
-policies in the parent's registry and rely on ``fork`` inheritance, so
-they are skipped on spawn-only platforms.
+that lost workers, was interrupted, and resumed must produce results
+bit-identical to one that ran clean.  A cell that raises is run exactly
+once.  Worker-kill tests register suicide policies in the parent's
+registry and rely on ``fork`` inheritance, so they are skipped on
+spawn-only platforms.
 """
 
+import concurrent.futures
 import dataclasses
+import math
 import multiprocessing
 import os
 import pickle
@@ -40,8 +43,8 @@ from repro.workload.synthetic import SyntheticWorkloadConfig
 TINY = SyntheticWorkloadConfig(n_files=40, n_requests=600, seed=7,
                                mean_interarrival_s=0.01)
 
-#: Zero-backoff config so retry tests don't sleep.
-FAST = ResilienceConfig(max_retries=2, retry_backoff_s=0.0)
+#: Two re-queues per cell lost with its worker or timed out.
+FAST = ResilienceConfig(max_retries=2)
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -55,6 +58,19 @@ def tiny_specs(*policies: str) -> list[RunSpec]:
 def clean_run(specs: list[RunSpec]) -> list:
     """The independent reference: each cell run directly, no executor."""
     return [run_cell(s) for s in specs]
+
+
+def raising_factory(log_path):
+    """A policy factory that logs one line per attempt, then raises."""
+    def factory():
+        with open(log_path, "a") as fh:
+            fh.write("attempt\n")
+        raise ValueError("deterministic cell bug")
+    return factory
+
+
+def attempts_logged(log_path) -> int:
+    return len(log_path.read_text().splitlines()) if log_path.exists() else 0
 
 
 @pytest.fixture
@@ -102,28 +118,13 @@ class TestSpecKey:
 class TestResilienceConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_retries": -1},
-        {"retry_backoff_s": -0.1},
         {"cell_timeout_s": 0.0},
-        {"max_pool_respawns": -1},
+        {"cell_timeout_s": -1.0},
+        {"cell_timeout_s": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ResilienceConfig(**kwargs)
-
-    def test_backoff_is_deterministic_per_spec_and_attempt(self):
-        cfg = ResilienceConfig(retry_backoff_s=0.5)
-        key = spec_key(tiny_specs("read")[0])
-        assert cfg.backoff_s(key, 0) == cfg.backoff_s(key, 0)
-        assert cfg.backoff_s(key, 0) != cfg.backoff_s(key, 1)
-
-    def test_backoff_grows_exponentially_within_jitter(self):
-        cfg = ResilienceConfig(retry_backoff_s=0.25)
-        for attempt in range(4):
-            base = 0.25 * 2 ** attempt
-            assert base <= cfg.backoff_s("k", attempt) <= 1.5 * base
-
-    def test_zero_backoff_stays_zero(self):
-        assert FAST.backoff_s("k", 3) == 0.0
 
 
 class TestSweepCheckpoint:
@@ -229,29 +230,12 @@ class TestRunCellResilient:
         spec = tiny_specs("read")[0]
         assert run_cells([spec], jobs=1, resilience=FAST) == [run_cell(spec)]
 
-    def test_flaky_cell_retries_to_success(self, monkeypatch):
-        spec = tiny_specs("read")[0]
-        calls = {"n": 0}
-        real = run_cell
-
-        def flaky(s):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise OSError("transient")
-            return real(s)
-
-        monkeypatch.setattr(parallel, "run_cell", flaky)
-        assert run_cells([spec], jobs=1, resilience=FAST) == [real(spec)]
-        assert calls["n"] == 3
-
     def test_budget_exhaustion_raises_with_spec_and_cause(self, monkeypatch):
         spec = tiny_specs("read")[0]
         monkeypatch.setattr(parallel, "run_cell",
                             lambda s: (_ for _ in ()).throw(OSError("always")))
         with pytest.raises(CellExecutionError) as excinfo:
-            run_cells([spec], jobs=1,
-                      resilience=ResilienceConfig(max_retries=1,
-                                                  retry_backoff_s=0.0))
+            run_cells([spec], jobs=1, resilience=ResilienceConfig(max_retries=1))
         assert excinfo.value.spec == spec
         assert isinstance(excinfo.value.cause, OSError)
 
@@ -276,43 +260,20 @@ class TestSerialEngine:
             run_cells_resilient(tiny_specs("read"), jobs=1)
         assert len(calls) == 1
 
-    def test_retries_are_counted_and_results_unchanged(self, monkeypatch):
-        specs = tiny_specs("read", "static-high")
-        expected = clean_run(specs)
-        failures = {"left": 2}
-        real = run_cell
-
-        def flaky(s):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise OSError("transient")
-            return real(s)
-
-        monkeypatch.setattr(parallel, "run_cell", flaky)
-        results, summary = run_cells_resilient(specs, jobs=1, config=FAST)
-        assert results == expected
-        assert summary.retries == 2 and summary.cells_run == 2
-
-    def test_harness_retry_events_reach_the_bus(self, monkeypatch):
-        specs = tiny_specs("read")
-        failures = {"left": 1}
-        real = run_cell
-
-        def flaky(s):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise OSError("transient")
-            return real(s)
-
-        monkeypatch.setattr(parallel, "run_cell", flaky)
+    def test_raising_cell_is_attempted_once(self, registry, tmp_path):
+        log = tmp_path / "attempts"
+        registry("_raiser", raising_factory(log))
+        specs = tiny_specs("read", "_raiser", "static-high")
         bus = TraceBus()
         seen = []
         bus.subscribe(seen.append)
-        run_cells_resilient(specs, jobs=1, config=FAST, bus=bus)
-        retry = [e for e in seen if e.type == obs_events.HARNESS_CELL_RETRY]
-        assert len(retry) == 1
-        assert retry[0].data["attempt"] == 1
-        assert retry[0].data["reason"] == "OSError"
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_cells_resilient(specs, jobs=1, config=FAST, bus=bus)
+        assert attempts_logged(log) == 1
+        assert excinfo.value.spec == specs[1]
+        assert isinstance(excinfo.value.cause, ValueError)
+        assert excinfo.value.__cause__ is excinfo.value.cause
+        assert not any(e.type == obs_events.HARNESS_CELL_RETRY for e in seen)
 
 
 class TestCheckpointResume:
@@ -420,6 +381,17 @@ class TestInterrupt:
         assert "no checkpoint" in str(excinfo.value)
 
 
+def kill_once_factory(flag):
+    """A policy factory whose first call kills its worker; later calls
+    build a static-high policy."""
+    def factory():
+        if not flag.exists():
+            flag.write_text("x")
+            os._exit(137)
+        return StaticHighPolicy()
+    return factory
+
+
 @fork_only
 class TestPoolRecovery:
     def test_worker_kill_exhausts_budget_and_names_the_cell(self, registry):
@@ -428,28 +400,19 @@ class TestPoolRecovery:
         # future raises, so any charged cell is legitimately the culprit
         specs = [RunSpec(policy="_kamikaze", n_disks=4, workload=TINY),
                  RunSpec(policy="_kamikaze", n_disks=6, workload=TINY)]
-        cfg = ResilienceConfig(max_retries=0, retry_backoff_s=0.0,
-                               max_pool_respawns=4)
         with pytest.raises(CellExecutionError) as excinfo:
-            run_cells_resilient(specs, jobs=2, config=cfg)
+            run_cells_resilient(specs, jobs=2,
+                                config=ResilienceConfig(max_retries=0))
         assert excinfo.value.spec.policy == "_kamikaze"
 
-    def test_kill_once_recovers_bit_identical(self, registry, tmp_path):
-        flag = tmp_path / "died-once"
-
-        def kill_once():
-            if not flag.exists():
-                flag.write_text("x")
-                os._exit(137)
-            return StaticHighPolicy()
-
-        registry("_killonce", kill_once)
+    def test_kill_once_recovers_bit_identical(self, registry, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(resil, "MAX_POOL_RESPAWNS", 4)
+        registry("_killonce", kill_once_factory(tmp_path / "died-once"))
         specs = [RunSpec(policy="read", n_disks=4, workload=TINY),
                  RunSpec(policy="_killonce", n_disks=4, workload=TINY),
                  RunSpec(policy="static-high", n_disks=4, workload=TINY)]
-        cfg = ResilienceConfig(max_retries=2, retry_backoff_s=0.0,
-                               max_pool_respawns=4)
-        results, summary = run_cells_resilient(specs, jobs=2, config=cfg)
+        results, summary = run_cells_resilient(specs, jobs=2, config=FAST)
 
         # the crashed-and-retried cell is a static-high run in disguise;
         # its result must match a clean in-process run of the same cell
@@ -460,16 +423,78 @@ class TestPoolRecovery:
         assert summary.pool_respawns >= 1
         assert summary.retries + summary.cells_salvaged >= 1
 
-    def test_survivors_reach_the_checkpoint(self, registry, tmp_path):
+    def test_harness_retry_events_reach_the_bus(self, registry, tmp_path):
+        registry("_killonce", kill_once_factory(tmp_path / "died-once"))
+        specs = [RunSpec(policy="_killonce", n_disks=4, workload=TINY),
+                 RunSpec(policy="static-high", n_disks=6, workload=TINY)]
+        bus = TraceBus()
+        seen = []
+        bus.subscribe(seen.append)
+        _, summary = run_cells_resilient(specs, jobs=2, config=FAST, bus=bus)
+        retry = [e for e in seen if e.type == obs_events.HARNESS_CELL_RETRY]
+        assert len(retry) == summary.retries >= 1
+        assert {e.data["reason"] for e in retry} == {"BrokenProcessPool"}
+        assert all(e.data["attempt"] == 1 for e in retry)
+
+    def test_raising_cell_is_attempted_once(self, registry, tmp_path):
+        log = tmp_path / "attempts"
+        registry("_raiser", raising_factory(log))
+        specs = tiny_specs("read", "_raiser")
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_cells_resilient(specs, jobs=2, config=FAST)
+        assert attempts_logged(log) == 1
+        assert excinfo.value.spec == specs[1]
+        assert isinstance(excinfo.value.cause, ValueError)
+        assert excinfo.value.__cause__ is excinfo.value.cause
+
+    def test_lone_cell_runs_in_a_worker(self, registry, tmp_path):
+        # one pending cell under jobs >= 2 still gets the pool, and so
+        # its timeout and worker-loss budget
+        pid_file = tmp_path / "pid"
+
+        def record_pid():
+            pid_file.write_text(str(os.getpid()))
+            return StaticHighPolicy()
+
+        registry("_pid", record_pid)
+        run_cells_resilient(tiny_specs("_pid"), jobs=2, config=FAST)
+        assert int(pid_file.read_text()) != os.getpid()
+
+    def test_results_of_one_wait_are_journaled_before_a_failure(
+            self, registry, tmp_path, monkeypatch):
+        # every future of the sweep lands in one ``done`` set: the two
+        # successes must reach the checkpoint whatever the set order,
+        # and the error names the lowest-index failing cell
+        def wait_for_all(futures, timeout, return_when):
+            return concurrent.futures.wait(
+                futures, return_when=concurrent.futures.ALL_COMPLETED)
+
+        monkeypatch.setattr(resil, "wait", wait_for_all)
+        registry("_raiser", raising_factory(tmp_path / "attempts"))
+        ckpt_path = tmp_path / "sweep.ckpt"
+        specs = [RunSpec(policy="read", n_disks=4, workload=TINY),
+                 RunSpec(policy="_raiser", n_disks=4, workload=TINY),
+                 RunSpec(policy="static-high", n_disks=4, workload=TINY),
+                 RunSpec(policy="_raiser", n_disks=6, workload=TINY)]
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_cells_resilient(specs, jobs=4, checkpoint=ckpt_path)
+        assert excinfo.value.spec == specs[1]
+        ckpt = SweepCheckpoint(ckpt_path)
+        assert ckpt.loaded == 2
+        assert ckpt.get(spec_key(specs[0])) == run_cell(specs[0])
+        assert ckpt.get(spec_key(specs[2])) == run_cell(specs[2])
+
+    def test_survivors_reach_the_checkpoint(self, registry, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setattr(resil, "MAX_POOL_RESPAWNS", 6)
         registry("_kamikaze", lambda: os._exit(137))
         ckpt_path = tmp_path / "sweep.ckpt"
         good = [RunSpec(policy="read", n_disks=4, workload=TINY),
                 RunSpec(policy="static-high", n_disks=4, workload=TINY)]
         specs = good + [RunSpec(policy="_kamikaze", n_disks=4, workload=TINY)]
-        cfg = ResilienceConfig(max_retries=1, retry_backoff_s=0.0,
-                               max_pool_respawns=6)
         with pytest.raises(CellExecutionError):
-            run_cells_resilient(specs, jobs=2, config=cfg,
+            run_cells_resilient(specs, jobs=2,
+                                config=ResilienceConfig(max_retries=1),
                                 checkpoint=ckpt_path)
 
         # resume over the good cells only: anything journaled is reused,
@@ -478,6 +503,21 @@ class TestPoolRecovery:
                                                checkpoint=ckpt_path)
         assert results == clean_run(good)
         assert summary.checkpoint_hits + summary.cells_run == len(good)
+
+    def test_unpicklable_run_cell_rebinding_reaches_the_pool(self, monkeypatch):
+        # a profiler rebinds parallel.run_cell to a closure; the pool
+        # must still run every cell through it
+        expected = clean_run(tiny_specs("read", "static-high"))
+
+        def wrap(real):
+            def timed(spec):
+                return real(spec)
+            return timed
+
+        monkeypatch.setattr(parallel, "run_cell", wrap(parallel.run_cell))
+        results, _ = run_cells_resilient(tiny_specs("read", "static-high"),
+                                         jobs=2)
+        assert results == expected
 
     def test_pool_results_match_serial(self):
         specs = tiny_specs("read", "maid", "static-high", "pdc")
@@ -488,7 +528,7 @@ class TestPoolRecovery:
 
 @fork_only
 class TestPoolTimeout:
-    def test_hung_cell_times_out_without_watchdog(self, registry):
+    def test_hung_cell_times_out(self, registry):
         def sleeper():
             time.sleep(60.0)
             return StaticHighPolicy()  # pragma: no cover - killed first
@@ -496,15 +536,27 @@ class TestPoolTimeout:
         registry("_sleeper", sleeper)
         specs = [RunSpec(policy="read", n_disks=4, workload=TINY),
                  RunSpec(policy="_sleeper", n_disks=4, workload=TINY)]
-        cfg = ResilienceConfig(max_retries=0, retry_backoff_s=0.0,
-                               cell_timeout_s=2.0, max_pool_respawns=4,
-                               watchdog=False)
+        cfg = ResilienceConfig(max_retries=0, cell_timeout_s=2.0)
         start = time.monotonic()
         with pytest.raises(CellTimeoutError) as excinfo:
             run_cells_resilient(specs, jobs=2, config=cfg)
         assert excinfo.value.spec.policy == "_sleeper"
         assert excinfo.value.timeout_s == 2.0
         assert time.monotonic() - start < 30.0  # nowhere near the 60s hang
+
+    def test_time_queued_behind_a_busy_worker_is_not_charged(self, registry):
+        # three 1.2 s cells on two workers under a 2 s limit: the third
+        # waits for a free worker, and that wait is not part of its run
+        def slow():
+            time.sleep(1.2)
+            return StaticHighPolicy()
+
+        registry("_slow", slow)
+        specs = [RunSpec(policy="_slow", n_disks=n, workload=TINY)
+                 for n in (4, 5, 6)]
+        _, summary = run_cells_resilient(
+            specs, jobs=2, config=ResilienceConfig(cell_timeout_s=2.0))
+        assert summary.cells_run == 3 and summary.timeouts == 0
 
 
 class TestValidation:
@@ -519,11 +571,6 @@ class TestValidation:
     def test_empty_specs(self, tmp_path):
         results, summary = run_cells_resilient([], jobs=1)
         assert results == [] and summary.cells_total == 0
-
-    def test_summary_row_is_flat(self):
-        row = ResilienceSummary(cells_total=3, cells_run=2,
-                                checkpoint_hits=1).summary_row()
-        assert row["cells_total"] == 3 and row["checkpoint_hits"] == 1
 
 
 class TestRunCellsDelegation:

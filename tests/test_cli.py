@@ -388,6 +388,26 @@ class TestErrorPaths:
         assert "unknown policy 'bogus'" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_raising_cell_fails_the_sweep_on_its_first_attempt(
+            self, capsys, monkeypatch):
+        # a cell is a pure function of its spec: --retries re-queues only
+        # lost workers and timeouts, never an exception from the cell
+        from repro.experiments.runner import _POLICY_REGISTRY
+
+        attempts = []
+
+        def raising():
+            attempts.append(1)
+            raise ValueError("deterministic cell bug")
+
+        monkeypatch.setitem(_POLICY_REGISTRY, "_raiser", raising)
+        rc = main(["sweep", "--policies", "_raiser", "--disks", "4",
+                   "--retries", "2", *SMALL])
+        assert rc == 2
+        assert len(attempts) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "deterministic cell bug" in err
+
     def test_bad_jobs_count(self, capsys):
         rc = main(["sweep", "--policies", "read", "--disks", "4",
                    "--jobs", "0", *SMALL])

@@ -105,6 +105,7 @@ KNOB_TARGETS = {
                                 "shard_specs", "merge_shard_results"),
     "repro.experiments.runner": ("run_simulation",),
     "repro.experiments.figures": ("figure7_comparison",),
+    "repro.experiments.resilience": ("ResilienceConfig",),
 }
 
 #: ``target.option`` -> why the option stays although only tests set it.
@@ -113,7 +114,7 @@ KNOB_KEEP = {
         "test_finalize_invariants plants a bad model through it; the "
         "fault injector's hazard reads the same model",
     "run_cells.resilience":
-        "tests drive the executor's retries and timeouts through the "
+        "tests drive the executor's re-queues and timeouts through the "
         "public cell runner",
     "run_cells.checkpoint":
         "tests journal and resume cells through the public cell runner",
