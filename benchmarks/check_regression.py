@@ -8,12 +8,17 @@ tests can exercise the gate logic without re-measuring anything;
 
 exits non-zero (and prints why) if the freshest measurement in
 ``.benchmarks/throughput.json`` (git-ignored) regressed more than 20% against
-the committed baseline.
+the committed baseline.  It also prints the committed/measured ratio of
+every gated metric and warns, without failing, when a committed number
+is more than :data:`STALE_BASELINE_FACTOR` times slower than the fresh
+one: such a baseline lets the 20% gate fire only on a slowdown of about
+that factor, and the warning makes it show in CI logs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +29,10 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / ".benchmarks" / "through
 
 #: Allowed relative slowdown before the gate fails.
 DEFAULT_THRESHOLD = 0.20
+
+#: A committed number more than this many times slower than the fresh
+#: measurement is reported as stale (a warning, never a failure).
+STALE_BASELINE_FACTOR = 2.0
 
 #: Allowed wall-clock ratio of a traced run over the same run with
 #: telemetry off.  Tracing costs one call into the cell's trace writer
@@ -106,6 +115,38 @@ def compare(current: dict, baseline: dict, *,
     return problems
 
 
+def baseline_ratios(current: dict, baseline: dict) -> tuple[list[str], list[str]]:
+    """Describe how far the committed baseline sits from ``current``.
+
+    Returns ``(ratios, warnings)``: one line per gated metric with its
+    committed/measured ratio, and one warning per metric whose committed
+    number is more than :data:`STALE_BASELINE_FACTOR` times slower than the
+    measurement (a wall time that many times longer, a rate that many
+    times lower).  Metrics :func:`compare` skips are skipped here too,
+    as is a non-positive measurement.  Neither list affects the gate.
+    """
+    ratios: list[str] = []
+    warnings: list[str] = []
+    for metric, higher_is_better in _METRICS.items():
+        if metric not in current or metric not in baseline:
+            continue
+        cur = float(current[metric])
+        base = float(baseline[metric])
+        if not (0.0 < base < math.inf and 0.0 < cur < math.inf):
+            continue
+        ratio = base / cur
+        slower = 1.0 / ratio if higher_is_better else ratio
+        ratios.append(f"{metric}: committed {base:g} / measured {cur:g} = "
+                      f"{ratio:.3g} (baseline {slower:.2f}x as slow)")
+        if slower > STALE_BASELINE_FACTOR:
+            warnings.append(
+                f"{metric}: committed {base:g} is {slower:.2f}x slower than "
+                f"measured {cur:g} (stale above {STALE_BASELINE_FACTOR:g}x): the "
+                f"{DEFAULT_THRESHOLD * 100.0:.0f}% gate fires only on a "
+                f"slowdown of more than {slower:.2f}x")
+    return ratios, warnings
+
+
 def tracing_overhead(current: dict, *,
                      max_ratio: float = MAX_TRACING_OVERHEAD,
                      max_shard_ratio: float = MAX_SHARD_TRACING_OVERHEAD,
@@ -176,6 +217,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     current = json.loads(results_path.read_text(encoding="utf-8"))
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
+    ratios, warnings = baseline_ratios(current, baseline)
+    for line in ratios:
+        print(f"ratio {line}")
+    for line in warnings:
+        print(f"WARNING stale baseline {line}")
     problems = (compare(current, baseline) + tracing_overhead(current)
                 + stream_floor(current))
     if problems:

@@ -172,10 +172,13 @@ class TwoSpeedDrive:
         self._pending_target: Optional[DiskSpeed] = None
         self._queue: deque[Job] = deque()
         self._current: Optional[Job] = None
-        # handles to the in-flight completion/transition events, kept so
-        # fault injection can cancel them when the drive dies mid-work
-        self._completion_event: Optional[EventHandle] = None
-        self._transition_event: Optional[EventHandle] = None
+        # the drive's completion and transition events: one handle each
+        # for the drive's life, re-armed per job / transition and
+        # cancelled by fault injection when the drive dies mid-work
+        self._completion_event = EventHandle(self._complete,
+                                             priority=self._PRIO_COMPLETE)
+        self._transition_event = EventHandle(self._end_transition,
+                                             priority=self._PRIO_TRANSITION)
 
         # Drives were already spinning before the trace window opens, so
         # they start at their speed's steady temperature, not at ambient
@@ -472,13 +475,10 @@ class TwoSpeedDrive:
                              disk=self.disk_id,
                              **{"from": self._speed.name.lower(),
                                 "to": target.name.lower()})
-        self._transition_event = self._sim.schedule(
-            self.params.transition_time_s, self._end_transition,
-            priority=self._PRIO_TRANSITION)
+        self._sim.reschedule(self._transition_event, self.params.transition_time_s)
 
     def _end_transition(self) -> None:
         assert self._transition_target is not None
-        self._transition_event = None
         self._account()
         self._speed = self._transition_target
         self._refresh_speed_cache()
@@ -511,12 +511,8 @@ class TwoSpeedDrive:
             return []
         self._account()
         dropped: list[Job] = []
-        if self._completion_event is not None:
-            self._sim.cancel(self._completion_event)
-            self._completion_event = None
-        if self._transition_event is not None:
-            self._sim.cancel(self._transition_event)
-            self._transition_event = None
+        self._sim.cancel(self._completion_event)
+        self._sim.cancel(self._transition_event)
         if self._current is not None:
             dropped.append(self._current)
             self._current = None
@@ -587,13 +583,11 @@ class TwoSpeedDrive:
             self._trace.emit(ev.REQUEST_DISPATCH, now, disk=self.disk_id,
                              wait_s=now - job.enqueue_time,
                              service_s=service_s, internal=job.internal)
-        self._completion_event = self._sim.schedule(
-            service_s, self._complete, priority=self._PRIO_COMPLETE)
+        self._sim.reschedule(self._completion_event, service_s)
 
     def _complete(self) -> None:
         job = self._current
         assert job is not None and self._phase is _BUSY
-        self._completion_event = None
         self._account()
         self._phase = _IDLE
         self._current = None

@@ -13,8 +13,33 @@ Events fire in ascending ``(time, priority, seq)`` order:
 
 Cancellation is lazy: :meth:`Simulator.cancel` marks the handle and the
 heap pop discards dead entries, which is O(1) per cancel instead of an
-O(n) heap rebuild — idleness timers are cancelled constantly, so this
-matters.
+O(n) heap rebuild.
+
+Handles that move
+-----------------
+A handle names its owner's *current* event, not one firing: an
+idleness timer, a drive's completion or transition, a periodic tick
+each own one :class:`EventHandle` for their whole life and move it with
+:meth:`Simulator.reschedule`, which arms, re-arms or moves it.  Each
+move takes the next ``seq``, exactly the key ``cancel`` + ``schedule``
+would give, so the dispatch order (and every result bit) is the same;
+what changes is the heap traffic:
+
+* A handle carries at most one heap entry, the one whose key it last
+  pushed.  Moved to a time ``>=`` that entry's, the handle keeps the
+  entry: it takes the new key, and when the stale entry reaches the top
+  the loop pushes it back under the current key (one ``heapreplace``).
+  That pop runs nothing and counts in neither
+  :attr:`Simulator.events_executed` nor :attr:`Simulator.pending_count`.
+  A timer armed and cancelled many times within one interval thus costs
+  one heap entry, not one per arm.
+* Moved earlier than that entry, the handle pushes a new one; the old
+  entry is dropped when it reaches the top.
+* A fired or cancelled handle re-arms as the same object.
+
+The handle never fires late: its stale entry's key is below its own,
+so the entry reaches the top, and is pushed back under the current key,
+before anything that sorts between the two keys fires.
 
 The arrival slot
 ----------------
@@ -24,9 +49,9 @@ in a dedicated slot (:meth:`Simulator.set_arrival`) instead of the heap,
 and pays no ``EventHandle``, ``heappush`` or ``heappop``.  The slot
 fires when its time is ``<=`` the heap head's time, which is exactly
 the order it would have as a heap event of priority −1: it precedes
-every heap event at its own instant, because every component schedules
-at priority ``>= 0``.  A dead (cancelled) head needs no special case:
-every live entry lies at or after it.  A pending arrival counts in
+every heap event at its own instant, because the kernel takes no
+priority below 0.  A dead or stale head needs no special case: every
+live event lies at or after it.  A pending arrival counts in
 :attr:`Simulator.pending_count`, and a fired one in
 :attr:`Simulator.events_executed`, like any event.
 
@@ -53,7 +78,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 __all__ = ["EventHandle", "Simulator", "SimulationError"]
 
@@ -66,28 +91,59 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling into the past, bad run bounds)."""
 
 
+def _reject(action: object, priority: object) -> NoReturn:
+    """Raise for the argument that failed an event's checks.
+
+    A priority is an ``int >= 0`` (``bool`` is not an ``int`` here): a
+    negative one would sort before the arrival slot's implicit −1.
+    """
+    if not callable(action):
+        raise SimulationError(f"action must be callable, got {action!r}")
+    raise SimulationError(f"priority must be an int >= 0, got {priority!r}")
+
+
 class EventHandle:
-    """A scheduled event; keep it to :meth:`cancel <Simulator.cancel>` later.
+    """One owner's event: pending, or idle until it is (re)scheduled.
+
+    A handle names its owner's *current* event.  :meth:`Simulator.schedule`
+    returns a fresh one for a one-off event; an owner that re-arms (a
+    timer, a drive's completion) builds one and moves it with
+    :meth:`Simulator.reschedule` for its whole life.  Keep it to
+    :meth:`cancel <Simulator.cancel>` the event.
 
     Attributes
     ----------
     time:
-        Absolute simulated time at which the event fires.
+        Absolute simulated time of the current (or last) event.
     priority:
-        Tiebreak rank among simultaneous events (lower first).
+        Tiebreak rank among simultaneous events (lower first); an
+        ``int >= 0``, fixed for the handle's life.
+    seq:
+        The pending event's insertion rank, or ``-1`` while idle.
+    action:
+        What the event runs.
     """
 
-    __slots__ = ("time", "priority", "seq", "action", "cancelled")
+    __slots__ = ("time", "priority", "seq", "action", "_entry")
 
-    def __init__(self, time: float, priority: int, seq: int, action: Action) -> None:
-        self.time = time
+    def __init__(self, action: Action, *, priority: int = 0) -> None:
+        if type(priority) is not int or priority < 0 or not callable(action):
+            _reject(action, priority)
+        self.time = _INF
         self.priority = priority
-        self.seq = seq
-        self.action: Optional[Action] = action
-        self.cancelled = False
+        self.seq = -1
+        self.action = action
+        # the heap entry carrying this handle, or None; its key is at or
+        # below the handle's current one while the handle is pending
+        self._entry: Optional[tuple[float, int, int, EventHandle]] = None
+
+    @property
+    def pending(self) -> bool:
+        """Whether the handle's event is scheduled and has not fired."""
+        return self.seq >= 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "pending" if self.seq >= 0 else "idle"
         return f"EventHandle(t={self.time:.6f}, prio={self.priority}, seq={self.seq}, {state})"
 
 
@@ -144,10 +200,44 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, action: Action, *, priority: int = 0) -> EventHandle:
-        """Schedule ``action`` to run ``delay`` seconds from now.
+        """Schedule a one-off ``action`` to run ``delay`` seconds from now.
 
         ``delay`` must be finite and non-negative; a zero delay fires at
         the current time, after any already-queued events at this time.
+        ``priority`` must be an ``int >= 0`` (the arrival slot ranks
+        below every heap event).  Returns the event's fresh handle.
+        """
+        if type(priority) is not int or priority < 0 or not callable(action):
+            _reject(action, priority)
+        now = self.now
+        try:
+            time = now + delay
+        except TypeError:
+            raise SimulationError(
+                f"delay must be finite and >= 0, got {delay!r}") from None
+        if not (time >= now) or time == _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        # the checks ran above, so the fresh handle skips the __init__ frame
+        handle = EventHandle.__new__(EventHandle)
+        handle.time = time
+        handle.priority = priority
+        handle.seq = seq
+        handle.action = action
+        handle._entry = entry = (time, priority, seq, handle)
+        heapq.heappush(self._heap, entry)
+        self._live += 1
+        return handle
+
+    def reschedule(self, handle: EventHandle, delay: float) -> None:
+        """Make ``handle``'s event fire ``delay`` seconds from now.
+
+        Arms an idle (fired, cancelled or new) handle, or moves a pending
+        one; either way the event takes the key a fresh :meth:`schedule`
+        would, so this equals ``cancel`` + ``schedule`` in every
+        dispatch.  A handle moved later keeps its heap entry (see the
+        module docstring).  ``delay`` is checked as by :meth:`schedule`.
         """
         now = self.now
         try:
@@ -158,16 +248,16 @@ class Simulator:
         # one comparison rejects NaN and negative delays; inf needs its own
         if not (time >= now) or time == _INF:
             raise SimulationError(f"delay must be finite and >= 0, got {delay!r}")
-        if not callable(action):
-            raise SimulationError(f"action must be callable, got {action!r}")
-        if type(priority) is not int:
-            priority = int(priority)
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, priority, seq, action)
-        heapq.heappush(self._heap, (time, priority, seq, handle))
-        self._live += 1
-        return handle
+        if handle.seq < 0:
+            self._live += 1
+        handle.time = time
+        handle.seq = seq
+        entry = handle._entry
+        if entry is None or time < entry[0]:
+            handle._entry = entry = (time, handle.priority, seq, handle)
+            heapq.heappush(self._heap, entry)
 
     def set_arrival(self, time: float, action: Action) -> None:
         """Fill the arrival slot: run ``action`` at absolute ``time``.
@@ -194,12 +284,13 @@ class Simulator:
         self._live += 1
 
     def cancel(self, handle: EventHandle) -> None:
-        """Cancel a pending event.  Cancelling twice (or after it fired) is a no-op."""
-        if handle.cancelled:
-            return
-        handle.cancelled = True
-        if handle.action is not None:  # still queued (fired handles are action-less)
-            handle.action = None  # break reference cycles early
+        """Cancel the event ``handle`` names, its owner's current one.
+
+        A no-op when the handle is idle (already fired or cancelled).
+        The handle stays its owner's: :meth:`reschedule` re-arms it.
+        """
+        if handle.seq >= 0:
+            handle.seq = -1
             self._live -= 1
 
     # ------------------------------------------------------------------
@@ -253,21 +344,34 @@ class Simulator:
     def _drain(self, until: float) -> None:
         # The kernel's one event loop: the next event is the arrival slot
         # when its time is <= the heap head's, else the heap head; the
-        # loop returns before any event later than ``until``.
+        # loop returns before any event later than ``until``.  A head
+        # whose seq is not its handle's is no live event: the handle's
+        # stale entry (moved later: push it back under the current key)
+        # or a dead one (drop it).
         heap = self._heap
         pop = heapq.heappop
+        replace = heapq.heapreplace
         while not self._stop:
             time = self._arrival_time
             if heap and (entry := heap[0])[0] < time:
                 time = entry[0]
                 if time > until:
                     return
-                pop(heap)
                 handle = entry[3]
-                action = handle.action
-                if action is None:  # lazily cancelled
+                if entry[2] != handle.seq:
+                    if entry is handle._entry:
+                        if handle.seq >= 0:
+                            handle._entry = entry = (handle.time, handle.priority,
+                                                     handle.seq, handle)
+                            replace(heap, entry)
+                            continue
+                        handle._entry = None
+                    pop(heap)
                     continue
-                handle.action = None
+                pop(heap)
+                handle.seq = -1
+                handle._entry = None
+                action = handle.action
             else:
                 action = self._arrival
                 if action is None or time > until:

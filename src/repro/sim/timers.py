@@ -27,38 +27,31 @@ class ResettableTimer:
 
     The ``action`` fires once, ``interval`` seconds after the most recent
     :meth:`arm`/:meth:`reset`, unless :meth:`cancel` intervenes first.
+    The timer owns one :class:`~repro.sim.engine.EventHandle` for its
+    whole life and moves it in place on every (re)arm.
     """
 
     def __init__(self, sim: Simulator, interval: float, action: Callable[[], None],
                  *, priority: int = 0) -> None:
         self._sim = sim
         self.interval = require_positive(interval, "interval")
-        self._action = action
-        self._priority = priority
-        self._handle: Optional[EventHandle] = None
+        self._handle = EventHandle(action, priority=priority)
 
     @property
     def armed(self) -> bool:
         """Whether the timer currently has a pending expiry."""
-        return self._handle is not None and not self._handle.cancelled
+        return self._handle.pending
 
     def arm(self) -> None:
         """Start (or restart) the countdown from the current sim time."""
-        self.cancel()
-        self._handle = self._sim.schedule(self.interval, self._fire, priority=self._priority)
+        self._sim.reschedule(self._handle, self.interval)
 
     # reset is an alias that reads better at call sites reacting to activity
     reset = arm
 
     def cancel(self) -> None:
         """Stop the countdown; no-op when not armed."""
-        if self._handle is not None:
-            self._sim.cancel(self._handle)
-            self._handle = None
-
-    def _fire(self) -> None:
-        self._handle = None
-        self._action()
+        self._sim.cancel(self._handle)
 
 
 class PeriodicTask:
@@ -67,7 +60,8 @@ class PeriodicTask:
     The first tick fires at ``start_offset`` (default: one full period
     after creation).  The action may call :meth:`stop` to end the series,
     and may change :attr:`period` to re-pace future ticks (used by
-    adaptive-epoch experiments).
+    adaptive-epoch experiments).  Every tick re-arms the same
+    :class:`~repro.sim.engine.EventHandle`.
     """
 
     def __init__(self, sim: Simulator, period: float, action: Callable[[int], None],
@@ -75,27 +69,22 @@ class PeriodicTask:
         self._sim = sim
         self.period = require_positive(period, "period")
         self._action = action
-        self._priority = priority
         self._tick = 0
         self._stopped = False
         first = self.period if start_offset is None else start_offset
         if first < 0:
             raise ValueError(f"start_offset must be >= 0, got {start_offset!r}")
-        self._handle: Optional[EventHandle] = sim.schedule(first, self._fire, priority=priority)
+        self._handle = EventHandle(self._fire, priority=priority)
+        sim.reschedule(self._handle, first)
 
     def stop(self) -> None:
         """Cancel all future ticks (safe to call from inside the action)."""
         self._stopped = True
-        if self._handle is not None:
-            self._sim.cancel(self._handle)
-            self._handle = None
+        self._sim.cancel(self._handle)
 
     def _fire(self) -> None:
-        self._handle = None
-        if self._stopped:
-            return
         index = self._tick
         self._tick += 1
         self._action(index)
         if not self._stopped:
-            self._handle = self._sim.schedule(self.period, self._fire, priority=self._priority)
+            self._sim.reschedule(self._handle, self.period)

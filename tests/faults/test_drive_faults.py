@@ -100,6 +100,57 @@ class TestReplacement:
         assert not done[0].failed
 
 
+    @pytest.mark.parametrize("size_mb", [0.5, 64.0])
+    def test_failed_mid_service_completes_once_at_the_new_time(self, sim, params,
+                                                               size_mb):
+        """The completion event ``fail()`` cancelled is revived by the next
+        dispatch, before (0.5 MB) or after (64 MB) its stale time, and
+        fires once, at the new time."""
+        drive = TwoSpeedDrive(sim, params, 0)
+        done = []
+        drive.submit(user_job(done))  # 8 MB, in service from t = 0
+        high = params.mode(DiskSpeed.HIGH)
+        stale_s = high.service_time_s(8.0)
+        replaced_s = stale_s / 2
+
+        def fail_and_replace():
+            drive.fail()
+            drive.replace_with_new_spindle()
+            drive.submit(user_job(done, size_mb))
+
+        sim.schedule(replaced_s, fail_and_replace)
+        sim.run_until_drained()
+        due_s = replaced_s + high.service_time_s(size_mb)
+        assert (due_s < stale_s) == (size_mb < 8.0)
+        first, second = done
+        assert first.failed and not second.failed
+        assert second.completion_time == pytest.approx(due_s, rel=1e-15)
+        assert drive.stats.requests_served == 1
+        assert sim.events_executed == 2  # fail_and_replace, one completion
+        assert sim.pending_count == 0
+
+    def test_transition_cancelled_by_fail_ends_once_at_the_new_time(self, sim,
+                                                                    params):
+        drive = TwoSpeedDrive(sim, params, 0)
+        idle_at = []
+        drive.on_idle = lambda _d: idle_at.append(sim.now)
+        drive.request_speed(DiskSpeed.LOW)  # transition due at T
+        transition_s = params.transition_time_s
+
+        def fail_and_replace():
+            drive.fail()
+            drive.replace_with_new_spindle(speed=DiskSpeed.HIGH)
+            drive.request_speed(DiskSpeed.LOW)  # due at 1.5 T
+
+        sim.schedule(transition_s / 2, fail_and_replace)
+        sim.run_until_drained()
+        assert idle_at == [pytest.approx(1.5 * transition_s, rel=1e-15)]
+        assert drive.speed is DiskSpeed.LOW
+        assert drive.stats.speed_transitions_total == 2
+        assert sim.events_executed == 2  # fail_and_replace, one transition end
+        assert sim.pending_count == 0
+
+
 class TestArrayFaultSurface:
     @pytest.fixture
     def array(self, sim, params, tiny_fileset):

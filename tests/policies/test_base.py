@@ -85,6 +85,28 @@ class TestSpeedControllerSpinDown:
         sim.run()
         assert array.drive(0).speed is DiskSpeed.HIGH
 
+    def test_shrunk_threshold_rearm_spins_down_once_at_the_earlier_time(self, sim,
+                                                                        array):
+        ctl = SpeedController(sim, array, SpeedControlConfig(idle_threshold_s=10.0))
+        drive = array.drive(0)
+        ctl.on_disk_idle(0)  # due at 10
+
+        def shrink():
+            ctl.set_idle_threshold(0, 2.0)
+            ctl.on_disk_idle(0)  # re-armed: due at 3
+
+        sim.schedule(1.0, shrink)
+        sim.run(until=2.999)
+        assert drive.speed is DiskSpeed.HIGH and drive.is_idle
+        sim.run(until=3.0)
+        assert drive.effective_target_speed is DiskSpeed.LOW
+        sim.run()
+        assert drive.speed is DiskSpeed.LOW
+        assert drive.stats.speed_transitions_total == 1
+        # shrink, the timer at 3, the transition end: the entry left at
+        # 10 is no event
+        assert sim.events_executed == 3
+
     def test_ineligible_disk_never_spins_down(self, sim, array):
         ctl = SpeedController(sim, array, SpeedControlConfig(idle_threshold_s=10.0),
                               eligible=lambda d: d != 0)

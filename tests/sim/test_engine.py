@@ -3,7 +3,7 @@ misuse errors."""
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import EventHandle, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero_by_default():
@@ -34,9 +34,21 @@ def test_same_time_priority_breaks_ties():
     sim = Simulator()
     fired = []
     sim.schedule(1.0, lambda: fired.append("low_prio"), priority=5)
-    sim.schedule(1.0, lambda: fired.append("high_prio"), priority=-5)
+    sim.schedule(1.0, lambda: fired.append("high_prio"), priority=0)
     sim.run()
     assert fired == ["high_prio", "low_prio"]
+
+
+@pytest.mark.parametrize("priority", [-1, -5, 1.7, 1.0, True, False, "1", None])
+def test_bad_priority_rejected(priority):
+    """Negative priorities would sort before the arrival slot's implicit
+    -1; floats and bools would be silently coerced."""
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="priority"):
+        sim.schedule(1.0, lambda: None, priority=priority)
+    with pytest.raises(SimulationError, match="priority"):
+        EventHandle(lambda: None, priority=priority)
+    assert sim.pending_count == 0
 
 
 def test_same_time_same_priority_is_fifo():

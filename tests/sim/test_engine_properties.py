@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 
 times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -21,7 +21,7 @@ def test_dispatch_order_is_sorted_by_time(delays):
     assert sim.now == max(delays)
 
 
-@given(st.lists(st.tuples(times, st.integers(-10, 10)), min_size=1, max_size=100))
+@given(st.lists(st.tuples(times, st.integers(0, 20)), min_size=1, max_size=100))
 @settings(max_examples=100)
 def test_dispatch_order_respects_time_then_priority(entries):
     sim = Simulator()
@@ -119,3 +119,113 @@ def test_arrival_slot_orders_like_priority_minus_one(heap_events, arrival_times,
     assert fired == expected
     assert sim.events_executed == len(expected)
     assert sim.pending_count == 0
+
+
+# ----------------------------------------------------------------------
+# handles moved in place
+# ----------------------------------------------------------------------
+class _Script:
+    """One simulator driven by a script of owner operations.
+
+    Owner ``i`` has one event at a time.  With ``moving`` it owns one
+    :class:`EventHandle` and moves it with :meth:`Simulator.reschedule`;
+    otherwise (the reference) it cancels its old handle and schedules a
+    fresh one.  Arrivals chain through the slot, each ``arrival_gaps``
+    after the last (the first after t = 0).  Every fired event appends
+    ``(label, now)`` and then applies the next reaction, so the same
+    reactions run from inside actions in both.
+    """
+
+    def __init__(self, moving, owner_priorities, arrival_gaps, reactions):
+        self.sim = Simulator()
+        self.moving = moving
+        self.fired = []
+        self.reactions = iter(reactions)
+        self.priorities = owner_priorities
+        self.n_oneoff = 0
+        if moving:
+            self.handles = [EventHandle(self._owner_action(i), priority=p)
+                            for i, p in enumerate(owner_priorities)]
+        else:
+            self.handles = [None] * len(owner_priorities)
+        self.arrivals = iter(arrival_gaps)
+        first = next(self.arrivals, None)
+        if first is not None:
+            self.sim.set_arrival(first, self._arrive)
+
+    def _owner_action(self, i):
+        return lambda: self._fired(("owner", i))
+
+    def _fired(self, label):
+        self.fired.append((label, self.sim.now))
+        op = next(self.reactions, None)
+        if op is not None:
+            self.apply(op)
+
+    def _arrive(self):
+        nxt = next(self.arrivals, None)
+        if nxt is not None:
+            self.sim.set_arrival(self.sim.now + nxt, self._arrive)
+        self._fired(("arrival",))
+
+    def apply(self, op):
+        kind, i, delay = op
+        i %= len(self.priorities)
+        sim = self.sim
+        if kind == "move":
+            if self.moving:
+                sim.reschedule(self.handles[i], delay)
+            else:
+                if self.handles[i] is not None:
+                    sim.cancel(self.handles[i])
+                self.handles[i] = sim.schedule(delay, self._owner_action(i),
+                                               priority=self.priorities[i])
+        elif kind == "cancel":
+            if self.handles[i] is not None:
+                sim.cancel(self.handles[i])
+        else:  # a one-off event through schedule
+            k = self.n_oneoff
+            self.n_oneoff += 1
+            sim.schedule(delay, lambda: self._fired(("oneoff", k)),
+                         priority=self.priorities[i])
+
+    def observe(self):
+        sim = self.sim
+        return list(self.fired), sim.events_executed, sim.pending_count, sim.now
+
+
+# few distinct delays, so moves go both ways and keys tie often
+delays = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+ops = st.tuples(st.sampled_from(["move", "move", "move", "cancel", "oneoff"]),
+                st.integers(0, 3), delays)
+steps = st.one_of(ops, st.tuples(st.just("run"), st.just(0), delays))
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=4),
+       st.lists(delays, max_size=8),
+       st.lists(ops, max_size=40),
+       st.lists(steps, min_size=1, max_size=30))
+@settings(max_examples=300)
+def test_moved_handles_dispatch_like_cancel_plus_schedule(owner_priorities,
+                                                         arrival_gaps, reactions,
+                                                         script):
+    """Moving a handle later or earlier, re-arming it after it fired or
+    was cancelled, beside one-off events, arrival-slot events and stepped
+    ``run(until=...)`` cuts, fires the same events in the same order at
+    the same times as cancel + schedule, with the same counters after
+    every step: a stale or dead entry is never an event."""
+    runs = [_Script(moving, owner_priorities, arrival_gaps, reactions)
+            for moving in (True, False)]
+    for kind, i, delay in script:
+        for run in runs:
+            if kind == "run":
+                run.sim.run(until=run.sim.now + delay)
+            else:
+                run.apply((kind, i, delay))
+        moved, reference = (run.observe() for run in runs)
+        assert moved == reference
+    for run in runs:
+        run.sim.run()
+    moved, reference = (run.observe() for run in runs)
+    assert moved == reference
+    assert runs[0].sim.pending_count == 0

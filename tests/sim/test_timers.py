@@ -76,6 +76,51 @@ class TestResettableTimer:
         sim.run()
         assert fired == [4.0, 8.0]
 
+    def test_armed_after_fire_cancel_and_rearm(self):
+        sim = Simulator()
+        seen = []
+        timer = ResettableTimer(sim, 2.0, lambda: seen.append(timer.armed))
+        timer.arm()
+        sim.run()
+        assert seen == [False]  # not armed while its own action runs
+        assert not timer.armed
+        timer.arm()
+        assert timer.armed
+        timer.cancel()
+        assert not timer.armed
+        timer.arm()
+        assert timer.armed
+        sim.run()
+        assert seen == [False, False]
+
+    def test_rearm_to_an_earlier_deadline_fires_once_there(self):
+        sim = Simulator()
+        fired = []
+        timer = ResettableTimer(sim, 10.0, lambda: fired.append(sim.now))
+        timer.arm()  # due at 10
+
+        def shrink():
+            timer.interval = 2.0
+            timer.arm()  # due at 3
+
+        sim.schedule(1.0, shrink)
+        sim.run()
+        assert fired == [3.0]
+        assert sim.events_executed == 2
+        assert sim.pending_count == 0
+
+    def test_rearm_later_keeps_one_pending_event(self):
+        sim = Simulator()
+        fired = []
+        timer = ResettableTimer(sim, 4.0, lambda: fired.append(sim.now))
+        for t in (0.0, 1.0, 2.5):
+            sim.schedule(t, timer.arm)
+        sim.run(until=3.0)
+        assert sim.pending_count == 1
+        sim.run()
+        assert fired == [6.5]
+        assert sim.events_executed == 4
+
     def test_invalid_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):

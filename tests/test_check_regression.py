@@ -204,3 +204,59 @@ class TestCiGate:
         monkeypatch.setattr(ci_gate.subprocess, "run", fake_run)
         assert ci_gate.run_tests(with_coverage=False) == 0
         assert "--durations=10" in calls[0]
+
+
+class TestBaselineRatios:
+    """The committed/measured report: printed, never gating."""
+
+    def test_one_ratio_line_per_gated_metric(self):
+        current = {"kernel_events_per_sec_object": 2_000_000.0,
+                   "sweep8_serial_s": 2.0, "sweep8_jobs4_s": 2.0}
+        ratios, warnings = check_regression.baseline_ratios(current, BASELINE)
+        assert len(ratios) == 3
+        assert "committed 1e+06 / measured 2e+06 = 0.5" in ratios[0]
+        assert "sweep8_serial_s: committed 4 / measured 2 = 2" in ratios[1]
+        # both are exactly 2x slower: stale means *more* than 2x
+        assert warnings == []
+
+    def test_stale_rate_and_wall_time_warn(self):
+        current = {"kernel_events_per_sec_object": 3_000_000.0,  # base 3x slower
+                   "sweep8_serial_s": 1.0,                        # base 4x slower
+                   "sweep8_jobs4_s": 1.9}                         # 1.05x
+        ratios, warnings = check_regression.baseline_ratios(current, BASELINE)
+        assert len(ratios) == 3
+        assert len(warnings) == 2
+        assert warnings[0].startswith("kernel_events_per_sec_object:")
+        assert "3.00x slower" in warnings[0]
+        assert warnings[1].startswith("sweep8_serial_s:")
+        assert "4.00x slower" in warnings[1]
+
+    def test_skips_what_compare_skips(self):
+        current = {"kernel_events_per_sec_object": 0.0,
+                   "sweep8_serial_s": float("nan")}
+        assert check_regression.baseline_ratios(current, BASELINE) == ([], [])
+        assert check_regression.baseline_ratios({}, BASELINE) == ([], [])
+
+    def test_main_warns_on_a_stale_baseline_but_passes(self, tmp_path, capsys):
+        fast = dict(json.loads(check_regression.BASELINE_PATH.read_text()))
+        fast["kernel_events_per_sec_object"] *= 4.0
+        fast["sweep8_serial_s"] /= 4.0
+        path = tmp_path / "throughput.json"
+        path.write_text(json.dumps(fast))
+        assert check_regression.main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("WARNING stale baseline") == 2
+        assert "ratio kernel_events_per_sec_object:" in out
+        assert "ok:" in out
+
+    def test_main_still_fails_a_regression_beside_a_stale_metric(self, tmp_path,
+                                                                  capsys):
+        mixed = dict(json.loads(check_regression.BASELINE_PATH.read_text()))
+        mixed["kernel_events_per_sec_object"] *= 4.0   # stale baseline
+        mixed["sweep8_serial_s"] *= 1.5                # +50%: a regression
+        path = tmp_path / "throughput.json"
+        path.write_text(json.dumps(mixed))
+        assert check_regression.main([str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "WARNING stale baseline kernel_events_per_sec_object" in out
+        assert "REGRESSION sweep8_serial_s" in out
