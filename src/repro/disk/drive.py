@@ -392,9 +392,8 @@ class TwoSpeedDrive:
         trace = self._trace
         if trace is not None:
             request = job.request
-            trace.emit(ev.REQUEST_SUBMIT, now, disk=self.disk_id,
-                       size_mb=job.size_mb, internal=job.internal,
-                       file=request.file_id if request is not None else None)
+            trace.request_submit(now, self.disk_id, job.size_mb, job.internal,
+                                 request.file_id if request is not None else None)
         phase = self._phase
         if phase is _IDLE:
             self._queue.append(job)
@@ -580,9 +579,8 @@ class TwoSpeedDrive:
         # inlined SpeedModeParams.service_time_s via the speed cache
         service_s = self._svc_positioning_s + job.size_mb / self._svc_transfer_mb_s
         if self._trace is not None:
-            self._trace.emit(ev.REQUEST_DISPATCH, now, disk=self.disk_id,
-                             wait_s=now - job.enqueue_time,
-                             service_s=service_s, internal=job.internal)
+            self._trace.request_dispatch(now, self.disk_id, now - job.enqueue_time,
+                                         service_s, job.internal)
         self._sim.reschedule(self._completion_event, service_s)
 
     def _complete(self) -> None:
@@ -598,10 +596,8 @@ class TwoSpeedDrive:
             request.completion_time = now
         self.stats.record_service(job.size_mb, job.internal)
         if self._trace is not None:
-            self._trace.emit(ev.REQUEST_COMPLETE, now, disk=self.disk_id,
-                             size_mb=job.size_mb,
-                             sojourn_s=now - job.enqueue_time,
-                             internal=job.internal)
+            self._trace.request_complete(now, self.disk_id, job.size_mb,
+                                         now - job.enqueue_time, job.internal)
         if job.on_complete is not None:
             job.on_complete(job)
         self._dispatch()

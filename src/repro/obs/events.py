@@ -93,7 +93,13 @@ the live status feed of ``repro sweep --status-out`` folds these)
       one result (``policy``, ``n_disks``, ``shards``, ``wall_s``)
 
 The constants exist so consumers and tests never hard-code strings;
-producers import them too, keeping the taxonomy single-sourced.
+producers import them too, keeping the taxonomy single-sourced.  The
+three hot request events — ``request.submit``, ``request.dispatch`` and
+``request.complete``, nearly every record of a traced run — are written
+through the typed :class:`~repro.obs.export.JsonlTraceWriter` methods
+of the same names (``request_submit`` and so on), which take the fields
+above positionally and write exactly the bytes ``emit`` would; every
+other type goes through ``emit``.
 """
 
 from __future__ import annotations

@@ -29,9 +29,8 @@ into the single-run shape every downstream consumer expects:
 
 from __future__ import annotations
 
-import heapq
 import os
-from itertools import chain, islice
+from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -53,8 +52,9 @@ PathLike = Union[str, Path]
 #: merge assigns its global ``seq``; the payload is emitted key-sorted.
 SynthesizedEvent = tuple[str, float, dict]
 
-#: Merged records per ``write``: one ``b"".join`` per block of lines.
-_WRITE_BLOCK = 4096
+#: Bytes per segment read (the ``readlines`` hint): the merge holds
+#: about one such block per segment, parsed.
+_READ_HINT = 1 << 16
 
 
 def shard_segment_path(trace_path: PathLike, shard_index: int) -> Path:
@@ -69,8 +69,9 @@ def shard_segment_path(trace_path: PathLike, shard_index: int) -> Path:
     return p.with_name(f"{p.stem}.shard{shard_index:04d}{p.suffix}")
 
 
-def _segment_lines(path: Path, shard: int) -> Iterator[tuple[float, int, int, bytes]]:
-    """Yield ``(t, shard, seq, body)`` for one segment, in file order.
+def _segment_blocks(path: Path, shard: int) -> Iterator[list[tuple[float, int, int, bytes]]]:
+    """Yield one segment's ``(t, shard, seq, body)`` records, in file
+    order, a block of about :data:`_READ_HINT` bytes at a time.
 
     Within a segment, records are already sorted by ``(t, seq)`` — the
     writer assigns ``seq`` in kernel dispatch order — so each segment is
@@ -83,27 +84,35 @@ def _segment_lines(path: Path, shard: int) -> Iterator[tuple[float, int, int, by
     (NaN/Infinity) or reads unlike the stdlib (a ``seq`` past 64 bits,
     which it reads as a float), then :func:`~repro.obs.export.splice_body`
     — so the merge accepts exactly what the stdlib does and every bad
-    line raises a ValueError naming ``path:lineno``.
+    line raises a ValueError naming ``path:lineno``.  Blank lines are
+    skipped; a block of only blank lines is not yielded.
     """
+    first = 1
     with path.open("rb") as fh:
-        for lineno, line in enumerate(map(bytes.strip, fh), start=1):
-            if not line:
-                continue
-            try:
-                record = _loads(line)
-            except JSONDecodeError:
-                record = None
-            if (type(record) is dict and "type" in record
-                    and type(seq := record.get("seq")) is int
-                    and type(t := record.get("t")) is float):
-                if seq >= 0:
-                    prefix = b'{"seq":%d,"t":' % seq
-                    if line.startswith(prefix):
-                        yield t, shard, seq, line[len(prefix) - 5:]
-                        continue
-            else:
-                record = _stdlib_record(line, path, lineno)
-            yield record["t"], shard, record["seq"], splice_body(line, path, lineno)
+        while lines := fh.readlines(_READ_HINT):
+            block = []
+            append = block.append
+            for lineno, line in enumerate(map(bytes.strip, lines), start=first):
+                if not line:
+                    continue
+                try:
+                    record = _loads(line)
+                except JSONDecodeError:
+                    record = None
+                if (type(record) is dict and "type" in record
+                        and type(seq := record.get("seq")) is int
+                        and type(t := record.get("t")) is float):
+                    if seq >= 0:
+                        prefix = b'{"seq":%d,"t":' % seq
+                        if line.startswith(prefix):
+                            append((t, shard, seq, line[len(prefix) - 5:]))
+                            continue
+                else:
+                    record = _stdlib_record(line, path, lineno)
+                append((record["t"], shard, record["seq"], splice_body(line, path, lineno)))
+            first += len(lines)
+            if block:
+                yield block
 
 
 def _stdlib_record(line: bytes, path: Path, lineno: int) -> dict:
@@ -118,7 +127,47 @@ def _stdlib_record(line: bytes, path: Path, lineno: int) -> dict:
     if type(t) not in (int, float) or type(seq) is not int:
         raise ValueError(f"{path}:{lineno}: canonical trace record needs a "
                          f"number 't' and an int 'seq', got t={t!r}, seq={seq!r}")
+    if t != t:  # orjson reads no NaN, so only this path can see one
+        raise ValueError(f"{path}:{lineno}: trace record has a NaN 't', "
+                         f"which has no place in time order")
     return record
+
+
+def _merged_batches(runs: list[Iterator[list[tuple[float, int, int, bytes]]]]
+                    ) -> Iterator[list[tuple[float, int, int, bytes]]]:
+    """K-way merge of sorted runs of record blocks, a sorted batch at a time.
+
+    Each round takes, from every run's current block, the records at or
+    below the smallest last key among those blocks: nothing unread can
+    sort below it, so the round's batch, sorted, is the next stretch of
+    the merged order.  The run that owned that key is drained and reads
+    its next block only after the batch is consumed, so at most one
+    block per run is held.  ``(t, shard, seq)`` is unique per record, so
+    the tuple comparisons never reach ``body``.
+    """
+    heads = [[block, 0, run] for run in runs if (block := next(run, None)) is not None]
+    while heads:
+        owner = min(heads, key=lambda head: head[0][-1])
+        bound = owner[0][-1]
+        batch: list[tuple[float, int, int, bytes]] = []
+        for head in heads:
+            block, at, _run = head
+            # the owner drains whole, so every round frees a block
+            end = len(block) if head is owner else bisect_right(block, bound, at)
+            batch += block[at:end]
+            head[1] = end
+        if len(heads) > 1:
+            batch.sort()
+        yield batch
+        live = []
+        for head in heads:
+            if head[1] == len(head[0]):
+                block = next(head[2], None)
+                if block is None:
+                    continue
+                head[0], head[1] = block, 0
+            live.append(head)
+        heads = live
 
 
 def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
@@ -136,29 +185,31 @@ def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
 
     Segments must be :class:`~repro.obs.export.JsonlTraceWriter` output:
     each record's bytes after its ``seq`` are copied, not re-encoded,
-    and a line without the canonical ``{"seq":<int>,"t":`` prefix is
-    rejected.  Streaming end to end (constant memory in the trace
-    length) and atomic: the merged trace appears at ``out_path`` only
-    when complete.  Returns the number of *data* records merged.
+    and a line without the canonical ``{"seq":<int>,"t":`` prefix, or
+    with a NaN ``t``, is rejected.  Streaming end to end (at most one
+    block of about :data:`_READ_HINT` bytes per segment in memory,
+    whatever the trace length) and atomic: the merged trace appears at
+    ``out_path`` only when complete.  Returns the number of *data*
+    records merged.
     """
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
     head = [record_bytes(t, type_, payload) for type_, t, payload in lead]
     foot = [record_bytes(t, type_, payload) for type_, t, payload in tail]
-    runs = [_segment_lines(Path(p), i) for i, p in enumerate(segments)]
-    # (t, shard, seq) is unique per record, so the bodies are never compared
-    data = (body for _t, _shard, _seq, body in heapq.merge(*runs))
-    lines = (b'{"seq":%d%b\n' % record
-             for record in enumerate(chain(head, data, foot)))
-    written = 0
+    runs = [_segment_blocks(Path(p), i) for i, p in enumerate(segments)]
+    written = len(head)
     try:
         with tmp.open("wb") as fh:  # repro: allow[IO001] streams to a .tmp sibling; published whole via os.replace below
-            while block := list(islice(lines, _WRITE_BLOCK)):
-                fh.write(b"".join(block))
-                written += len(block)
+            fh.write(b"".join([b'{"seq":%d%b\n' % record for record in enumerate(head)]))
+            for batch in _merged_batches(runs):
+                fh.write(b"".join([b'{"seq":%d%b\n' % (seq, record[3])
+                                   for seq, record in enumerate(batch, written)]))
+                written += len(batch)
+            fh.write(b"".join([b'{"seq":%d%b\n' % record
+                               for record in enumerate(foot, written)]))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, out)
-    return written - len(head) - len(foot)
+    return written - len(head)

@@ -162,6 +162,10 @@ class SpeedController:
                 (lambda d=disk_id: self._idle_expired(d)),
                 priority=10,
             )
+        # each timer's handle by disk id: a demand check cancels the timer
+        # and the submit behind it fires on_disk_busy, which would cancel
+        # it again, so both test the handle before calling anything
+        self._idle_handles = [self._timers[d].handle for d in range(array.n_disks)]
 
     # ------------------------------------------------------------------
     # hooks to wire into the array
@@ -173,7 +177,9 @@ class SpeedController:
 
     def on_disk_busy(self, disk_id: int) -> None:
         """Array hook: an idle drive received work — stop its idleness clock."""
-        self._timers[disk_id].cancel()
+        handle = self._idle_handles[disk_id]
+        if handle.seq >= 0:
+            self._sim.cancel(handle)
 
     # ------------------------------------------------------------------
     def _idle_expired(self, disk_id: int) -> None:
@@ -198,7 +204,9 @@ class SpeedController:
         drive = self._drives[disk_id]
         if drive.is_failed:
             return
-        self._timers[disk_id].cancel()
+        handle = self._idle_handles[disk_id]
+        if handle.seq >= 0:
+            self._sim.cancel(handle)
         if drive.effective_target_speed is _HIGH:
             return
         backlog = drive.queue_length + incoming_jobs

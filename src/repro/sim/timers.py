@@ -35,23 +35,26 @@ class ResettableTimer:
                  *, priority: int = 0) -> None:
         self._sim = sim
         self.interval = require_positive(interval, "interval")
-        self._handle = EventHandle(action, priority=priority)
+        #: The timer's one handle, pending exactly while the timer is
+        #: armed: a hot caller can test ``handle.seq >= 0`` and skip a
+        #: :meth:`cancel` that would be a no-op.
+        self.handle = EventHandle(action, priority=priority)
 
     @property
     def armed(self) -> bool:
         """Whether the timer currently has a pending expiry."""
-        return self._handle.pending
+        return self.handle.pending
 
     def arm(self) -> None:
         """Start (or restart) the countdown from the current sim time."""
-        self._sim.reschedule(self._handle, self.interval)
+        self._sim.reschedule(self.handle, self.interval)
 
     # reset is an alias that reads better at call sites reacting to activity
     reset = arm
 
     def cancel(self) -> None:
         """Stop the countdown; no-op when not armed."""
-        self._sim.cancel(self._handle)
+        self._sim.cancel(self.handle)
 
 
 class PeriodicTask:

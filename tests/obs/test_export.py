@@ -12,7 +12,7 @@ from repro.obs import events as ev
 from repro.obs.config import ObsConfig
 from repro.obs.events import TraceEvent
 from repro.obs.export import (JsonlTraceWriter, event_to_json, read_trace,
-                              record_bytes, timeseries_to_csv_text,
+                              record_body, record_bytes, timeseries_to_csv_text,
                               write_timeseries)
 from repro.obs.sampler import SAMPLE_COLUMNS, TimeSeries
 
@@ -161,6 +161,104 @@ class TestWriterEmitMatchesEventToJson:
         assert path.read_bytes() == "".join(expected).encode()
 
 
+#: What the drive passes in the typed encoders' float fields, and the
+#: values around them: every edge of the orjson domain, NaN and the
+#: infinities, subnormals, float subclasses, bools and ints, in and past
+#: 64 bits (written alike by both encoders, or raising orjson).
+_TYPED_FLOATS = (_FAST_FLOATS | _EDGE_FLOATS | _NEAR_EDGE_FLOATS | _FLOATS
+                 | _FAST_TIMES.map(np.float64) | st.booleans()
+                 | st.integers(min_value=-2**70, max_value=2**70))
+_TYPED_DISKS = st.integers(0, 63) | st.sampled_from([2**63 - 1, 2**64 - 1, 2**64, 2**70])
+_TYPED_FILES = st.none() | st.integers(0, 9)
+_TYPED_REMAPS = st.none() | st.tuples(
+    st.integers(0, 1000),
+    st.lists(st.integers(0, 2**40) | st.sampled_from([2**64 - 1, 2**64, 2**70]),
+             min_size=10, max_size=10))
+#: One drive event: the typed method, the generic ``emit`` call it
+#: stands for (type, kwargs), and its positional arguments.
+_TYPED_EVENTS = st.one_of(
+    st.tuples(st.just("request_submit"), _TYPED_FLOATS, _TYPED_DISKS, _TYPED_FLOATS,
+              st.booleans(), _TYPED_FILES),
+    st.tuples(st.just("request_dispatch"), _TYPED_FLOATS, _TYPED_DISKS, _TYPED_FLOATS,
+              _TYPED_FLOATS, st.booleans()),
+    st.tuples(st.just("request_complete"), _TYPED_FLOATS, _TYPED_DISKS, _TYPED_FLOATS,
+              _TYPED_FLOATS, st.booleans()),
+    # a generic record between them shares the seq space
+    st.tuples(st.just("emit"), _TYPED_FLOATS, _TYPED_DISKS))
+
+
+def _as_emit(method, time, disk, *rest):
+    """The ``emit`` arguments a typed call stands for."""
+    if method == "request_submit":
+        size_mb, internal, file = rest
+        return ev.REQUEST_SUBMIT, time, dict(disk=disk, size_mb=size_mb,
+                                             internal=internal, file=file)
+    if method == "request_dispatch":
+        wait_s, service_s, internal = rest
+        return ev.REQUEST_DISPATCH, time, dict(disk=disk, wait_s=wait_s,
+                                               service_s=service_s, internal=internal)
+    if method == "request_complete":
+        size_mb, sojourn_s, internal = rest
+        return ev.REQUEST_COMPLETE, time, dict(disk=disk, size_mb=size_mb,
+                                               sojourn_s=sojourn_s, internal=internal)
+    return ev.POLICY_SPIN_DOWN, time, dict(disk=disk)
+
+
+class TestTypedRequestEncoders:
+    """The writer's typed request methods write what :meth:`emit` writes:
+    ``json.dumps`` of the canonical record, ids remapped first."""
+
+    @staticmethod
+    def _write(path, remap, events, typed):
+        with JsonlTraceWriter(path, remap=remap) as writer:
+            for method, *args in events:
+                if typed and method != "emit":
+                    getattr(writer, method)(*args)
+                else:
+                    type_, time, data = _as_emit(method, *args)
+                    writer.emit(type_, time, **data)
+        assert writer.events_written == len(events)
+        return path.read_bytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(events=st.lists(_TYPED_EVENTS, min_size=1, max_size=5), remap=_TYPED_REMAPS)
+    def test_same_bytes_as_emit_and_json_dumps(self, tmp_path_factory, events, remap):
+        folder = tmp_path_factory.mktemp("typed")
+        typed = self._write(folder / "typed.jsonl", remap, events, typed=True)
+        generic = self._write(folder / "generic.jsonl", remap, events, typed=False)
+        expected = []
+        for seq, (method, *args) in enumerate(events):
+            type_, time, data = _as_emit(method, *args)
+            if remap is not None:
+                offset, files = remap
+                data["disk"] += offset
+                if data.get("file") is not None:
+                    data["file"] = files[data["file"]]
+            event = TraceEvent(seq, time, type_, data)
+            expected.append(_reference_event_to_json(event) + "\n")
+        assert typed == generic == "".join(expected).encode()
+
+    @pytest.mark.parametrize("method, args", [
+        ("request_submit", (float("nan"), 1, 2.0, False, None)),
+        ("request_submit", (1.5, 2**64, 2.0, True, 3)),
+        ("request_submit", (1.5, 1, np.float64(2.0), False, 3)),
+        ("request_dispatch", (float("inf"), 1, 0.5, 0.5, False)),
+        ("request_dispatch", (1.5, 1, 5e-324, 0.5, True)),
+        ("request_dispatch", (1.5, 1, 0.5, 1e16, False)),
+        ("request_complete", (1e-5, 1, 2.0, 0.5, False)),
+        ("request_complete", (1.5, 1, 2.0, -float("inf"), True)),
+        ("request_complete", (1.5, 1, True, 3, False)),
+    ])
+    def test_out_of_domain_takes_record_body(self, tmp_path, method, args):
+        path = tmp_path / "t.jsonl"
+        with JsonlTraceWriter(path) as writer:
+            writer.emit(ev.ENGINE_START, 0.0)
+            getattr(writer, method)(*args)
+        type_, time, data = _as_emit(method, *args)
+        line = path.read_bytes().splitlines(keepends=True)[1]
+        assert line == b'{"seq":1%b\n' % record_body(time, type_, data).encode()
+
+
 class TestJsonlTraceWriter:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -178,8 +276,12 @@ class TestJsonlTraceWriter:
         writer = JsonlTraceWriter(tmp_path / "t.jsonl")
         writer.close()
         writer.close()  # idempotent
-        with pytest.raises(ValueError, match="closed"):
-            writer.emit("x", 0.0)
+        for call in (lambda: writer.emit("x", 0.0),
+                     lambda: writer.request_submit(0.5, 0, 1.0, False, None),
+                     lambda: writer.request_dispatch(0.5, 0, 0.0, 0.1, False),
+                     lambda: writer.request_complete(0.5, 0, 1.0, 0.1, False)):
+            with pytest.raises(ValueError, match="closed"):
+                call()
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.jsonl"
@@ -233,17 +335,26 @@ class TestCrashSafety:
         fileset, trace = small_workload
         path = tmp_path / "run.jsonl"
         obs = ObsConfig(trace_path=path)
-        original = JsonlTraceWriter.emit
         written = []
 
-        def exploding_emit(self, type_, t, **data):
-            if type_ == ev.REQUEST_SUBMIT and ev.REQUEST_SUBMIT in written:
-                raise RuntimeError("simulated mid-run crash")
-            original(self, type_, t, **data)
-            written.append(type_)
+        def recording(method, type_):
+            original = getattr(JsonlTraceWriter, method)
+
+            def record(self, *args, **kwargs):
+                if type_ == ev.REQUEST_SUBMIT and ev.REQUEST_SUBMIT in written:
+                    raise RuntimeError("simulated mid-run crash")
+                original(self, *args, **kwargs)
+                written.append(type_ or args[0])
+            return record
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(JsonlTraceWriter, "emit", exploding_emit)
+            # the drive writes the request lifecycle through the typed
+            # methods; the crash strikes at the second request.submit
+            for method, type_ in (("emit", None),
+                                  ("request_submit", ev.REQUEST_SUBMIT),
+                                  ("request_dispatch", ev.REQUEST_DISPATCH),
+                                  ("request_complete", ev.REQUEST_COMPLETE)):
+                mp.setattr(JsonlTraceWriter, method, recording(method, type_))
             with pytest.raises(RuntimeError, match="mid-run"):
                 run_simulation(make_policy("static-high"), fileset, trace,
                                n_disks=4, disk_params=params, obs=obs)

@@ -5,15 +5,20 @@ The contracts under test (:mod:`repro.obs.federate`):
 * :func:`merge_trace_files` interleaves per-shard segments by
   ``(time, segment index, seq)``, renumbers ``seq`` globally, and
   shares that sequence space with synthesized lead/tail events —
-  streaming and atomic, rejecting any bad line by ``path:lineno``;
+  streaming in blocks (the bytes of a per-record ``heapq.merge``) and
+  atomic, rejecting any bad line by ``path:lineno``;
 * :func:`shard_segment_path` names segments so lexicographic order is
   shard order.
 """
 
+import heapq
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import federate
 from repro.obs.events import TraceEvent
 from repro.obs.export import event_to_json, read_trace
 from repro.obs.federate import merge_trace_files, shard_segment_path
@@ -150,11 +155,20 @@ class TestMergeSplicesSegmentBytes:
         # orjson rejects NaN/Infinity; the stdlib fallback reads the line
         seg = self._writer_segment(tmp_path / "s0.jsonl", [
             (0, 0.5, "request.fail", {"x": float("nan"), "y": float("-inf")}),
-            (1, float("nan"), "request.fail", {"big": 2**70}),
-            (2, 1.0, "request.fail", {"disk": 1})])
+            (1, 1.0, "request.fail", {"big": 2**70}),
+            (2, float("inf"), "request.fail", {"disk": 1})])
         out = tmp_path / "merged.jsonl"
         assert merge_trace_files([seg], out) == 3
         assert out.read_bytes() == seg.read_bytes()
+
+    def test_nan_time_rejected(self, tmp_path):
+        # a NaN t has no place in time order: the merge names its line
+        seg = self._writer_segment(tmp_path / "s0.jsonl", [
+            (0, 0.5, "request.fail", {}), (1, float("nan"), "request.fail", {})])
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ValueError, match=r"s0\.jsonl:2: .*NaN 't'"):
+            merge_trace_files([seg], out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [
         '{"t":1.0,"seq":0,"type":"x"}',
@@ -188,3 +202,120 @@ class TestMergeSplicesSegmentBytes:
         assert [r["disk"] for r in read_trace(out)] == [4, 5, 9]
         merge_trace_files([s0, s1], out)
         assert [r["disk"] for r in read_trace(out)] == [4, 9, 5]
+
+
+def _heapq_reference(paths):
+    """The merged data bytes by a per-record ``heapq.merge`` of
+    ``(t, shard, seq, body)``, each line read by the stdlib."""
+    runs = []
+    for shard, path in enumerate(paths):
+        run = []
+        for line in path.read_bytes().splitlines():
+            line = line.strip()
+            if line:
+                record = json.loads(line)
+                run.append((record["t"], shard, record["seq"], line[line.index(b',"t":'):]))
+        runs.append(run)
+    return b"".join(b'{"seq":%d%b\n' % (n, record[3])
+                    for n, record in enumerate(heapq.merge(*runs)))
+
+
+#: A segment as the writer leaves it: times non-decreasing, seq 0, 1, ...;
+#: few distinct times, so ties across segments are common, and blank
+#: lines anywhere.
+_SEGMENTS = st.lists(st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                              max_size=60), min_size=1, max_size=5)
+
+
+def _corpus(folder, segments):
+    paths = []
+    for shard, steps in enumerate(segments):
+        t, lines = 0.25, []
+        for seq, (step, blank) in enumerate(steps):
+            t += step / 4
+            if blank:
+                lines.append("")
+            lines.append(event_to_json(TraceEvent(seq, t, "request.submit",
+                                                  {"disk": shard, "pad": "x" * (seq % 7)})))
+        path = folder / f"s{shard}.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+class TestBatchedMerge:
+    """The merge reads each segment in blocks of about ``_READ_HINT``
+    bytes and writes sorted batches; its bytes are those of a per-record
+    ``heapq.merge`` whatever the block boundaries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(segments=_SEGMENTS, hint=st.sampled_from([1, 60, 200, 1000, 1 << 16]))
+    def test_same_bytes_as_heapq_merge(self, tmp_path_factory, segments, hint):
+        folder = tmp_path_factory.mktemp("corpus")
+        paths = _corpus(folder, segments)
+        out = folder / "merged.jsonl"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federate, "_READ_HINT", hint)
+            n = merge_trace_files(paths, out)
+        expected = _heapq_reference(paths)
+        assert n == expected.count(b"\n")
+        assert out.read_bytes() == expected
+
+    def test_tie_on_a_block_boundary(self, tmp_path, monkeypatch):
+        # one line per block: each segment's t=1.0 record ends its block
+        # while the other segment's t=1.0 record starts the next one
+        s0 = _write_segment(tmp_path / "s0.jsonl", [
+            (0, 0.5, "request.submit", {"disk": 0}), (1, 1.0, "request.submit", {"disk": 0}),
+            (2, 1.0, "request.complete", {"disk": 0}), (3, 2.0, "request.submit", {"disk": 0})])
+        s1 = _write_segment(tmp_path / "s1.jsonl", [
+            (0, 1.0, "request.submit", {"disk": 1}), (1, 1.0, "request.complete", {"disk": 1}),
+            (2, 1.5, "request.submit", {"disk": 1})])
+        monkeypatch.setattr(federate, "_READ_HINT", 1)
+        out = tmp_path / "merged.jsonl"
+        assert merge_trace_files([s0, s1], out) == 7
+        assert out.read_bytes() == _heapq_reference([s0, s1])
+        assert [(r["t"], r["disk"]) for r in read_trace(out)] == [
+            (0.5, 0), (1.0, 0), (1.0, 0), (1.0, 1), (1.0, 1), (1.5, 1), (2.0, 0)]
+
+    def test_bad_line_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        good = [(seq, 0.5 * seq, "request.submit", {"disk": 0}) for seq in range(50)]
+        seg = _write_segment(tmp_path / "s0.jsonl", good)
+        # blank lines count: the bad record is line 54 of the file
+        seg.write_text(seg.read_text() + "\n\n\n{not json\n", encoding="utf-8")
+        other = _write_segment(tmp_path / "s1.jsonl", good)
+        monkeypatch.setattr(federate, "_READ_HINT", 100)
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ValueError, match=r"s0\.jsonl:54: not a JSON trace record"):
+            merge_trace_files([other, seg], out)
+        assert not out.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_holds_at_most_one_block_per_segment(self, tmp_path, monkeypatch):
+        """A segment reads its next block only once its last one is all
+        written, so the merge holds at most k blocks however long the
+        segments are."""
+        paths = _corpus(tmp_path, [[(seq % 3, False) for seq in range(400)],
+                                   [(seq % 2, seq % 9 == 0) for seq in range(300)],
+                                   [(3, False)] * 100])
+        monkeypatch.setattr(federate, "_READ_HINT", 256)
+        pulled = [0] * len(paths)
+        written = [0] * len(paths)
+        blocks = [0] * len(paths)
+
+        def counted(run, shard):
+            for block in run:
+                assert written[shard] == pulled[shard], "read ahead of the writer"
+                pulled[shard] += len(block)
+                blocks[shard] += 1
+                yield block
+
+        runs = [counted(federate._segment_blocks(p, i), i) for i, p in enumerate(paths)]
+        merged = []
+        for batch in federate._merged_batches(runs):
+            for record in batch:
+                written[record[1]] += 1
+            merged += batch
+        assert written == pulled == [400, 300, 100]
+        assert min(blocks) > 10  # many blocks per segment
+        assert b"".join(b'{"seq":%d%b\n' % (n, record[3]) for n, record in
+                        enumerate(merged)) == _heapq_reference(paths)
