@@ -5,13 +5,19 @@
 * hot-file replication (paper future work 1);
 * RAID-0 striping (paper future work 2) on a media-heavy workload;
 * the failure Monte Carlo downstream of PRESS: expected failures and
-  data-loss probability per scheme, with and without parity redundancy.
+  data-loss probability per scheme, with and without parity redundancy;
+* the same Monte Carlo (fixed rebuilds) against the CTMC (exponential
+  rebuilds) at an accelerated rate: the gap the CTMC's repair
+  assumption opens.
 """
+
+import math
 
 import numpy as np
 
 from conftest import record_table
-from repro.experiments.failures import simulate_failures
+from repro.redundancy import SCHEME_PRESETS, GroupScheme, assess_scheme, simulate_failures
+from repro.redundancy.ctmc import HOURS_PER_YEAR
 from repro.util.tables import format_table
 from repro.experiments.runner import ExperimentConfig, make_policy, run_simulation
 from repro.workload.files import FileSet
@@ -95,13 +101,15 @@ def test_failure_monte_carlo_downstream(benchmark, light_config, scale_params):
                 for name in ("read", "maid", "pdc")}
 
     results = benchmark.pedantic(run_three, rounds=1, iterations=1)
+    raid5 = GroupScheme(name="raid5", kind="parity", group_size=10, data_shards=9,
+                        replicas=1, fault_domains=10)
     rows = []
     for name, r in results.items():
         afrs = [f.afr_percent for f in r.per_disk]
-        bare = simulate_failures(afrs, years=5.0, n_trials=1_000,
-                                 redundancy="none", seed=1)
-        raid = simulate_failures(afrs, years=5.0, n_trials=1_000,
-                                 redundancy="parity", repair_hours=24.0, seed=1)
+        bare = simulate_failures(SCHEME_PRESETS["none"], afrs, rebuild_hours=24.0,
+                                 years=5.0, n_trials=20_000, seed=1)
+        raid = simulate_failures(raid5, afrs, rebuild_hours=24.0, years=5.0,
+                                 n_trials=20_000, seed=1)
         rows.append({
             "scheme": name,
             "E[failures]/5yr": f"{bare.expected_failures:.2f}",
@@ -112,3 +120,46 @@ def test_failure_monte_carlo_downstream(benchmark, light_config, scale_params):
                  format_table(rows))
     by = {r["scheme"]: r for r in rows}
     assert float(by["read"]["E[failures]/5yr"]) <= float(by["pdc"]["E[failures]/5yr"])
+
+
+def test_monte_carlo_vs_ctmc(benchmark):
+    """Fixed vs exponential rebuilds: loss events per year at lam = 1/yr."""
+    afr = 100.0 * -math.expm1(-1.0)
+    years, n_trials, n_disks = 5.0, 20_000, 8
+
+    def run_grid():
+        out = []
+        for name in ("mirror2", "block4-2"):
+            scheme = SCHEME_PRESETS[name]
+            for rebuild_hours in (87.66, 262.98, 876.6):
+                mc = simulate_failures(scheme, [afr] * n_disks,
+                                       rebuild_hours=rebuild_hours, years=years,
+                                       n_trials=n_trials, seed=1)
+                ctmc = assess_scheme(scheme, [afr] * n_disks,
+                                     rebuild_hours=rebuild_hours,
+                                     mission_years=years)
+                out.append((name, rebuild_hours, mc, ctmc))
+        return out
+
+    grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+    rows = []
+    for name, rebuild_hours, mc, ctmc in grid:
+        events = round(mc.mean_loss_events * n_trials)
+        measured = mc.mean_loss_events / years
+        rows.append({
+            "scheme": name,
+            "rebuild_h": f"{rebuild_hours:g}",
+            "lam*w": f"{rebuild_hours / HOURS_PER_YEAR:g}",
+            "MC loss events": events,
+            "MC loss/yr": f"{measured:.3e}",
+            "CTMC loss/yr": f"{ctmc.loss_events_per_year:.3e}",
+            "MC/CTMC": f"{measured / ctmc.loss_events_per_year:.3f}",
+            "+-2 sigma": f"{2.0 / math.sqrt(max(events, 1)):.3f}",
+        })
+    record_table(f"Monte Carlo (fixed rebuild) vs CTMC (exponential rebuild), "
+                 f"{n_disks} disks, lam = 1/yr, {n_trials:,} x {years:g} yr",
+                 format_table(rows))
+    for name, rebuild_hours, mc, ctmc in grid:
+        # the two agree to first order in lam * w wherever losses are counted
+        assert mc.mean_loss_events > 0
+        assert 0.5 < mc.mean_loss_events / years / ctmc.loss_events_per_year < 2.0

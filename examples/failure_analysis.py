@@ -2,20 +2,24 @@
 """From AFR to operator reality: failures, rebuilds, and data loss.
 
 PRESS stops at an Annualized Failure Rate.  This example carries each
-scheme's per-disk AFRs into a Monte Carlo of the failure process over a
-5-year deployment and asks the questions an operator actually budgets
-for: how many disk swaps, and what is the probability of losing data —
-without redundancy, with RAID-5 parity, and as a function of rebuild
+policy's per-disk AFRs into a Monte Carlo of the failure process over a
+5-year deployment (``repro.redundancy.simulate_failures``: each disk
+fails at its own rate and is down for a fixed rebuild) and asks the
+questions an operator actually budgets for: how many disk swaps, and
+what is the probability of losing data — without redundancy, with the
+whole array as one RAID-5 parity group, and as a function of rebuild
 speed.
 """
 
 from repro import ExperimentConfig, make_policy, run_simulation
-from repro.experiments.failures import simulate_failures
+from repro.redundancy import SCHEME_PRESETS, GroupScheme, simulate_failures
 from repro.util.tables import format_table
 from repro.workload import SyntheticWorkloadConfig
 
 YEARS = 5.0
 N_DISKS = 10
+RAID5 = GroupScheme(name="raid5", kind="parity", group_size=N_DISKS,
+                    data_shards=N_DISKS - 1, replicas=1, fault_domains=N_DISKS)
 
 
 def main() -> None:
@@ -31,12 +35,12 @@ def main() -> None:
     rows = []
     for name, result in results.items():
         afrs = [f.afr_percent for f in result.per_disk]
-        none = simulate_failures(afrs, years=YEARS, n_trials=2_000,
-                                 redundancy="none", seed=1)
-        raid_fast = simulate_failures(afrs, years=YEARS, n_trials=2_000,
-                                      redundancy="parity", repair_hours=12.0, seed=1)
-        raid_slow = simulate_failures(afrs, years=YEARS, n_trials=2_000,
-                                      redundancy="parity", repair_hours=24 * 7, seed=1)
+        none = simulate_failures(SCHEME_PRESETS["none"], afrs, rebuild_hours=12.0,
+                                 years=YEARS, n_trials=2_000, seed=1)
+        raid_fast = simulate_failures(RAID5, afrs, rebuild_hours=12.0,
+                                      years=YEARS, n_trials=2_000, seed=1)
+        raid_slow = simulate_failures(RAID5, afrs, rebuild_hours=24 * 7,
+                                      years=YEARS, n_trials=2_000, seed=1)
         rows.append({
             "scheme": name,
             "array_AFR_%": f"{result.array_afr_percent:.2f}",

@@ -25,7 +25,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.costmodel import CostAssumptions, WorthwhileVerdict, evaluate_worthwhileness
 from repro.util.tables import format_table, format_series
-from repro.experiments.failures import FailureAnalysis, simulate_failures
 from repro.experiments.report import render_markdown_report, write_markdown_report
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "evaluate_worthwhileness",
     "format_table",
     "format_series",
-    "FailureAnalysis",
-    "simulate_failures",
     "render_markdown_report",
     "write_markdown_report",
 ]

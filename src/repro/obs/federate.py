@@ -29,6 +29,7 @@ into the single-run shape every downstream consumer expects:
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_right
 from pathlib import Path
@@ -73,13 +74,15 @@ def _segment_blocks(path: Path, shard: int) -> Iterator[list[tuple[float, int, i
     """Yield one segment's ``(t, shard, seq, body)`` records, in file
     order, a block of about :data:`_READ_HINT` bytes at a time.
 
-    Within a segment, records are already sorted by ``(t, seq)`` — the
-    writer assigns ``seq`` in kernel dispatch order — so each segment is
-    a sorted run for the k-way merge.  Each line is parsed in full by
-    orjson.  A line it reads as a dict with a ``type``, an int
-    ``seq >= 0`` and a float ``t``, and which starts with
-    ``{"seq":<seq>,"t":``, is canonical, and its body is the slice after
-    ``seq``.  Every other line takes the exact path:
+    Within a segment, records are sorted by ``(t, seq)`` — the writer
+    assigns ``seq`` in kernel dispatch order — so each segment is a
+    sorted run for the k-way merge; a record whose ``(t, seq)`` does not
+    strictly follow the one before it raises a ValueError naming
+    ``path:lineno``, since the merge would write it out of time order.
+    Each line is parsed in full by orjson.  A line it reads as a dict
+    with a ``type``, an int ``seq >= 0`` and a float ``t``, and which
+    starts with ``{"seq":<seq>,"t":``, is canonical, and its body is the
+    slice after ``seq``.  Every other line takes the exact path:
     :func:`~repro.obs.export.parse_record` for whatever orjson rejects
     (NaN/Infinity) or reads unlike the stdlib (a ``seq`` past 64 bits,
     which it reads as a float), then :func:`~repro.obs.export.splice_body`
@@ -88,6 +91,7 @@ def _segment_blocks(path: Path, shard: int) -> Iterator[list[tuple[float, int, i
     skipped; a block of only blank lines is not yielded.
     """
     first = 1
+    last_t, last_seq = -math.inf, -1
     with path.open("rb") as fh:
         while lines := fh.readlines(_READ_HINT):
             block = []
@@ -102,14 +106,21 @@ def _segment_blocks(path: Path, shard: int) -> Iterator[list[tuple[float, int, i
                 if (type(record) is dict and "type" in record
                         and type(seq := record.get("seq")) is int
                         and type(t := record.get("t")) is float):
-                    if seq >= 0:
-                        prefix = b'{"seq":%d,"t":' % seq
-                        if line.startswith(prefix):
-                            append((t, shard, seq, line[len(prefix) - 5:]))
-                            continue
+                    if seq >= 0 and line.startswith(prefix := b'{"seq":%d,"t":' % seq):
+                        body = line[len(prefix) - 5:]
+                    else:
+                        body = splice_body(line, path, lineno)
                 else:
                     record = _stdlib_record(line, path, lineno)
-                append((record["t"], shard, record["seq"], splice_body(line, path, lineno)))
+                    t, seq = record["t"], record["seq"]
+                    body = splice_body(line, path, lineno)
+                if t < last_t or (t == last_t and seq <= last_seq):
+                    raise ValueError(
+                        f"{path}:{lineno}: record (t={t!r}, seq={seq}) does not "
+                        f"follow (t={last_t!r}, seq={last_seq}): a segment must "
+                        f"be sorted by (t, seq)")
+                last_t, last_seq = t, seq
+                append((t, shard, seq, body))
             first += len(lines)
             if block:
                 yield block
@@ -185,8 +196,9 @@ def merge_trace_files(segments: Sequence[PathLike], out_path: PathLike, *,
 
     Segments must be :class:`~repro.obs.export.JsonlTraceWriter` output:
     each record's bytes after its ``seq`` are copied, not re-encoded,
-    and a line without the canonical ``{"seq":<int>,"t":`` prefix, or
-    with a NaN ``t``, is rejected.  Streaming end to end (at most one
+    and a line without the canonical ``{"seq":<int>,"t":`` prefix, with
+    a NaN ``t``, or out of ``(t, seq)`` order in its segment, is
+    rejected.  Streaming end to end (at most one
     block of about :data:`_READ_HINT` bytes per segment in memory,
     whatever the trace length) and atomic: the merged trace appears at
     ``out_path`` only when complete.  Returns the number of *data*

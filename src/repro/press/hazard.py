@@ -1,9 +1,11 @@
-"""AFR-to-hazard-rate conversion shared by the fault injector and the
-Monte Carlo failure analysis.
+"""AFR-to-hazard-rate conversion: the one place a PRESS AFR becomes a
+failure rate.
 
-This lives in :mod:`repro.press` (not :mod:`repro.experiments`) because
-it is pure reliability math on PRESS's output — and because both
-:mod:`repro.faults` and :mod:`repro.experiments` consume it, it must sit
+Its consumers are the fault injector (:mod:`repro.faults.injector`),
+the CTMC (:mod:`repro.redundancy.ctmc`) and the failure Monte Carlo
+(:mod:`repro.redundancy.montecarlo`).  It lives in :mod:`repro.press`
+because it is pure reliability math on PRESS's output, and because both
+:mod:`repro.faults` and :mod:`repro.redundancy` consume it, it must sit
 below both in the import layering (ARCH001).
 """
 

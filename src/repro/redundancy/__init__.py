@@ -12,6 +12,9 @@ The paper's fault model is mirror-only and its array reliability is
 * :mod:`repro.redundancy.ctmc` — a continuous-time Markov-chain
   reliability model (MTTDL and P(data loss within mission time)) that
   cross-checks PRESS's max-AFR aggregation inside the cost model;
+* :mod:`repro.redundancy.montecarlo` — a Monte Carlo of the same loss
+  units with fixed-length rebuilds (expected failures, P(data loss)),
+  the reference for the CTMC's exponential-repair assumption;
 * :mod:`repro.redundancy.metrics` — the run-level tracker/summary pair
   mirroring :mod:`repro.faults.metrics`.
 
@@ -23,6 +26,7 @@ conversion it reuses) and ``repro.faults`` / ``repro.experiments``
 from repro.redundancy.ctmc import CtmcResult, assess_scheme, mirror_mttdl_closed_form
 from repro.redundancy.groups import GroupHealth, RedundancyGroups
 from repro.redundancy.metrics import RedundancySummary, RedundancyTracker
+from repro.redundancy.montecarlo import FailureAnalysis, simulate_failures
 from repro.redundancy.scheme import (
     GroupScheme,
     SCHEME_PRESETS,
@@ -31,6 +35,7 @@ from repro.redundancy.scheme import (
 
 __all__ = [
     "CtmcResult",
+    "FailureAnalysis",
     "GroupHealth",
     "GroupScheme",
     "RedundancyGroups",
@@ -40,4 +45,5 @@ __all__ = [
     "assess_scheme",
     "mirror_mttdl_closed_form",
     "parse_redundancy_spec",
+    "simulate_failures",
 ]

@@ -227,23 +227,6 @@ class CtmcResult:
         }
 
 
-def _loss_units(scheme: GroupScheme,
-                groups: RedundancyGroups) -> list[tuple[int, ...]]:
-    """Disk-id tuples of every independent data-loss unit."""
-    units: list[tuple[int, ...]] = []
-    for g in range(groups.n_groups):
-        members = groups.members(g)
-        if scheme.kind != "mirror":
-            units.append(tuple(members))
-            continue
-        stride = scheme.group_size // scheme.replicas
-        base = members.start
-        for local in range(stride):
-            units.append(tuple(base + local + i * stride
-                               for i in range(scheme.replicas)))
-    return units
-
-
 def assess_scheme(scheme: GroupScheme,
                   per_disk_afr_percent: Sequence[float], *,
                   rebuild_hours: float,
@@ -272,7 +255,7 @@ def assess_scheme(scheme: GroupScheme,
     worst_p = 0.0
     log_survival = 0.0
     cache: dict[float, tuple[float, float]] = {}
-    units = _loss_units(scheme, groups)
+    units = groups.loss_units()
     for unit in units:
         lam = max(rates[d] for d in unit)
         if lam not in cache:

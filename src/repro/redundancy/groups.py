@@ -118,6 +118,18 @@ class RedundancyGroups:
         return tuple(base + local + i * self._stride
                      for i in range(scheme.replicas))
 
+    def loss_units(self) -> list[tuple[int, ...]]:
+        """Disk ids of every independent data-loss unit, in disk order.
+
+        A parity (or ``none``) group loses data as a whole; a mirror
+        group splits into its replica sets, each of which loses data
+        only when every copy is down.  The units partition the array.
+        """
+        per_group = self.scheme.group_size // self.scheme.loss_unit_size
+        return [self.copy_disks(base + local)
+                for base in range(0, self.n_disks, self.scheme.group_size)
+                for local in range(per_group)]
+
     # ------------------------------------------------------------------
     # degraded-mode serving and rebuild
     # ------------------------------------------------------------------

@@ -105,6 +105,28 @@ class TestMergeTraceFiles:
         with pytest.raises(ValueError, match="missing 'type'"):
             merge_trace_files([bad], tmp_path / "merged.jsonl")
 
+    @pytest.mark.parametrize("payload", [{}, {"x": float("nan")}],
+                             ids=["orjson", "stdlib"])
+    def test_segment_out_of_time_order_rejected(self, tmp_path, payload):
+        # the NaN payload makes orjson refuse the line, so the stdlib
+        # parse must check the order too
+        s0 = _write_segment(tmp_path / "s0.jsonl", [
+            (0, 5.0, "request.submit", {}),
+            (1, 1.0, "request.submit", payload)])
+        s1 = _write_segment(tmp_path / "s1.jsonl", [
+            (0, 3.0, "request.submit", {})])
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ValueError, match=r"s0\.jsonl:2: .*sorted by \(t, seq\)"):
+            merge_trace_files([s0, s1], out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seqs", [(1, 0), (0, 0)])
+    def test_time_tie_needs_rising_seq(self, tmp_path, seqs):
+        seg = _write_segment(tmp_path / "s0.jsonl", [
+            (seq, 2.0, "request.submit", {}) for seq in seqs])
+        with pytest.raises(ValueError, match=r"s0\.jsonl:2: "):
+            merge_trace_files([seg], tmp_path / "merged.jsonl")
+
     def test_merge_independent_of_segment_groupings(self, tmp_path):
         """The merged bytes depend on the records, not their split."""
         records = [(i, float(t), "request.submit", {"disk": 0})

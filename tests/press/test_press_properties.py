@@ -18,7 +18,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.failures import annual_failure_rate_to_rate
+from repro.press.hazard import annual_failure_rate_to_rate
 from repro.press.frequency import EQ3_COEFFICIENTS
 from repro.press.model import DiskFactors, PRESSModel
 

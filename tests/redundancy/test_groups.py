@@ -39,6 +39,22 @@ class TestMembership:
             assert len(copies) == 3
             assert sorted(g.domain_of(c) for c in copies) == [0, 1, 2]
 
+    @pytest.mark.parametrize("name", sorted(SCHEME_PRESETS))
+    def test_loss_units_partition_the_array(self, name):
+        scheme = SCHEME_PRESETS[name]
+        g = RedundancyGroups(scheme, 2 * scheme.group_size)
+        units = g.loss_units()
+        assert sorted(d for unit in units for d in unit) == list(range(g.n_disks))
+        assert {len(unit) for unit in units} == {scheme.loss_unit_size}
+        # disk order: by group, then by the unit's first member
+        assert [unit[0] for unit in units] == sorted(unit[0] for unit in units)
+        for unit in units:
+            assert g.copy_disks(unit[0]) == unit
+
+    def test_mirror3dc_units_are_replica_sets(self):
+        g = RedundancyGroups(SCHEME_PRESETS["mirror3dc"], 9)
+        assert g.loss_units() == [(0, 3, 6), (1, 4, 7), (2, 5, 8)]
+
 
 class TestReconstruction:
     def test_parity_needs_k_survivors(self):

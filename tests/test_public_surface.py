@@ -106,6 +106,7 @@ KNOB_TARGETS = {
     "repro.experiments.runner": ("run_simulation",),
     "repro.experiments.figures": ("figure7_comparison",),
     "repro.experiments.resilience": ("ResilienceConfig",),
+    "repro.redundancy.montecarlo": ("simulate_failures",),
 }
 
 #: ``target.option`` -> why the option stays although only tests set it.
