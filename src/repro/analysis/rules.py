@@ -247,7 +247,7 @@ class AtomicArtifactWrites(Rule):
 
 
 # ----------------------------------------------------------------------
-# OBS001 — TraceBus.emit only with registered event names
+# OBS001 — `.emit` only with registered event names
 # ----------------------------------------------------------------------
 @register
 class RegisteredEventsOnly(Rule):

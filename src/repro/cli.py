@@ -26,8 +26,8 @@ The commands mirror the library's main entry points:
 ``simulate`` and ``sweep`` accept telemetry flags
 (``--trace-out``, ``--metrics-out``, ``--sample-interval``) that attach
 the :mod:`repro.obs` layer to the run; ``sweep`` additionally takes
-``--status-out`` for a crash-safe live progress feed folded from the
-harness span events.  ``simulate``, ``sweep`` and ``worthwhile``
+``--status-out`` for a crash-safe live progress feed of the sweep
+executor's own ledger.  ``simulate``, ``sweep`` and ``worthwhile``
 accept ``--redundancy`` to lay the array
 out in k-of-n groups (see :mod:`repro.redundancy`).  Unsupported flag
 combinations (``--faults`` with ``--shards``) fail fast with a
@@ -278,11 +278,13 @@ def _validate_sweep_combos(args: argparse.Namespace, policies: list[str]) -> Non
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import dataclasses
     from pathlib import Path
 
     from repro.experiments.figures import figure7_comparison
     from repro.experiments.report import write_markdown_report
     from repro.experiments.resilience import ResilienceConfig
+    from repro.obs.status import format_ledger
 
     if args.verbose:
         from repro.obs import setup_logging
@@ -303,29 +305,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     disk_counts = [int(d) for d in args.disks.split(",")]
     obs = _obs_config(args)
     status_writer = None
-    bus = None
     if args.status_out is not None:
-        from repro.obs import SweepStatusWriter, TraceBus
+        from repro.obs import SweepStatusWriter
 
-        bus = TraceBus()
         status_writer = SweepStatusWriter(args.status_out)
-        bus.subscribe(status_writer)
-        status_writer.publish(force=True)  # feed exists before cell one
-    try:
-        fig7 = figure7_comparison(config, disk_counts=disk_counts,
-                                  policies=policies,
-                                  faults=_faults_config(args), jobs=args.jobs,
-                                  resilience=resilience, checkpoint=checkpoint,
-                                  obs=obs, bus=bus,
-                                  shards=args.shards,
-                                  stream_chunk=args.stream_chunk,
-                                  redundancy=_redundancy_scheme(args))
-    except BaseException:
-        if status_writer is not None:
-            status_writer.finish(state="failed")
-        raise
+    fig7 = figure7_comparison(config, disk_counts=disk_counts,
+                              policies=policies,
+                              faults=_faults_config(args), jobs=args.jobs,
+                              resilience=resilience, checkpoint=checkpoint,
+                              obs=obs, shards=args.shards,
+                              redundancy=_redundancy_scheme(args),
+                              status=status_writer)
     if status_writer is not None:
-        status_writer.finish(state="done")
         print(f"status feed -> {args.status_out}")
     if obs is not None and (obs.trace_path or obs.metrics_path):
         print("telemetry written per cell "
@@ -334,12 +325,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sharded execution: {args.shards} shard(s) per cell, "
               "streamed workload")
     _print_comparison(fig7, policies, args.baseline)
-    summary = fig7.resilience
     print()
-    print(f"harness: {summary.cells_run} cell(s) run, "
-          f"{summary.checkpoint_hits} restored from checkpoint, "
-          f"{summary.retries} retried, {summary.timeouts} timed out, "
-          f"{summary.pool_respawns} pool respawn(s)")
+    print(format_ledger(dataclasses.asdict(fig7.resilience)))
     if checkpoint is not None:
         print(f"checkpoint -> {checkpoint}")
     if args.report:
@@ -555,10 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "sub-cells and merged bit-identically "
                                   "(must divide every --disks entry; "
                                   "incompatible with fault injection)")
-    shard_group.add_argument("--stream-chunk", type=int, default=None,
-                             metavar="REQUESTS",
-                             help="requests generated per streamed chunk "
-                                  "(bounds workload memory; default 65536)")
     res_group = p_sweep.add_argument_group("resilience")
     res_group.add_argument("--checkpoint", default=None, metavar="FILE",
                            help="journal completed cells here (created if "

@@ -24,7 +24,7 @@ from repro.experiments.resilience import (
 from repro.experiments.runner import ExperimentConfig
 from repro.faults import FaultConfig
 from repro.redundancy.scheme import GroupScheme
-from repro.obs import ObsConfig
+from repro.obs import ObsConfig, SweepStatusWriter
 from repro.press.frequency import FrequencyReliability
 from repro.press.model import PRESSModel
 from repro.press.temperature import TemperatureReliability
@@ -142,8 +142,7 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
                        resilience: ResilienceConfig | None = None,
                        checkpoint=None,
                        shards: int | None = None,
-                       stream_chunk: int | None = None,
-                       bus=None) -> Figure7Results:
+                       status: SweepStatusWriter | None = None) -> Figure7Results:
     """Run the Fig. 7 sweep: every policy at every array size, same trace.
 
     ``policy_kwargs`` maps policy name -> config overrides (only tests
@@ -181,13 +180,15 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     with ``shards``: each shard sub-cell runs its own telemetry stack
     (untagged events under global disk ids) and the merge federates
     the segments into the cell's named trace/metrics artifacts (see
-    :mod:`repro.obs.federate`).  ``stream_chunk`` bounds streamed-generation
-    memory (requests per chunk; ``None`` = the stream layer's default).
+    :mod:`repro.obs.federate`).
 
-    ``bus`` is the harness trace bus: sweep/cell span events (and, when
-    sharding, the merge spans) always land on it, feeding ``repro sweep
-    --status-out``'s live status file.
+    ``status`` is the live status feed of ``repro sweep --status-out``;
+    the executor publishes its ledger there.  A policy or array size
+    listed twice is a ``ValueError``: the results are keyed by both.
     """
+    for axis, values in (("policies", policies), ("disk_counts", disk_counts)):
+        require(len(set(values)) == len(values),
+                f"{axis} must not repeat, got {list(values)}")
     cfg = config or ExperimentConfig()
     kwargs = policy_kwargs or {}
     cells = [
@@ -200,18 +201,15 @@ def figure7_comparison(config: ExperimentConfig | None = None, *,
     specs = cells
     if shards is not None:
         from repro.experiments.shard import merge_cell, shard_specs
-        from repro.workload.stream import DEFAULT_CHUNK_SIZE
 
         # ALL shard sub-cells of ALL cells go through the one batch below,
         # so one checkpoint file and one harness fault ledger cover the
         # sweep, and resume granularity is one shard
-        chunk = stream_chunk if stream_chunk is not None else DEFAULT_CHUNK_SIZE
-        specs = [spec for cell in cells
-                 for spec in shard_specs(cell, shards, chunk_size=chunk)]
+        specs = [spec for cell in cells for spec in shard_specs(cell, shards)]
     done, summary = run_cells_resilient(
-        specs, jobs=jobs, config=resilience, checkpoint=checkpoint, bus=bus)
+        specs, jobs=jobs, config=resilience, checkpoint=checkpoint, status=status)
     if shards is not None:
-        done = [merge_cell(cell, done[k * shards:(k + 1) * shards], bus)  # type: ignore[arg-type]
+        done = [merge_cell(cell, done[k * shards:(k + 1) * shards])  # type: ignore[arg-type]
                 for k, cell in enumerate(cells)]
     per_policy = len(disk_counts)
     results = {name: tuple(done[i * per_policy:(i + 1) * per_policy])

@@ -145,7 +145,7 @@ def run_cells(specs: Iterable[RunSpec], *, jobs: int = 1,
     carry all the state a cell reads, so placement does not matter.
 
     This is :func:`~repro.experiments.resilience.run_cells_resilient`
-    minus its summary and its harness bus: ``resilience`` (a
+    minus its summary and its status feed: ``resilience`` (a
     :class:`~repro.experiments.resilience.ResilienceConfig`; the default
     re-queues nothing) sets how often a cell is re-queued after a lost
     worker or a timeout (``jobs>1`` only); an exception from a cell

@@ -25,6 +25,11 @@ operation the simulated array gets from :mod:`repro.faults`:
   checkpoint is flushed and :class:`SweepInterrupted` carries a resume
   hint.
 
+The executor's own fields — results, attempts, pending cells and
+counters — are the one harness ledger: :meth:`_Sweep.summary` returns
+it as a :class:`ResilienceSummary`, and :meth:`_Sweep.status_document`
+renders it for the live status feed (:mod:`repro.obs.status`).
+
 Determinism contract: a re-queued cell re-runs
 :func:`~repro.experiments.parallel.run_cell` on the identical spec — the
 simulation RNG is seeded solely by the spec, so a sweep that survived
@@ -52,9 +57,8 @@ from typing import Iterable, Optional, Sequence, Union, get_args, get_type_hints
 from repro.experiments import parallel
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.parallel import CellExecutionError, RunSpec
-from repro.obs import events as obs_events
-from repro.obs.bus import TraceBus
 from repro.obs.log import get_logger
+from repro.obs.status import SweepStatusWriter
 from repro.util.atomicio import atomic_write_bytes, quarantine
 from repro.util.validation import require
 from repro.workload.cache import cached_generate, workload_key
@@ -142,10 +146,6 @@ def spec_key(spec: RunSpec) -> str:
     """
     kwargs = tuple(sorted(dict(spec.policy_kwargs).items(),
                           key=lambda kv: str(kv[0])))
-    # A shard sub-cell keys on (plan, shard index) but *not* on its chunk
-    # size: chunking changes iteration granularity, never the produced
-    # result (same contract as the workload digest), so a sweep resumed
-    # under a different --stream-chunk reuses its checkpointed shards.
     shard = None if spec.shard is None else (spec.shard.plan, spec.shard.index)
     payload = (
         spec.policy,
@@ -363,23 +363,22 @@ def _restore_handlers(previous) -> None:
 # ----------------------------------------------------------------------
 # the resilient sweep engine
 # ----------------------------------------------------------------------
-def _emit(bus: Optional[TraceBus], event_type: str, **data) -> None:
-    if bus is not None:
-        bus.emit(event_type, 0.0, **data)  # repro: allow[OBS001] forwarder: every caller passes a harness.* taxonomy constant
-
-
 class _Sweep:
-    """One sweep invocation (parent-process state machine)."""
+    """One sweep invocation (parent-process state machine).
+
+    A cell is done when its result is set, pending while its index is
+    queued in :attr:`pending`, and in flight otherwise.
+    """
 
     def __init__(self, specs: Sequence[RunSpec], *, jobs: int,
                  config: ResilienceConfig,
                  checkpoint: Optional[SweepCheckpoint],
-                 bus: Optional[TraceBus]) -> None:
+                 status: Optional[SweepStatusWriter]) -> None:
         self.specs = specs
         self.jobs = jobs
         self.cfg = config
         self.ckpt = checkpoint
-        self.bus = bus
+        self.status = status
         self.keys = [spec_key(s) for s in specs]
         self.results: list[Optional[SimulationResult]] = [None] * len(specs)
         #: Indices of the cells awaiting a slot, in submission order.
@@ -387,47 +386,44 @@ class _Sweep:
         #: Attempts charged per cell (re-queues after a lost worker or a
         #: timeout); a salvaged cell keeps its count.
         self.attempts = [0] * len(specs)
+        #: Indices of the cells restored from the checkpoint.
+        self.restored: set[int] = set()
         self.flag = _InterruptFlag()
-        self.cells_run = 0
-        self.checkpoint_hits = 0
-        self.retries = 0
         self.timeouts = 0
         self.pool_respawns = 0
         self.cells_salvaged = 0
 
     # -- shared bookkeeping -------------------------------------------
+    def publish(self) -> None:
+        """Tell the status feed the ledger changed (it throttles)."""
+        if self.status is not None:
+            self.status.publish()
+
     def restore_from_checkpoint(self) -> None:
         total = len(self.specs)
         for i, (spec, key) in enumerate(zip(self.specs, self.keys)):
             hit = self.ckpt.get(key) if self.ckpt is not None else None
             if hit is not None:
                 self.results[i] = hit
-                self.checkpoint_hits += 1
-                _emit(self.bus, obs_events.HARNESS_CHECKPOINT_HIT,
-                      cell=spec.label())
+                self.restored.add(i)
                 _log.info("cell %d/%d restored from checkpoint: %s",
                           i + 1, total, spec.label())
             else:
                 self.pending.append(i)
+        self.publish()
 
     def start(self, index: int) -> None:
         """Announce one attempt of cell ``index``."""
         spec, attempt = self.specs[index], self.attempts[index]
-        _emit(self.bus, obs_events.HARNESS_CELL_START, cell=spec.label(),
-              index=index, total=len(self.specs), attempt=attempt + 1)
+        self.publish()
         _log.info("cell %d/%d started: %s%s", index + 1, len(self.specs),
                   spec.label(), f" (attempt {attempt + 1})" if attempt else "")
 
     def record_success(self, index: int, result: SimulationResult) -> None:
         self.results[index] = result
-        self.cells_run += 1
-        _emit(self.bus, obs_events.HARNESS_CELL_FINISH,
-              cell=self.specs[index].label(), index=index,
-              events=result.events_executed, wall_s=result.wall_clock_s)
         if self.ckpt is not None:
             self.ckpt.record(self.keys[index], result)
-            _emit(self.bus, obs_events.HARNESS_CHECKPOINT_PUBLISH,
-                  cells=len(self.ckpt))
+        self.publish()
         _log.info("cell %d/%d finished: %s (%.2fs)", index + 1,
                   len(self.specs), self.specs[index].label(),
                   result.wall_clock_s)
@@ -438,20 +434,16 @@ class _Sweep:
         spec, attempt = self.specs[index], self.attempts[index]
         if timed_out:
             self.timeouts += 1
-            _emit(self.bus, obs_events.HARNESS_CELL_TIMEOUT,
-                  cell=spec.label(), timeout_s=self.cfg.cell_timeout_s)
         if attempt >= self.cfg.max_retries:
             if timed_out:
                 raise CellTimeoutError(spec, self.cfg.cell_timeout_s) from exc
             raise CellExecutionError(spec, exc) from exc
-        self.retries += 1
         self.attempts[index] = attempt + 1
-        _emit(self.bus, obs_events.HARNESS_CELL_RETRY, cell=spec.label(),
-              attempt=attempt + 1, reason=type(exc).__name__)
+        self.pending.append(index)
+        self.publish()
         _log.warning("cell %s %s (%r); retry %d/%d", spec.label(),
                      "timed out" if timed_out else "lost its worker", exc,
                      attempt + 1, self.cfg.max_retries)
-        self.pending.append(index)
 
     def interrupt(self) -> None:
         """Flush the checkpoint and raise :class:`SweepInterrupted`."""
@@ -463,17 +455,54 @@ class _Sweep:
         raise SweepInterrupted(done, len(self.specs), path)
 
     def summary(self) -> ResilienceSummary:
+        done = sum(1 for r in self.results if r is not None)
         return ResilienceSummary(
-            cells_total=len(self.specs), cells_run=self.cells_run,
-            checkpoint_hits=self.checkpoint_hits, retries=self.retries,
+            cells_total=len(self.specs),
+            cells_run=done - len(self.restored),
+            checkpoint_hits=len(self.restored), retries=sum(self.attempts),
             timeouts=self.timeouts, pool_respawns=self.pool_respawns,
             cells_salvaged=self.cells_salvaged)
 
+    def status_document(self) -> dict[str, object]:
+        """The ledger as the body of the live status feed (schema in
+        :mod:`repro.obs.status`)."""
+        pending = set(self.pending)
+        cells: dict[str, dict[str, object]] = {}
+        running: list[str] = []
+        events, wall_s = 0, 0.0
+        for i, (spec, result) in enumerate(zip(self.specs, self.results)):
+            entry: dict[str, object] = {"label": spec.label(),
+                                        "retries": self.attempts[i]}
+            if i in self.restored:
+                entry["state"] = "restored"
+            elif result is not None:
+                entry.update(state="done", events=result.events_executed,
+                             wall_s=result.wall_clock_s)
+                events += result.events_executed
+                wall_s += result.wall_clock_s
+            elif i in pending:
+                entry["state"] = "retrying" if self.attempts[i] else "pending"
+            else:
+                entry["state"] = "running"
+                running.append(spec.label())
+            cells[str(i)] = entry
+        summary = self.summary()
+        return {
+            "jobs": self.jobs,
+            "cells_done": summary.cells_run + summary.checkpoint_hits,
+            "cells_running": running,
+            "events_executed": events,
+            "events_per_sec": events / wall_s if wall_s > 0.0 else None,
+            **dataclasses.asdict(summary),
+            "cells": cells,
+        }
+
     # -- serial path ---------------------------------------------------
     def run_serial(self) -> None:
-        for index in self.pending:
+        while self.pending:
             if self.flag.tripped:
                 self.interrupt()
+            index = self.pending.popleft()
             self.start(index)
             try:
                 # looked up at call time: a profiler that rebinds
@@ -532,13 +561,9 @@ class _Sweep:
                         f"worker pool broke {self.pool_respawns} times "
                         f"(limit {MAX_POOL_RESPAWNS}); last cause: {reason}"))
             in_flight.clear()
-            for index in salvaged:
-                self.cells_salvaged += 1
-                _emit(self.bus, obs_events.HARNESS_CELL_SALVAGE,
-                      cell=self.specs[index].label())
-                self.pending.append(index)
-            _emit(self.bus, obs_events.HARNESS_POOL_RESPAWN,
-                  respawn=self.pool_respawns, requeued=len(salvaged))
+            self.cells_salvaged += len(salvaged)
+            self.pending.extend(salvaged)
+            self.publish()
             _log.warning("worker pool respawn %d/%d (%s); re-queued %d "
                          "in-flight cell(s)", self.pool_respawns,
                          MAX_POOL_RESPAWNS, reason, len(salvaged))
@@ -621,7 +646,7 @@ def run_cells_resilient(
     specs: Iterable[RunSpec], *, jobs: int = 1,
     config: ResilienceConfig | None = None,
     checkpoint: Union[SweepCheckpoint, str, Path, None] = None,
-    bus: Optional[TraceBus] = None,
+    status: Optional[SweepStatusWriter] = None,
 ) -> tuple[list[SimulationResult], ResilienceSummary]:
     """Execute cells under fault domains; results come back in input order.
 
@@ -635,8 +660,9 @@ def run_cells_resilient(
     ``checkpoint`` may be a path (opened/created as a
     :class:`SweepCheckpoint`) or an already-loaded instance; cells whose
     :func:`spec_key` is journaled are restored without re-running.
-    ``bus`` receives the ``harness.*`` trace events: sweep start/finish,
-    each cell's start/finish, and every absorbed fault.
+    ``status`` publishes the executor's ledger as the live status feed
+    on every change, and its final ``done`` or ``failed`` state when
+    the sweep returns or raises.
 
     Raises :class:`SweepInterrupted` on SIGINT/SIGTERM after draining
     and flushing; :class:`CellExecutionError` at once when a cell
@@ -655,25 +681,28 @@ def run_cells_resilient(
     else:
         ckpt = SweepCheckpoint(checkpoint)
 
-    sweep = _Sweep(spec_list, jobs=jobs, config=cfg, checkpoint=ckpt, bus=bus)
-    _emit(bus, obs_events.HARNESS_SWEEP_START,
-          cells=len(spec_list), jobs=jobs)
-    sweep.restore_from_checkpoint()
+    sweep = _Sweep(spec_list, jobs=jobs, config=cfg, checkpoint=ckpt,
+                   status=status)
+    if status is not None:
+        status.attach(sweep.status_document)
     previous = _install_handlers(sweep.flag)
+    final_state = "failed"
     try:
+        sweep.restore_from_checkpoint()
         if sweep.pending:
             if jobs == 1:
                 sweep.run_serial()
             else:
                 sweep.run_pool()
+        final_state = "done"
     except KeyboardInterrupt:
         # escalated second signal (or an embedder's interrupt): flush
         # what we have and surface the resume hint anyway
         sweep.interrupt()
     finally:
         _restore_handlers(previous)
+        if status is not None:
+            status.finish(state=final_state)
     results = sweep.results
     assert all(r is not None for r in results)
-    _emit(bus, obs_events.HARNESS_SWEEP_FINISH,
-          cells=len(spec_list), cells_run=sweep.cells_run)
     return list(results), sweep.summary()  # type: ignore[arg-type]

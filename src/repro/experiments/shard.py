@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Callable, Iterator, Optional, Sequence, Union, cast
 
 import numpy as np
@@ -96,7 +95,6 @@ from repro.experiments.runner import (
 from repro.obs import (
     ObsConfig,
     TimeSeries,
-    TraceBus,
     merge_trace_files,
     shard_segment_path,
     write_timeseries,
@@ -106,7 +104,7 @@ from repro.redundancy.groups import RedundancyGroups
 from repro.redundancy.scheme import GroupScheme
 from repro.util.validation import require
 from repro.workload.files import FileSet
-from repro.workload.stream import DEFAULT_CHUNK_SIZE, WorkloadLike, open_stream
+from repro.workload.stream import WorkloadLike, open_stream
 
 __all__ = [
     "ShardPlan",
@@ -224,13 +222,10 @@ class ShardCellSpec:
 
     plan: ShardPlan
     index: int
-    chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
         require(0 <= self.index < self.plan.n_shards,
                 f"shard index out of range: {self.index}")
-        require(self.chunk_size >= 1,
-                f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +376,7 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     local_fileset = FileSet(fileset.sizes_mb[my_files])
 
     def filtered_chunks() -> Iterator[Chunk]:
-        for chunk in stream.chunks(shard.chunk_size):
+        for chunk in stream.chunks():
             keep = mine[chunk.file_ids]
             yield (chunk.times_s[keep].tolist(),
                    local_id[chunk.file_ids[keep]].tolist())
@@ -629,8 +624,7 @@ def merge_shard_results(results: Sequence[ShardCellResult],
 # ----------------------------------------------------------------------
 # the front door
 # ----------------------------------------------------------------------
-def shard_specs(cell: RunSpec, n_shards: int, *,
-                chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[RunSpec]:
+def shard_specs(cell: RunSpec, n_shards: int) -> list[RunSpec]:
     """Expand one whole-array cell into its ``n_shards`` shard sub-cells.
 
     Every refusal happens here, before any shard runs: the capability
@@ -641,36 +635,25 @@ def shard_specs(cell: RunSpec, n_shards: int, *,
     plan = ShardPlan(n_disks=cell.n_disks, n_shards=n_shards)
     if cell.redundancy is not None:
         RedundancyGroups(cell.redundancy, cell.n_disks)  # group-size check
-    return [replace(cell, shard=ShardCellSpec(plan, s, chunk_size))
+    return [replace(cell, shard=ShardCellSpec(plan, s))
             for s in range(n_shards)]
 
 
-def merge_cell(cell: RunSpec, results: Sequence[ShardCellResult],
-               bus: Optional[TraceBus] = None) -> SimulationResult:
+def merge_cell(cell: RunSpec, results: Sequence[ShardCellResult]) -> SimulationResult:
     """Merge the shard results of one cell expanded by :func:`shard_specs`.
 
     The device model, telemetry paths and redundancy scheme come from
-    ``cell``; the merge's wall time lands on ``bus`` as a
-    ``harness.shard.merge`` span (outside simulated time, like every
-    harness event: t=0.0).
+    ``cell``.
     """
-    merge_start = perf_counter()
-    merged = merge_shard_results(results, obs=cell.obs,
-                                 redundancy=cell.redundancy,
-                                 disk_params=cell.disk_params)
-    if bus is not None:
-        bus.emit(obs_events.HARNESS_SHARD_MERGE, 0.0,
-                 policy=merged.policy_name, n_disks=cell.n_disks,
-                 shards=len(results), wall_s=perf_counter() - merge_start)
-    return merged
+    return merge_shard_results(results, obs=cell.obs,
+                               redundancy=cell.redundancy,
+                               disk_params=cell.disk_params)
 
 
 def run_sharded(policy: str, workload: WorkloadLike, *,
                 n_disks: int, n_shards: int,
-                chunk_size: int = DEFAULT_CHUNK_SIZE,
                 jobs: int = 1,
                 checkpoint: Union[SweepCheckpoint, str, None] = None,
-                bus: Optional[TraceBus] = None,
                 obs: Optional[ObsConfig] = None,
                 ) -> tuple[SimulationResult, ResilienceSummary]:
     """Run one (policy, workload) cell sharded, returning the merged result.
@@ -678,17 +661,15 @@ def run_sharded(policy: str, workload: WorkloadLike, *,
     Fans one :class:`RunSpec` per shard through the sweep executor
     (:func:`~repro.experiments.resilience.run_cells_resilient`, so
     ``jobs`` workers and checkpointing apply per shard) and merges.
-    The cell runs with the default device and policy configuration.
-    Returns ``(SimulationResult, ResilienceSummary)``.
+    The cell runs with the default device and policy configuration;
+    every shard streams its workload at the stream layer's default
+    chunk size.  Returns ``(SimulationResult, ResilienceSummary)``.
 
     ``obs`` rides into every shard sub-cell (per-shard trace segments and
     samplers — see the module docstring) and names the merged artifact
-    paths; ``bus`` is the *harness* bus, which receives
-    the sweep and per-shard ``harness.*`` events and a
-    ``harness.shard.merge`` span when the partials are reduced.
+    paths.
     """
     cell = RunSpec(policy=policy, n_disks=n_disks, workload=workload, obs=obs)
-    specs = shard_specs(cell, n_shards, chunk_size=chunk_size)
-    raw, summary = run_cells_resilient(specs, jobs=jobs,
-                                       checkpoint=checkpoint, bus=bus)
-    return merge_cell(cell, cast("list[ShardCellResult]", raw), bus), summary
+    raw, summary = run_cells_resilient(shard_specs(cell, n_shards), jobs=jobs,
+                                       checkpoint=checkpoint)
+    return merge_cell(cell, cast("list[ShardCellResult]", raw)), summary

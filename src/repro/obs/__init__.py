@@ -5,8 +5,7 @@ of them executes the exact pre-observability hot path):
 
 * the event taxonomy (:mod:`repro.obs.events`) — typed structured
   events the kernel, drives, array, policies, and fault injector emit
-  into a cell's :class:`JsonlTraceWriter`, and the sweep harness emits
-  onto a :class:`TraceBus`;
+  into a cell's :class:`JsonlTraceWriter`;
 * :class:`DiskSampler` — the periodic per-disk time-series snapshot
   (utilization, temperature, speed, queue depth, cumulative energy);
 * exporters (:mod:`repro.obs.export`) and rollups
@@ -15,14 +14,14 @@ of them executes the exact pre-observability hot path):
 
 ``ObsConfig`` bundles the per-run switches and travels inside
 :class:`~repro.experiments.parallel.RunSpec` for parallel sweeps.
+Beside them, :class:`SweepStatusWriter` publishes the sweep executor's
+ledger as a live status file (:mod:`repro.obs.status`).
 """
 
-from repro.obs.bus import TraceBus
 from repro.obs.config import ObsConfig
-from repro.obs.events import ALL_EVENT_TYPES, TraceEvent
+from repro.obs.events import ALL_EVENT_TYPES
 from repro.obs.export import (
     JsonlTraceWriter,
-    event_to_json,
     read_trace,
     timeseries_to_csv_text,
     write_timeseries,
@@ -56,10 +55,7 @@ __all__ = [
     "SAMPLE_COLUMNS",
     "SweepStatusWriter",
     "TimeSeries",
-    "TraceBus",
-    "TraceEvent",
     "TraceSummary",
-    "event_to_json",
     "format_status",
     "format_summary",
     "get_logger",

@@ -1,11 +1,12 @@
-"""The event taxonomy of the simulation trace and the harness bus.
+"""The event taxonomy of the simulation trace.
 
 Every instrumented layer emits events of these types into the cell's
-:class:`~repro.obs.export.JsonlTraceWriter`, and the sweep harness onto
-the :class:`~repro.obs.bus.TraceBus`; exporters and the ``obs summarize``
-rollups key on them.  Producers pass the type string plus flat,
-JSON-serializable fields — the canonical field set per type is
-documented here (and in DESIGN.md Sec. 8) so consumers can rely on it:
+:class:`~repro.obs.export.JsonlTraceWriter`; exporters and the
+``obs summarize`` rollups key on them.  Producers pass the type string
+plus flat, JSON-serializable fields — the canonical field set per type
+is documented here (and in DESIGN.md Sec. 8) so consumers can rely on
+it.  The sweep executor's own progress is not an event: it is the
+ledger :mod:`repro.obs.status` publishes.
 
 Request lifecycle (``disk``, ``file`` where applicable, ``internal``)
     * ``request.submit``   — a job entered a drive's queue
@@ -63,35 +64,6 @@ Engine lifecycle
       ``n_requests``)
     * ``engine.stop``  — the run ended (``events``, ``duration_s``)
 
-Harness faults (sweep-runner resilience; emitted at ``t=0.0`` because
-they happen outside simulated time, ordered by ``seq``)
-    * ``harness.checkpoint.hit`` — a cell was restored from a sweep
-      checkpoint instead of re-running (``cell``)
-    * ``harness.cell.retry``     — a failed/crashed cell was re-queued
-      (``cell``, ``attempt``, ``reason``)
-    * ``harness.cell.timeout``   — a cell exceeded its wall-clock limit
-      and was killed (``cell``, ``timeout_s``)
-    * ``harness.cell.salvage``   — an innocent in-flight cell was
-      re-queued after a pool breakage, at the same attempt (``cell``)
-    * ``harness.pool.respawn``   — the worker pool broke (or was killed
-      on a timeout) and was recreated (``respawn``, ``requeued``)
-
-Harness spans (sweep progress; also ``t=0.0``, ordered by ``seq`` —
-the live status feed of ``repro sweep --status-out`` folds these)
-    * ``harness.sweep.start``        — a sweep batch began
-      (``cells``, ``jobs``)
-    * ``harness.sweep.finish``       — the batch completed
-      (``cells``, ``cells_run``)
-    * ``harness.cell.start``         — one cell (or shard sub-cell) was
-      dispatched to a worker (``cell``, ``index``, ``total``,
-      ``attempt``)
-    * ``harness.cell.finish``        — the cell's result landed
-      (``cell``, ``index``, ``events``, ``wall_s``)
-    * ``harness.checkpoint.publish`` — the checkpoint journal was
-      atomically republished (``cells``)
-    * ``harness.shard.merge``        — shard partials were merged into
-      one result (``policy``, ``n_disks``, ``shards``, ``wall_s``)
-
 The constants exist so consumers and tests never hard-code strings;
 producers import them too, keeping the taxonomy single-sourced.  The
 three hot request events — ``request.submit``, ``request.dispatch`` and
@@ -104,11 +76,8 @@ other type goes through ``emit``.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
-
 __all__ = [
     "ALL_EVENT_TYPES",
-    "TraceEvent",
     "REQUEST_SUBMIT", "REQUEST_DISPATCH", "REQUEST_COMPLETE",
     "REQUEST_FAIL", "REQUEST_REDIRECT", "REQUEST_RETRY",
     "REQUEST_RECONSTRUCT",
@@ -120,11 +89,6 @@ __all__ = [
     "POLICY_CACHE_HIT", "POLICY_CACHE_MISS", "POLICY_CACHE_INSERT",
     "POLICY_EPOCH", "POLICY_MIGRATE", "POLICY_STRIPE_FANOUT",
     "ENGINE_START", "ENGINE_STOP",
-    "HARNESS_CHECKPOINT_HIT", "HARNESS_CELL_RETRY", "HARNESS_CELL_TIMEOUT",
-    "HARNESS_CELL_SALVAGE", "HARNESS_POOL_RESPAWN",
-    "HARNESS_SWEEP_START", "HARNESS_SWEEP_FINISH",
-    "HARNESS_CELL_START", "HARNESS_CELL_FINISH",
-    "HARNESS_CHECKPOINT_PUBLISH", "HARNESS_SHARD_MERGE",
 ]
 
 REQUEST_SUBMIT = "request.submit"
@@ -159,19 +123,6 @@ POLICY_STRIPE_FANOUT = "policy.stripe.fanout"
 ENGINE_START = "engine.start"
 ENGINE_STOP = "engine.stop"
 
-HARNESS_CHECKPOINT_HIT = "harness.checkpoint.hit"
-HARNESS_CELL_RETRY = "harness.cell.retry"
-HARNESS_CELL_TIMEOUT = "harness.cell.timeout"
-HARNESS_CELL_SALVAGE = "harness.cell.salvage"
-HARNESS_POOL_RESPAWN = "harness.pool.respawn"
-
-HARNESS_SWEEP_START = "harness.sweep.start"
-HARNESS_SWEEP_FINISH = "harness.sweep.finish"
-HARNESS_CELL_START = "harness.cell.start"
-HARNESS_CELL_FINISH = "harness.cell.finish"
-HARNESS_CHECKPOINT_PUBLISH = "harness.checkpoint.publish"
-HARNESS_SHARD_MERGE = "harness.shard.merge"
-
 #: Every event type the instrumented layers can emit.
 ALL_EVENT_TYPES: frozenset[str] = frozenset({
     REQUEST_SUBMIT, REQUEST_DISPATCH, REQUEST_COMPLETE,
@@ -185,37 +136,5 @@ ALL_EVENT_TYPES: frozenset[str] = frozenset({
     POLICY_CACHE_HIT, POLICY_CACHE_MISS, POLICY_CACHE_INSERT,
     POLICY_EPOCH, POLICY_MIGRATE, POLICY_STRIPE_FANOUT,
     ENGINE_START, ENGINE_STOP,
-    HARNESS_CHECKPOINT_HIT, HARNESS_CELL_RETRY, HARNESS_CELL_TIMEOUT,
-    HARNESS_CELL_SALVAGE, HARNESS_POOL_RESPAWN,
-    HARNESS_SWEEP_START, HARNESS_SWEEP_FINISH,
-    HARNESS_CELL_START, HARNESS_CELL_FINISH,
-    HARNESS_CHECKPOINT_PUBLISH, HARNESS_SHARD_MERGE,
 })
 
-
-class TraceEvent(NamedTuple):
-    """One structured trace record.
-
-    The harness bus's record, and the input of :func:`~repro.obs.export.event_to_json`;
-    a simulation cell's writer encodes its events without building one.
-    A NamedTuple (not a dataclass): the cheapest structured record
-    CPython offers.
-
-    Attributes
-    ----------
-    seq:
-        Monotone sequence number; with ``time`` it gives a
-        total order identical to the kernel's dispatch order.
-    time:
-        Simulated seconds at emission.
-    type:
-        One of the taxonomy constants above.
-    data:
-        Flat JSON-serializable payload (see the module docstring for
-        the canonical fields per type).
-    """
-
-    seq: int
-    time: float
-    type: str
-    data: dict[str, Any]

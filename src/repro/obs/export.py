@@ -24,13 +24,13 @@ from typing import TYPE_CHECKING, BinaryIO, Sequence, Union
 from orjson import OPT_APPEND_NEWLINE, OPT_SORT_KEYS, JSONEncodeError
 from orjson import dumps as _dumps
 
-from repro.obs.events import REQUEST_COMPLETE, REQUEST_DISPATCH, REQUEST_SUBMIT, TraceEvent
+from repro.obs.events import REQUEST_COMPLETE, REQUEST_DISPATCH, REQUEST_SUBMIT
 from repro.util.atomicio import PARTIAL_SUFFIX, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.sampler import TimeSeries
 
-__all__ = ["JsonlTraceWriter", "event_to_json", "parse_record", "read_trace", "record_body",
+__all__ = ["JsonlTraceWriter", "parse_record", "read_trace", "record_body",
            "record_bytes", "splice_body", "write_timeseries", "timeseries_to_csv_text"]
 
 PathLike = Union[str, Path]
@@ -106,12 +106,6 @@ def record_bytes(time: float, type_: str, data: dict) -> bytes:
 def _line(seq: int, time: float, type_: str, data: dict) -> bytes:
     """One whole trace line by :func:`record_body`, the exact path."""
     return b'{"seq":%d%b\n' % (seq, record_body(time, type_, data).encode())
-
-
-def event_to_json(event: TraceEvent) -> str:
-    """One event as a canonical single-line JSON record: ``seq`` first,
-    then :func:`record_body` — deterministic bytes, no whitespace."""
-    return f'{{"seq":{event.seq}{record_body(event.time, event.type, event.data)}'
 
 
 def splice_body(line: bytes, path: PathLike, lineno: int) -> bytes:

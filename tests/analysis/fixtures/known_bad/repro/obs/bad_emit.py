@@ -4,7 +4,7 @@ Line numbers are asserted exactly by tests/analysis/test_rules.py.
 """
 
 
-def narrate(bus, names: list[str]) -> None:
-    bus.emit("totally.adhoc", 0.0)  # line 8: OBS001 (unregistered literal)
+def narrate(writer, names: list[str]) -> None:
+    writer.emit("totally.adhoc", 0.0)  # line 8: OBS001 (unregistered literal)
     for name in names:
-        bus.emit(name, 1.0)         # line 10: OBS001 (dynamic event type)
+        writer.emit(name, 1.0)      # line 10: OBS001 (dynamic event type)

@@ -4,6 +4,6 @@ tests/analysis/test_rules.py asserts zero findings here.
 from repro.obs import events as ev
 
 
-def narrate(bus) -> None:
-    bus.emit(ev.REQUEST_SUBMIT, 0.0, disk=0)
-    bus.emit("request.complete", 1.0, disk=0)   # literal, but registered
+def narrate(writer) -> None:
+    writer.emit(ev.REQUEST_SUBMIT, 0.0, disk=0)
+    writer.emit("request.complete", 1.0, disk=0)   # literal, but registered

@@ -35,8 +35,7 @@ from repro.experiments.resilience import (
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.runner import _POLICY_REGISTRY
 from repro.experiments.shard import ShardCellResult
-from repro.obs import events as obs_events
-from repro.obs.bus import TraceBus
+from repro.obs.status import SweepStatusWriter, read_status
 from repro.policies.static import StaticHighPolicy
 from repro.workload.synthetic import SyntheticWorkloadConfig
 
@@ -264,16 +263,15 @@ class TestSerialEngine:
         log = tmp_path / "attempts"
         registry("_raiser", raising_factory(log))
         specs = tiny_specs("read", "_raiser", "static-high")
-        bus = TraceBus()
-        seen = []
-        bus.subscribe(seen.append)
+        status = SweepStatusWriter(tmp_path / "status.json")
         with pytest.raises(CellExecutionError) as excinfo:
-            run_cells_resilient(specs, jobs=1, config=FAST, bus=bus)
+            run_cells_resilient(specs, jobs=1, config=FAST, status=status)
         assert attempts_logged(log) == 1
         assert excinfo.value.spec == specs[1]
         assert isinstance(excinfo.value.cause, ValueError)
         assert excinfo.value.__cause__ is excinfo.value.cause
-        assert not any(e.type == obs_events.HARNESS_CELL_RETRY for e in seen)
+        doc = read_status(status.path)
+        assert doc["state"] == "failed" and doc["retries"] == 0
 
 
 class TestCheckpointResume:
@@ -296,19 +294,18 @@ class TestCheckpointResume:
         assert summary2.checkpoint_hits == 2 and summary2.cells_run == 1
         assert first == resumed[:2]
 
-    def test_checkpoint_hits_emit_bus_events(self, tmp_path):
+    def test_checkpoint_hits_reach_the_status_feed(self, tmp_path):
         specs = tiny_specs("read", "static-high")
         ckpt_path = tmp_path / "sweep.ckpt"
         run_cells_resilient(specs, jobs=1, config=FAST, checkpoint=ckpt_path)
 
-        bus = TraceBus()
-        seen = []
-        bus.subscribe(seen.append)
+        status = SweepStatusWriter(tmp_path / "status.json")
         _, summary = run_cells_resilient(specs, jobs=1, config=FAST,
-                                         checkpoint=ckpt_path, bus=bus)
-        hits = [e for e in seen if e.type == obs_events.HARNESS_CHECKPOINT_HIT]
-        assert len(hits) == 2 == summary.checkpoint_hits
-        assert summary.cells_run == 0
+                                         checkpoint=ckpt_path, status=status)
+        doc = read_status(status.path)
+        hits = [c for c in doc["cells"].values() if c["state"] == "restored"]
+        assert len(hits) == 2 == summary.checkpoint_hits == doc["checkpoint_hits"]
+        assert summary.cells_run == 0 == doc["cells_run"]
 
     def test_corrupt_checkpoint_restarts_fresh(self, tmp_path):
         specs = tiny_specs("read", "static-high")
@@ -423,18 +420,17 @@ class TestPoolRecovery:
         assert summary.pool_respawns >= 1
         assert summary.retries + summary.cells_salvaged >= 1
 
-    def test_harness_retry_events_reach_the_bus(self, registry, tmp_path):
+    def test_harness_retries_reach_the_status_feed(self, registry, tmp_path):
         registry("_killonce", kill_once_factory(tmp_path / "died-once"))
         specs = [RunSpec(policy="_killonce", n_disks=4, workload=TINY),
                  RunSpec(policy="static-high", n_disks=6, workload=TINY)]
-        bus = TraceBus()
-        seen = []
-        bus.subscribe(seen.append)
-        _, summary = run_cells_resilient(specs, jobs=2, config=FAST, bus=bus)
-        retry = [e for e in seen if e.type == obs_events.HARNESS_CELL_RETRY]
-        assert len(retry) == summary.retries >= 1
-        assert {e.data["reason"] for e in retry} == {"BrokenProcessPool"}
-        assert all(e.data["attempt"] == 1 for e in retry)
+        status = SweepStatusWriter(tmp_path / "status.json")
+        _, summary = run_cells_resilient(specs, jobs=2, config=FAST,
+                                         status=status)
+        doc = read_status(status.path)
+        retries = [c["retries"] for c in doc["cells"].values()]
+        assert sum(retries) == summary.retries == doc["retries"] >= 1
+        assert retries[0] == 1  # the killed cell, charged once
 
     def test_raising_cell_is_attempted_once(self, registry, tmp_path):
         log = tmp_path / "attempts"
@@ -617,43 +613,33 @@ class TestRunCellsDelegation:
         assert not fig7.resilience.eventful
 
 
-class TestPlainSweepHarnessEvents:
-    """A sweep given only a bus (no resilience, no checkpoint) still
-    reports its sweep and cell spans on it."""
+class TestPlainSweepStatusFeed:
+    """A sweep given only a status feed (no resilience, no checkpoint)
+    still publishes its final ledger there."""
 
-    @staticmethod
-    def _recording_bus():
-        bus = TraceBus()
-        seen = []
-        bus.subscribe(seen.append)
-        return bus, seen
-
-    def test_plain_figure7_emits_sweep_and_cell_spans(self):
+    def test_plain_figure7_publishes_every_cell(self, tmp_path):
         from repro.experiments.figures import figure7_comparison
         from repro.experiments.runner import ExperimentConfig
 
-        bus, seen = self._recording_bus()
-        figure7_comparison(ExperimentConfig(workload=TINY), disk_counts=[4],
-                           policies=["read", "static-high"], bus=bus)
-        assert [e.type for e in seen] == [
-            obs_events.HARNESS_SWEEP_START,
-            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
-            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
-            obs_events.HARNESS_SWEEP_FINISH,
-        ]
-        assert seen[0].data["cells"] == 2
+        status = SweepStatusWriter(tmp_path / "status.json")
+        fig7 = figure7_comparison(ExperimentConfig(workload=TINY), disk_counts=[4],
+                                  policies=["read", "static-high"], status=status)
+        doc = read_status(status.path)
+        assert doc["state"] == "done"
+        assert doc["cells_done"] == doc["cells_total"] == 2
+        assert [c["label"] for c in doc["cells"].values()] == [
+            "read x 4 disks", "static-high x 4 disks"]
+        assert doc["cells_run"] == fig7.resilience.cells_run == 2
 
-    def test_plain_run_sharded_emits_shard_spans_and_merge(self):
-        from repro.experiments.shard import run_sharded
+    def test_figure7_rejects_a_repeated_axis(self, tmp_path):
+        from repro.experiments.figures import figure7_comparison
+        from repro.experiments.runner import ExperimentConfig
 
-        bus, seen = self._recording_bus()
-        _, summary = run_sharded("static-high", TINY, n_disks=4, n_shards=2,
-                                 bus=bus)
-        assert [e.type for e in seen] == [
-            obs_events.HARNESS_SWEEP_START,
-            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
-            obs_events.HARNESS_CELL_START, obs_events.HARNESS_CELL_FINISH,
-            obs_events.HARNESS_SWEEP_FINISH,
-            obs_events.HARNESS_SHARD_MERGE,
-        ]
-        assert summary == ResilienceSummary(cells_total=2, cells_run=2)
+        status = SweepStatusWriter(tmp_path / "status.json")
+        config = ExperimentConfig(workload=TINY)
+        with pytest.raises(ValueError, match="policies must not repeat"):
+            figure7_comparison(config, disk_counts=[4], status=status,
+                               policies=["static-high", "static-high"])
+        with pytest.raises(ValueError, match="disk_counts must not repeat"):
+            figure7_comparison(config, disk_counts=[4, 4], policies=["read"])
+        assert not status.path.exists()  # refused before any cell ran

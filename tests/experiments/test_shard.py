@@ -31,6 +31,7 @@ from repro.experiments.shard import (
 from repro.redundancy import parse_redundancy_spec
 from repro.workload.cache import cached_generate
 from repro.workload.files import FileSet
+from repro.workload.stream import SyntheticStream
 from repro.workload.synthetic import SyntheticWorkloadConfig
 
 CFG = SyntheticWorkloadConfig(n_files=150, n_requests=2_500, seed=7,
@@ -75,8 +76,6 @@ class TestShardPlan:
         plan = ShardPlan(n_disks=4, n_shards=2)
         with pytest.raises(ValueError):
             ShardCellSpec(plan, 2)
-        with pytest.raises(ValueError):
-            ShardCellSpec(plan, 0, chunk_size=0)
 
 
 class TestResponseHistogram:
@@ -163,12 +162,21 @@ class TestShardedEqualsUnsharded:
                                 jobs=3)
         assert serial == pooled
 
-    def test_chunk_size_does_not_change_the_merge(self):
-        coarse, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2,
-                                chunk_size=100_000)
-        fine, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2,
-                              chunk_size=97)
-        assert coarse == fine
+    def test_chunk_size_does_not_change_the_merge(self, monkeypatch):
+        # shards filter the stream chunk by chunk; a chunking that splits
+        # the trace many times must merge to the single-chunk result
+        whole, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2)
+        chunks, sizes = SyntheticStream.chunks, []
+
+        def fine_chunks(stream, chunk_size=0):
+            for chunk in chunks(stream, 97):
+                sizes.append(chunk.times_s.size)
+                yield chunk
+
+        monkeypatch.setattr(SyntheticStream, "chunks", fine_chunks)
+        fine, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2)
+        assert len(sizes) > 2 * CFG.n_requests // 97  # both shards, many chunks
+        assert fine == whole
 
 
 class TestShardCellMechanics:
@@ -233,18 +241,6 @@ class TestShardCellMechanics:
         assert summary2 is not None
         assert summary2.checkpoint_hits == 4
         assert summary2.cells_run == 0
-        assert first == second
-
-    def test_resume_is_chunk_size_independent(self, tmp_path):
-        # the checkpoint key excludes chunk size: shards finished under
-        # one --stream-chunk must be reused under another
-        ckpt = tmp_path / "shards.ckpt"
-        first, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2,
-                               chunk_size=1000, checkpoint=str(ckpt))
-        second, summary = run_sharded("static-high", CFG, n_disks=8,
-                                      n_shards=2, chunk_size=77,
-                                      checkpoint=str(ckpt))
-        assert summary is not None and summary.checkpoint_hits == 2
         assert first == second
 
 

@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 from repro.experiments.runner import make_policy, run_simulation
 from repro.obs import events as ev
 from repro.obs.config import ObsConfig
-from repro.obs.events import TraceEvent
-from repro.obs.export import (JsonlTraceWriter, event_to_json, read_trace,
-                              record_body, record_bytes, timeseries_to_csv_text,
-                              write_timeseries)
+from repro.obs.export import (JsonlTraceWriter, read_trace, record_body, record_bytes,
+                              timeseries_to_csv_text, write_timeseries)
 from repro.obs.sampler import SAMPLE_COLUMNS, TimeSeries
+
+
+def event_to_json(event):
+    """One ``(seq, t, type, data)`` event as its canonical trace line:
+    ``seq`` first, then :func:`record_body`."""
+    seq, time, type_, data = event
+    return f'{{"seq":{seq}' + record_body(time, type_, data)
 
 
 class TestEventToJson:
     def test_canonical_layout(self):
-        event = TraceEvent(7, 1.5, ev.REQUEST_SUBMIT,
+        event = (7, 1.5, ev.REQUEST_SUBMIT,
                            {"size_mb": 2.0, "disk": 3, "internal": False})
         line = event_to_json(event)
         # seq/t/type lead; payload keys sorted; compact separators
@@ -27,16 +32,17 @@ class TestEventToJson:
                         '"disk":3,"internal":false,"size_mb":2.0}')
 
     def test_stable_under_payload_insertion_order(self):
-        a = event_to_json(TraceEvent(0, 0.0, "x", {"b": 1, "a": 2}))
-        b = event_to_json(TraceEvent(0, 0.0, "x", {"a": 2, "b": 1}))
+        a = event_to_json((0, 0.0, "x", {"b": 1, "a": 2}))
+        b = event_to_json((0, 0.0, "x", {"a": 2, "b": 1}))
         assert a == b
 
 
 def _reference_event_to_json(event):
     """The ``json.dumps`` encoding ``event_to_json`` must reproduce."""
-    record = {"seq": event.seq, "t": event.time, "type": event.type}
-    for key in sorted(event.data):
-        record[key] = event.data[key]
+    seq, time, type_, data = event
+    record = {"seq": seq, "t": time, "type": type_}
+    for key in sorted(data):
+        record[key] = data[key]
     return json.dumps(record, separators=(",", ":"), allow_nan=True)
 
 
@@ -91,7 +97,8 @@ _FAST_PAYLOADS = st.dictionaries(
 
 
 def _event_bytes(event):
-    return b'{"seq":%d' % event.seq + record_bytes(event.time, event.type, event.data)
+    seq, time, type_, data = event
+    return b'{"seq":%d' % seq + record_bytes(time, type_, data)
 
 
 class TestEventToJsonMatchesJsonDumps:
@@ -99,7 +106,7 @@ class TestEventToJsonMatchesJsonDumps:
     @given(seq=st.integers(min_value=0, max_value=2**64), time=_TIMES,
            type_=_TEXT, data=_PAYLOADS)
     def test_same_bytes_as_reference(self, seq, time, type_, data):
-        event = TraceEvent(seq, time, type_, data)
+        event = (seq, time, type_, data)
         reference = _reference_event_to_json(event)
         assert event_to_json(event) == reference
         assert _event_bytes(event) == reference.encode()
@@ -107,19 +114,19 @@ class TestEventToJsonMatchesJsonDumps:
     @settings(max_examples=600, deadline=None)
     @given(time=_FAST_TIMES, data=_FAST_PAYLOADS)
     def test_record_bytes_domain_edges(self, time, data):
-        event = TraceEvent(1, time, "request.dispatch", data)
+        event = (1, time, "request.dispatch", data)
         assert _event_bytes(event) == _reference_event_to_json(event).encode()
 
     @pytest.mark.parametrize("time", [
         float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 3,
         np.float64(0.1), np.float64("nan")])
     def test_unusual_times(self, time):
-        event = TraceEvent(0, time, "x", {"v": np.float64(2.5), "n": None})
+        event = (0, time, "x", {"v": np.float64(2.5), "n": None})
         assert event_to_json(event) == _reference_event_to_json(event)
         assert _event_bytes(event) == _reference_event_to_json(event).encode()
 
     def test_empty_payload(self):
-        event = TraceEvent(3, 1.25, ev.ENGINE_STOP, {})
+        event = (3, 1.25, ev.ENGINE_STOP, {})
         assert event_to_json(event) == '{"seq":3,"t":1.25,"type":"engine.stop"}'
         assert event_to_json(event) == _reference_event_to_json(event)
         assert _event_bytes(event) == _reference_event_to_json(event).encode()
@@ -155,7 +162,7 @@ class TestWriterEmitMatchesEventToJson:
                     offset, files = remap
                     ids = {k: v if v is None else files[v] if k == "file" else v + offset
                            for k, v in ids.items()}
-                event = TraceEvent(seq, time, type_, {**payload, **ids})
+                event = (seq, time, type_, {**payload, **ids})
                 expected.append(event_to_json(event) + "\n")
         assert writer.events_written == len(events)
         assert path.read_bytes() == "".join(expected).encode()
@@ -234,7 +241,7 @@ class TestTypedRequestEncoders:
                 data["disk"] += offset
                 if data.get("file") is not None:
                     data["file"] = files[data["file"]]
-            event = TraceEvent(seq, time, type_, data)
+            event = (seq, time, type_, data)
             expected.append(_reference_event_to_json(event) + "\n")
         assert typed == generic == "".join(expected).encode()
 

@@ -19,9 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import federate
-from repro.obs.events import TraceEvent
-from repro.obs.export import event_to_json, read_trace
+from repro.obs.export import read_trace, record_body
 from repro.obs.federate import merge_trace_files, shard_segment_path
+
+
+def _line(seq, t, type_, data):
+    """One canonical trace record: ``seq`` first, then :func:`record_body`."""
+    return f'{{"seq":{seq}' + record_body(t, type_, data)
 
 
 def _write_segment(path, records):
@@ -159,8 +163,8 @@ class TestMergeSplicesSegmentBytes:
 
     @staticmethod
     def _writer_segment(path, events):
-        path.write_text("".join(event_to_json(TraceEvent(*e)) + "\n"
-                                for e in events), encoding="utf-8")
+        path.write_text("".join(_line(*e) + "\n" for e in events),
+                        encoding="utf-8")
         return path
 
     def test_trailing_garbage_rejected_without_output(self, tmp_path):
@@ -257,8 +261,8 @@ def _corpus(folder, segments):
             t += step / 4
             if blank:
                 lines.append("")
-            lines.append(event_to_json(TraceEvent(seq, t, "request.submit",
-                                                  {"disk": shard, "pad": "x" * (seq % 7)})))
+            lines.append(_line(seq, t, "request.submit",
+                               {"disk": shard, "pad": "x" * (seq % 7)}))
         path = folder / f"s{shard}.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         paths.append(path)

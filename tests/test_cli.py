@@ -224,7 +224,23 @@ class TestSweepTelemetry:
         doc = json.loads(capsys.readouterr().out)
         assert doc["state"] == "done"
         assert doc["cells_done"] == 1
-        assert "read x 4 disks" in doc["cells"]
+        assert doc["cells"]["0"]["label"] == "read x 4 disks"
+
+    @pytest.mark.parametrize("extra", [[], ["--jobs", "2"], ["--shards", "2"]])
+    def test_status_counters_match_the_harness_line(self, tmp_path, capsys, extra):
+        status = tmp_path / "status.json"
+        args = [*self.ARGS[:2], "read,static-high", *self.ARGS[3:]]
+        assert main([*args, *extra, "--status-out", str(status)]) == 0
+        harness = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("harness:")]
+        assert main(["obs", "status", str(status)]) == 0
+        out = capsys.readouterr().out
+        cells = 4 if extra[:1] == ["--shards"] else 2
+        assert f"sweep done: {cells}/{cells} cells" in out
+        assert harness == [f"harness: {cells} cell(s) run, 0 restored from "
+                           "checkpoint, 0 retried, 0 timed out, 0 pool "
+                           "respawn(s), 0 salvaged"]
+        assert f"  {harness[0]}" in out.splitlines()
 
     def test_sharded_sweep_writes_segments_and_merged_trace(
             self, tmp_path, capsys):
@@ -377,6 +393,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "unknown policy 'bogus'" in err
+
+    @pytest.mark.parametrize("axis", [["--policies", "static-high,static-high",
+                                       "--disks", "4"],
+                                      ["--policies", "read", "--disks", "4,4"]])
+    def test_repeated_sweep_axis_is_usage_error(self, capsys, tmp_path, axis):
+        # results are keyed by policy and size: a repeat would be dropped
+        status = tmp_path / "status.json"
+        rc = main(["sweep", *axis, *SMALL, "--status-out", str(status)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not status.exists()
 
     def test_unknown_policy_fails_before_any_cell_or_checkpoint(self, capsys, tmp_path):
         # a bad name is not a transient cell failure: no cell runs, no

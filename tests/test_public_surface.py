@@ -119,12 +119,8 @@ KNOB_KEEP = {
         "public cell runner",
     "run_cells.checkpoint":
         "tests journal and resume cells through the public cell runner",
-    "run_sharded.chunk_size":
-        "tests show the merge is independent of the stream's chunking",
     "run_sharded.checkpoint":
         "tests and the scale tier resume a sharded cell shard by shard",
-    "run_sharded.bus":
-        "tests check the harness spans and merge span of one sharded cell",
     "figure7_comparison.policy_kwargs":
         "tests run short-epoch READ sweeps through it",
 }
