@@ -39,7 +39,7 @@ def test_drive_service_throughput(benchmark):
                 Job.internal_transfer(0.5))))
         sim.run()
         drive.finalize()
-        return drive.stats.internal_jobs_served
+        return drive.internal_jobs_served
 
     assert benchmark(run_jobs) == 10_000
 

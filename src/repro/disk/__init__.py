@@ -1,4 +1,4 @@
-"""Two-speed disk drive, thermal/energy accounting, and the disk array.
+"""Two-speed disk drive with its own energy/thermal accounting, and the array.
 
 This is the paper's simulated device substrate (Sec. 5.1): an array of
 two-speed disks whose low-speed statistics are derived from a
@@ -6,7 +6,9 @@ conventional Seagate Cheetah the same way the PDC paper [23] derived
 them.  The drive is an event-driven state machine over
 :class:`repro.sim.Simulator`; policies control it exclusively through
 :meth:`TwoSpeedDrive.request_speed` and the placement/routing layer in
-:class:`DiskArray`.
+:class:`DiskArray`.  Each drive is the one record of its accounting;
+:meth:`TwoSpeedDrive.open_ledger` snapshots it into the ledgers
+(:mod:`repro.disk.ledger`) every finalize reads.
 """
 
 from repro.disk.parameters import (
@@ -15,9 +17,7 @@ from repro.disk.parameters import (
     TwoSpeedDiskParams,
     cheetah_two_speed,
 )
-from repro.disk.thermal import ThermalModel, steady_temperature_from_rpm
-from repro.disk.energy import DiskPowerState, EnergyMeter, STATE_INDEX
-from repro.disk.stats import DiskStats
+from repro.disk.energy import DiskPowerState, STATE_INDEX
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
 from repro.disk.drive import Job, TwoSpeedDrive, DrivePhase
 from repro.disk.array import DiskArray
@@ -28,12 +28,8 @@ __all__ = [
     "SpeedModeParams",
     "TwoSpeedDiskParams",
     "cheetah_two_speed",
-    "ThermalModel",
-    "steady_temperature_from_rpm",
     "DiskPowerState",
-    "EnergyMeter",
     "STATE_INDEX",
-    "DiskStats",
     "OpenDiskLedger",
     "ClosedDiskLedger",
     "Job",

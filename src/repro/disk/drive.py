@@ -7,17 +7,22 @@ One drive is, at any instant, in exactly one *phase* —
 * ``TRANSITIONING`` — switching spindle speed; serves nothing (Sec. 4:
   "no requests can be served when a disk is switching its speed").
 
-Transitions between phases drive three side ledgers in lock-step: the
-:class:`~repro.disk.energy.EnergyMeter` (power state residency), the
-:class:`~repro.disk.thermal.ThermalModel` (temperature trajectory), and
-:class:`~repro.disk.stats.DiskStats` (throughput and transition counts).
-The pattern is *account-then-change*: every state change first charges
-the elapsed interval to the outgoing state, so the ledgers are exact by
-construction and ``sum(state times) == power-on time`` is an invariant
-the test suite checks.  The charge (:meth:`TwoSpeedDrive._account`) is
-inline arithmetic on the energy and thermal accumulators, in the float
-expression order of :meth:`repro.disk.ledger.OpenDiskLedger.advance`, so
-a closed ledger equals the drive's own accounting bit for bit.
+The drive is the one record of its own accounting.  Its own fields hold the
+residence time and energy of each power state (``times_s`` /
+``energies_j``, indexed by :data:`~repro.disk.energy.STATE_INDEX`), the
+temperature trajectory (``temperature_c``, its exact time integral
+``integral_c_s`` over ``elapsed_s``; :mod:`repro.disk.thermal`), and two
+counters: ``transitions_total``, one of PRESS's three ESRRA factors, and
+``internal_jobs_served``.  The pattern is *account-then-change*: every
+state change first charges the elapsed interval to the outgoing state,
+so the accounting is exact by construction and ``sum(state times) ==
+power-on time`` is an invariant the test suite checks.  The charge
+(:meth:`TwoSpeedDrive._account`) is inline arithmetic on those fields, in
+the float expression order of
+:meth:`repro.disk.ledger.OpenDiskLedger.advance`, so a closed ledger
+equals the drive's own accounting bit for bit;
+:meth:`TwoSpeedDrive.open_ledger` is the one snapshot every finalize
+reads.
 
 Per-event paths read the phase, power-state and speed enum members
 through module-level names bound once below: a global load is an order
@@ -42,11 +47,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.disk.energy import STATE_INDEX, DiskPowerState, EnergyMeter
+from repro.disk.energy import STATE_INDEX, DiskPowerState
 from repro.disk.ledger import OpenDiskLedger
 from repro.disk.parameters import AMBIENT_TEMPERATURE_C, DiskSpeed, TwoSpeedDiskParams
-from repro.disk.stats import DiskStats
-from repro.disk.thermal import ThermalModel
+from repro.disk.thermal import DEFAULT_TAU_S
 from repro.obs import events as ev
 from repro.sim.engine import EventHandle, Simulator
 from repro.util.validation import require_non_negative, require_positive
@@ -58,6 +62,8 @@ _INF = math.inf
 _exp = math.exp
 _HIGH = DiskSpeed.HIGH
 _TRANSITION_INDEX = STATE_INDEX[DiskPowerState.TRANSITION]
+_ACTIVE_LOW_INDEX = STATE_INDEX[DiskPowerState.ACTIVE_LOW]
+_ACTIVE_HIGH_INDEX = STATE_INDEX[DiskPowerState.ACTIVE_HIGH]
 
 
 class DrivePhase(enum.Enum):
@@ -180,14 +186,31 @@ class TwoSpeedDrive:
         self._transition_event = EventHandle(self._end_transition,
                                              priority=self._PRIO_TRANSITION)
 
+        # the drive's accounting (see the module docstring)
+        #: Power draw per state, watts, in :data:`STATE_INDEX` order.
+        self.powers_w: tuple[float, ...] = (
+            params.low.idle_w,
+            params.high.idle_w,
+            params.low.active_w,
+            params.high.active_w,
+            params.transition_power_w,
+        )
+        #: Residence time and energy per power state, same order.
+        self.times_s = [0.0] * len(self.powers_w)
+        self.energies_j = [0.0] * len(self.powers_w)
         # Drives were already spinning before the trace window opens, so
         # they start at their speed's steady temperature, not at ambient
         # (a cold start would understate every policy's temperature AFR
         # on short traces).
-        initial_c = params.mode(initial_speed).steady_temp_c
-        self.stats = DiskStats(disk_id)
-        self.energy = EnergyMeter(params)
-        self.thermal = ThermalModel(initial_c=initial_c)
+        #: Temperature (degC) as of the last accounting edge, and its
+        #: exact integral (degC * s) over the ``elapsed_s`` integrated.
+        self.temperature_c = float(params.mode(initial_speed).steady_temp_c)
+        self.integral_c_s = 0.0
+        self.elapsed_s = 0.0
+        #: Runtime speed transitions started (``force_speed`` is free).
+        self.transitions_total = 0
+        #: Internal (policy-generated) jobs completed.
+        self.internal_jobs_served = 0
         self._last_account_s = sim.now
         self._start_time_s = sim.now
         self._refresh_speed_cache()
@@ -250,6 +273,12 @@ class TwoSpeedDrive:
         """Seconds since this drive was created (all states count as on)."""
         return self._sim.now - self._start_time_s
 
+    @property
+    def active_time_s(self) -> float:
+        """Transfer time at either speed so far (the numerator of the
+        paper's utilization metric, Sec. 3.3)."""
+        return self.times_s[_ACTIVE_LOW_INDEX] + self.times_s[_ACTIVE_HIGH_INDEX]
+
     def utilization(self) -> float:
         """Active-time fraction per the paper's Sec. 3.3 definition.
 
@@ -260,7 +289,7 @@ class TwoSpeedDrive:
         elapsed = self.power_on_time_s()
         if elapsed <= 0.0:
             return 0.0
-        return min(self.energy.active_time_s / elapsed, 1.0)
+        return min(self.active_time_s / elapsed, 1.0)
 
     def estimated_wait_s(self) -> float:
         """Crude wait estimate: queued work at the current speed plus any
@@ -299,8 +328,8 @@ class TwoSpeedDrive:
 
         Runs on every dispatch, completion and transition edge, so the
         state and steady-temperature selection of
-        :meth:`_open_state_index` / :meth:`_steady_temp_c` and both
-        accumulator updates are inlined, in the float expression order of
+        :meth:`_open_state_index` / :meth:`_steady_temp_c` and the energy
+        and thermal updates are inlined, in the float expression order of
         :meth:`OpenDiskLedger.advance`.  A failed drive draws no power;
         it only cools toward ambient.
         """
@@ -325,20 +354,17 @@ class TwoSpeedDrive:
                 target = self._transition_target
                 assert target is not None
                 steady_c = self.params.mode(target).steady_temp_c
-            energy = self.energy
-            energy.times_s[i] += dt
-            energy.energies_j[i] += energy.powers_w[i] * dt
-        thermal = self.thermal
-        tau = thermal.tau_s
-        t0 = thermal.temperature_c
-        decay = _exp(-dt / tau)
-        thermal.temperature_c = steady_c + (t0 - steady_c) * decay
-        thermal.integral_c_s += steady_c * dt + (t0 - steady_c) * tau * (1.0 - decay)
-        thermal.elapsed_s += dt
+            self.times_s[i] += dt
+            self.energies_j[i] += self.powers_w[i] * dt
+        t0 = self.temperature_c
+        decay = _exp(-dt / DEFAULT_TAU_S)
+        self.temperature_c = steady_c + (t0 - steady_c) * decay
+        self.integral_c_s += steady_c * dt + (t0 - steady_c) * DEFAULT_TAU_S * (1.0 - decay)
+        self.elapsed_s += dt
         self._last_account_s = now
 
     def open_ledger(self) -> OpenDiskLedger:
-        """Capture the raw accumulator state *without* the final flush.
+        """Snapshot the drive's accounting *without* the final flush.
 
         Every finalize scores closed ledgers (:mod:`repro.disk.ledger`).
         A sharded run (``repro.experiments.shard``) captures at its
@@ -348,25 +374,20 @@ class TwoSpeedDrive:
         :meth:`~repro.disk.ledger.OpenDiskLedger.close` performs that
         step with bit-identical arithmetic.
         """
-        energy, thermal, stats = self.energy, self.thermal, self.stats
         state_index = self._open_state_index()
         return OpenDiskLedger(
             disk_id=self.disk_id,
             last_account_s=self._last_account_s,
-            time_s=tuple(energy.times_s),
-            energy_j=tuple(energy.energies_j),
+            time_s=tuple(self.times_s),
+            energy_j=tuple(self.energies_j),
             state_index=state_index,
-            power_w=0.0 if state_index is None else energy.powers_w[state_index],
+            power_w=0.0 if state_index is None else self.powers_w[state_index],
             steady_c=self._steady_temp_c(),
-            temp_c=thermal.temperature_c,
-            integral_c_s=thermal.integral_c_s,
-            elapsed_s=thermal.elapsed_s,
-            tau_s=thermal.tau_s,
-            requests_served=stats.requests_served,
-            internal_jobs_served=stats.internal_jobs_served,
-            mb_served=stats.mb_served,
-            transitions_total=stats.speed_transitions_total,
-            transitions_by_day=tuple(sorted(stats.transitions_by_day.items())),
+            temp_c=self.temperature_c,
+            integral_c_s=self.integral_c_s,
+            elapsed_s=self.elapsed_s,
+            internal_jobs_served=self.internal_jobs_served,
+            transitions_total=self.transitions_total,
         )
 
     def finalize(self) -> None:
@@ -432,7 +453,8 @@ class TwoSpeedDrive:
         if self._sim.now == self._start_time_s:  # repro: allow[NUM001] exact check: has any simulated time elapsed at all
             # pre-traffic configuration: the drive has "always" been at
             # this speed, so it starts at the matching steady temperature
-            self.thermal.reset(temperature_c=self.params.mode(target).steady_temp_c)
+            # (no time has elapsed, so nothing is integrated yet)
+            self.temperature_c = float(self._steady_c_at_speed)
 
     def request_speed(self, target: DiskSpeed) -> bool:
         """Ask the drive to move to ``target`` speed.
@@ -468,7 +490,7 @@ class TwoSpeedDrive:
         self._phase = _TRANSITIONING
         self._transition_target = target
         self._pending_target = None
-        self.stats.record_transition(self._sim.now)
+        self.transitions_total += 1
         if self._trace is not None:
             self._trace.emit(ev.DISK_TRANSITION_BEGIN, self._sim.now,
                              disk=self.disk_id,
@@ -536,7 +558,7 @@ class TwoSpeedDrive:
         Models the operator installing a fresh spindle: the replacement
         boots directly at ``speed`` (no transition charged — it spun up
         outside the array, like the t = 0 configuration) and is ready to
-        take the rebuild stream.  Energy/thermal/stats ledgers continue —
+        take the rebuild stream.  The accounting continues —
         the slot, not the physical spindle, is the unit the experiment
         accounts (matching how the array AFR aggregates per slot).
         """
@@ -594,7 +616,8 @@ class TwoSpeedDrive:
         request = job.request
         if request is not None:
             request.completion_time = now
-        self.stats.record_service(job.size_mb, job.internal)
+        if job.internal:
+            self.internal_jobs_served += 1
         if self._trace is not None:
             self._trace.request_complete(now, self.disk_id, job.size_mb,
                                          now - job.enqueue_time, job.internal)

@@ -1,9 +1,13 @@
 """Open and closed accounting ledgers: how every cell is finalized.
 
-A drive's energy/thermal/stats ledgers are exact up to its *last
-accounting edge* (``TwoSpeedDrive._account`` runs on every dispatch,
-completion, and transition).  Every cell scores PRESS, energy and
-counters from :class:`ClosedDiskLedger` values
+A drive (:class:`~repro.disk.drive.TwoSpeedDrive`) is the one record of
+its own accounting: per-state residence times and energies, the thermal
+state and its integral, and the transition and internal-job counters.
+They are exact up to its *last accounting edge*
+(``TwoSpeedDrive._account`` runs on every dispatch, completion, and
+transition), and :meth:`TwoSpeedDrive.open_ledger` is their only
+snapshot.  Every cell scores PRESS, energy and counters from
+:class:`ClosedDiskLedger` values
 (``repro.experiments.runner._reduce_ledgers``).  A whole-array run
 finalizes its drives at the horizon and closes their open ledgers
 there, a zero-length close.
@@ -21,7 +25,7 @@ thermal steady target open at capture.  The merge calls
 :meth:`OpenDiskLedger.advance` is the reference form of one accounting
 step; the drive's edge (``TwoSpeedDrive._account``) inlines the same
 float operations in the same order, so a closed ledger equals the
-unsharded drive's finalized ledgers bit-for-bit.
+unsharded drive's finalized accounting bit-for-bit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.disk.energy import DiskPowerState
+from repro.disk.thermal import DEFAULT_TAU_S
 from repro.util.validation import require
 
 __all__ = ["OpenDiskLedger", "ClosedDiskLedger"]
@@ -42,13 +47,11 @@ _ACTIVE_HIGH_IDX = _STATES.index(DiskPowerState.ACTIVE_HIGH)
 
 @dataclass(frozen=True, slots=True)
 class ClosedDiskLedger:
-    """One disk's ledgers, accounted up to a chosen end time.
+    """One disk's accounting, closed at a chosen end time.
 
-    Field and property arithmetic mirror the live ledger objects
-    (:class:`~repro.disk.energy.EnergyMeter`,
-    :class:`~repro.disk.thermal.ThermalModel`,
-    :class:`~repro.disk.stats.DiskStats`) so downstream consumers (PRESS
-    scoring, energy breakdowns) read identical values either way.
+    What every finalize reads: PRESS scoring, energy breakdowns and the
+    run counters.  The fields carry the drive's accumulators as they
+    stood after the closing accounting step.
     """
 
     disk_id: int
@@ -58,15 +61,12 @@ class ClosedDiskLedger:
     temperature_c: float
     integral_c_s: float
     elapsed_s: float
-    requests_served: int
     internal_jobs_served: int
-    mb_served: float
     transitions_total: int
-    transitions_by_day: tuple[tuple[int, int], ...]
 
     @property
     def total_energy_j(self) -> float:
-        """Total energy; same left-to-right state order as the meter."""
+        """Total energy, summed in :class:`DiskPowerState` order."""
         return sum(self.energy_j)
 
     @property
@@ -109,16 +109,12 @@ class OpenDiskLedger:
     temp_c: float
     integral_c_s: float
     elapsed_s: float
-    tau_s: float
-    requests_served: int
     internal_jobs_served: int
-    mb_served: float
     transitions_total: int
-    transitions_by_day: tuple[tuple[int, int], ...]
 
     @property
     def total_energy_j(self) -> float:
-        """Energy accounted so far; same state order as the meter."""
+        """Energy accounted so far, summed in :class:`DiskPowerState` order."""
         return sum(self.energy_j)
 
     @property
@@ -152,10 +148,10 @@ class OpenDiskLedger:
                 time_s[self.state_index] += dt
                 energy_j[self.state_index] += self.power_w * dt
             # thermal: exact exponential relaxation toward steady_c
-            decay = math.exp(-dt / self.tau_s)
+            decay = math.exp(-dt / DEFAULT_TAU_S)
             t0 = temp
             temp = self.steady_c + (t0 - self.steady_c) * decay
-            integral += self.steady_c * dt + (t0 - self.steady_c) * self.tau_s * (1.0 - decay)
+            integral += self.steady_c * dt + (t0 - self.steady_c) * DEFAULT_TAU_S * (1.0 - decay)
             elapsed += dt
         return OpenDiskLedger(
             disk_id=self.disk_id,
@@ -168,16 +164,12 @@ class OpenDiskLedger:
             temp_c=temp,
             integral_c_s=integral,
             elapsed_s=elapsed,
-            tau_s=self.tau_s,
-            requests_served=self.requests_served,
             internal_jobs_served=self.internal_jobs_served,
-            mb_served=self.mb_served,
             transitions_total=self.transitions_total,
-            transitions_by_day=self.transitions_by_day,
         )
 
     def close(self, at_s: float) -> ClosedDiskLedger:
-        """Charge the open interval up to ``at_s`` and seal the ledgers.
+        """Charge the open interval up to ``at_s`` and seal the ledger.
 
         :meth:`advance` to ``at_s``, then seal: bit-identical to the
         drive having run ``finalize()`` at ``at_s``, because both charge
@@ -191,9 +183,6 @@ class OpenDiskLedger:
             temperature_c=done.temp_c,
             integral_c_s=done.integral_c_s,
             elapsed_s=done.elapsed_s,
-            requests_served=done.requests_served,
             internal_jobs_served=done.internal_jobs_served,
-            mb_served=done.mb_served,
             transitions_total=done.transitions_total,
-            transitions_by_day=done.transitions_by_day,
         )

@@ -12,7 +12,7 @@ whose solution between state changes is the exponential approach
 
     T(t0 + dt) = T_ss + (T(t0) - T_ss) * exp(-dt / tau).
 
-``tau`` defaults to 720 s so that four time constants — ~98 % of the way
+``tau`` is 720 s so that four time constants — ~98 % of the way
 to steady state — take the reported 48 minutes.
 
 The model integrates the exact time-weighted temperature analytically
@@ -23,21 +23,23 @@ spent relaxing toward ``T_ss`` it adds
     int T dt = T_ss * dt + (T0 - T_ss) * tau * (1 - exp(-dt / tau)).
 
 That step is charged inline by the drive's accounting edge
-(``TwoSpeedDrive._account``); its reference form, in the same
+(``TwoSpeedDrive._account``) on the drive's own ``temperature_c``,
+``integral_c_s`` and ``elapsed_s``; its reference form, in the same
 floating-point expression order, is
-:meth:`repro.disk.ledger.OpenDiskLedger.advance`.
+:meth:`repro.disk.ledger.OpenDiskLedger.advance`.  Both integrate with
+:data:`DEFAULT_TAU_S`.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.util.validation import require_positive
 from repro.disk.parameters import AMBIENT_TEMPERATURE_C
+from repro.util.validation import require_positive
 
-__all__ = ["ThermalModel", "steady_temperature_from_rpm"]
+__all__ = ["DEFAULT_TAU_S", "steady_temperature_from_rpm"]
 
-#: Default time constant: 48 min / 4 time constants (see module docstring).
+#: Thermal time constant: 48 min / 4 time constants (see module docstring).
 DEFAULT_TAU_S = 720.0
 
 
@@ -56,39 +58,3 @@ def steady_temperature_from_rpm(rpm: float, *, ambient_c: float = AMBIENT_TEMPER
     p = math.log(12.0 / 22.0) / math.log(3600.0 / 10000.0)
     rise_at_10k = 22.0
     return ambient_c + rise_at_10k * (rpm / 10_000.0) ** p
-
-
-class ThermalModel:
-    """One drive's temperature and its exact time integral.
-
-    A plain accumulator the drive's accounting edge advances inline (see
-    the module docstring).
-
-    Attributes
-    ----------
-    temperature_c:
-        Instantaneous temperature (degC) as of the last accounting edge.
-    integral_c_s:
-        Exact integral of T dt so far (degC * s); the time-weighted
-        mean temperature is ``integral_c_s / elapsed_s``.
-    elapsed_s:
-        Total time integrated so far.
-    tau_s:
-        The thermal time constant this model integrates with.
-    """
-
-    __slots__ = ("temperature_c", "integral_c_s", "elapsed_s", "tau_s")
-
-    def __init__(self, *, initial_c: float = AMBIENT_TEMPERATURE_C,
-                 tau_s: float = DEFAULT_TAU_S) -> None:
-        self.tau_s = require_positive(tau_s, "tau_s")
-        self.temperature_c = float(initial_c)
-        self.integral_c_s = 0.0
-        self.elapsed_s = 0.0
-
-    def reset(self, *, temperature_c: float | None = None) -> None:
-        """Clear the integral; optionally pin a new instantaneous temperature."""
-        if temperature_c is not None:
-            self.temperature_c = float(temperature_c)
-        self.integral_c_s = 0.0
-        self.elapsed_s = 0.0

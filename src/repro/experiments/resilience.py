@@ -367,7 +367,8 @@ class _Sweep:
     """One sweep invocation (parent-process state machine).
 
     A cell is done when its result is set, pending while its index is
-    queued in :attr:`pending`, and in flight otherwise.
+    queued in :attr:`pending`, failed when it is :attr:`failed`, and in
+    flight otherwise.
     """
 
     def __init__(self, specs: Sequence[RunSpec], *, jobs: int,
@@ -388,6 +389,8 @@ class _Sweep:
         self.attempts = [0] * len(specs)
         #: Indices of the cells restored from the checkpoint.
         self.restored: set[int] = set()
+        #: Index of the cell whose error failed the sweep, once one has.
+        self.failed: Optional[int] = None
         self.flag = _InterruptFlag()
         self.timeouts = 0
         self.pool_respawns = 0
@@ -428,6 +431,11 @@ class _Sweep:
                   len(self.specs), self.specs[index].label(),
                   result.wall_clock_s)
 
+    def fail(self, index: int, exc: BaseException) -> CellExecutionError:
+        """Mark cell ``index`` as the one failing the sweep; its error."""
+        self.failed = index
+        return CellExecutionError(self.specs[index], exc)
+
     def requeue_or_raise(self, index: int, exc: BaseException, *,
                          timed_out: bool) -> None:
         """Charge one lost or timed-out attempt; re-queue it or give up."""
@@ -436,8 +444,9 @@ class _Sweep:
             self.timeouts += 1
         if attempt >= self.cfg.max_retries:
             if timed_out:
+                self.failed = index
                 raise CellTimeoutError(spec, self.cfg.cell_timeout_s) from exc
-            raise CellExecutionError(spec, exc) from exc
+            raise self.fail(index, exc) from exc
         self.attempts[index] = attempt + 1
         self.pending.append(index)
         self.publish()
@@ -482,6 +491,8 @@ class _Sweep:
                 wall_s += result.wall_clock_s
             elif i in pending:
                 entry["state"] = "retrying" if self.attempts[i] else "pending"
+            elif i == self.failed:
+                entry["state"] = "failed"
             else:
                 entry["state"] = "running"
                 running.append(spec.label())
@@ -511,7 +522,7 @@ class _Sweep:
             except KeyboardInterrupt:
                 self.interrupt()
             except Exception as exc:
-                raise CellExecutionError(self.specs[index], exc) from exc
+                raise self.fail(index, exc) from exc
             self.record_success(index, result)
 
     # -- pool path -----------------------------------------------------
@@ -556,10 +567,9 @@ class _Sweep:
             self.pool_respawns += 1
             salvaged = sorted(index for index, _ in in_flight.values())
             if self.pool_respawns > MAX_POOL_RESPAWNS:
-                raise CellExecutionError(
-                    self.specs[salvaged[0] if salvaged else 0], RuntimeError(
-                        f"worker pool broke {self.pool_respawns} times "
-                        f"(limit {MAX_POOL_RESPAWNS}); last cause: {reason}"))
+                raise self.fail(salvaged[0] if salvaged else 0, RuntimeError(
+                    f"worker pool broke {self.pool_respawns} times "
+                    f"(limit {MAX_POOL_RESPAWNS}); last cause: {reason}"))
             in_flight.clear()
             self.cells_salvaged += len(salvaged)
             self.pending.extend(salvaged)
@@ -618,7 +628,7 @@ class _Sweep:
                     self.interrupt()
                 for index, exc in failures:
                     if not isinstance(exc, BrokenProcessPool):
-                        raise CellExecutionError(self.specs[index], exc) from exc
+                        raise self.fail(index, exc) from exc
                     self.requeue_or_raise(index, exc, timed_out=False)
                 if failures:  # every one of them lost its worker
                     respawn(repr(failures[0][1]))

@@ -18,14 +18,12 @@ from typing import Sequence
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.parallel import RunSpec, run_cell
 from repro.experiments.runner import ExperimentConfig, make_policy
-from repro.faults import FaultConfig
 from repro.policies.base import SpeedControlConfig
 from repro.press.integrator import CombinationStrategy
 from repro.press.model import PRESSModel
 from repro.util.validation import require
 
 __all__ = [
-    "sweep_fault_acceleration",
     "sweep_integrator_strategies",
     "sweep_read_transition_cap",
     "sweep_read_adaptive_threshold",
@@ -35,28 +33,11 @@ __all__ = [
 
 
 def _run_one(cfg: ExperimentConfig, policy_name: str, n_disks: int,
-             faults: FaultConfig | None = None,
              **policy_kwargs) -> SimulationResult:
     spec = RunSpec(policy=policy_name, n_disks=n_disks,
                    workload=cfg.workload, policy_kwargs=policy_kwargs,
-                   disk_params=cfg.disk_params, faults=faults)
+                   disk_params=cfg.disk_params)
     return run_cell(spec)
-
-
-def sweep_fault_acceleration(cfg: ExperimentConfig,
-                             accels: Sequence[float] = (1e4, 5e4, 2e5), *,
-                             policy: str = "read", n_disks: int = 10,
-                             seed: int = 0,
-                             ) -> dict[float, SimulationResult]:
-    """Realized reliability vs hazard acceleration: how availability and
-    data-loss exposure degrade as failures become more frequent, for one
-    policy at one array size.  The same base seed is used at every
-    acceleration so the failure *budgets* are held fixed and only the
-    hazard scale moves."""
-    require(len(accels) >= 1, "need at least one acceleration value")
-    return {accel: _run_one(cfg, policy, n_disks,
-                            faults=FaultConfig(seed=seed, accel=accel))
-            for accel in accels}
 
 
 def sweep_integrator_strategies(cfg: ExperimentConfig, *, n_disks: int = 10,

@@ -42,7 +42,6 @@ from repro.obs.summarize import (
     TraceSummary,
     format_summary,
     summarize_records,
-    summarize_trace,
     summarize_traces,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "setup_logging",
     "shard_segment_path",
     "summarize_records",
-    "summarize_trace",
     "summarize_traces",
     "timeseries_to_csv_text",
     "write_timeseries",

@@ -132,11 +132,11 @@ class DiskSampler:
         for drive in self._array.drives:
             drive.finalize()
             util = drive.utilization() * 100.0
-            temp = drive.thermal.temperature_c
+            temp = drive.temperature_c
             speed = drive.speed.name.lower()
             phase = drive.phase.value
             queue = drive.queue_length
-            energy = drive.energy.total_energy_j
+            energy = sum(drive.energies_j)
             g = self._offset + drive.disk_id
             rows.append((now, g, util, temp, speed, phase,
                          queue, energy))

@@ -33,8 +33,9 @@ deterministic — unlike every other file the obs layer writes.  Schema
     that sum over their summed wall clock.
 ``elapsed_s`` / ``eta_s``
     Wall clock since the writer was created; naive remaining-time
-    estimate ``elapsed / done * (total - done)`` (absent until one cell
-    lands).
+    estimate ``elapsed / cells_run * (total - done)``.  Restored
+    checkpoint cells took no time, so the rate counts only the cells run
+    in this invocation, and there is no estimate until one has.
 ``rss_max_mb``
     Peak resident set of the sweep driver process so far.
 ``cells_run`` / ``checkpoint_hits`` / ``retries`` / ``timeouts`` /
@@ -43,9 +44,9 @@ deterministic — unlike every other file the obs layer writes.  Schema
 ``cells``
     Per-cell detail keyed by cell index (a decimal string), so cells
     that share a label stay apart: ``label``, ``state``
-    (``pending``/``running``/``retrying``/``done``/``restored``),
-    ``retries``, and for cells run in this invocation ``events`` and
-    ``wall_s``.
+    (``pending``/``running``/``retrying``/``done``/``restored``, or
+    ``failed`` for the cell whose error failed the sweep), ``retries``,
+    and for cells run in this invocation ``events`` and ``wall_s``.
 """
 
 from __future__ import annotations
@@ -109,10 +110,12 @@ class SweepStatusWriter:
         body = self._source()
         elapsed = time.monotonic() - self._started
         total, done = body.get("cells_total"), body.get("cells_done")
+        run = body.get("cells_run")
         eta: Optional[float] = None
         if (self._state == "running" and isinstance(total, int)
-                and isinstance(done, int) and 0 < done < total):
-            eta = elapsed / done * (total - done)
+                and isinstance(done, int) and isinstance(run, int)
+                and run > 0 and done < total):
+            eta = elapsed / run * (total - done)
         return {
             "version": STATUS_VERSION,
             "state": self._state,
@@ -204,4 +207,8 @@ def format_status(doc: dict) -> str:
         lines.append("  retrying:")
         lines.extend(f"    {c.get('label')} (retry {c.get('retries', '?')})"
                      for c in retrying)
+    failed = [c for c in cells if c.get("state") == "failed"]
+    if failed:
+        lines.append("  failed:")
+        lines.extend(f"    {c.get('label')}" for c in failed)
     return "\n".join(lines)

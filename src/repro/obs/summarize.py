@@ -24,7 +24,7 @@ from repro.obs.export import read_trace
 from repro.util.tables import format_table
 
 __all__ = ["DiskRollup", "TraceSummary", "summarize_records",
-           "summarize_trace", "summarize_traces", "format_summary"]
+           "summarize_traces", "format_summary"]
 
 PathLike = Union[str, Path]
 
@@ -40,7 +40,7 @@ class DiskRollup:
     completions: int = 0
     failures: int = 0
     transitions: int = 0
-    mb_served: float = 0.0
+    completed_mb: float = 0.0
     #: summed queue wait of dispatched jobs (from ``request.dispatch``).
     total_wait_s: float = 0.0
 
@@ -55,7 +55,7 @@ class DiskRollup:
             "disk": self.disk, "events": self.events,
             "submits": self.submits, "completions": self.completions,
             "failures": self.failures, "transitions": self.transitions,
-            "MB_served": round(self.mb_served, 1),
+            "MB_served": round(self.completed_mb, 1),
             "mean_wait_ms": round(self.mean_wait_ms, 3),
         }
 
@@ -121,17 +121,12 @@ def summarize_records(records: Iterable[dict]) -> TraceSummary:
             rollup.total_wait_s += float(record.get("wait_s", 0.0))
         elif etype == ev.REQUEST_COMPLETE:
             rollup.completions += 1
-            rollup.mb_served += float(record.get("size_mb", 0.0))
+            rollup.completed_mb += float(record.get("size_mb", 0.0))
         elif etype == ev.REQUEST_FAIL:
             rollup.failures += 1
         elif etype == ev.DISK_TRANSITION_BEGIN:
             rollup.transitions += 1
     return summary
-
-
-def summarize_trace(path: PathLike) -> TraceSummary:
-    """Read a JSONL trace file and aggregate it."""
-    return summarize_records(read_trace(path))
 
 
 def summarize_traces(paths: Iterable[PathLike]) -> TraceSummary:

@@ -132,7 +132,7 @@ class DRPMPolicy(Policy):
         period = self.config.control_period_s
         for disk_id, drive in enumerate(array.drives):
             drive.finalize()  # flush the ledger so active time is current
-            active = drive.energy.active_time_s
+            active = drive.active_time_s
             window_util = (active - self._active_snapshot[disk_id]) / period
             self._active_snapshot[disk_id] = active
 

@@ -35,7 +35,6 @@ from repro.press.sensitivity import (
     DEFAULT_RANGES,
     FactorRange,
     TornadoBar,
-    dominant_factor,
     partial_effect,
     tornado,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "DEFAULT_RANGES",
     "FactorRange",
     "TornadoBar",
-    "dominant_factor",
     "partial_effect",
     "tornado",
     "DiskFactors",

@@ -21,7 +21,7 @@ from repro.press.model import PRESSModel
 from repro.util.validation import require
 
 __all__ = ["FactorRange", "DEFAULT_RANGES", "TornadoBar", "tornado",
-           "partial_effect", "dominant_factor"]
+           "partial_effect"]
 
 FACTORS = ("temperature", "utilization", "frequency")
 
@@ -127,14 +127,3 @@ def partial_effect(factor: str, *, press: PRESSModel | None = None,
         for x in xs
     ])
     return xs, ys
-
-
-def dominant_factor(press: PRESSModel | None = None, *,
-                    base: dict[str, float] | None = None,
-                    ranges: dict[str, FactorRange] | None = None) -> str:
-    """The factor with the largest tornado swing at the base point.
-
-    At the paper's default model and envelope this returns
-    ``"frequency"`` — Sec. 3.5 insight 1.
-    """
-    return tornado(press, base=base, ranges=ranges)[0].factor

@@ -24,7 +24,6 @@ from repro.workload.zipf import (
 )
 from repro.workload.arrival import (
     poisson_arrivals,
-    uniform_arrivals,
     onoff_bursty_arrivals,
     diurnal_poisson_arrivals,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "skew_theta",
     "fit_zipf_alpha",
     "poisson_arrivals",
-    "uniform_arrivals",
     "onoff_bursty_arrivals",
     "diurnal_poisson_arrivals",
     "Trace",

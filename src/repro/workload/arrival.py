@@ -18,7 +18,6 @@ from repro.util.validation import require, require_positive
 
 __all__ = [
     "poisson_arrivals",
-    "uniform_arrivals",
     "onoff_bursty_arrivals",
     "onoff_bursty_gap_runs",
     "diurnal_poisson_arrivals",
@@ -32,13 +31,6 @@ def poisson_arrivals(n: int, mean_interarrival_s: float, seed: SeedLike = None) 
     rng = rng_from(seed)
     gaps = rng.exponential(mean_interarrival_s, size=n)
     return np.cumsum(gaps)
-
-
-def uniform_arrivals(n: int, mean_interarrival_s: float) -> np.ndarray:
-    """Deterministic, evenly spaced arrivals (useful for exact-math tests)."""
-    require(n >= 0, f"n must be >= 0, got {n}")
-    require_positive(mean_interarrival_s, "mean_interarrival_s")
-    return mean_interarrival_s * np.arange(1, n + 1, dtype=np.float64)
 
 
 def onoff_bursty_gap_runs(n: int, mean_interarrival_s: float, *,

@@ -36,8 +36,8 @@ class TestInitialRound:
 
     def test_initial_config_costs_nothing(self, sim, params, uniform_files):
         _, array = bound_read(sim, params, uniform_files)
-        assert all(d.stats.speed_transitions_total == 0 for d in array.drives)
-        assert all(d.energy.total_energy_j == 0.0 for d in array.drives)
+        assert all(d.transitions_total == 0 for d in array.drives)
+        assert all(sum(d.energies_j) == 0.0 for d in array.drives)
 
     def test_every_file_placed(self, sim, params, uniform_files):
         _, array = bound_read(sim, params, uniform_files)
@@ -76,7 +76,7 @@ class TestRoutingAndSpeed:
         sim.run(until=5.0)
         disk = array.drive(req.served_by)
         assert disk.speed is DiskSpeed.LOW
-        assert disk.stats.speed_transitions_total == 0
+        assert disk.transitions_total == 0
 
     def test_sustained_backlog_spins_cold_disk_up(self, sim, params, uniform_files):
         policy, array = bound_read(
@@ -107,7 +107,7 @@ class TestTransitionBudget:
             t += 10.0
             sim.run(until=t)
         policy.shutdown()
-        assert array.drive(hot_disk).stats.speed_transitions_total <= 2
+        assert array.drive(hot_disk).transitions_total <= 2
 
     def test_adaptive_threshold_doubles_h(self, sim, params, uniform_files):
         cfg = dict(max_transitions_per_day=4, adaptive_threshold=True,

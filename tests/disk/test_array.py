@@ -110,8 +110,8 @@ class TestMigration:
         array.migrate_file(0, 3, on_done=lambda f, s, d: done.append((f, s, d)))
         sim.run()
         assert done == [(0, 0, 3)]
-        assert array.drive(0).stats.internal_jobs_served == 1  # read leg
-        assert array.drive(3).stats.internal_jobs_served == 1  # write leg
+        assert array.drive(0).internal_jobs_served == 1  # read leg
+        assert array.drive(3).internal_jobs_served == 1  # write leg
         # write starts only after read completes
         read_t = array.params.high.service_time_s(1.0)
         assert sim.now == pytest.approx(2 * read_t)
@@ -120,7 +120,7 @@ class TestMigration:
         array.place_all(np.array([0, 1, 2, 3, 0, 1, 2, 3]))
         assert array.migrate_file(0, 0) is False
         sim.run()
-        assert array.drive(0).stats.internal_jobs_served == 0
+        assert array.drive(0).internal_jobs_served == 0
 
     def test_migrate_over_capacity_refused(self, sim, params, tiny_fileset):
         small = dataclasses.replace(params, capacity_mb=16.0)
@@ -145,7 +145,7 @@ class TestEnergyAggregation:
         # a cell's total is the ledger reducer's, over the closed ledgers
         totals = _reduce_ledgers([d.open_ledger().close(10.0) for d in array.drives],
                                  horizon_s=10.0, press=PRESSModel())
-        assert totals["total_energy_j"] == sum(d.energy.total_energy_j
+        assert totals["total_energy_j"] == sum(sum(d.energies_j)
                                                for d in array.drives)
         assert totals["total_energy_j"] > 0.0
 

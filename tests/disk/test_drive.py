@@ -74,11 +74,12 @@ class TestService:
 
     def test_stats_count_user_vs_internal(self, sim, params, drive):
         from repro.workload.request import Request
-        drive.submit(Job.for_request(Request(0.0, 0, 1.0)))
-        drive.submit(Job.internal_transfer(1.0))
+        done = []
+        drive.submit(Job.for_request(Request(0.0, 0, 1.0), on_complete=done.append))
+        drive.submit(Job.internal_transfer(1.0, on_complete=done.append))
         sim.run()
-        assert drive.stats.requests_served == 1
-        assert drive.stats.internal_jobs_served == 1
+        assert [job.internal for job in done] == [False, True]
+        assert drive.internal_jobs_served == 1
 
 
 class TestTransitions:
@@ -89,11 +90,11 @@ class TestTransitions:
         assert drive.speed is DiskSpeed.LOW
         assert drive.phase is DrivePhase.IDLE
         assert sim.now == pytest.approx(params.transition_time_s)
-        assert drive.stats.speed_transitions_total == 1
+        assert drive.transitions_total == 1
 
     def test_same_speed_request_is_noop(self, sim, drive):
         assert drive.request_speed(DiskSpeed.HIGH) is False
-        assert drive.stats.speed_transitions_total == 0
+        assert drive.transitions_total == 0
 
     def test_no_service_during_transition(self, sim, params, drive):
         drive.request_speed(DiskSpeed.LOW)
@@ -132,14 +133,14 @@ class TestTransitions:
         drive.request_speed(DiskSpeed.LOW)
         assert drive.request_speed(DiskSpeed.LOW) is False
         sim.run()
-        assert drive.stats.speed_transitions_total == 1
+        assert drive.transitions_total == 1
 
     def test_reversal_mid_transition_queues_second_transition(self, sim, params, drive):
         drive.request_speed(DiskSpeed.LOW)
         assert drive.request_speed(DiskSpeed.HIGH) is True
         sim.run()
         assert drive.speed is DiskSpeed.HIGH
-        assert drive.stats.speed_transitions_total == 2
+        assert drive.transitions_total == 2
         assert sim.now == pytest.approx(2 * params.transition_time_s)
 
     def test_pending_cancelled_by_opposite_request(self, sim, params, drive):
@@ -149,7 +150,7 @@ class TestTransitions:
         drive.request_speed(DiskSpeed.HIGH)  # cancels the pending LOW
         sim.run()
         assert drive.speed is DiskSpeed.HIGH
-        assert drive.stats.speed_transitions_total == 0
+        assert drive.transitions_total == 0
 
     def test_effective_target_speed(self, sim, drive):
         assert drive.effective_target_speed is DiskSpeed.HIGH
@@ -163,13 +164,13 @@ class TestForceSpeed:
     def test_force_speed_free_and_instant(self, sim, params, drive):
         drive.force_speed(DiskSpeed.LOW)
         assert drive.speed is DiskSpeed.LOW
-        assert drive.stats.speed_transitions_total == 0
-        assert drive.energy.total_energy_j == 0.0
+        assert drive.transitions_total == 0
+        assert sum(drive.energies_j) == 0.0
         assert sim.now == 0.0
 
     def test_force_speed_at_t0_resets_temperature(self, sim, params, drive):
         drive.force_speed(DiskSpeed.LOW)
-        assert drive.thermal.temperature_c == params.low.steady_temp_c
+        assert drive.temperature_c == params.low.steady_temp_c
 
     def test_force_speed_rejected_when_busy(self, sim, drive):
         drive.submit(Job.internal_transfer(1.0))
@@ -206,7 +207,7 @@ class TestAccounting:
         drive.finalize()
         expected = (params.high.idle_w * (30.0 - st)
                     + params.high.active_w * st)
-        assert drive.energy.total_energy_j == pytest.approx(expected)
+        assert sum(drive.energies_j) == pytest.approx(expected)
 
     def test_transition_energy_accounted(self, sim, params, drive):
         from repro.disk.energy import STATE_INDEX, DiskPowerState
@@ -214,7 +215,7 @@ class TestAccounting:
         sim.run()
         drive.finalize()
         transition = STATE_INDEX[DiskPowerState.TRANSITION]
-        assert drive.energy.energies_j[transition] == pytest.approx(
+        assert drive.energies_j[transition] == pytest.approx(
             params.transition_energy_j)
 
     def test_total_time_equals_wall_clock(self, sim, params, drive):
@@ -222,7 +223,7 @@ class TestAccounting:
         drive.request_speed(DiskSpeed.LOW)
         sim.run(until=100.0)
         drive.finalize()
-        assert drive.energy.total_time_s == pytest.approx(100.0)
+        assert sum(drive.times_s) == pytest.approx(100.0)
         assert drive.power_on_time_s() == pytest.approx(100.0)
 
     def test_utilization_matches_active_fraction(self, sim, params, drive):
@@ -236,9 +237,9 @@ class TestAccounting:
         drive.submit(Job.internal_transfer(1.0))
         sim.run(until=50.0)
         drive.finalize()
-        first = drive.energy.total_energy_j
+        first = sum(drive.energies_j)
         drive.finalize()
-        assert drive.energy.total_energy_j == first
+        assert sum(drive.energies_j) == first
 
     def test_estimated_wait_counts_backlog(self, sim, params, drive):
         drive.submit(Job.internal_transfer(10.0))  # in service, not counted

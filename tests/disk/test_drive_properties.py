@@ -48,7 +48,7 @@ def run_script(script):
 @settings(max_examples=150, deadline=None)
 def test_state_time_partitions_wall_clock(script):
     sim, drive, _jobs = run_script(script)
-    assert drive.energy.total_time_s == pytest.approx(sim.now, abs=1e-6)
+    assert sum(drive.times_s) == pytest.approx(sim.now, abs=1e-6)
 
 
 @given(actions)
@@ -56,7 +56,7 @@ def test_state_time_partitions_wall_clock(script):
 def test_all_jobs_complete_exactly_once(script):
     _sim, drive, jobs = run_script(script)
     assert all(j.completion_time >= 0 for j in jobs)
-    assert drive.stats.internal_jobs_served == len(jobs)
+    assert drive.internal_jobs_served == len(jobs)
 
 
 @given(actions)
@@ -76,7 +76,7 @@ def test_energy_bounded_by_extreme_power_states(script):
         return
     min_power = PARAMS.low.idle_w
     max_power = max(PARAMS.high.active_w, PARAMS.transition_power_w)
-    energy = drive.energy.total_energy_j
+    energy = sum(drive.energies_j)
     assert min_power * sim.now - 1e-6 <= energy <= max_power * sim.now + 1e-6
 
 
@@ -86,10 +86,9 @@ def test_temperature_stays_within_model_bounds(script):
     _sim, drive, _jobs = run_script(script)
     lo = min(28.0, PARAMS.low.steady_temp_c)
     hi = PARAMS.high.steady_temp_c
-    assert lo - 1e-9 <= drive.thermal.temperature_c <= hi + 1e-9
-    thermal = drive.thermal
-    if thermal.elapsed_s > 0.0:
-        mean_c = thermal.integral_c_s / thermal.elapsed_s
+    assert lo - 1e-9 <= drive.temperature_c <= hi + 1e-9
+    if drive.elapsed_s > 0.0:
+        mean_c = drive.integral_c_s / drive.elapsed_s
         assert lo - 1e-9 <= mean_c <= hi + 1e-9
 
 
@@ -111,8 +110,8 @@ edge_actions = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_inline_edges_equal_ledger_replay_bit_for_bit(script):
     """Every dispatch, completion, transition, failure and replacement edge
-    charges the accumulators exactly as ``OpenDiskLedger.advance`` does
-    over the same intervals."""
+    charges the drive's own accounting fields exactly as
+    ``OpenDiskLedger.advance`` does over the same intervals."""
     sim = Simulator()
     drive = TwoSpeedDrive(sim, PARAMS, 0)
     # spy on every edge: the open state that ruled the interval, and its end
@@ -150,8 +149,8 @@ def test_inline_edges_equal_ledger_replay_bit_for_bit(script):
             replay = opened
         replay = replay.advance(end)
     assert replay is not None  # finalize is an edge
-    assert replay.time_s == tuple(drive.energy.times_s)
-    assert replay.energy_j == tuple(drive.energy.energies_j)
-    assert replay.temp_c == drive.thermal.temperature_c
-    assert replay.integral_c_s == drive.thermal.integral_c_s
-    assert replay.elapsed_s == drive.thermal.elapsed_s
+    assert replay.time_s == tuple(drive.times_s)
+    assert replay.energy_j == tuple(drive.energies_j)
+    assert replay.temp_c == drive.temperature_c
+    assert replay.integral_c_s == drive.integral_c_s
+    assert replay.elapsed_s == drive.elapsed_s

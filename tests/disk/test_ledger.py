@@ -18,6 +18,7 @@ from repro.disk.drive import Job, TwoSpeedDrive
 from repro.disk.energy import STATE_INDEX, DiskPowerState
 from repro.disk.ledger import ClosedDiskLedger, OpenDiskLedger
 from repro.disk.parameters import AMBIENT_TEMPERATURE_C, DiskSpeed
+from repro.disk.thermal import DEFAULT_TAU_S
 from repro.sim.engine import Simulator
 from repro.workload.files import FileSet
 from repro.workload.request import Request
@@ -48,22 +49,19 @@ def _assert_ledger_equals_finalized(drive: TwoSpeedDrive,
     """Every field of the closed ledger equals the finalized drive, exactly."""
     for state in DiskPowerState:
         i = STATE_INDEX[state]
-        assert closed.time_s[i] == drive.energy.times_s[i]
-        assert closed.energy_j[i] == drive.energy.energies_j[i]
-    assert closed.total_energy_j == drive.energy.total_energy_j
-    assert closed.active_time_s == drive.energy.active_time_s
-    assert closed.breakdown() == {state.value: drive.energy.energies_j[i]
+        assert closed.time_s[i] == drive.times_s[i]
+        assert closed.energy_j[i] == drive.energies_j[i]
+    assert closed.total_energy_j == sum(drive.energies_j)
+    assert closed.active_time_s == drive.active_time_s
+    assert closed.breakdown() == {state.value: drive.energies_j[i]
                                   for state, i in STATE_INDEX.items()}
-    assert closed.temperature_c == drive.thermal.temperature_c
-    assert closed.integral_c_s == drive.thermal.integral_c_s
-    assert closed.elapsed_s == drive.thermal.elapsed_s
+    assert closed.temperature_c == drive.temperature_c
+    assert closed.integral_c_s == drive.integral_c_s
+    assert closed.elapsed_s == drive.elapsed_s
     assert (closed.mean_temperature_c()
-            == drive.thermal.integral_c_s / drive.thermal.elapsed_s)
-    assert closed.requests_served == drive.stats.requests_served
-    assert closed.internal_jobs_served == drive.stats.internal_jobs_served
-    assert closed.mb_served == drive.stats.mb_served
-    assert closed.transitions_total == drive.stats.speed_transitions_total
-    assert dict(closed.transitions_by_day) == drive.stats.transitions_by_day
+            == drive.integral_c_s / drive.elapsed_s)
+    assert closed.internal_jobs_served == drive.internal_jobs_served
+    assert closed.transitions_total == drive.transitions_total
 
 
 class TestDeferredCloseEqualsFinalize:
@@ -118,11 +116,11 @@ class TestDeferredCloseEqualsFinalize:
         ledger = array.drives[1].open_ledger()
         dt = 123.456
         closed = ledger.close(ledger.last_account_s + dt)
-        decay = math.exp(-dt / ledger.tau_s)
+        decay = math.exp(-dt / DEFAULT_TAU_S)
         expected_temp = ledger.steady_c + (ledger.temp_c - ledger.steady_c) * decay
         expected_integral = (ledger.integral_c_s + ledger.steady_c * dt
                              + (ledger.temp_c - ledger.steady_c)
-                             * ledger.tau_s * (1.0 - decay))
+                             * DEFAULT_TAU_S * (1.0 - decay))
         assert closed.temperature_c == expected_temp
         assert closed.integral_c_s == expected_integral
 

@@ -1,9 +1,12 @@
-"""Multi-day horizons: budget resets, per-day stats, diurnal workloads.
+"""Multi-day horizons: budget resets, per-day transitions, diurnal workloads.
 
-The transition budget and the per-day transition accounting are both
-keyed to simulated calendar days; these tests run the machinery across
-day boundaries (the regime the paper's S = 40/day cap is defined in).
+The transition budget is keyed to simulated calendar days; these tests
+run the machinery across day boundaries (the regime the paper's
+S = 40/day cap is defined in) and count each drive's transitions per
+day from the ``disk.transition.begin`` trace records.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,12 +14,33 @@ import pytest
 from repro.disk.array import DiskArray
 from repro.disk.parameters import DiskSpeed
 from repro.experiments.runner import make_policy, run_simulation
+from repro.obs import events as ev
 from repro.policies.base import TransitionBudget
 from repro.sim.engine import Simulator
 from repro.util.units import SECONDS_PER_DAY
 from repro.workload.arrival import diurnal_poisson_arrivals
 from repro.workload.files import FileSet
 from repro.workload.trace import Trace
+
+
+class _TransitionDays:
+    """A trace sink that counts transition starts per (disk, calendar day)."""
+
+    def __init__(self) -> None:
+        self.counts: Counter[tuple[int, int]] = Counter()
+
+    def emit(self, etype, t, **data):
+        if etype == ev.DISK_TRANSITION_BEGIN:
+            self.counts[data["disk"], int(t // SECONDS_PER_DAY)] += 1
+
+    def request_submit(self, *_args):
+        pass
+
+    def request_dispatch(self, *_args):
+        pass
+
+    def request_complete(self, *_args):
+        pass
 
 
 class TestBudgetAcrossDays:
@@ -42,18 +66,18 @@ class TestBudgetAcrossDays:
 
 class TestPerDayDriveStats:
     def test_transition_days_bucketed_by_drive(self, sim, params, tiny_fileset):
+        recorder = sim.trace = _TransitionDays()
         array = DiskArray(sim, params, 1, tiny_fileset)
         drive = array.drive(0)
-        # one down/up pair on each of two days
+        # a down/up pair on day 0, one more transition on day 1
         drive.request_speed(DiskSpeed.LOW)
         sim.run(until=100.0)
         drive.request_speed(DiskSpeed.HIGH)
         sim.run(until=SECONDS_PER_DAY + 100.0)
         drive.request_speed(DiskSpeed.LOW)
         sim.run(until=SECONDS_PER_DAY + 200.0)
-        assert drive.stats.transitions_on_day(0) == 2
-        assert drive.stats.transitions_on_day(1) == 1
-        assert drive.stats.max_transitions_per_day() == 2
+        assert recorder.counts == {(0, 0): 2, (0, 1): 1}
+        assert drive.transitions_total == 3
 
 
 class TestDiurnalTwoDayRun:
@@ -96,9 +120,10 @@ class TestDiurnalTwoDayRun:
         result = run_simulation(policy, fileset, trace, n_disks=2,
                                 disk_params=params)
         assert result.total_transitions > 0
-        # verify per-calendar-day caps through the drives' day buckets
+        # verify per-calendar-day caps through the transition records
         # (re-run with direct access to the array)
         sim = Simulator()
+        recorder = sim.trace = _TransitionDays()
         array = DiskArray(sim, params, 2, fileset)
         policy2 = make_policy("read", max_transitions_per_day=4,
                               speed=SpeedControlConfig(idle_threshold_s=30.0,
@@ -112,6 +137,10 @@ class TestDiurnalTwoDayRun:
                                     policy2.route(r)))
         sim.run(until=2 * SECONDS_PER_DAY)
         policy2.shutdown()
-        for drive in array.drives:
-            for day, count in drive.stats.transitions_by_day.items():
-                assert count <= 4, f"disk {drive.disk_id} day {day}: {count} > cap"
+        assert recorder.counts
+        # both days saw transitions, and no disk exceeded the cap on any day
+        assert {day for _disk, day in recorder.counts} == {0, 1}
+        for (disk, day), count in recorder.counts.items():
+            assert count <= 4, f"disk {disk} day {day}: {count} > cap"
+        assert (sum(recorder.counts.values())
+                == sum(drive.transitions_total for drive in array.drives))

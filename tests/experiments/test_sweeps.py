@@ -94,11 +94,13 @@ class TestIdleThresholdSweep:
 
 class TestFaultAccelerationSweep:
     def test_availability_degrades_with_acceleration(self, cfg):
-        from repro.experiments.sweeps import sweep_fault_acceleration
-        out = sweep_fault_acceleration(cfg, accels=(1e4, 5e6), policy="read",
-                                       n_disks=4, seed=3)
-        assert set(out) == {1e4, 5e6}
-        low, high = out[1e4].faults, out[5e6].faults
+        from repro.experiments.parallel import RunSpec, run_cell
+        from repro.faults import FaultConfig
+        low, high = (run_cell(RunSpec(
+            policy="read", n_disks=4, workload=cfg.workload,
+            disk_params=cfg.disk_params,
+            faults=FaultConfig(seed=3, accel=accel))).faults
+            for accel in (1e4, 5e6))
         assert low is not None and high is not None
         # stronger acceleration -> at least as many failures, no better
         # availability (same budgets at both points, only the scale moves)

@@ -64,7 +64,7 @@ class TestReconstructFanIn:
         assert injector.rtracker.reconstruct_legs == 6
         assert injector.tracker.requests_redirected == 1
         # each leg is a shard-sized internal read on one survivor
-        served = [d.stats.internal_jobs_served for d in array.drives]
+        served = [d.internal_jobs_served for d in array.drives]
         assert served == [0, 1, 1, 1, 1, 1, 1, 0]
 
     def test_mirror_read_redirects_to_live_copy(self, harness, tiny_fileset):
@@ -101,7 +101,7 @@ class TestReconstructFanIn:
         sim.run_until_drained()
         assert len(ok) == 1
         assert injector.rtracker.reconstruct_reads == 0
-        assert sum(d.stats.internal_jobs_served for d in array.drives) == 0
+        assert sum(d.internal_jobs_served for d in array.drives) == 0
 
 
 class TestRebuildFanOut:

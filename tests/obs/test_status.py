@@ -107,7 +107,11 @@ class TestEventFolding:
         first, second = seen
         assert first["cells_running"] == [specs[1].label()]
         assert first["cells"]["2"]["state"] == "pending"
+        # the restored cell took no time: no rate, so no ETA yet
+        assert first["cells_done"] == 1 and first["eta_s"] is None
         doc = second  # while the third cell runs
+        # one cell run in elapsed_s, one left
+        assert doc["eta_s"] == pytest.approx(doc["elapsed_s"], abs=2e-3)
         assert doc["version"] == STATUS_VERSION
         assert doc["state"] == "running"
         assert doc["jobs"] == 1
@@ -173,6 +177,20 @@ class TestEventFolding:
             run_cells_resilient(tiny_specs("read"), status=writer)
         assert read_status(writer.path)["state"] == "failed"
 
+    def test_raising_cell_is_marked_failed(self, tmp_path, monkeypatch):
+        def failing(spec):
+            raise OSError("cell bug")
+
+        monkeypatch.setattr(parallel, "run_cell", failing)
+        writer = _writer(tmp_path)
+        with pytest.raises(CellExecutionError):
+            run_cells_resilient(tiny_specs("read", "maid"), status=writer)
+        doc = read_status(writer.path)
+        assert doc["cells"]["0"]["state"] == "failed"
+        assert doc["cells"]["1"]["state"] == "pending"
+        assert doc["cells_running"] == []
+        assert f"  failed:\n    {tiny_specs('read')[0].label()}" in format_status(doc)
+
     def test_published_file_is_valid_json_with_newline(self, tmp_path):
         writer = _writer(tmp_path)
         writer.publish(force=True)
@@ -212,6 +230,36 @@ def die_then_hang_factory(log):
             time.sleep(60.0)
         return StaticHighPolicy()
     return factory
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="worker-side policies need fork inheritance")
+class TestFailedCellInPool:
+    """The pool path names the cell that failed the sweep too."""
+
+    def test_raising_cell(self, registry, tmp_path):
+        def raiser():
+            raise ValueError("deterministic cell bug")
+
+        registry("_raiser", raiser)
+        specs = tiny_specs("read", "_raiser")
+        writer = _writer(tmp_path)
+        with pytest.raises(CellExecutionError):
+            run_cells_resilient(specs, jobs=2, status=writer)
+        cells = read_status(writer.path)["cells"]
+        assert cells["1"]["state"] == "failed"
+        assert cells["0"]["state"] in ("done", "running")
+
+    def test_exhausted_requeue(self, registry, tmp_path):
+        registry("_kamikaze", lambda: os._exit(137))
+        specs = [RunSpec(policy="_kamikaze", n_disks=4, workload=TINY),
+                 RunSpec(policy="static-high", n_disks=4, workload=TINY)]
+        writer = _writer(tmp_path)
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_cells_resilient(specs, jobs=2, status=writer,
+                                config=ResilienceConfig(max_retries=0))
+        assert excinfo.value.spec == specs[0]
+        assert read_status(writer.path)["cells"]["0"]["state"] == "failed"
 
 
 class TestOneLedger:

@@ -6,7 +6,7 @@ from repro.experiments.runner import make_policy, run_simulation
 from repro.obs import events as ev
 from repro.obs.config import ObsConfig
 from repro.obs.summarize import (format_summary, summarize_records,
-                                 summarize_trace)
+                                 summarize_traces)
 
 
 class TestSummarizeRecords:
@@ -41,7 +41,7 @@ class TestSummarizeRecords:
         summary = summarize_records(self.RECORDS)
         d0 = summary.by_disk[0]
         assert (d0.submits, d0.dispatches, d0.completions) == (1, 1, 1)
-        assert d0.mb_served == 2.0
+        assert d0.completed_mb == 2.0
         assert d0.total_wait_s == 0.25
         assert d0.mean_wait_ms == pytest.approx(250.0)
         d1 = summary.by_disk[1]
@@ -75,7 +75,7 @@ class TestRoundTrip:
 
     def test_summary_matches_run_metrics(self, traced):
         result, path = traced
-        summary = summarize_trace(path)
+        summary = summarize_traces([path])
         completions = sum(r.completions for r in summary.by_disk.values())
         # completions cover user requests and internal jobs alike
         assert completions == result.n_requests + result.internal_jobs
@@ -95,13 +95,13 @@ class TestRoundTrip:
 
     def test_every_disk_served_something(self, traced):
         _result, path = traced
-        summary = summarize_trace(path)
+        summary = summarize_traces([path])
         assert set(summary.by_disk) == {0, 1, 2, 3}
         assert all(r.submits > 0 for r in summary.by_disk.values())
 
     def test_format_summary_renders_tables(self, traced):
         _result, path = traced
-        text = format_summary(summarize_trace(path), source=path.name)
+        text = format_summary(summarize_traces([path]), source=path.name)
         assert path.name in text
         assert "per event type" in text
         assert "per disk" in text

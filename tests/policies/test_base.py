@@ -76,7 +76,7 @@ class TestSpeedControllerSpinDown:
         ctl.on_disk_idle(0)
         sim.run()
         assert array.drive(0).speed is DiskSpeed.LOW
-        assert array.drive(0).stats.speed_transitions_total == 1
+        assert array.drive(0).transitions_total == 1
 
     def test_activity_cancels_spin_down(self, sim, array):
         ctl = SpeedController(sim, array, SpeedControlConfig(idle_threshold_s=10.0))
@@ -102,7 +102,7 @@ class TestSpeedControllerSpinDown:
         assert drive.effective_target_speed is DiskSpeed.LOW
         sim.run()
         assert drive.speed is DiskSpeed.LOW
-        assert drive.stats.speed_transitions_total == 1
+        assert drive.transitions_total == 1
         # shrink, the timer at 3, the transition end: the entry left at
         # 10 is no event
         assert sim.events_executed == 3
@@ -121,7 +121,7 @@ class TestSpeedControllerSpinDown:
         ctl = SpeedController(sim, array, SpeedControlConfig(idle_threshold_s=10.0))
         ctl.on_disk_idle(0)
         sim.run()
-        assert array.drive(0).stats.speed_transitions_total == 0
+        assert array.drive(0).transitions_total == 0
 
     def test_budget_blocks_spin_down(self, sim, array):
         budget = TransitionBudget(sim, limit_per_day=1)
@@ -198,7 +198,7 @@ class TestSpeedControllerSpinUp:
     def test_high_disk_needs_no_spin_up(self, sim, array):
         ctl = SpeedController(sim, array, SpeedControlConfig())
         ctl.check_spin_up(0)
-        assert array.drive(0).stats.speed_transitions_total == 0
+        assert array.drive(0).transitions_total == 0
 
     def test_adaptive_threshold_setter(self, sim, array):
         ctl = SpeedController(sim, array, SpeedControlConfig(idle_threshold_s=10.0))

@@ -60,7 +60,7 @@ class TestCaching:
         policy, array = bound_maid(sim, params, tiny_fileset)
         policy.route(Request(0.0, 0, tiny_fileset.size_of(0)))
         sim.run()
-        cache_writes = sum(array.drive(d).stats.internal_jobs_served
+        cache_writes = sum(array.drive(d).internal_jobs_served
                            for d in range(policy._n_cache))
         assert cache_writes == 1
 
@@ -70,7 +70,7 @@ class TestCaching:
             policy.route(Request(0.0, 0, tiny_fileset.size_of(0)))
         sim.run()
         assert policy.cache_misses == 3
-        cache_writes = sum(array.drive(d).stats.internal_jobs_served
+        cache_writes = sum(array.drive(d).internal_jobs_served
                            for d in range(policy._n_cache))
         assert cache_writes == 1
 

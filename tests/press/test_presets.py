@@ -76,6 +76,6 @@ class TestConclusionStability:
 
     @pytest.mark.parametrize("temp_name", sorted(TEMPERATURE_PRESETS))
     def test_frequency_still_dominates(self, temp_name):
-        from repro.press.sensitivity import dominant_factor
+        from repro.press.sensitivity import tornado
         model = press_model_preset(temp_name)
-        assert dominant_factor(model) == "frequency"
+        assert tornado(model)[0].factor == "frequency"

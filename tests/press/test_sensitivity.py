@@ -8,7 +8,6 @@ from repro.press.model import PRESSModel
 from repro.press.sensitivity import (
     DEFAULT_RANGES,
     FactorRange,
-    dominant_factor,
     partial_effect,
     tornado,
 )
@@ -46,11 +45,11 @@ class TestTornado:
         dominating — the model's advice is range-dependent."""
         ranges = dict(DEFAULT_RANGES)
         ranges["frequency"] = FactorRange(0.0, 40.0)
-        assert dominant_factor(ranges=ranges) != "frequency"
+        assert tornado(ranges=ranges)[0].factor != "frequency"
 
     def test_sum_strategy_preserves_ranking(self):
         press = PRESSModel.with_strategy(CombinationStrategy.SUM)
-        assert dominant_factor(press) == "frequency"
+        assert tornado(press)[0].factor == "frequency"
 
 
 class TestPartialEffect:
@@ -76,8 +75,10 @@ class TestPartialEffect:
 
 
 class TestDominantFactor:
+    """The dominant factor is the first (largest-swing) tornado bar."""
+
     def test_default_is_frequency(self):
-        assert dominant_factor() == "frequency"
+        assert tornado()[0].factor == "frequency"
 
     def test_factor_range_validation(self):
         with pytest.raises(ValueError):

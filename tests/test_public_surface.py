@@ -9,11 +9,13 @@ Python files of ``src/``, ``benchmarks/``, ``examples/`` and
 caller outside the tests.
 
 The text match is conservative on purpose: any other occurrence of the
-word (a different class's member of the same name, a docstring, an
-``__all__`` entry) counts as a use.  Names reached only through
-``__all__`` re-exports, and reference implementations cross-checked by
-tests, are therefore out of scope.  Members kept on purpose are listed
-in ``KEEP`` with the reason.
+word (a different class's member of the same name, a docstring) counts
+as a use.  Two kinds of occurrence are not uses and are not counted: an
+entry of an ``__all__`` list, and a package ``__init__.py`` import that
+re-exports the name.  A name whose only callers are tests is flagged
+even when it is exported.  Members kept on purpose (reference
+implementations that tests compare program output against, test-only
+readouts) are listed in ``KEEP`` with the reason.
 
 The same holds for options: every defaulted parameter or field of the
 experiment front doors (``KNOB_TARGETS``) must be set at some call in
@@ -34,10 +36,37 @@ SCANNED_DIRS = ("src", "benchmarks", "examples", "perfbench")
 
 #: qualname -> why the member stays although no program code calls it.
 KEEP = {
-    "repro.disk.energy.EnergyMeter.total_time_s":
-        "the time-conservation property test checks the meter against it",
-    "repro.disk.stats.DiskStats.transitions_on_day":
-        "tests read per-day transition counts through it",
+    "repro.analysis.core.rule_codes":
+        "the rule-engine self-test checks that every registered rule has "
+        "a known-bad fixture through it",
+    "repro.disk.thermal.steady_temperature_from_rpm":
+        "the Sec. 3.2 RPM-to-temperature law; a test checks that "
+        "cheetah_two_speed's steady temperatures lie on it",
+    "repro.experiments.validation.mg1_prediction":
+        "the M/G/1 reference the validation tests compare simulated "
+        "response times against",
+    "repro.press.frequency.idema_start_stop_adder_percent":
+        "Fig. 4a's adder on IDEMA's native per-month axis; tests check "
+        "the figure's doubling of Eq. 3 through it",
+    "repro.press.sensitivity.partial_effect":
+        "the one-factor AFR curve of the sensitivity analysis; tests "
+        "check the model's shape along each factor through it",
+    "repro.util.units.kelvin_to_celsius":
+        "inverse of celsius_to_kelvin; tests pin the paper's 273.16 "
+        "offset through the round trip",
+    "repro.util.units.kwh_to_joules":
+        "inverse of joules_to_kwh; tests pin the kWh constant through "
+        "the round trip",
+    "repro.util.units.mb_to_bytes":
+        "tests pin the datasheet's decimal megabyte through it",
+    "repro.util.units.bytes_to_mb":
+        "inverse of mb_to_bytes, checked by the same round trip",
+    "repro.util.units.per_day_to_per_month":
+        "inverse of per_month_to_per_day; tests pin the 30-day month "
+        "through the round trip",
+    "repro.workload.arrival.diurnal_poisson_arrivals":
+        "the multi-day tests drive READ through a two-day day/night "
+        "workload built with it",
     "repro.faults.injector.FaultInjector.lifecycle_of":
         "tests read a disk's failure lifecycle through it",
     "repro.redundancy.groups.RedundancyGroups.domain_of":
@@ -47,11 +76,35 @@ KEEP = {
 _WORD = re.compile(r"\b\w+\b")
 
 
+def _export_lines(tree: ast.Module, *, package_init: bool) -> set[int]:
+    """Line numbers of ``__all__`` lists and, in a package ``__init__``,
+    of its re-export imports: names there are exported, not used."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        exported = any(isinstance(t, ast.Name) and t.id == "__all__"
+                       for t in targets)
+        if exported or (package_init
+                        and isinstance(node, (ast.Import, ast.ImportFrom))):
+            lines.update(range(node.lineno, (node.end_lineno or node.lineno) + 1))
+    return lines
+
+
 def _word_counts() -> Counter[str]:
     counts: Counter[str] = Counter()
     for name in SCANNED_DIRS:
         for path in sorted((ROOT / name).rglob("*.py")):
-            counts.update(_WORD.findall(path.read_text(encoding="utf-8")))
+            text = path.read_text(encoding="utf-8")
+            skip = _export_lines(ast.parse(text),
+                                 package_init=path.name == "__init__.py")
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if lineno not in skip:
+                    counts.update(_WORD.findall(line))
     return counts
 
 

@@ -7,7 +7,6 @@ from repro.workload.arrival import (
     diurnal_poisson_arrivals,
     onoff_bursty_arrivals,
     poisson_arrivals,
-    uniform_arrivals,
 )
 
 ALL_GENERATORS = [
@@ -38,11 +37,6 @@ def test_zero_requests(gen):
 def test_poisson_mean_interarrival():
     times = poisson_arrivals(100_000, 0.0584, seed=2)
     assert np.diff(times).mean() == pytest.approx(0.0584, rel=0.02)
-
-
-def test_uniform_is_exact_grid():
-    times = uniform_arrivals(5, 2.0)
-    np.testing.assert_allclose(times, [2.0, 4.0, 6.0, 8.0, 10.0])
 
 
 def test_bursty_preserves_global_mean():
