@@ -6,13 +6,15 @@ streams the trace's arrivals through the policy's router, runs until the
 last user request completes, then freezes metrics, energy, and the PRESS
 reliability assessment into a :class:`SimulationResult`.
 
-Arrivals are streamed (each arrival event schedules the next) rather
-than pre-loaded, so multi-million-request traces don't balloon the event
-heap.  End-of-run semantics: the measured horizon is the completion time
-of the last user request; the policy is then shut down (periodic tasks
-and timers cancelled) and any still-queued *internal* work is abandoned
-— its already-elapsed disk time is accounted, matching how the paper's
-"process of serving the entire request set" frames energy.
+Arrivals are streamed (each arrival hands the kernel's arrival slot the
+next) rather than pre-loaded, and become Python values one bounded slice
+at a time, so multi-million-request traces balloon neither the event
+heap nor the dispatcher.  End-of-run semantics: the measured horizon is
+the completion time of the last user request; the policy is then shut
+down (periodic tasks and timers cancelled) and any still-queued
+*internal* work is abandoned — its already-elapsed disk time is
+accounted, matching how the paper's "process of serving the entire
+request set" frames energy.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
 from typing import Any, Callable, Container, Iterable, Mapping, Protocol, Sequence, TypeVar, cast
+
+import numpy as np
 
 from repro.core.extensions import (
     ReplicatingREADConfig,
@@ -138,8 +142,14 @@ class ExperimentConfig:
         return cached_generate(self.workload)
 
 
-#: One chunk of arrivals: request times and file ids, as plain lists.
-Chunk = tuple[list[float], list[int]]
+#: One chunk of arrivals: request times (float64) and file ids (int64),
+#: as equal-length numpy arrays.
+Chunk = tuple[np.ndarray, np.ndarray]
+
+#: Trace rows the dispatcher converts to Python lists at a time: about
+#: 0.3 MB of lists, so a cell's replay memory does not grow with its
+#: trace.  Slicing never changes an arrival, so this is not a knob.
+_REPLAY_ROWS = 4096
 
 
 class _Tally(Protocol):
@@ -190,7 +200,11 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     together: :func:`run_simulation` feeds it the whole trace as one
     chunk, and :func:`~repro.experiments.shard.run_shard_cell` feeds it
     one shard's filtered stream chunks.  ``chunks`` yields ``(times,
-    ids)`` list pairs in arrival order; only one is held at a time.
+    ids)`` numpy array pairs in arrival order.  This is the one place
+    trace rows become Python lists, ``_REPLAY_ROWS`` rows at a time, so
+    the dispatcher holds one bounded slice whatever the trace's length.
+    What still grows with the trace is the caller's: its arrays (16 B
+    per request) and, unsharded, the response times the tally keeps.
 
     ``make_tally`` builds the response metrics from the kernel's stop
     function.  They own the stop condition, and hear the dispatched
@@ -237,24 +251,35 @@ def _execute_cell(policy: Policy, fileset: FileSet, chunks: Iterable[Chunk],
     policy.initial_layout()
 
     # Arrivals are chained (each dispatch hands the kernel's arrival slot
-    # the next) over one chunk of plain lists at a time: list indexing
+    # the next) over one slice of plain lists at a time: list indexing
     # returns ready-made floats/ints instead of numpy scalars needing
-    # coercion.  Requests are counted per chunk, never per request.
+    # coercion.  Requests are counted per slice, never per request.
     sizes = fileset.sizes_mb.tolist()
+    rows = _REPLAY_ROWS
     pending = iter(chunks)
+    chunk_times = chunk_ids = np.empty(0)
     times: list[float] = []
     ids: list[int] = []
-    i = n = dispatched = 0
+    start = i = n = dispatched = 0
 
     def load_next() -> bool:
-        nonlocal times, ids, i, n, dispatched
-        for times, ids in pending:
-            if times:
-                i, n = 0, len(times)
-                dispatched += n
-                return True
-        tally.close_dispatch(dispatched)
-        return False
+        nonlocal chunk_times, chunk_ids, times, ids, start, i, n, dispatched
+        while start >= len(chunk_times):  # also skips empty chunks
+            chunk = next(pending, None)
+            if chunk is None:
+                # the last arrival is handed over: drop the last slice
+                chunk_times = chunk_ids = np.empty(0)
+                times, ids = [], []
+                tally.close_dispatch(dispatched)
+                return False
+            (chunk_times, chunk_ids), start = chunk, 0
+        stop = start + rows
+        times = chunk_times[start:stop].tolist()
+        ids = chunk_ids[start:stop].tolist()
+        start = stop
+        i, n = 0, len(times)
+        dispatched += n
+        return True
 
     route = policy.route
     set_arrival = sim.set_arrival
@@ -346,7 +371,7 @@ def run_simulation(policy: Policy, fileset: FileSet, trace: Trace, *,
     n = len(trace)
 
     cell, metrics = _execute_cell(
-        policy, fileset, [(trace.times_s.tolist(), trace.file_ids.tolist())],
+        policy, fileset, [(trace.times_s, trace.file_ids)],
         lambda stop: RequestMetrics(expected=n, on_all_done=stop),
         n_disks=n_disks, params=params, obs=obs, faults=faults,
         press=model, groups=groups,

@@ -378,8 +378,7 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     def filtered_chunks() -> Iterator[Chunk]:
         for chunk in stream.chunks():
             keep = mine[chunk.file_ids]
-            yield (chunk.times_s[keep].tolist(),
-                   local_id[chunk.file_ids[keep]].tolist())
+            yield chunk.times_s[keep], local_id[chunk.file_ids[keep]]
 
     # The trace writer remaps local ids to global at emission — disk-
     # carrying fields shift by the shard's disk offset, file ids go
