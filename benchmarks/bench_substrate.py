@@ -10,7 +10,8 @@ import numpy as np
 from repro.disk.drive import Job, TwoSpeedDrive
 from repro.disk.parameters import cheetah_two_speed
 from repro.sim.engine import Simulator
-from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
+from repro.workload.stream import materialize
+from repro.workload.synthetic import SyntheticWorkloadConfig
 from repro.workload.zipf import zipf_sample_ranks
 
 
@@ -52,10 +53,7 @@ def test_zipf_sampling_throughput(benchmark):
 def test_trace_generation_throughput(benchmark):
     cfg = SyntheticWorkloadConfig(n_files=4079, n_requests=100_000, seed=1)
 
-    def generate():
-        return WorldCupLikeWorkload(cfg).generate()
-
-    fileset, trace = benchmark(generate)
+    fileset, trace = benchmark(materialize, cfg)
     assert len(trace) == 100_000
 
 

@@ -447,13 +447,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.workload.synthetic import WorldCupLikeWorkload
+    from repro.workload.stream import materialize
     from repro.workload.trace import Trace
     from repro.workload.wc98 import read_wc98, wc98_to_trace
 
     if args.trace_command == "generate":
-        workload = WorldCupLikeWorkload(_workload_config(args))
-        fileset, trace = workload.generate()
+        fileset, trace = materialize(_workload_config(args))
         trace.to_csv(args.out)
         print(f"wrote {len(trace)} requests over {trace.duration_s:.0f} s "
               f"({len(fileset)} files) -> {args.out}")

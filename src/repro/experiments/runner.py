@@ -59,6 +59,7 @@ from repro.util.validation import require
 from repro.workload.files import FileSet
 from repro.workload.request import Request
 from repro.workload.cache import cached_generate
+from repro.workload.stream import Chunk
 from repro.workload.synthetic import SyntheticWorkloadConfig
 from repro.workload.trace import Trace
 
@@ -141,10 +142,6 @@ class ExperimentConfig:
         """
         return cached_generate(self.workload)
 
-
-#: One chunk of arrivals: request times (float64) and file ids (int64),
-#: as equal-length numpy arrays.
-Chunk = tuple[np.ndarray, np.ndarray]
 
 #: Trace rows the dispatcher converts to Python lists at a time: about
 #: 0.3 MB of lists, so a cell's replay memory does not grow with its

@@ -84,7 +84,6 @@ from repro.experiments.resilience import (
     run_cells_resilient,
 )
 from repro.experiments.runner import (
-    Chunk,
     _assess_redundancy,
     _default_disk_params,
     _default_press,
@@ -104,7 +103,7 @@ from repro.redundancy.groups import RedundancyGroups
 from repro.redundancy.scheme import GroupScheme
 from repro.util.validation import require
 from repro.workload.files import FileSet
-from repro.workload.stream import WorkloadLike, open_stream
+from repro.workload.stream import Chunk, WorkloadLike, open_stream
 
 __all__ = [
     "ShardPlan",
@@ -376,9 +375,9 @@ def run_shard_cell(spec: RunSpec) -> ShardCellResult:
     local_fileset = FileSet(fileset.sizes_mb[my_files])
 
     def filtered_chunks() -> Iterator[Chunk]:
-        for chunk in stream.chunks():
-            keep = mine[chunk.file_ids]
-            yield chunk.times_s[keep], local_id[chunk.file_ids[keep]]
+        for times, ids in stream.chunks():
+            keep = mine[ids]
+            yield times[keep], local_id[ids[keep]]
 
     # The trace writer remaps local ids to global at emission — disk-
     # carrying fields shift by the shard's disk offset, file ids go

@@ -6,7 +6,10 @@ to either *replay* that trace (a reader for the real WC98 binary record
 format, :mod:`repro.workload.wc98`) or *synthesize* a statistically
 equivalent one (:mod:`repro.workload.synthetic`): Zipf-like popularity
 with tunable skew, heavy-tailed web file sizes, and Poisson or bursty
-arrival processes.
+arrival processes.  One sampler draws every synthetic trace:
+:class:`~repro.workload.stream.SyntheticStream` yields it in chunks, and
+:func:`~repro.workload.stream.materialize` fills a whole trace from
+those chunks.  Any chunk size gives the same bits.
 
 All downstream consumers see only :class:`~repro.workload.trace.Trace`
 (arrival times + file ids) plus a :class:`~repro.workload.files.FileSet`
@@ -22,11 +25,7 @@ from repro.workload.zipf import (
     skew_theta,
     fit_zipf_alpha,
 )
-from repro.workload.arrival import (
-    poisson_arrivals,
-    onoff_bursty_arrivals,
-    diurnal_poisson_arrivals,
-)
+from repro.workload.arrival import diurnal_poisson_arrivals
 from repro.workload.trace import Trace, TraceStats
 from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
 from repro.workload.cache import (
@@ -56,8 +55,6 @@ __all__ = [
     "measure_access_skew",
     "skew_theta",
     "fit_zipf_alpha",
-    "poisson_arrivals",
-    "onoff_bursty_arrivals",
     "diurnal_poisson_arrivals",
     "Trace",
     "TraceStats",

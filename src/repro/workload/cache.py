@@ -10,8 +10,8 @@ an in-process LRU of the most recent ``max_entries`` workloads (both
 arrays are immutable — ``setflags(write=False)`` — so sharing one
 instance across simulation runs is safe).
 
-The digest covers every config field, including ``size_kwargs``, so a
-changed parameter can never alias a stale workload.
+The digest covers every config field, so a changed parameter can never
+alias a stale workload.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 from repro.util.validation import require
 from repro.workload.files import FileSet
 from repro.workload.stream import SyntheticStreamSpec, WorkloadLike, materialize
-from repro.workload.synthetic import WorldCupLikeWorkload
 from repro.workload.trace import Trace
 
 __all__ = ["WorkloadCache", "cached_generate", "default_cache", "workload_key"]
@@ -40,15 +39,12 @@ def workload_key(config: WorkloadLike) -> str:
 
     Equal parameter values — not object identity — produce equal keys.
     A :class:`SyntheticStreamSpec` keys identically to its underlying
-    config: streamed and materialized generation are bit-identical, so
-    they share one cache entry, and no chunk size enters the digest.
+    config: both name the same trace, so they share one cache entry, and
+    no chunk size enters the digest.
     """
     if isinstance(config, SyntheticStreamSpec):
         config = config.config
-    payload = asdict(config)
-    # dicts compare by content but iterate in insertion order; normalize
-    payload["size_kwargs"] = sorted(payload["size_kwargs"].items())
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
+    blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -82,10 +78,7 @@ class WorkloadCache:
             self._lru.move_to_end(key)
             return pair
         self.misses += 1
-        if isinstance(config, SyntheticStreamSpec):
-            pair = materialize(config)
-        else:
-            pair = WorldCupLikeWorkload(config).generate()
+        pair = materialize(config)
         self._lru[key] = pair
         while len(self._lru) > self.max_entries:
             self._lru.popitem(last=False)

@@ -95,9 +95,9 @@ class FileSet:
 
     # ------------------------------------------------------------------
     @classmethod
-    def web_like(cls, n_files: int, seed: SeedLike = None, **size_kwargs: float) -> "FileSet":
+    def web_like(cls, n_files: int, seed: SeedLike = None) -> "FileSet":
         """Build a web-realistic file set (lognormal body + Pareto tail)."""
-        return cls(hybrid_web_sizes(n_files, seed=seed, **size_kwargs))
+        return cls(hybrid_web_sizes(n_files, seed=seed))
 
     @classmethod
     def uniform(cls, n_files: int, size_mb: float) -> "FileSet":

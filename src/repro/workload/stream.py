@@ -1,28 +1,31 @@
-"""Constant-memory streaming workloads (chunked request generation).
+"""The one synthetic trace sampler: chunked request generation.
 
-Every sweep used to materialize its full request list before simulating —
-two float64/int64 arrays per trace, ~16 bytes a request, which caps the
-reachable scale by memory long before by simulation time.  This module converts
-workload generation to *chunked iteration*: a stream yields
-:class:`TraceChunk` blocks whose concatenation is bit-identical to the
-materialized :class:`~repro.workload.trace.Trace`, while peak state is
-one chunk plus the bounded popularity tables.
+:class:`SyntheticStream` is the only code that draws a synthetic trace's
+arrivals and popularity ranks.  It yields ``(times, ids)`` chunks: the
+absolute arrival times (float64) and dense file ids (int64) of
+consecutive requests, so peak per-request state is one chunk plus the
+bounded popularity tables.  :func:`materialize` fills a whole
+:class:`~repro.workload.trace.Trace` from those chunks; streaming
+consumers (shard sub-cells) take them one at a time.
 
-:class:`SyntheticStream` is the chunked twin of
-:class:`~repro.workload.synthetic.WorldCupLikeWorkload`.  Bit-identity
-with the batch path rests on three properties, each pinned by a
-hypothesis test in ``tests/workload/test_stream.py``:
+The chunk size is buffering, never data: any chunking concatenates to
+the same arrays, bit for bit.  Three properties hold that, and
+``tests/workload/test_stream.py`` checks the result with hypothesis
+(every chunk size equals one whole-trace chunk) and pins the bits of a
+Poisson and a bursty trace by sha256:
 
 1. *RNG prefix stability*: ``Generator.exponential``/``random`` drawn
    in consecutive slices produce the same values as one large draw, so
-   chunked arrival/rank sampling consumes the identical bitstream.
-   Bursty runs additionally clamp run lengths against the *global*
-   request count (:func:`~repro.workload.arrival.onoff_bursty_gap_runs`).
+   every chunking consumes the identical bitstream.  Bursty runs clamp
+   their lengths against the *total* request count
+   (:func:`~repro.workload.arrival.onoff_bursty_gap_runs`), never
+   against a chunk.
 2. *cumsum carry*: ``np.cumsum`` accumulates sequentially, so adding
    the running total into the first gap of each chunk **before** the
-   chunk-local cumsum reproduces the batch float-op grouping exactly.
-3. *RNG pre-pass*: the batch path draws all arrivals, then all ranks,
-   from one generator.  The stream clones the seed and runs the
+   chunk-local cumsum takes the same float additions, in the same
+   order, as one cumsum over the whole trace.
+3. *Fixed draw order*: one generator (seeded ``seed + 2``) draws all
+   arrivals, then all ranks.  The stream clones the seed and runs the
    arrival draws to exhaustion (discarding them) to position the rank
    generator, trading one cheap extra pass for O(chunk) memory.
 
@@ -45,11 +48,11 @@ from repro.workload.arrival import onoff_bursty_gap_runs
 from repro.workload.files import FileSet
 from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
 from repro.workload.trace import Trace
-from repro.workload.zipf import zipf_cdf
+from repro.workload.zipf import zipf_sample_ranks
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "TraceChunk",
+    "Chunk",
     "SyntheticStream",
     "SyntheticStreamSpec",
     "WorkloadLike",
@@ -62,21 +65,9 @@ __all__ = [
 #: trace, this one just balances numpy efficiency against peak RSS.
 DEFAULT_CHUNK_SIZE = 65_536
 
-
-@dataclass(frozen=True, slots=True)
-class TraceChunk:
-    """One block of a streamed trace: absolute times + dense file ids.
-
-    Chunks carry *absolute* arrival times (the stream owns the cumsum
-    carry), so consumers never need to re-base; concatenating the fields
-    of every chunk reproduces ``Trace.times_s`` / ``Trace.file_ids``.
-    """
-
-    times_s: np.ndarray
-    file_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times_s.size
+#: One chunk of arrivals: request times (float64) and file ids (int64),
+#: as equal-length numpy arrays.
+Chunk = tuple[np.ndarray, np.ndarray]
 
 
 # ----------------------------------------------------------------------
@@ -86,9 +77,8 @@ def _gap_runs(cfg: SyntheticWorkloadConfig, rng: np.random.Generator,
               chunk_size: int) -> Iterator[np.ndarray]:
     """Inter-arrival gaps in generation order, bounded-memory.
 
-    Consumes ``rng`` exactly as the batch arrival samplers do (same
-    draws, same order), which is what lets a second pass over this
-    generator position the rank RNG.
+    Consumes ``rng`` identically whatever ``chunk_size`` is, which is
+    what lets a second pass over this generator position the rank RNG.
     """
     n = cfg.n_requests
     if cfg.bursty:
@@ -102,43 +92,31 @@ def _gap_runs(cfg: SyntheticWorkloadConfig, rng: np.random.Generator,
 
 
 def _rechunk(runs: Iterable[np.ndarray], chunk_size: int) -> Iterator[np.ndarray]:
-    """Reassemble arbitrarily-sized runs into owned ``chunk_size`` blocks."""
+    """Reassemble arbitrarily-sized runs into ``chunk_size`` blocks (the
+    last one shorter): non-overlapping slices of freshly joined memory,
+    which the caller may modify."""
     buf: list[np.ndarray] = []
     have = 0
     for arr in runs:
         buf.append(arr)
         have += arr.size
-        while have >= chunk_size:
-            out = np.empty(chunk_size, dtype=np.float64)
-            filled = 0
-            while filled < chunk_size:
-                head = buf[0]
-                take = min(head.size, chunk_size - filled)
-                out[filled:filled + take] = head[:take]
-                if take == head.size:
-                    buf.pop(0)
-                else:
-                    buf[0] = head[take:]
-                filled += take
-            have -= chunk_size
-            yield out
+        if have >= chunk_size:
+            joined = np.concatenate(buf)
+            stop = have - have % chunk_size
+            for lo in range(0, stop, chunk_size):
+                yield joined[lo:lo + chunk_size]
+            buf = [joined[stop:]]
+            have -= stop
     if have:
-        out = np.empty(have, dtype=np.float64)
-        filled = 0
-        for head in buf:
-            out[filled:filled + head.size] = head
-            filled += head.size
-        yield out
+        yield np.concatenate(buf)
 
 
 class SyntheticStream:
-    """Chunked twin of :class:`WorldCupLikeWorkload` — bit-identical output.
+    """The request stream of a :class:`SyntheticWorkloadConfig`, in chunks.
 
-    ``materialize(SyntheticStream(cfg))`` equals
-    ``WorldCupLikeWorkload(cfg).generate()`` array-for-array for every
-    config and every chunk size; peak per-request state is one chunk.
-    The popularity tables (drift orders, Zipf CDF) are O(n_files *
-    drift_segments) and built once per ``chunks()`` call.
+    ``fileset`` is built once; every ``chunks()`` call replays the same
+    stream from the start.  The popularity tables (drift orders) are
+    O(n_files * drift_segments) and built once per ``chunks()`` call.
     """
 
     def __init__(self, config: SyntheticWorkloadConfig) -> None:
@@ -156,17 +134,17 @@ class SyntheticStream:
     def n_requests(self) -> int:
         return self.config.n_requests
 
-    def chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[TraceChunk]:
+    def chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[Chunk]:
+        """Yield ``(times, ids)`` chunks of ``chunk_size`` requests (the
+        last one shorter), with absolute arrival times."""
         require(chunk_size >= 1, f"chunk_size must be >= 1, got {chunk_size}")
         cfg = self.config
-        fileset = self.fileset
-        orders = self._workload.drifted_orders(fileset)
+        n_files = len(self.fileset)
+        orders = self._workload.drifted_orders(self.fileset)
         bounds = np.linspace(0, cfg.n_requests, len(orders) + 1).astype(np.int64)
-        cdf = zipf_cdf(len(fileset), cfg.zipf_alpha)
 
         # rank RNG pre-pass: replay the arrival draws (discarded) so the
-        # generator sits exactly where the batch path's sits when it
-        # starts sampling ranks
+        # rank generator starts where the last arrival draw left it
         rng_ranks = rng_from(cfg.seed + 2)
         for _ in _gap_runs(cfg, rng_ranks, chunk_size):
             pass
@@ -184,8 +162,7 @@ class SyntheticStream:
             times = np.cumsum(chunk_gaps)
             carry = float(times[-1])
 
-            u = rng_ranks.random(n)
-            ranks = np.searchsorted(cdf, u, side="right").astype(np.int64)
+            ranks = zipf_sample_ranks(n_files, cfg.zipf_alpha, n, seed=rng_ranks)
             file_ids = np.empty(n, dtype=np.int64)
             pos = start
             while pos < start + n:
@@ -195,7 +172,7 @@ class SyntheticStream:
                 file_ids[sl] = orders[seg][ranks[sl]]
                 pos = hi
             start += n
-            yield TraceChunk(times, file_ids)
+            yield times, file_ids
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +183,9 @@ class SyntheticStreamSpec:
     """Streamed form of a synthetic workload config.
 
     Carries no realized arrays; :func:`open_stream` builds the
-    generator.  Its cache digest is defined to equal ``workload_key(config)`` so the
-    streamed and materialized forms share one cache entry (they produce
-    bit-identical traces).
+    generator.  Its cache digest is defined to equal
+    ``workload_key(config)``: a spec and its config name the same trace,
+    so they share one cache entry.
     """
 
     config: SyntheticWorkloadConfig
@@ -224,22 +201,19 @@ def open_stream(workload: WorkloadLike) -> SyntheticStream:
     return SyntheticStream(workload)
 
 
-def materialize(workload: WorkloadLike,
-                chunk_size: int = DEFAULT_CHUNK_SIZE) -> tuple[FileSet, Trace]:
-    """Drain a stream into a realized ``(FileSet, Trace)`` pair.
+def materialize(workload: WorkloadLike) -> tuple[FileSet, Trace]:
+    """Realize a workload as a ``(FileSet, Trace)`` pair.
 
-    The bridge for consumers that need whole arrays (the workload cache
-    when handed a spec, tests); by the stream contract the result is
-    bit-identical to :meth:`WorldCupLikeWorkload.generate`.
+    The one way to build a whole synthetic trace: the two trace arrays
+    are allocated once and filled chunk by chunk from the stream.
     """
     stream = open_stream(workload)
-    times: list[np.ndarray] = []
-    ids: list[np.ndarray] = []
-    for chunk in stream.chunks(chunk_size):
-        times.append(chunk.times_s)
-        ids.append(chunk.file_ids)
-    times_all = (np.concatenate(times) if times
-                 else np.empty(0, dtype=np.float64))
-    ids_all = (np.concatenate(ids) if ids
-               else np.empty(0, dtype=np.int64))
-    return stream.fileset, Trace(times_all, ids_all)
+    times = np.empty(stream.n_requests, dtype=np.float64)
+    ids = np.empty(stream.n_requests, dtype=np.int64)
+    start = 0
+    for chunk_times, chunk_ids in stream.chunks():
+        stop = start + chunk_times.size
+        times[start:stop] = chunk_times
+        ids[start:stop] = chunk_ids
+        start = stop
+    return stream.fileset, Trace(times, ids)

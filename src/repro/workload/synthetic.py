@@ -11,22 +11,21 @@ paper itself uses to characterize it:
 * Poisson arrivals with a configurable mean inter-arrival (58.4 ms for
   the paper's light condition; the heavy condition time-compresses it).
 
+This module holds the config and the deterministic tables (file sizes,
+rank -> file mappings); ``repro.workload.stream`` samples the requests.
 See DESIGN.md "Substitutions" for why this preserves the evaluated
 behaviour: the three policies consume only (arrival time, file id, size).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.util.rngtools import SeedLike, rng_from
 from repro.util.validation import require, require_in_range, require_positive
-from repro.workload.arrival import onoff_bursty_arrivals, poisson_arrivals
 from repro.workload.files import FileSet
-from repro.workload.trace import Trace
-from repro.workload.zipf import zipf_sample_ranks
 
 __all__ = ["SyntheticWorkloadConfig", "WorldCupLikeWorkload"]
 
@@ -78,7 +77,6 @@ class SyntheticWorkloadConfig:
     drift_segments: int = 8
     bursty: bool = False
     seed: int = 0
-    size_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         require(self.n_files >= 1, f"n_files must be >= 1, got {self.n_files}")
@@ -106,12 +104,13 @@ class SyntheticWorkloadConfig:
 
 
 class WorldCupLikeWorkload:
-    """Generates a (FileSet, Trace) pair from a :class:`SyntheticWorkloadConfig`.
+    """The file population and popularity mappings of a config.
 
-    Generation is deterministic in ``config.seed``; the same config always
-    produces bit-identical traces, which is what lets every policy be
-    evaluated against the *same* request stream (the paper's fairness
-    requirement, Sec. 3.5).
+    Everything here is deterministic in ``config.seed``, as is the
+    request stream ``repro.workload.stream.SyntheticStream`` samples over
+    these tables, so the same config always produces bit-identical
+    traces: every policy is evaluated against the *same* request stream
+    (the paper's fairness requirement, Sec. 3.5).
     """
 
     def __init__(self, config: SyntheticWorkloadConfig | None = None) -> None:
@@ -122,7 +121,7 @@ class WorldCupLikeWorkload:
         """Create the file population (sizes only; ids are dense ranks)."""
         cfg = self.config
         rng = rng_from(cfg.seed)
-        return FileSet.web_like(cfg.n_files, seed=rng, **cfg.size_kwargs)
+        return FileSet.web_like(cfg.n_files, seed=rng)
 
     def popularity_order(self, fileset: FileSet, seed: SeedLike = None) -> np.ndarray:
         """Map popularity rank -> file id.
@@ -164,25 +163,3 @@ class WorldCupLikeWorkload:
                 order[slots] = np.roll(order[slots], 1)
             orders.append(order)
         return orders
-
-    def build_trace(self, fileset: FileSet) -> Trace:
-        """Sample arrivals and per-request file ids (with drift phases)."""
-        cfg = self.config
-        rng = rng_from(cfg.seed + 2)
-        if cfg.bursty:
-            times = onoff_bursty_arrivals(cfg.n_requests, cfg.mean_interarrival_s, seed=rng)
-        else:
-            times = poisson_arrivals(cfg.n_requests, cfg.mean_interarrival_s, seed=rng)
-        ranks = zipf_sample_ranks(len(fileset), cfg.zipf_alpha, cfg.n_requests, seed=rng)
-        orders = self.drifted_orders(fileset)
-        file_ids = np.empty(cfg.n_requests, dtype=np.int64)
-        bounds = np.linspace(0, cfg.n_requests, len(orders) + 1).astype(np.int64)
-        for seg, order in enumerate(orders):
-            lo, hi = bounds[seg], bounds[seg + 1]
-            file_ids[lo:hi] = order[ranks[lo:hi]]
-        return Trace(times, file_ids)
-
-    def generate(self) -> tuple[FileSet, Trace]:
-        """Build the file set and a matching trace in one call."""
-        fileset = self.build_fileset()
-        return fileset, self.build_trace(fileset)

@@ -31,7 +31,6 @@ from repro.util.validation import require, require_in_range
 
 __all__ = [
     "zipf_probabilities",
-    "zipf_cdf",
     "zipf_sample_ranks",
     "measure_access_skew",
     "skew_theta",
@@ -55,19 +54,6 @@ def zipf_probabilities(n: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def zipf_cdf(n_files: int, alpha: float) -> np.ndarray:
-    """Cumulative distribution over ranks, ready for inverse-CDF sampling.
-
-    The final entry is clamped to exactly 1.0 to guard against float
-    round-off excluding the last rank.  Shared by the one-shot sampler
-    below and the chunked sampler in ``repro.workload.stream`` (both
-    must search the *same* CDF for their outputs to agree bit-for-bit).
-    """
-    cdf = np.cumsum(zipf_probabilities(n_files, alpha))
-    cdf[-1] = 1.0
-    return cdf
-
-
 def zipf_sample_ranks(n_files: int, alpha: float, n_samples: int,
                       seed: SeedLike = None) -> np.ndarray:
     """Draw ``n_samples`` popularity *ranks* (0-indexed) i.i.d. from a Zipf law.
@@ -75,10 +61,12 @@ def zipf_sample_ranks(n_files: int, alpha: float, n_samples: int,
     Uses inverse-CDF sampling on the exact finite distribution (not the
     unbounded ``numpy.random.zipf``, whose support is infinite and whose
     exponent must exceed 1).  Vectorized: one ``searchsorted`` over all
-    samples.
+    samples.  The CDF's final entry is clamped to exactly 1.0 so float
+    round-off never excludes the last rank.
     """
     require(n_samples >= 0, f"n_samples must be >= 0, got {n_samples}")
-    cdf = zipf_cdf(n_files, alpha)
+    cdf = np.cumsum(zipf_probabilities(n_files, alpha))
+    cdf[-1] = 1.0
     rng = rng_from(seed)
     u = rng.random(n_samples)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)

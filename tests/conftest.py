@@ -17,7 +17,8 @@ from repro.disk.parameters import TwoSpeedDiskParams, cheetah_two_speed
 from repro.press.model import PRESSModel
 from repro.sim.engine import Simulator
 from repro.workload.files import FileSet
-from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
+from repro.workload.stream import materialize
+from repro.workload.synthetic import SyntheticWorkloadConfig
 from repro.workload.trace import Trace
 
 #: Seconds a single test may run before the process dies with every
@@ -78,7 +79,7 @@ def small_workload() -> tuple[FileSet, Trace]:
     """A deterministic 5k-request WC-like workload (seeded)."""
     cfg = SyntheticWorkloadConfig(n_files=120, n_requests=5_000, seed=42,
                                   mean_interarrival_s=0.02)
-    return WorldCupLikeWorkload(cfg).generate()
+    return materialize(cfg)
 
 
 @pytest.fixture(scope="session")

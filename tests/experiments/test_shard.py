@@ -169,9 +169,9 @@ class TestShardedEqualsUnsharded:
         chunks, sizes = SyntheticStream.chunks, []
 
         def fine_chunks(stream, chunk_size=0):
-            for chunk in chunks(stream, 97):
-                sizes.append(chunk.times_s.size)
-                yield chunk
+            for times, ids in chunks(stream, 97):
+                sizes.append(times.size)
+                yield times, ids
 
         monkeypatch.setattr(SyntheticStream, "chunks", fine_chunks)
         fine, _ = run_sharded("static-high", CFG, n_disks=8, n_shards=2)

@@ -12,7 +12,6 @@ from repro.disk.parameters import DiskSpeed
 from repro.experiments.metrics import RequestMetrics
 from repro.experiments.validation import mg1_prediction, service_moments
 from repro.sim.engine import Simulator
-from repro.workload.arrival import poisson_arrivals
 from repro.workload.files import FileSet
 from repro.workload.request import Request
 from repro.workload.zipf import zipf_probabilities
@@ -25,7 +24,7 @@ def simulate_single_disk(fileset, params, mean_gap, n_requests, *,
     Returns the response metrics and every request's queueing delay.
     """
     rng = np.random.default_rng(seed)
-    times = poisson_arrivals(n_requests, mean_gap, seed=rng)
+    times = np.cumsum(rng.exponential(mean_gap, n_requests))
     n = len(fileset)
     p = weights if weights is not None else np.full(n, 1.0 / n)
     fids = rng.choice(n, size=n_requests, p=p / p.sum())

@@ -12,7 +12,8 @@ from repro.experiments.runner import make_policy, run_simulation
 from repro.faults import FaultConfig, FaultInjector
 from repro.policies.maid import MAIDPolicy
 from repro.workload.request import Request
-from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
+from repro.workload.stream import materialize
+from repro.workload.synthetic import SyntheticWorkloadConfig
 
 #: Aggressive acceleration sized so a ~100 s, 4-disk run sees failures.
 FAULTS = FaultConfig(seed=3, accel=2e6, hazard_refresh_s=5.0,
@@ -23,7 +24,7 @@ FAULTS = FaultConfig(seed=3, accel=2e6, hazard_refresh_s=5.0,
 def workload():
     cfg = SyntheticWorkloadConfig(n_files=120, n_requests=5_000, seed=42,
                                   mean_interarrival_s=0.02)
-    return WorldCupLikeWorkload(cfg).generate()
+    return materialize(cfg)
 
 
 class TestCrossPolicySurvival:

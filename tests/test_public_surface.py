@@ -160,6 +160,9 @@ KNOB_TARGETS = {
     "repro.experiments.figures": ("figure7_comparison",),
     "repro.experiments.resilience": ("ResilienceConfig",),
     "repro.redundancy.montecarlo": ("simulate_failures",),
+    "repro.workload.synthetic": ("SyntheticWorkloadConfig",),
+    "repro.workload.stream": ("SyntheticStreamSpec", "open_stream",
+                              "materialize"),
 }
 
 #: ``target.option`` -> why the option stays although only tests set it.
@@ -176,6 +179,9 @@ KNOB_KEEP = {
         "tests and the scale tier resume a sharded cell shard by shard",
     "figure7_comparison.policy_kwargs":
         "tests run short-epoch READ sweeps through it",
+    "SyntheticWorkloadConfig.size_popularity_correlation":
+        "the one control for READ's size/popularity assumption (Sec. 4); "
+        "test_synthetic.py checks the decorrelated order through it",
 }
 
 

@@ -10,7 +10,8 @@ from repro.workload.analysis import (
     windowed_request_counts,
     working_set_sizes,
 )
-from repro.workload.synthetic import SyntheticWorkloadConfig, WorldCupLikeWorkload
+from repro.workload.stream import materialize
+from repro.workload.synthetic import SyntheticWorkloadConfig
 from repro.workload.trace import Trace
 
 
@@ -40,16 +41,16 @@ class TestDispersion:
         cfg = SyntheticWorkloadConfig(n_files=50, n_requests=50_000, seed=1,
                                       bursty=False, popularity_drift=0.0,
                                       mean_interarrival_s=0.01)
-        fs, trace = WorldCupLikeWorkload(cfg).generate()
+        fs, trace = materialize(cfg)
         assert index_of_dispersion(trace, 5.0) == pytest.approx(1.0, abs=0.4)
 
     def test_bursty_above_poisson(self):
         base = dict(n_files=50, n_requests=50_000, seed=1,
                     popularity_drift=0.0, mean_interarrival_s=0.01)
-        _, poisson = WorldCupLikeWorkload(SyntheticWorkloadConfig(
-            bursty=False, **base)).generate()
-        _, bursty = WorldCupLikeWorkload(SyntheticWorkloadConfig(
-            bursty=True, **base)).generate()
+        _, poisson = materialize(SyntheticWorkloadConfig(
+            bursty=False, **base))
+        _, bursty = materialize(SyntheticWorkloadConfig(
+            bursty=True, **base))
         assert index_of_dispersion(bursty, 1.0) > index_of_dispersion(poisson, 1.0)
 
     def test_deterministic_grid_below_poisson(self):
@@ -65,7 +66,7 @@ class TestWorkingSet:
     def test_bounded_by_population(self):
         cfg = SyntheticWorkloadConfig(n_files=30, n_requests=5_000, seed=2,
                                       mean_interarrival_s=0.01)
-        fs, trace = WorldCupLikeWorkload(cfg).generate()
+        fs, trace = materialize(cfg)
         assert working_set_sizes(trace, 10.0).max() <= 30
 
 
@@ -74,7 +75,7 @@ class TestPopularityChurn:
         cfg = SyntheticWorkloadConfig(n_files=100, n_requests=40_000, seed=3,
                                       popularity_drift=0.0, bursty=False,
                                       mean_interarrival_s=0.005)
-        fs, trace = WorldCupLikeWorkload(cfg).generate()
+        fs, trace = materialize(cfg)
         spearman, jaccard = popularity_churn(trace, 100, 50.0)
         assert spearman.mean() > 0.7
         assert jaccard.mean() > 0.6
@@ -82,10 +83,10 @@ class TestPopularityChurn:
     def test_drift_lowers_overlap(self):
         base = dict(n_files=100, n_requests=40_000, seed=3, bursty=False,
                     mean_interarrival_s=0.005, drift_segments=8)
-        _, static = WorldCupLikeWorkload(SyntheticWorkloadConfig(
-            popularity_drift=0.0, **base)).generate()
-        _, drifting = WorldCupLikeWorkload(SyntheticWorkloadConfig(
-            popularity_drift=0.8, **base)).generate()
+        _, static = materialize(SyntheticWorkloadConfig(
+            popularity_drift=0.0, **base))
+        _, drifting = materialize(SyntheticWorkloadConfig(
+            popularity_drift=0.8, **base))
         _, j_static = popularity_churn(static, 100, 25.0)
         _, j_drift = popularity_churn(drifting, 100, 25.0)
         assert j_drift.mean() < j_static.mean()
@@ -101,7 +102,7 @@ class TestPopularityChurn:
         cfg = SyntheticWorkloadConfig(n_files=40, n_requests=3000, seed=11,
                                       mean_interarrival_s=0.02, drift_segments=4,
                                       popularity_drift=0.5)
-        _, trace = WorldCupLikeWorkload(cfg).generate()
+        _, trace = materialize(cfg)
         spearman, jaccard = popularity_churn(trace, 40, 6.0, top_k=10)
         assert spearman.tolist() == [
             0.6351403975257005, 0.5801518472982433, 0.5548664267433595,
@@ -116,7 +117,7 @@ class TestAnalyzeTrace:
     def test_summary_fields(self):
         cfg = SyntheticWorkloadConfig(n_files=80, n_requests=20_000, seed=4,
                                       mean_interarrival_s=0.01)
-        fs, trace = WorldCupLikeWorkload(cfg).generate()
+        fs, trace = materialize(cfg)
         a = analyze_trace(trace, 80, window_s=20.0)
         assert a.n_windows >= 2
         assert a.mean_rate_per_s == pytest.approx(100.0, rel=0.3)

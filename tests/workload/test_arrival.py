@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.workload.arrival import (
-    diurnal_poisson_arrivals,
-    onoff_bursty_arrivals,
-    poisson_arrivals,
-)
+from repro.workload.arrival import diurnal_poisson_arrivals, onoff_bursty_gap_runs
+from repro.workload.stream import materialize
+from repro.workload.synthetic import SyntheticWorkloadConfig
+
+
+def synthetic_times(n, gap, seed, *, bursty):
+    """Arrival times of the synthetic stream (Poisson or bursty)."""
+    cfg = SyntheticWorkloadConfig(n_files=10, n_requests=n,
+                                  mean_interarrival_s=gap, bursty=bursty,
+                                  seed=seed)
+    return materialize(cfg)[1].times_s
+
+
+def bursty_gaps(n, gap, seed):
+    return np.concatenate(list(onoff_bursty_gap_runs(n, gap, seed=seed)))
+
 
 ALL_GENERATORS = [
-    lambda n, gap, seed: poisson_arrivals(n, gap, seed=seed),
-    lambda n, gap, seed: onoff_bursty_arrivals(n, gap, seed=seed),
+    lambda n, gap, seed: synthetic_times(n, gap, seed, bursty=False),
+    lambda n, gap, seed: synthetic_times(n, gap, seed, bursty=True),
     lambda n, gap, seed: diurnal_poisson_arrivals(n, gap, seed=seed),
 ]
 
@@ -35,28 +46,18 @@ def test_zero_requests(gen):
 
 
 def test_poisson_mean_interarrival():
-    times = poisson_arrivals(100_000, 0.0584, seed=2)
+    times = synthetic_times(100_000, 0.0584, 2, bursty=False)
     assert np.diff(times).mean() == pytest.approx(0.0584, rel=0.02)
 
 
 def test_bursty_preserves_global_mean():
-    times = onoff_bursty_arrivals(200_000, 0.05, seed=3)
-    assert np.diff(times).mean() == pytest.approx(0.05, rel=0.05)
+    assert bursty_gaps(200_000, 0.05, 3).mean() == pytest.approx(0.05, rel=0.05)
 
 
 def test_bursty_has_higher_variance_than_poisson():
-    gaps_b = np.diff(onoff_bursty_arrivals(100_000, 0.05, seed=4))
-    gaps_p = np.diff(poisson_arrivals(100_000, 0.05, seed=4))
+    gaps_b = bursty_gaps(100_000, 0.05, 4)
+    gaps_p = np.diff(synthetic_times(100_000, 0.05, 4, bursty=False))
     assert gaps_b.std() > gaps_p.std()
-
-
-def test_bursty_parameter_validation():
-    with pytest.raises(ValueError):
-        onoff_bursty_arrivals(10, 0.05, burst_factor=1.0)
-    with pytest.raises(ValueError):
-        onoff_bursty_arrivals(10, 0.05, on_fraction=1.0)
-    with pytest.raises(ValueError):
-        onoff_bursty_arrivals(10, 0.05, mean_burst_len=0)
 
 
 def test_diurnal_rate_varies_with_phase():

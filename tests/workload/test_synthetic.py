@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.workload.stream import materialize
 from repro.workload.synthetic import (
     WORLDCUP_MEAN_INTERARRIVAL_S,
     SyntheticWorkloadConfig,
@@ -38,27 +39,27 @@ class TestConfig:
 
 class TestGeneration:
     def test_deterministic(self):
-        fs1, t1 = make().generate()
-        fs2, t2 = make().generate()
+        fs1, t1 = materialize(make().config)
+        fs2, t2 = materialize(make().config)
         np.testing.assert_array_equal(fs1.sizes_mb, fs2.sizes_mb)
         np.testing.assert_array_equal(t1.file_ids, t2.file_ids)
         np.testing.assert_allclose(t1.times_s, t2.times_s)
 
     def test_trace_statistics_near_config(self):
         wl = make(n_requests=50_000)
-        fs, trace = wl.generate()
+        fs, trace = materialize(wl.config)
         stats = trace.stats(len(fs))
         assert stats.mean_interarrival_s == pytest.approx(
             wl.config.mean_interarrival_s, rel=0.05)
         assert stats.zipf_alpha == pytest.approx(wl.config.zipf_alpha, abs=0.2)
 
     def test_all_ids_in_range(self):
-        fs, trace = make().generate()
+        fs, trace = materialize(make().config)
         assert trace.file_ids.min() >= 0
         assert trace.file_ids.max() < len(fs)
 
     def test_skew_present(self):
-        fs, trace = make(n_requests=50_000).generate()
+        fs, trace = materialize(make(n_requests=50_000).config)
         stats = trace.stats(len(fs))
         assert stats.top20_access_fraction > 0.4  # clearly non-uniform
 
